@@ -40,6 +40,24 @@ def make_compact_runner(side: int, nn_method: str = "matmul", dtype: str = "floa
     return run
 
 
+#: Interleaved rounds every overhead gate times: a fixed count, never
+#: extended until a reading passes.
+OVERHEAD_REPEATS = 9
+
+
+def overhead_pct(floor: list[float], variant: list[float]) -> tuple[float, float]:
+    """Median and IQR of the per-round overhead ``variant / floor - 1``, in %.
+
+    Rounds are paired (both timings of one round ran back to back), so a
+    slow machine phase moves both halves of a pair and cancels out of
+    the ratio; the gates judge the median, and the IQR says how far a
+    single round could be trusted.
+    """
+    pct = 100.0 * (np.asarray(variant) / np.asarray(floor) - 1.0)
+    q1, median, q3 = np.percentile(pct, [25, 50, 75])
+    return float(median), float(q3 - q1)
+
+
 def flips_per_ns(side: int, mean_seconds: float) -> float:
     """Host throughput of one whole-lattice sweep."""
     return side * side / (mean_seconds * 1e9)

@@ -172,8 +172,8 @@ class CompactUpdater:
                 raise ValueError("either stream or probs must be provided")
             probs0 = ws.buffer("probs0", shape)
             probs1 = ws.buffer("probs1", shape)
-            # Two separate draws, exactly like the elementwise path — the
-            # counter advance per draw must match for bit-identity.
+            # Two draws in the elementwise path's order (see sweep() for
+            # why one draw of both is the same words when aligned).
             self.backend.uniform_into(stream, probs0)
             self.backend.uniform_into(stream, probs1)
         else:
@@ -200,7 +200,31 @@ class CompactUpdater:
         probs_black: tuple[np.ndarray, np.ndarray] | None = None,
         probs_white: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> CompactLattice:
-        """One full sweep: black phase then white phase."""
+        """One full sweep: black phase then white phase.
+
+        A fused sweep driven by a stream draws the uniforms of all four
+        sub-lattices with one ``uniform_into``: black (probs0, probs1)
+        then white (probs0, probs1), the per-phase draw order.  Uniforms
+        do not depend on the state, and a draw of ``k * n`` words with
+        ``n % 4 == 0`` consumes exactly the counter blocks of ``k``
+        consecutive ``n``-word draws, so the words, and the counter
+        advance, are those of four per-phase draws.  When a sub-lattice's
+        word count is not a multiple of 4, or explicit probs are given,
+        each phase draws for itself.
+        """
+        grid = lat.grid_shape[-4:]
+        if (
+            self.fused
+            and stream is not None
+            and probs_black is None
+            and probs_white is None
+            and int(np.prod(grid)) % 4 == 0
+        ):
+            _, ws = self._fused_ctx()
+            probs = ws.buffer("probs", lat.grid_shape[:-4] + (4,) + grid)
+            self.backend.uniform_into(stream, probs)
+            probs_black = (probs[..., 0, :, :, :, :], probs[..., 1, :, :, :, :])
+            probs_white = (probs[..., 2, :, :, :, :], probs[..., 3, :, :, :, :])
         lat = self.update_color(lat, "black", stream, probs_black)
         return self.update_color(lat, "white", stream, probs_white)
 

@@ -13,6 +13,12 @@ output through 10 rounds of a simple multiply/xor network.  Distinct
 (counter, key) pairs give statistically independent outputs, so parallel
 streams are obtained by giving each core its own key and letting each core
 advance its own counter.
+
+:func:`philox4x32` and the ``philox_uniform_bits*`` functions allocate
+and serve as the oracle.  :func:`philox_bits_into` and
+:func:`philox_uniform_into` are the allocation-free generator the
+streams use: a pair-stacked uint64 round network evaluated in blocks of
+at most :data:`BLOCK_COUNTERS` counters, bit-identical to the oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "BLOCK_COUNTERS",
     "PHILOX_M0",
     "PHILOX_M1",
     "PHILOX_W0",
@@ -29,8 +36,8 @@ __all__ = [
     "philox_uniform_bits_batched",
     "make_philox_scratch",
     "philox_bits_into",
+    "philox_uniform_into",
     "uint32_to_uniform",
-    "uniform_from_bits_into",
 ]
 
 # Multiplication and Weyl-sequence constants from the Random123 reference
@@ -205,40 +212,157 @@ def philox_uniform_bits_batched(
     return out.transpose(1, 2, 0).reshape(n_streams, -1)[:, :n_words]
 
 
+#: Most counters the in-place generator evaluates at once, summed over
+#: streams.  16384 counters is the largest per-phase float draw (a 512²
+#: compact lattice), so its scratch stays bounded however large a draw is.
+BLOCK_COUNTERS = 16384
+
+# ``x = [c0, c2]`` is multiplied plane-wise by ``[M0, M1]``.
+_PAIR_MULTIPLIERS = np.array([PHILOX_M0, PHILOX_M1], dtype=np.uint64).reshape(2, 1, 1)
+_PAIR_WEYL = np.array([PHILOX_W0, PHILOX_W1], dtype=np.uint64).reshape(1, 2, 1, 1)
+_HIGH32 = np.uint64(0xFFFFFFFF00000000)
+_SHIFT8 = np.uint64(8)
+_UNIFORM_SCALE = np.float32(2.0**-24)
+
+
 def make_philox_scratch(n_streams: int, n_words: int) -> dict:
     """Preallocate every buffer :func:`philox_bits_into` needs.
 
-    The returned dict is an opaque workspace sized for ``n_streams``
+    The returned dict is an opaque workspace for ``n_streams``
     independent streams drawing ``n_words`` words each; reusing it across
-    calls is what makes the in-place generator allocation-free.
+    calls is what makes the in-place generator allocation-free.  Its
+    arrays hold one block of at most :data:`BLOCK_COUNTERS` counters
+    (summed over streams), not the whole draw.
     """
     if n_streams < 1:
         raise ValueError(f"n_streams must be >= 1, got {n_streams}")
     if n_words < 1:
         raise ValueError(f"n_words must be >= 1, got {n_words}")
     n_counters = -(-n_words // 4)
-    shape = (n_streams, n_counters)
-    scratch = {
+    block = max(1, min(n_counters, BLOCK_COUNTERS // n_streams))
+    pair = (2, n_streams, block)
+    return {
         "n_streams": n_streams,
         "n_words": n_words,
         "n_counters": n_counters,
-        "idx": np.arange(n_counters, dtype=np.uint64).reshape(1, -1),
+        "block": block,
+        "idx": np.arange(block, dtype=np.uint64),
         "base_lo": np.empty((n_streams, 1), dtype=np.uint64),
         "base_hi": np.empty((n_streams, 1), dtype=np.uint64),
-        "lo": np.empty(shape, dtype=np.uint64),
-        "hi": np.empty(shape, dtype=np.uint64),
-        "carry": np.empty(shape, dtype=bool),
-        "p0": np.empty(shape, dtype=np.uint64),
-        "p1": np.empty(shape, dtype=np.uint64),
-        "c": np.empty((4,) + shape, dtype=np.uint32),
-        "k0": np.empty((n_streams, 1), dtype=np.uint32),
-        "k1": np.empty((n_streams, 1), dtype=np.uint32),
+        "carry": np.empty((n_streams, block), dtype=bool),
+        # The pair-stacked state (see _philox_blocks).
+        "x": np.empty(pair, dtype=np.uint64),
+        "y": np.empty(pair, dtype=np.uint64),
+        "schedule_for": None,
+        "schedule": None,
     }
-    if n_words % 4 != 0:
-        scratch["bits_pad"] = np.empty(
-            (n_streams, n_counters * 4), dtype=np.uint32
+
+
+def _key_schedule(keys: np.ndarray, rounds: int, scratch: dict) -> list:
+    """Per-round ``[k0, k1] << 32``, cached in ``scratch`` per (keys, rounds)."""
+    ident = (keys.tobytes(), rounds)
+    if scratch["schedule_for"] != ident:
+        n_streams = keys.shape[0]
+        base = keys.T.astype(np.uint64).reshape(1, 2, n_streams, 1)
+        steps = np.arange(rounds, dtype=np.uint64).reshape(-1, 1, 1, 1)
+        schedule = ((base + steps * _PAIR_WEYL) & _MASK32) << _SHIFT32
+        scratch["schedule"] = list(schedule)
+        scratch["schedule_for"] = ident
+    return scratch["schedule"]
+
+
+def _philox_blocks(start_counters, keys, out, scratch, rounds):
+    """Run the round network block by block; yield each block's output.
+
+    Validates the call, then for every block of consecutive counters
+    yields ``(first, count, x, y)``: the block's first counter index, its
+    counter count, and its output pairs ``x = [c0, c2]``, ``y = [c1, c3]``
+    (uint64 views of the scratch, each word in the low 32 bits).  The
+    pairs are overwritten by the next block.
+
+    Inside the round network ``y`` is held shifted into the high 32 bits,
+    so that one round is five whole-pair calls on two buffers::
+
+        x *= [M0, M1]            # x = [M0*c0, M1*c2], full 64-bit products
+        y ^= x[::-1]             # high: [c1, c3] ^ hi(M1*c2, M0*c0)
+                                 # low:  lo(M1*c2, M0*c0) = [c1', c3']
+        y ^= [k0, k1] << 32      # high: [c0', c2']
+        x = y >> 32              # x = [c0', c2']
+        y <<= 32                 # y = [c1', c3'] << 32
+    """
+    n_streams = scratch["n_streams"]
+    n_words = scratch["n_words"]
+    keys = np.asarray(keys, dtype=np.uint32)
+    if keys.shape != (n_streams, 2):
+        raise ValueError(
+            f"keys must have shape ({n_streams}, 2), got {keys.shape}"
         )
-    return scratch
+    if len(start_counters) != n_streams:
+        raise ValueError(
+            f"{len(start_counters)} counters for {n_streams} streams"
+        )
+    if out.shape != (n_streams, n_words):
+        raise ValueError(
+            f"out must be {np.dtype(out.dtype).name} ({n_streams}, "
+            f"{n_words}), got {out.dtype} {out.shape}"
+        )
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+
+    schedule = _key_schedule(keys, rounds, scratch)
+    starts = [int(s) for s in start_counters]
+    n_counters = scratch["n_counters"]
+    block = scratch["block"]
+    base_lo = scratch["base_lo"]
+    base_hi = scratch["base_hi"]
+    for first in range(0, n_counters, block):
+        count = min(block, n_counters - first)
+        for b, start in enumerate(starts):
+            counter = (start + first) % (1 << 128)
+            base_lo[b, 0] = counter & ((1 << 64) - 1)
+            base_hi[b, 0] = counter >> 64
+        x = scratch["x"][..., :count]
+        y = scratch["y"][..., :count]
+        x_swapped = x[::-1]
+        with np.errstate(over="ignore"):
+            # Counter limbs: x = [lo, hi] with lo = base + j (mod 2**64)
+            # carrying into hi; then y takes their high and x their low
+            # 32 bits: x = [c0, c2], y = [c1, c3] << 32.
+            carry = scratch["carry"][:, :count]
+            np.add(base_lo, scratch["idx"][:count], out=x[0])
+            np.less(x[0], base_lo, out=carry)
+            np.add(base_hi, carry, out=x[1])
+            np.bitwise_and(x, _HIGH32, out=y)
+            np.bitwise_and(x, _MASK32, out=x)
+            for key in schedule:
+                np.multiply(x, _PAIR_MULTIPLIERS, out=x)
+                np.bitwise_xor(y, x_swapped, out=y)
+                np.bitwise_xor(y, key, out=y)
+                np.right_shift(y, _SHIFT32, out=x)
+                np.left_shift(y, _SHIFT32, out=y)
+            np.right_shift(y, _SHIFT32, out=y)
+        yield first, count, x, y
+
+
+def _scatter_lanes(x, y, out: np.ndarray, first: int, count: int) -> None:
+    """Interleave one block's output into ``out`` (casting to its dtype).
+
+    Word ``i`` of counter ``j`` (lane ``i`` of ``c0, c1, c2, c3``) lands
+    at ``out[:, 4 * j + i]``, exactly like the allocating paths; the
+    final counter of a draw whose length is not a multiple of 4
+    contributes only its leading lanes.
+    """
+    lanes = (x[0], y[0], x[1], y[1])
+    n_streams, n_words = out.shape
+    full = min(count, n_words // 4 - first)
+    if full > 0:
+        dst = out[:, 4 * first : 4 * (first + full)].reshape(n_streams, full, 4)
+        for i, lane in enumerate(lanes):
+            np.copyto(dst[:, :, i], lane[:, :full], casting="unsafe")
+    if full < count:
+        tail = 4 * (first + full)
+        for i in range(n_words - tail):
+            np.copyto(out[:, tail + i], lanes[i][:, full], casting="unsafe")
 
 
 def philox_bits_into(
@@ -257,123 +381,41 @@ def philox_bits_into(
     ``n_streams``/``n_words``); ``out`` must be a C-contiguous
     ``(n_streams, n_words)`` uint32 array.
     """
-    n_streams = scratch["n_streams"]
-    n_words = scratch["n_words"]
-    n_counters = scratch["n_counters"]
-    keys = np.asarray(keys, dtype=np.uint32)
-    if keys.shape != (n_streams, 2):
-        raise ValueError(
-            f"keys must have shape ({n_streams}, 2), got {keys.shape}"
-        )
-    if len(start_counters) != n_streams:
-        raise ValueError(
-            f"{len(start_counters)} counters for {n_streams} streams"
-        )
-    if out.shape != (n_streams, n_words) or out.dtype != np.uint32:
-        raise ValueError(
-            f"out must be uint32 ({n_streams}, {n_words}), got "
-            f"{out.dtype} {out.shape}"
-        )
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-
-    base_lo = scratch["base_lo"]
-    base_hi = scratch["base_hi"]
-    for b, start in enumerate(start_counters):
-        start = int(start) % (1 << 128)
-        base_lo[b, 0] = start & ((1 << 64) - 1)
-        base_hi[b, 0] = start >> 64
-
-    lo = scratch["lo"]
-    hi = scratch["hi"]
-    carry = scratch["carry"]
-    c = scratch["c"]
-    c0, c1, c2, c3 = c[0], c[1], c[2], c[3]
-    p0 = scratch["p0"]
-    p1 = scratch["p1"]
-    if n_streams == 1:
-        # Scalar keys broadcast cheaper than (1, 1) arrays; precompute the
-        # whole Weyl schedule from Python ints so nothing wraps at runtime.
-        key_schedule = [
-            (
-                np.uint32((int(keys[0, 0]) + r * 0x9E3779B9) & 0xFFFFFFFF),
-                np.uint32((int(keys[0, 1]) + r * 0xBB67AE85) & 0xFFFFFFFF),
-            )
-            for r in range(rounds)
-        ]
-    else:
-        key_schedule = None
-        k0 = scratch["k0"]
-        k1 = scratch["k1"]
-        k0[:, 0] = keys[:, 0]
-        k1[:, 0] = keys[:, 1]
-
-    with np.errstate(over="ignore"):
-        # Counter block: lo/hi limbs with carry, split into 32-bit lanes.
-        np.add(base_lo, scratch["idx"], out=lo)
-        np.less(lo, base_lo, out=carry)
-        np.copyto(hi, carry, casting="unsafe")
-        np.add(hi, base_hi, out=hi)
-        np.copyto(c0, lo, casting="unsafe")
-        np.right_shift(lo, _SHIFT32, out=lo)
-        np.copyto(c1, lo, casting="unsafe")
-        np.copyto(c2, hi, casting="unsafe")
-        np.right_shift(hi, _SHIFT32, out=hi)
-        np.copyto(c3, hi, casting="unsafe")
-
-        # Round network, identical to philox4x32 but with every temporary
-        # drawn from scratch.  ``copyto`` with unsafe casting truncates
-        # uint64 -> uint32, i.e. keeps the low word.
-        for r in range(rounds):
-            if key_schedule is not None:
-                k0, k1 = key_schedule[r]
-            np.multiply(c0, PHILOX_M0, out=p0)
-            np.multiply(c2, PHILOX_M1, out=p1)
-            # new c2 = hi(p0) ^ old c3 ^ k1; old c2 already consumed.
-            np.right_shift(p0, _SHIFT32, out=hi)
-            np.copyto(c2, hi, casting="unsafe")
-            np.bitwise_xor(c2, c3, out=c2)
-            np.bitwise_xor(c2, k1, out=c2)
-            # new c3 = lo(p0); old c3 consumed above.
-            np.copyto(c3, p0, casting="unsafe")
-            # new c0 = hi(p1) ^ old c1 ^ k0; old c0 already consumed.
-            np.right_shift(p1, _SHIFT32, out=hi)
-            np.copyto(c0, hi, casting="unsafe")
-            np.bitwise_xor(c0, c1, out=c0)
-            np.bitwise_xor(c0, k0, out=c0)
-            # new c1 = lo(p1); old c1 consumed above.
-            np.copyto(c1, p1, casting="unsafe")
-            if key_schedule is None:
-                np.add(k0, PHILOX_W0, out=k0)
-                np.add(k1, PHILOX_W1, out=k1)
-
-    # Interleave lanes exactly like the allocating paths: word i of
-    # counter j comes from output lane i of counter j.
-    if n_words % 4 == 0:
-        lanes = out.reshape(n_streams, n_counters, 4)
-        for i in range(4):
-            np.copyto(lanes[:, :, i], c[i])
-    else:
-        pad = scratch["bits_pad"]
-        lanes = pad.reshape(n_streams, n_counters, 4)
-        for i in range(4):
-            np.copyto(lanes[:, :, i], c[i])
-        np.copyto(out, pad[:, :n_words])
+    if out.dtype != np.uint32:
+        raise ValueError(f"out must be uint32, got {out.dtype} {out.shape}")
+    for first, count, x, y in _philox_blocks(
+        start_counters, keys, out, scratch, rounds
+    ):
+        _scatter_lanes(x, y, out, first, count)
     return out
 
 
-def uniform_from_bits_into(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """In-place version of :func:`uint32_to_uniform`.
+def philox_uniform_into(
+    start_counters: "list[int] | tuple[int, ...]",
+    keys: np.ndarray,
+    out: np.ndarray,
+    scratch: dict,
+    rounds: int = 10,
+) -> np.ndarray:
+    """Fill ``out`` with float32 uniforms without allocating any arrays.
 
-    Destroys ``bits`` (shifts it right by 8 in place) and fills ``out``
-    (float32, same shape) with uniforms bit-identical to
-    ``uint32_to_uniform(bits)``.
+    Bit-identical to ``uint32_to_uniform`` of :func:`philox_bits_into`'s
+    words, but each block is converted straight into ``out``, so no
+    draw-sized word buffer exists.  ``out`` must be a C-contiguous
+    ``(n_streams, n_words)`` float32 array.
     """
-    np.right_shift(bits, np.uint32(8), out=bits)
-    # uint32 -> float32 is exact for values below 2**24, which the shift
-    # guarantees, so the unsafe cast reproduces .astype(np.float32).
-    np.copyto(out, bits, casting="unsafe")
-    np.multiply(out, np.float32(2.0**-24), out=out)
+    if out.dtype != np.float32:
+        raise ValueError(f"out must be float32, got {out.dtype} {out.shape}")
+    n_words = out.shape[-1]
+    for first, count, x, y in _philox_blocks(
+        start_counters, keys, out, scratch, rounds
+    ):
+        # Top 24 bits, exact in float32, scaled into [0, 1).
+        np.right_shift(x, _SHIFT8, out=x)
+        np.right_shift(y, _SHIFT8, out=y)
+        _scatter_lanes(x, y, out, first, count)
+        words = out[:, 4 * first : min(4 * (first + count), n_words)]
+        np.multiply(words, _UNIFORM_SCALE, out=words)
     return out
 
 

@@ -20,8 +20,8 @@ from .philox import (
     philox_bits_into,
     philox_uniform_bits,
     philox_uniform_bits_batched,
+    philox_uniform_into,
     uint32_to_uniform,
-    uniform_from_bits_into,
 )
 
 __all__ = ["PhiloxStream", "BatchedPhiloxStream", "split_key"]
@@ -61,9 +61,10 @@ class PhiloxStream:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._key = split_key(self.seed, self.stream_id)
+        self._keys = np.array([self._key], dtype=np.uint32)
         self._counter = 0
-        # Lazily built per-draw-size workspaces for uniform_into; purely a
-        # performance cache, deliberately excluded from state().
+        # Lazily built per-draw-size workspaces for uniform_into/bits_into;
+        # purely a performance cache, deliberately excluded from state().
         self._inplace_scratch: dict[int, dict] = {}
 
     def __repr__(self) -> str:
@@ -118,18 +119,19 @@ class PhiloxStream:
         """
         if out.dtype != np.float32 or not out.flags["C_CONTIGUOUS"]:
             raise ValueError("out must be a C-contiguous float32 array")
+        return self._fill_into(philox_uniform_into, out)
+
+    def _fill_into(self, fill, out: np.ndarray) -> np.ndarray:
+        """Run the in-place generator ``fill`` over ``out``; advance the counter."""
         size = int(out.size)
         if size == 0:
             return out
         scratch = self._inplace_scratch.get(size)
         if scratch is None:
             scratch = make_philox_scratch(1, size)
-            scratch["bits"] = np.empty((1, size), dtype=np.uint32)
-            scratch["keys"] = np.array([self._key], dtype=np.uint32)
             self._inplace_scratch[size] = scratch
-        philox_bits_into([self._counter], scratch["keys"], scratch["bits"], scratch)
+        fill([self._counter], self._keys, out.reshape(1, size), scratch)
         self._counter += -(-size // 4)
-        uniform_from_bits_into(scratch["bits"], out.reshape(1, size))
         return out
 
     def bits_into(self, out: np.ndarray) -> np.ndarray:
@@ -145,20 +147,7 @@ class PhiloxStream:
         """
         if out.dtype != np.uint32 or not out.flags["C_CONTIGUOUS"]:
             raise ValueError("out must be a C-contiguous uint32 array")
-        size = int(out.size)
-        if size == 0:
-            return out
-        scratch = self._inplace_scratch.get(size)
-        if scratch is None:
-            scratch = make_philox_scratch(1, size)
-            scratch["bits"] = np.empty((1, size), dtype=np.uint32)
-            scratch["keys"] = np.array([self._key], dtype=np.uint32)
-            self._inplace_scratch[size] = scratch
-        philox_bits_into(
-            [self._counter], scratch["keys"], out.reshape(1, size), scratch
-        )
-        self._counter += -(-size // 4)
-        return out
+        return self._fill_into(philox_bits_into, out)
 
     def state(self) -> dict:
         """Serializable state (for checkpoint/restart of long chains)."""
@@ -284,9 +273,13 @@ class BatchedPhiloxStream:
         """
         if out.dtype != np.float32 or not out.flags["C_CONTIGUOUS"]:
             raise ValueError("out must be a C-contiguous float32 array")
+        return self._fill_into(philox_uniform_into, out, "uniform_into")
+
+    def _fill_into(self, fill, out: np.ndarray, name: str) -> np.ndarray:
+        """Run the in-place generator ``fill`` per chain; advance the counters."""
         if out.ndim == 0 or out.shape[0] != self.n_chains:
             raise ValueError(
-                f"batched uniform_into shape {out.shape} must lead with "
+                f"batched {name} shape {out.shape} must lead with "
                 f"the chain axis (n_chains={self.n_chains})"
             )
         per_chain = int(out.size) // self.n_chains
@@ -295,16 +288,15 @@ class BatchedPhiloxStream:
         scratch = self._inplace_scratch.get(per_chain)
         if scratch is None:
             scratch = make_philox_scratch(self.n_chains, per_chain)
-            scratch["bits"] = np.empty(
-                (self.n_chains, per_chain), dtype=np.uint32
-            )
             self._inplace_scratch[per_chain] = scratch
-        philox_bits_into(self._counters, self._keys, scratch["bits"], scratch)
+        fill(
+            self._counters,
+            self._keys,
+            out.reshape(self.n_chains, per_chain),
+            scratch,
+        )
         n_counters = -(-per_chain // 4)
         self._counters = [c + n_counters for c in self._counters]
-        uniform_from_bits_into(
-            scratch["bits"], out.reshape(self.n_chains, per_chain)
-        )
         return out
 
     def bits_into(self, out: np.ndarray) -> np.ndarray:
@@ -319,30 +311,7 @@ class BatchedPhiloxStream:
         """
         if out.dtype != np.uint32 or not out.flags["C_CONTIGUOUS"]:
             raise ValueError("out must be a C-contiguous uint32 array")
-        if out.ndim == 0 or out.shape[0] != self.n_chains:
-            raise ValueError(
-                f"batched bits_into shape {out.shape} must lead with "
-                f"the chain axis (n_chains={self.n_chains})"
-            )
-        per_chain = int(out.size) // self.n_chains
-        if per_chain == 0:
-            return out
-        scratch = self._inplace_scratch.get(per_chain)
-        if scratch is None:
-            scratch = make_philox_scratch(self.n_chains, per_chain)
-            scratch["bits"] = np.empty(
-                (self.n_chains, per_chain), dtype=np.uint32
-            )
-            self._inplace_scratch[per_chain] = scratch
-        philox_bits_into(
-            self._counters,
-            self._keys,
-            out.reshape(self.n_chains, per_chain),
-            scratch,
-        )
-        n_counters = -(-per_chain // 4)
-        self._counters = [c + n_counters for c in self._counters]
-        return out
+        return self._fill_into(philox_bits_into, out, "bits_into")
 
     def state(self) -> dict:
         """Serializable state (for checkpoint/restart of ensembles)."""

@@ -31,3 +31,16 @@ def bf16_backend() -> NumpyBackend:
 def make_lattice(shape: tuple[int, int], seed: int = 7) -> np.ndarray:
     """A reproducible random +/-1 lattice."""
     return random_lattice(shape, PhiloxStream(seed, 99))
+
+
+def count_draws(backend) -> list:
+    """Record the shape of every ``uniform_into`` draw made on ``backend``."""
+    shapes = []
+    draw = backend.uniform_into
+
+    def counting(stream, out):
+        shapes.append(out.shape)
+        return draw(stream, out)
+
+    backend.uniform_into = counting
+    return shapes

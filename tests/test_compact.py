@@ -9,7 +9,7 @@ from repro.core.compact import CompactUpdater
 from repro.core.lattice import CompactLattice
 from repro.rng import PhiloxStream
 
-from .conftest import make_lattice
+from .conftest import count_draws, make_lattice
 
 
 class TestMechanics:
@@ -99,3 +99,93 @@ class TestPhysicsLimits:
             e_now = total_energy(lat.to_plain())
             assert e_now <= e_prev + 1e-6
             e_prev = e_now
+
+
+# (plain shape, block shape, per-phase words % 4 == 0)
+GEOMETRIES = [((16, 16), (4, 4), True), ((8, 12), (2, 3), True), ((6, 6), None, False)]
+
+
+class TestMergedDraw:
+    """A fused stream-driven sweep draws all four sub-lattices at once."""
+
+    @pytest.mark.parametrize("plain_shape, block, merged", GEOMETRIES)
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
+    def test_matches_elementwise_path(self, plain_shape, block, merged, dtype):
+        from repro.backend import NumpyBackend
+
+        plain = make_lattice(plain_shape, seed=4)
+        lattices, counters = [], []
+        for fused in (True, False):
+            backend = NumpyBackend(dtype)
+            draws = count_draws(backend) if fused else []
+            updater = CompactUpdater(
+                0.44, backend, block_shape=block, fused=fused
+            )
+            lat = updater.to_state(plain)
+            stream = PhiloxStream(13, 2)
+            for _ in range(5):
+                lat = updater.sweep(lat, stream)
+            lattices.append(lat.to_plain())
+            counters.append(stream.counter)
+            if fused:
+                grid = lat.grid_shape
+                if merged:
+                    assert draws == [(4,) + grid] * 5
+                else:  # fallback: per-phase draws
+                    assert draws == [grid] * 20
+        assert np.array_equal(lattices[0], lattices[1])
+        assert counters[0] == counters[1]
+
+    @pytest.mark.parametrize("plain_shape, block, merged", GEOMETRIES)
+    def test_matches_explicit_per_phase_probs(self, backend, plain_shape, block, merged):
+        plain = make_lattice(plain_shape, seed=5)
+        updater = CompactUpdater(0.44, backend, block_shape=block, fused=True)
+        lat = updater.to_state(plain)
+        stream = PhiloxStream(21, 0)
+        for _ in range(3):
+            lat = updater.sweep(lat, stream)
+
+        replica = CompactUpdater(0.44, backend, block_shape=block, fused=True)
+        ref = replica.to_state(plain)
+        replay = PhiloxStream(21, 0)
+        for _ in range(3):
+            black = (replay.uniform(ref.grid_shape), replay.uniform(ref.grid_shape))
+            white = (replay.uniform(ref.grid_shape), replay.uniform(ref.grid_shape))
+            ref = replica.sweep(ref, probs_black=black, probs_white=white)
+        assert np.array_equal(lat.to_plain(), ref.to_plain())
+        assert stream.counter == replay.counter
+
+    def test_workspace_misses_constant_after_warmup(self, backend):
+        updater = CompactUpdater(0.44, backend, block_shape=(4, 4), fused=True)
+        lat = updater.to_state(make_lattice((16, 16)))
+        stream = PhiloxStream(3, 0)
+        lat = updater.sweep(lat, stream)
+        misses = updater.workspace.misses
+        for _ in range(4):
+            lat = updater.sweep(lat, stream)
+        assert updater.workspace.misses == misses
+
+    @pytest.mark.parametrize("side", [16, 6])
+    def test_traced_replay_and_checkpoint_match_eager(self, side):
+        from repro.core.simulation import IsingSimulation
+
+        def build(**kwargs):
+            return IsingSimulation(side, 2.269, seed=8, fused=True, **kwargs)
+
+        eager = build(traced=False)
+        eager.run(8)
+        traced = build(traced=True)
+        traced.run(8)
+        assert np.array_equal(eager.lattice, traced.lattice)
+        assert eager.stream.counter == traced.stream.counter
+
+        # Checkpoint mid-run and resume; the resumed chain must agree.
+        chain = build(traced=True)
+        chain.run(3)
+        snapshot = chain.state_dict()
+        chain.run(5)
+        resumed = IsingSimulation.from_state_dict(snapshot)
+        resumed.run(5)
+        assert np.array_equal(resumed.lattice, chain.lattice)
+        assert np.array_equal(resumed.lattice, eager.lattice)
+        assert resumed.stream.counter == eager.stream.counter

@@ -9,6 +9,8 @@ from repro.backend import NumpyBackend
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.simulation import IsingSimulation, run_temperature_scan
 
+from .conftest import count_draws
+
 UPDATERS = ["compact", "conv", "checkerboard", "masked_conv"]
 DTYPES = ["float32", "bfloat16"]
 
@@ -199,3 +201,73 @@ class TestEnsembleLifecycle:
             EnsembleSimulation(8, TEMPS).run(-1)
         with pytest.raises(ValueError, match="n_samples"):
             EnsembleSimulation(8, TEMPS).sample(0)
+
+
+class TestMergedDraw:
+    """Batched fused compact sweeps draw all four sub-lattices at once."""
+
+    @pytest.mark.parametrize("side, merged", [(16, True), (6, False)])
+    def test_matches_elementwise_path(self, side, merged):
+        runs = {}
+        for fused in (True, False):
+            backend = NumpyBackend()
+            draws = count_draws(backend)
+            ensemble = EnsembleSimulation(
+                side, TEMPS, seed=3, backend=backend, fused=fused, traced=False
+            )
+            ensemble.run(4)
+            runs[fused] = ensemble
+            if fused:
+                grid = ensemble._state.grid_shape
+                per_sweep = [(3, 4) + grid[1:]] if merged else [grid] * 4
+                assert draws == per_sweep * 4
+        assert np.array_equal(runs[True].lattices, runs[False].lattices)
+        assert runs[True].stream.counters == runs[False].stream.counters
+
+    @pytest.mark.parametrize("side", [16, 6])
+    def test_matches_explicit_per_phase_probs(self, side):
+        from repro.core.compact import CompactUpdater
+        from repro.core.lattice import random_lattice
+        from repro.rng import BatchedPhiloxStream, PhiloxStream
+
+        plain = np.stack(
+            [random_lattice((side, side), PhiloxStream(5, b)) for b in range(3)]
+        )
+        beta = (1.0 / TEMPS).reshape(-1, 1, 1, 1, 1)
+
+        def build():
+            updater = CompactUpdater(beta, NumpyBackend(), block_shape=None, fused=True)
+            return updater, updater.to_state(plain)
+
+        updater, lat = build()
+        stream = BatchedPhiloxStream(9, [0, 1, 2])
+        for _ in range(3):
+            lat = updater.sweep(lat, stream)
+
+        replica, ref = build()
+        replay = BatchedPhiloxStream(9, [0, 1, 2])
+        shape = ref.grid_shape
+        for _ in range(3):
+            black = (replay.uniform(shape), replay.uniform(shape))
+            white = (replay.uniform(shape), replay.uniform(shape))
+            ref = replica.sweep(ref, probs_black=black, probs_white=white)
+        assert np.array_equal(lat.to_plain(), ref.to_plain())
+        assert stream.counters == replay.counters
+
+    def test_traced_checkpoint_and_workspace(self):
+        eager = EnsembleSimulation(16, TEMPS, seed=2, fused=True, traced=False)
+        eager.run(8)
+        traced = EnsembleSimulation(16, TEMPS, seed=2, fused=True, traced=True)
+        traced.run(3)
+        snapshot = traced.state_dict()
+        traced.run(1)
+        misses = traced._updater.workspace.misses
+        traced.run(4)
+        assert traced._updater.workspace.misses == misses
+        assert np.array_equal(eager.lattices, traced.lattices)
+        assert eager.stream.counters == traced.stream.counters
+
+        resumed = EnsembleSimulation.from_state_dict(snapshot)
+        resumed.run(5)
+        assert np.array_equal(resumed.lattices, eager.lattices)
+        assert resumed.stream.counters == eager.stream.counters

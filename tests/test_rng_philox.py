@@ -205,14 +205,129 @@ class TestBitsInto:
                 np.empty((2, 8), np.uint32), scratch,
             )
 
-    def test_uniform_from_bits_into(self):
-        from repro.rng.philox import uint32_to_uniform, uniform_from_bits_into
+    @staticmethod
+    def _check(starts, n_words, keys, rounds_kat=None):
+        """philox_bits_into / philox_uniform_into vs the allocating oracle."""
+        from repro.rng.philox import (
+            make_philox_scratch,
+            philox_bits_into,
+            philox_uniform_bits_batched,
+            philox_uniform_into,
+        )
 
-        bits = np.array(
-            [0, 1, (1 << 32) - 1, 0x80000000], dtype=np.uint32
-        ).reshape(2, 2)
-        expected = uint32_to_uniform(bits)  # _into destroys its input
-        out = np.empty((2, 2), dtype=np.float32)
-        uniform_from_bits_into(bits, out)
+        keys = np.asarray(keys, dtype=np.uint32)
+        expected = philox_uniform_bits_batched(starts, n_words, keys)
+        scratch = make_philox_scratch(len(starts), n_words)
+        out = np.empty((len(starts), n_words), dtype=np.uint32)
+        philox_bits_into(starts, keys, out, scratch)
         np.testing.assert_array_equal(out, expected)
-        assert np.all(out >= 0.0) and np.all(out < 1.0)
+        uniforms = np.empty((len(starts), n_words), dtype=np.float32)
+        philox_uniform_into(starts, keys, uniforms, scratch)
+        np.testing.assert_array_equal(uniforms, uint32_to_uniform(expected))
+        return scratch
+
+    def test_several_blocks_with_partial_last_block(self):
+        from repro.rng.philox import BLOCK_COUNTERS
+
+        n_words = 4 * (2 * BLOCK_COUNTERS + 37)
+        scratch = self._check([11], n_words, [[3, 9]])
+        assert scratch["block"] == BLOCK_COUNTERS
+        assert scratch["n_counters"] > 2 * scratch["block"]
+
+    def test_counter_carry_inside_and_at_block_boundary(self):
+        from repro.rng.philox import BLOCK_COUNTERS
+
+        n_words = 4 * (2 * BLOCK_COUNTERS + 8)
+        # The low limb wraps mid-block ...
+        self._check([(1 << 64) - 100], n_words, [[1, 2]])
+        # ... exactly where the second block starts ...
+        self._check([(1 << 64) - BLOCK_COUNTERS], n_words, [[1, 2]])
+        # ... and the whole 128-bit counter wraps at a block boundary.
+        self._check([(1 << 128) - BLOCK_COUNTERS], n_words, [[1, 2]])
+
+    def test_stream_bound_splits_multi_stream_draw(self):
+        from repro.rng.philox import BLOCK_COUNTERS
+
+        keys = [[7, 0], [7, 1], [9, 2]]
+        starts = [0, (1 << 64) - 6000, (1 << 128) - 3]
+        scratch = self._check(starts, 4 * 12000, keys)
+        assert scratch["block"] * 3 <= BLOCK_COUNTERS
+        assert scratch["n_counters"] > 2 * scratch["block"]
+
+    @pytest.mark.parametrize("tail", [1, 2, 3])
+    def test_partial_final_counter(self, tail):
+        from repro.rng.philox import BLOCK_COUNTERS
+
+        block = BLOCK_COUNTERS // 2
+        # The partial counter sits mid-block, then alone in a last block.
+        self._check([5, 6], 4 * (block + 10) + tail, [[1, 1], [2, 2]])
+        self._check([5, 6], 4 * block + tail, [[1, 1], [2, 2]])
+
+    def test_known_answers_through_scratch(self):
+        from repro.rng.philox import make_philox_scratch, philox_bits_into
+
+        def counter(words):
+            return sum(int(w) << (32 * i) for i, w in enumerate(words))
+
+        pi_counter = counter([0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344])
+        starts = [0, (1 << 128) - 1, pi_counter]
+        keys = np.array(
+            [[0, 0], [0xFFFFFFFF, 0xFFFFFFFF], [0xA4093822, 0x299F31D0]],
+            dtype=np.uint32,
+        )
+        scratch = make_philox_scratch(3, 4)
+        out = np.empty((3, 4), dtype=np.uint32)
+        philox_bits_into(starts, keys, out, scratch)
+        assert [[int(w) for w in row] for row in out] == [
+            [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8],
+            [0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD],
+            [0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1],
+        ]
+
+    def test_scratch_reuse_invalidates_key_schedule(self):
+        from repro.rng.philox import (
+            make_philox_scratch,
+            philox_bits_into,
+            philox_uniform_bits_batched,
+        )
+
+        scratch = make_philox_scratch(1, 8)
+        out = np.empty((1, 8), dtype=np.uint32)
+        first = np.array([[4, 5]], dtype=np.uint32)
+        second = np.array([[6, 7]], dtype=np.uint32)
+        for keys in (first, second, first):
+            philox_bits_into([0], keys, out, scratch)
+            np.testing.assert_array_equal(
+                out, philox_uniform_bits_batched([0], 8, keys)
+            )
+        # Same scratch, different round count: the 7-round KAT vector.
+        philox_bits_into([0], np.zeros((1, 2), np.uint32), out, scratch, rounds=7)
+        assert [int(w) for w in out[0, :4]] == [
+            0x5F6FB709, 0x0D893F64, 0x4F121F81, 0x4F730A48,
+        ]
+        philox_bits_into([0], first, out, scratch)
+        np.testing.assert_array_equal(
+            out, philox_uniform_bits_batched([0], 8, first)
+        )
+
+    def test_scratch_is_bounded_by_the_block(self):
+        from repro.rng.philox import BLOCK_COUNTERS, make_philox_scratch
+
+        small = make_philox_scratch(4, 4 * BLOCK_COUNTERS)
+        large = make_philox_scratch(4, 64 * BLOCK_COUNTERS)
+
+        def nbytes(scratch):
+            return sum(v.nbytes for v in scratch.values() if isinstance(v, np.ndarray))
+
+        assert nbytes(large) == nbytes(small)
+        assert small["block"] * 4 == BLOCK_COUNTERS
+
+    def test_uniform_into_validates_dtype(self):
+        from repro.rng.philox import make_philox_scratch, philox_uniform_into
+
+        scratch = make_philox_scratch(1, 8)
+        keys = np.zeros((1, 2), dtype=np.uint32)
+        with pytest.raises(ValueError, match="out must be float32"):
+            philox_uniform_into([0], keys, np.empty((1, 8), np.uint32), scratch)
+        with pytest.raises(ValueError, match="out must be float32"):
+            philox_uniform_into([0], keys, np.empty((1, 4), np.float32), scratch)
