@@ -20,7 +20,13 @@ import numpy as np
 from repro.core.distributed import DistributedIsing
 from repro.mesh.faults import FaultPlan
 
-from .conftest import BETA_C, OVERHEAD_REPEATS, overhead_pct
+from .conftest import (
+    BETA_C,
+    OVERHEAD_REPEATS,
+    format_overhead,
+    overhead_pct,
+    time_rounds,
+)
 
 _SIDE = 64
 _GRID = (2, 2)
@@ -44,24 +50,26 @@ def measure_overhead() -> dict[str, float]:
 
     Both variants are built once and re-timed over the same instances
     (construction and first-sweep allocation costs are not what the gate
-    measures).  Each of ``OVERHEAD_REPEATS`` rounds times both back to
-    back, so slow machine phases hit a round's variants alike; the
-    overhead is the median and IQR of the per-round ratios.
+    measures).  ``OVERHEAD_REPEATS`` rounds time both back to back,
+    alternating which goes first (see ``time_rounds``), so slow machine
+    phases hit a round's variants alike and run order cancels; the
+    overhead is the median, IQR and order effect of the per-round ratios.
     """
     bare = _build(None)
     hooked = _build(FaultPlan())
     _time_sweeps(bare)  # warm-up (first sweeps pay numpy allocation costs)
     _time_sweeps(hooked)
-    without, with_empty = [], []
-    for _ in range(OVERHEAD_REPEATS):
-        without.append(_time_sweeps(bare))
-        with_empty.append(_time_sweeps(hooked))
-    pct, iqr = overhead_pct(without, with_empty)
+    seconds = time_rounds({
+        "no_plan": lambda: _time_sweeps(bare),
+        "empty_plan": lambda: _time_sweeps(hooked),
+    })
+    pct, iqr, order = overhead_pct(seconds, "no_plan", "empty_plan")
     return {
-        "no_plan_seconds": float(np.median(without)),
-        "empty_plan_seconds": float(np.median(with_empty)),
+        "no_plan_seconds": float(np.median(seconds["no_plan"])),
+        "empty_plan_seconds": float(np.median(seconds["empty_plan"])),
         "empty_plan_overhead_pct": pct,
         "empty_plan_overhead_iqr_pct": iqr,
+        "empty_plan_overhead_order_pct": order,
     }
 
 
@@ -76,10 +84,14 @@ def test_no_plan_hooks_under_two_percent():
     """
     t = measure_overhead()
     summary = (
-        f"fault-hook overhead median {t['empty_plan_overhead_pct']:.2f}% "
-        f"(IQR {t['empty_plan_overhead_iqr_pct']:.2f}%) over "
-        f"{OVERHEAD_REPEATS} rounds (no plan {t['no_plan_seconds']:.4f}s vs "
-        f"empty plan {t['empty_plan_seconds']:.4f}s)"
+        "fault-hook overhead "
+        + format_overhead(
+            t["empty_plan_overhead_pct"],
+            t["empty_plan_overhead_iqr_pct"],
+            t["empty_plan_overhead_order_pct"],
+        )
+        + f" (no plan {t['no_plan_seconds']:.4f}s vs empty plan "
+        f"{t['empty_plan_seconds']:.4f}s)"
     )
     print(summary)
     assert t["empty_plan_overhead_pct"] < 2.0, f"{summary} exceeds the 2% budget"

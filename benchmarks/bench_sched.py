@@ -13,9 +13,9 @@ cache dedup), not host timing noise.
 Also gated here: at least one coalesced batch reaches 8 chains, every
 duplicate submission is served from the content-addressed cache, and the
 scheduling layer with telemetry *disabled* pays < 2% over driving the
-same batched ensembles by hand (same fixed-repeat paired protocol as
-``bench_telemetry.py``).  Per-job bit-identity lives in
-``tests/test_sched_scheduler.py``.
+same batched ensembles by hand (the fixed-repeat paired protocol of
+``bench_telemetry.py``, with the sweeps both sides share subtracted).
+Per-job bit-identity lives in ``tests/test_sched_scheduler.py``.
 """
 
 from __future__ import annotations
@@ -27,14 +27,24 @@ import numpy as np
 from repro.api import SimulationConfig
 from repro.backend.tpu_backend import TPUBackend
 from repro.core.ensemble import EnsembleSimulation
+from repro.core.lattice import random_lattice
 from repro.core.simulation import IsingSimulation
+from repro.observables.energy import energy_per_spin
+from repro.observables.magnetization import magnetization
+from repro.rng import PhiloxStream
 from repro.sched import Scheduler
 from repro.telemetry import RunTelemetry
 from repro.tpu.dtypes import resolve_dtype
 from repro.tpu.profiler import Profiler
 from repro.tpu.tensorcore import TensorCore
 
-from .conftest import OVERHEAD_REPEATS, overhead_pct
+from .conftest import (
+    OVERHEAD_REPEATS,
+    format_overhead,
+    method_clock,
+    own_overhead_pct,
+    time_rounds,
+)
 
 _SHAPES = (16, 24, 32)
 _DTYPES = ("float32", "bfloat16")
@@ -175,59 +185,77 @@ def _overhead_configs() -> list[SimulationConfig]:
     ]
 
 
-def _time_bare_ensemble() -> float:
-    """The floor: the same 8 chains advanced as one hand-built ensemble."""
+def _time_bare_ensemble() -> tuple[float, float]:
+    """The floor: the scheduler's batch built, advanced and read out by hand.
+
+    The hand driver derives each chain as the scheduler does (one solo
+    stream per config and its hot-start draw), bundles the chains with
+    ``EnsembleSimulation.from_chains`` and reads out each chain's
+    lattice, magnetization and energy: the work ``_time_scheduled``
+    times, minus the scheduling layer.  Both timers start before any
+    chain is built.  Returns (seconds outside ``EnsembleSimulation.run``,
+    total seconds): see ``method_clock``.
+    """
     configs = _overhead_configs()
-    ensemble = EnsembleSimulation(
-        _OVH_SIDE,
-        [c.resolved_temperature for c in configs],
-        seed=0,
-        stream_ids=list(range(_OVH_CHAINS)),
-    )
-    start = perf_counter()
-    ensemble.run(_OVH_SWEEPS)
-    return perf_counter() - start
+    shape = (_OVH_SIDE, _OVH_SIDE)
+    with method_clock(EnsembleSimulation, "run") as sweeps:
+        start = perf_counter()
+        chains = []
+        for config in configs:
+            stream = PhiloxStream(config.seed, 0)
+            lattice = random_lattice(shape, stream)
+            chains.append((config.resolved_temperature, stream, lattice))
+        ensemble = EnsembleSimulation.from_chains(shape, chains)
+        ensemble.run(_OVH_SWEEPS)
+        for plain in ensemble.lattices:
+            lattice = np.array(plain, copy=True)
+            float(magnetization(lattice)), float(energy_per_spin(lattice))
+        total = perf_counter() - start
+    return total - sweeps[0], total
 
 
-def _time_scheduled(telemetry: RunTelemetry | None) -> float:
+def _time_scheduled(telemetry: RunTelemetry | None) -> tuple[float, float]:
+    """The same 8 chains through the scheduler; same return as the floor."""
     scheduler = Scheduler(
         n_devices=1, max_batch=_OVH_CHAINS, quantum=_OVH_SWEEPS,
         telemetry=telemetry,
     )
     configs = _overhead_configs()
-    start = perf_counter()
-    for config in configs:
-        scheduler.submit(config, _OVH_SWEEPS)
-    scheduler.drain()
-    return perf_counter() - start
+    with method_clock(EnsembleSimulation, "run") as sweeps:
+        start = perf_counter()
+        for config in configs:
+            scheduler.submit(config, _OVH_SWEEPS)
+        scheduler.drain()
+        total = perf_counter() - start
+    return total - sweeps[0], total
 
 
 def measure_overhead() -> dict[str, float]:
     """Fixed-repeat timings: bare ensemble vs scheduler with telemetry off/on.
 
-    Each of ``OVERHEAD_REPEATS`` rounds times all three variants back to
-    back, so slow machine phases hit a round's variants alike; overheads
-    are the median and IQR of the per-round ratios.  The workload is one
-    quantum-sized batch, so the comparison isolates the scheduling layer
-    itself, not batching differences.
+    ``OVERHEAD_REPEATS`` rounds time all three variants back to back in
+    a rotating order (see ``time_rounds``).  A round's overhead is the
+    scheduled side's time outside the sweeps minus the floor's, as a
+    share of the floor's total (see ``own_overhead_pct``); overheads are
+    the median, IQR and order effect over rounds.  The workload is
+    one quantum-sized batch, so the comparison isolates the scheduling
+    layer itself, not batching differences.
     """
     _time_bare_ensemble()  # warm-up
-    bare, disabled, enabled = [], [], []
-    for _ in range(OVERHEAD_REPEATS):
-        bare.append(_time_bare_ensemble())
-        disabled.append(_time_scheduled(None))
-        enabled.append(_time_scheduled(RunTelemetry()))
-    disabled_pct, disabled_iqr = overhead_pct(bare, disabled)
-    enabled_pct, enabled_iqr = overhead_pct(bare, enabled)
-    return {
-        "bare_seconds": float(np.median(bare)),
-        "disabled_seconds": float(np.median(disabled)),
-        "enabled_seconds": float(np.median(enabled)),
-        "disabled_overhead_pct": disabled_pct,
-        "disabled_overhead_iqr_pct": disabled_iqr,
-        "enabled_overhead_pct": enabled_pct,
-        "enabled_overhead_iqr_pct": enabled_iqr,
+    seconds = time_rounds({
+        "bare": _time_bare_ensemble,
+        "disabled": lambda: _time_scheduled(None),
+        "enabled": lambda: _time_scheduled(RunTelemetry()),
+    })
+    timings = {
+        f"{name}_seconds": float(np.median(t[:, 1])) for name, t in seconds.items()
     }
+    for name in ("disabled", "enabled"):
+        pct, iqr, order = own_overhead_pct(seconds, "bare", name)
+        timings[f"{name}_overhead_pct"] = pct
+        timings[f"{name}_overhead_iqr_pct"] = iqr
+        timings[f"{name}_overhead_order_pct"] = order
+    return timings
 
 
 def test_disabled_telemetry_under_two_percent():
@@ -235,14 +263,18 @@ def test_disabled_telemetry_under_two_percent():
     driving the same batch by hand.
 
     The off path is plain counters and ``is None`` branches; judged on
-    the median of a fixed number of paired rounds, measured once.
+    the median of a fixed number of paired rounds, measured once, with
+    the sweeps both sides share subtracted (see ``measure_overhead``).
     """
     t = measure_overhead()
     summary = (
-        f"telemetry-off scheduler overhead median "
-        f"{t['disabled_overhead_pct']:.2f}% (IQR "
-        f"{t['disabled_overhead_iqr_pct']:.2f}%) over {OVERHEAD_REPEATS} "
-        f"rounds (bare {t['bare_seconds']:.4f}s vs scheduled "
+        "telemetry-off scheduler overhead "
+        + format_overhead(
+            t["disabled_overhead_pct"],
+            t["disabled_overhead_iqr_pct"],
+            t["disabled_overhead_order_pct"],
+        )
+        + f" (bare {t['bare_seconds']:.4f}s vs scheduled "
         f"{t['disabled_seconds']:.4f}s)"
     )
     print(summary)
@@ -269,6 +301,7 @@ def bench_payload() -> tuple[dict, dict]:
             "sweeps": _SWEEPS,
             "n_devices": _N_DEVICES,
             "max_batch": _MAX_BATCH,
+            "overhead_repeats": OVERHEAD_REPEATS,
         },
     )
 
@@ -283,10 +316,11 @@ def main() -> None:
     print(f"max occupancy    {numbers['max_batch_occupancy']:10d} chains")
     print(f"cache hits       {numbers['cache_hits']:10d}")
     overhead = measure_overhead()
-    print(f"telemetry-off overhead {overhead['disabled_overhead_pct']:6.2f} % "
-          f"median (IQR {overhead['disabled_overhead_iqr_pct']:.2f} %, "
-          f"{OVERHEAD_REPEATS} rounds; enabled "
-          f"{overhead['enabled_overhead_pct']:.2f} %)")
+    print("telemetry-off overhead " + format_overhead(
+        overhead["disabled_overhead_pct"],
+        overhead["disabled_overhead_iqr_pct"],
+        overhead["disabled_overhead_order_pct"],
+    ) + f"; enabled {overhead['enabled_overhead_pct']:.2f} %")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 The acceptance gate for the observability layer: a simulation built
 without a :class:`~repro.telemetry.report.RunTelemetry` must pay no
-measurable cost over the bare updater loop (the sweep path's only
+measurable cost over the bare sweep engine (the run path's only
 addition is one ``is None`` branch).  Measured on the numpy backend with
 a fixed number of paired rounds judged on their median, plus the
 enabled-telemetry cost for reference and a bit-identity smoke (the full
@@ -18,68 +18,90 @@ import numpy as np
 from repro.core.simulation import IsingSimulation
 from repro.telemetry import RunTelemetry
 
-from .conftest import BETA_C, OVERHEAD_REPEATS, overhead_pct
+from .conftest import (
+    BETA_C,
+    OVERHEAD_REPEATS,
+    format_overhead,
+    method_clock,
+    own_overhead_pct,
+    time_rounds,
+)
 
 _SIDE = 256
 _SWEEPS = 8
 
 
-def _time_raw_loop() -> float:
-    """Bare updater.sweep loop — the floor the wrapper is judged against."""
+def _time_raw_loop() -> tuple[float, float]:
+    """The engine ``run`` dispatches to, without the wrapper: the floor.
+
+    Without telemetry ``run`` hands the whole batch to ``_advance`` (the
+    traced executor under the fused engine, else the eager updater
+    loop), so timing ``_advance`` directly leaves only the wrapper's
+    ``is None`` branch in the gap, and both sides record and replay the
+    same trace.  Returns (seconds outside ``_advance``, total seconds):
+    see ``method_clock``.
+    """
     sim = IsingSimulation(_SIDE, 1.0 / BETA_C, seed=5)
-    updater, state, stream = sim._updater, sim._state, sim.stream
-    start = perf_counter()
-    for _ in range(_SWEEPS):
-        state = updater.sweep(state, stream)
-    return perf_counter() - start
+    with method_clock(IsingSimulation, "_advance") as engine:
+        start = perf_counter()
+        sim._advance(_SWEEPS)
+        total = perf_counter() - start
+    return total - engine[0], total
 
 
-def _time_sim(telemetry: RunTelemetry | None) -> float:
+def _time_sim(telemetry: RunTelemetry | None) -> tuple[float, float]:
     sim = IsingSimulation(_SIDE, 1.0 / BETA_C, seed=5, telemetry=telemetry)
-    start = perf_counter()
-    sim.run(_SWEEPS)
-    return perf_counter() - start
+    with method_clock(IsingSimulation, "_advance") as engine:
+        start = perf_counter()
+        sim.run(_SWEEPS)
+        total = perf_counter() - start
+    return total - engine[0], total
 
 
 def measure_overhead() -> dict[str, float]:
-    """Fixed-repeat timings: raw loop, disabled and enabled telemetry.
+    """Fixed-repeat timings: raw engine, disabled and enabled telemetry.
 
-    Each of ``OVERHEAD_REPEATS`` rounds times all three variants back to
-    back (raw/disabled/enabled), so slow machine phases hit a round's
-    variants alike; overheads are the median and IQR of the per-round
-    ratios, and the seconds are per-variant medians.
+    ``OVERHEAD_REPEATS`` rounds time all three variants back to back in
+    a rotating order (see ``time_rounds``).  A round's overhead is the
+    variant's time outside the sweep engine minus the floor's, as a
+    share of the floor's total (see ``own_overhead_pct``): with
+    telemetry off that is the ``run`` wrapper, with it on the per-sweep
+    timing and recording.  Overheads are the median, IQR and order
+    effect over rounds, and the seconds are per-variant median totals.
     """
     _time_raw_loop()  # warm-up (first sweep pays numpy allocation costs)
-    raw, disabled, enabled = [], [], []
-    for _ in range(OVERHEAD_REPEATS):
-        raw.append(_time_raw_loop())
-        disabled.append(_time_sim(None))
-        enabled.append(_time_sim(RunTelemetry(physics_interval=0)))
-    disabled_pct, disabled_iqr = overhead_pct(raw, disabled)
-    enabled_pct, enabled_iqr = overhead_pct(raw, enabled)
-    return {
-        "raw_seconds": float(np.median(raw)),
-        "disabled_seconds": float(np.median(disabled)),
-        "enabled_seconds": float(np.median(enabled)),
-        "disabled_overhead_pct": disabled_pct,
-        "disabled_overhead_iqr_pct": disabled_iqr,
-        "enabled_overhead_pct": enabled_pct,
-        "enabled_overhead_iqr_pct": enabled_iqr,
+    seconds = time_rounds({
+        "raw": _time_raw_loop,
+        "disabled": lambda: _time_sim(None),
+        "enabled": lambda: _time_sim(RunTelemetry(physics_interval=0)),
+    })
+    timings = {
+        f"{name}_seconds": float(np.median(t[:, 1])) for name, t in seconds.items()
     }
+    for name in ("disabled", "enabled"):
+        pct, iqr, order = own_overhead_pct(seconds, "raw", name)
+        timings[f"{name}_overhead_pct"] = pct
+        timings[f"{name}_overhead_iqr_pct"] = iqr
+        timings[f"{name}_overhead_order_pct"] = order
+    return timings
 
 
 def test_disabled_telemetry_under_two_percent():
-    """Acceptance gate: un-instrumented runs pay < 2% over the bare loop.
+    """Acceptance gate: un-instrumented runs pay < 2% over the bare engine.
 
     The true overhead is one attribute load and one ``is None`` branch
-    per sweep (~0%).  Judged on the median of a fixed number of paired
-    rounds, measured once.
+    per ``run`` call (~0%).  Judged on the median of a fixed number of
+    paired rounds, measured once.
     """
     t = measure_overhead()
     summary = (
-        f"disabled-telemetry overhead median {t['disabled_overhead_pct']:.2f}% "
-        f"(IQR {t['disabled_overhead_iqr_pct']:.2f}%) over {OVERHEAD_REPEATS} "
-        f"rounds (raw {t['raw_seconds']:.4f}s vs disabled "
+        "disabled-telemetry overhead "
+        + format_overhead(
+            t["disabled_overhead_pct"],
+            t["disabled_overhead_iqr_pct"],
+            t["disabled_overhead_order_pct"],
+        )
+        + f" (raw {t['raw_seconds']:.4f}s vs disabled "
         f"{t['disabled_seconds']:.4f}s)"
     )
     print(summary)

@@ -223,8 +223,10 @@ class Backend:
     # numpy computation, same result quantization, same _charge call —
     # but writes into caller-provided buffers so steady-state sweeps make
     # zero heap allocations.  On accounting backends the modeled cost is
-    # unchanged: the fused engine is a host-side optimisation, not a
-    # change to the simulated device.
+    # unchanged per op.  The one exception is the op count: a fused,
+    # stream-driven compact sweep books one ``uniform_into`` for all four
+    # sub-lattices instead of four, so it models the same flops and three
+    # fewer ``op_overhead``s.
 
     def _quantize_into(self, out: np.ndarray) -> np.ndarray:
         """Apply the dtype's store rounding to ``out`` in place."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..backend.base import Backend
 from ..backend.numpy_backend import NumpyBackend
-from ..rng.streams import PhiloxStream
+from ..rng.streams import BatchedPhiloxStream, PhiloxStream
 from .accept import AcceptanceTable
 from .fused import SweepWorkspace, fused_metropolis_flip
 from .kernels import PhaseHalos, compact_neighbor_sums, compact_neighbor_sums_into
@@ -208,10 +208,15 @@ class CompactUpdater:
         do not depend on the state, and a draw of ``k * n`` words with
         ``n % 4 == 0`` consumes exactly the counter blocks of ``k``
         consecutive ``n``-word draws, so the words, and the counter
-        advance, are those of four per-phase draws.  When a sub-lattice's
-        word count is not a multiple of 4, or explicit probs are given,
-        each phase draws for itself.
+        advance, are those of four per-phase draws.  A batched state
+        merges only under a :class:`BatchedPhiloxStream`, where each
+        chain draws its own four sub-lattices in order; a solo stream
+        spreads one draw across the chains, so the merged layout would
+        hand them different words.  When a sub-lattice's word count is
+        not a multiple of 4, a solo stream drives a batched state, or
+        explicit probs are given, each phase draws for itself.
         """
+        lead = lat.grid_shape[:-4]
         grid = lat.grid_shape[-4:]
         if (
             self.fused
@@ -219,9 +224,10 @@ class CompactUpdater:
             and probs_black is None
             and probs_white is None
             and int(np.prod(grid)) % 4 == 0
+            and (not lead or isinstance(stream, BatchedPhiloxStream))
         ):
             _, ws = self._fused_ctx()
-            probs = ws.buffer("probs", lat.grid_shape[:-4] + (4,) + grid)
+            probs = ws.buffer("probs", lead + (4,) + grid)
             self.backend.uniform_into(stream, probs)
             probs_black = (probs[..., 0, :, :, :, :], probs[..., 1, :, :, :, :])
             probs_white = (probs[..., 2, :, :, :, :], probs[..., 3, :, :, :, :])

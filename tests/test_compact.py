@@ -155,6 +155,33 @@ class TestMergedDraw:
         assert np.array_equal(lat.to_plain(), ref.to_plain())
         assert stream.counter == replay.counter
 
+    @pytest.mark.parametrize("plain_shape, block, merged", GEOMETRIES)
+    def test_stacked_lattice_with_solo_stream_draws_per_phase(
+        self, plain_shape, block, merged
+    ):
+        """One solo stream over a (B, rows, cols) stack keeps the per-phase
+        word order: the merged layout would deal the chains other words."""
+        from repro.backend import NumpyBackend
+
+        plain = np.stack([make_lattice(plain_shape, seed=s) for s in range(3)])
+        lattices, counters = [], []
+        for fused in (True, False):
+            backend = NumpyBackend("float32")
+            draws = count_draws(backend) if fused else []
+            updater = CompactUpdater(
+                0.44, backend, block_shape=block, fused=fused
+            )
+            lat = updater.to_state(plain)
+            stream = PhiloxStream(13, 2)
+            for _ in range(3):
+                lat = updater.sweep(lat, stream)
+            lattices.append(lat.to_plain())
+            counters.append(stream.counter)
+            if fused:
+                assert draws == [lat.grid_shape] * 12
+        assert np.array_equal(lattices[0], lattices[1])
+        assert counters[0] == counters[1]
+
     def test_workspace_misses_constant_after_warmup(self, backend):
         updater = CompactUpdater(0.44, backend, block_shape=(4, 4), fused=True)
         lat = updater.to_state(make_lattice((16, 16)))
