@@ -34,12 +34,12 @@ _SWEEPS = 8
 def _time_raw_loop() -> tuple[float, float]:
     """The engine ``run`` dispatches to, without the wrapper: the floor.
 
-    Without telemetry ``run`` hands the whole batch to ``_advance`` (the
-    traced executor under the fused engine, else the eager updater
-    loop), so timing ``_advance`` directly leaves only the wrapper's
-    ``is None`` branch in the gap, and both sides record and replay the
-    same trace.  Returns (seconds outside ``_advance``, total seconds):
-    see ``method_clock``.
+    Without telemetry ``run`` hands the whole batch to ``_advance``, the
+    engine boundary: on this fused numpy chain it warms, records and
+    replays the sweep.  Timing ``_advance`` directly leaves only the
+    wrapper's ``is None`` branch in the gap, and both sides record and
+    replay the same trace.  Returns (seconds outside ``_advance``, total
+    seconds): see ``method_clock``.
     """
     sim = IsingSimulation(_SIDE, 1.0 / BETA_C, seed=5)
     with method_clock(IsingSimulation, "_advance") as engine:

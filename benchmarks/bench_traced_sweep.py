@@ -1,7 +1,9 @@
 """Traced replay vs eager fused dispatch — the 2x modeled-clock gate.
 
 The traced executor (``repro.core.traced``) records one fused sweep as a
-flat op program and replays it with zero Python re-interpretation.  On
+flat op program and replays it with zero Python re-interpretation; the
+solo and ensemble drivers run every fused chain that way.  The eager
+side here is the updater's own ``sweep`` loop on the same chain.  On
 real hardware the win is pure host-side: the device executes the same
 kernels either way, so what tracing removes is the per-sweep Python
 dispatch that would otherwise stall the device queue.  A host-wall-clock
@@ -101,6 +103,22 @@ for _name in sorted(REPLAYABLE_OPS):
     setattr(DispatchOnlyBackend, _name, _null_op(_name))
 
 
+def _advance(sim: IsingSimulation, traced: bool):
+    """``sim``'s sweep entry point: replaying ``run``, or the eager loop
+    over the updater's own ``sweep`` that replay must reproduce."""
+    if traced:
+        return sim.run
+
+    def eager(n_sweeps: int) -> None:
+        updater, stream = sim._updater, sim.stream
+        state = sim._state
+        for _ in range(n_sweeps):
+            state = updater.sweep(state, stream)
+        sim._state = state
+
+    return eager
+
+
 def verify_bit_identity(side: int = 64, n_sweeps: int = 8) -> int:
     """Assert replay == eager fused, all four updaters, both dtypes.
 
@@ -118,9 +136,8 @@ def verify_bit_identity(side: int = 64, n_sweeps: int = 8) -> int:
                     backend=NumpyBackend(dtype),
                     seed=3,
                     fused=True,
-                    traced=traced,
                 )
-                sim.run(n_sweeps)
+                _advance(sim, traced)(n_sweeps)
                 pair.append(sim.lattice)
             if not np.array_equal(pair[0], pair[1]):
                 raise AssertionError(
@@ -142,13 +159,13 @@ def _dispatch_seconds(
         backend=DispatchOnlyBackend(FLOAT32),
         seed=1,
         fused=True,
-        traced=traced,
     )
-    sim.run(3)  # warm-up sweep, recording sweep, first replay
+    advance = _advance(sim, traced)
+    advance(3)  # warm-up sweep, recording sweep, first replay
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
-        sim.run(n_sweeps)
+        advance(n_sweeps)
         best = min(best, (time.perf_counter() - t0) / n_sweeps)
     return best
 

@@ -29,7 +29,6 @@ from .api import (
     LadderSpec,
     ModelSpec,
     SimulationConfig,
-    deprecated_kwargs,
     distributed,
     ensemble,
     load,
@@ -87,7 +86,6 @@ __all__ = [
     "submit",
     "Client",
     "Scheduler",
-    "deprecated_kwargs",
     "FaultEvent",
     "FaultPlan",
     "RetryPolicy",

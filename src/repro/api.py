@@ -35,16 +35,13 @@ it:
 
     >>> sim2 = repro.load(sim.state_dict())
 
-Renamed keyword arguments stay usable for one release through
-:func:`deprecated_kwargs`, then fail fast: the PR-4 spellings
-(``core_grid=``, ``T=``) have finished their warning release and now
-raise :class:`TypeError` naming the replacement.
+Retired keyword spellings (``core_grid=``, ``T=``) fail fast with a
+:class:`TypeError` naming the replacement.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +54,6 @@ from .core.config import (
     checkpoint_kind,
     resolve_fused,
     resolve_overlap,
-    resolve_traced,
 )
 from .core.couplings import COUPLING_KINDS, BondCouplings
 from .core.distributed import DistributedIsing
@@ -80,55 +76,9 @@ __all__ = [
     "load",
     "submit",
     "Client",
-    "deprecated_kwargs",
 ]
 
 _UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
-
-# (qualified function name, old kwarg) pairs that already warned once.
-_DEPRECATION_WARNED: set[tuple[str, str]] = set()
-
-
-def deprecated_kwargs(**renames: str):
-    """Decorator: accept renamed keyword arguments for one release.
-
-    ``@deprecated_kwargs(old_name="new_name")`` makes the wrapped
-    callable keep accepting ``old_name=...``, forwarding the value to
-    ``new_name`` with a :class:`DeprecationWarning` that fires **once**
-    per (function, old name) for the process — a long sweep loop does
-    not spam the log.  Passing both spellings at once is an error, not a
-    silent pick.
-    """
-
-    def decorate(func):
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            for old, new in renames.items():
-                if old not in kwargs:
-                    continue
-                if new in kwargs:
-                    raise TypeError(
-                        f"{func.__qualname__}() got both {old!r} (deprecated) "
-                        f"and its replacement {new!r}"
-                    )
-                key = (func.__qualname__, old)
-                if key not in _DEPRECATION_WARNED:
-                    _DEPRECATION_WARNED.add(key)
-                    warnings.warn(
-                        f"{func.__qualname__}(): keyword {old!r} is deprecated, "
-                        f"use {new!r} — the old spelling will be removed in a "
-                        "future release",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-                kwargs[new] = kwargs.pop(old)
-            return func(*args, **kwargs)
-
-        wrapper.__deprecated_kwargs__ = dict(renames)
-        return wrapper
-
-    return decorate
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -283,13 +233,9 @@ class SimulationConfig:
         or None — the driver's default.  :func:`distributed` builds its
         own per-core TPU backends and only accepts None / "tpu".
     fused:
-        Fused sweep engine: "auto" (default), True or False.
-    traced:
-        Traced sweep executor: "auto" (default — follows the resolved
-        ``fused`` setting), True or False.  When on, the driver records
-        one fused sweep as a replayable (op, buffer) program and runs
-        further sweeps with zero Python dispatch of updater logic
-        (:mod:`repro.core.traced`); ``True`` requires the fused engine.
+        Fused sweep engine: "auto" (default), True or False.  Solo and
+        ensemble chains on the fused engine record one sweep and replay
+        it for every further sweep (:mod:`repro.core.traced`).
     seed:
         Global Philox seed.
     telemetry:
@@ -300,7 +246,7 @@ class SimulationConfig:
         Compact-grid block size override.
     grid:
         Core grid (rows, cols) — required by :func:`distributed`,
-        rejected elsewhere.  ``core_grid=`` is the deprecated spelling.
+        rejected elsewhere.  The old ``core_grid=`` spelling raises.
     pod_grid:
         Optional (pod rows, pod cols) tiling of ``grid`` into sub-pods —
         a hierarchical multi-pod mesh with a two-tier link model (see
@@ -333,7 +279,6 @@ class SimulationConfig:
     dtype: "DType | str" = "float32"
     backend: "Backend | str | None" = None
     fused: "bool | str" = "auto"
-    traced: "bool | str" = "auto"
     seed: int = 0
     telemetry: "RunTelemetry | bool | None" = None
     block_shape: "tuple[int, int] | None" = None
@@ -388,7 +333,6 @@ class SimulationConfig:
                 f"updater must be one of {_UPDATERS}, got {self.updater!r}"
             )
         resolve_fused(self.fused)  # raises on junk
-        resolve_traced(self.traced)  # raises on junk
         resolve_overlap(self.overlap)  # raises on junk
         dtype = resolve_dtype(self.dtype)  # raises on junk
         if dtype.name == "packed":
@@ -518,9 +462,8 @@ class SimulationConfig:
 def _removed_kwargs(**renames: str):
     """Decorator: fail fast on kwargs whose deprecation window has closed.
 
-    The second half of the :func:`deprecated_kwargs` lifecycle — after
-    one release of warnings the old spelling stops being forwarded and
-    raises a :class:`TypeError` that names its replacement.
+    Passing an old spelling raises a :class:`TypeError` that names its
+    replacement.
     """
 
     def decorate(func):
@@ -600,7 +543,6 @@ def simulate(config: SimulationConfig) -> IsingSimulation:
         block_shape=config.block_shape,
         field=config.resolved_model.field,
         fused=config.fused,
-        traced=config.traced,
         telemetry=config._resolved_telemetry(),
     )
 
@@ -636,7 +578,6 @@ def ensemble(
         block_shape=config.block_shape,
         field=model.field,
         fused=config.fused,
-        traced=config.traced,
         telemetry=config._resolved_telemetry(),
         couplings=_build_couplings(model, config.shape),
     )
@@ -685,7 +626,6 @@ def tempering(config: SimulationConfig) -> TemperingEnsemble:
         seed=config.seed,
         field=model.field,
         fused=config.fused,
-        traced=config.traced,
         telemetry=config._resolved_telemetry(),
         initial=config.initial,
         block_shape=config.block_shape,
@@ -731,7 +671,6 @@ def distributed(config: SimulationConfig) -> DistributedIsing:
         updater="conv" if config.updater == "conv" else "compact",
         field=config.resolved_model.field,
         fused=config.fused,
-        traced=config.traced,
         telemetry=config._resolved_telemetry(),
         fault_plan=config.fault_plan,
         checkpoint_interval=config.checkpoint_interval,

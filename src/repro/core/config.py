@@ -31,7 +31,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_KINDS",
     "resolve_fused",
-    "resolve_traced",
     "resolve_overlap",
     "default_block_shape",
     "backend_kind",
@@ -61,22 +60,6 @@ def resolve_fused(fused: "bool | str") -> "bool | str":
     if isinstance(fused, (bool, np.bool_)):
         return bool(fused)
     raise ValueError(f"fused must be 'auto', True or False, got {fused!r}")
-
-
-def resolve_traced(traced: "bool | str") -> "bool | str":
-    """Normalise a traced-executor selection to ``"auto"`` / True / False.
-
-    ``"auto"`` resolves later against the fused-engine selection: the
-    traced executor replays a recorded fused sweep, so it follows the
-    fused flag wherever that resolves True and stays off elsewhere.
-    An explicit ``traced=True`` with the fused engine off is rejected by
-    the drivers — there is no elementwise trace to record.
-    """
-    if traced == "auto":
-        return "auto"
-    if isinstance(traced, (bool, np.bool_)):
-        return bool(traced)
-    raise ValueError(f"traced must be 'auto', True or False, got {traced!r}")
 
 
 def resolve_overlap(overlap: "bool | str") -> "bool | str":

@@ -54,11 +54,9 @@ from .config import (
     default_block_shape,
     resolve_fused,
     resolve_overlap,
-    resolve_traced,
     unwrap_checkpoint,
 )
 from .fused import record_fused_metrics
-from .traced import PhaseTracedExecutor, record_traced_metrics
 from .kernels import PhaseHalos
 from .lattice import (
     CompactLattice,
@@ -159,16 +157,9 @@ class DistributedIsing:
         every core through the fused engine (table-gathered acceptance,
         in-place kernels); the chain stays bit-identical and the halo
         exchange is unaffected because boundary slabs are copied before
-        the in-place phase update runs.
-    traced:
-        Traced executor selection (see :mod:`repro.core.traced`):
-        ``"auto"`` (default) follows the resolved ``fused`` setting, so
-        the default TPU cost-model run stays fully eager.  When on, each
-        core records its two colour-phase programs once and replays them
-        every subsequent sweep; halo collectives stay eager (they flow
-        through the SPMD runtime and link model) and arriving halos are
-        staged into stable buffers so replays read fresh boundary data.
-        Sweeps with explicit global ``probs`` bypass tracing entirely.
+        the in-place phase update runs.  Either way every colour phase
+        is one eager ``update_color`` call per core; distributed sweeps
+        are never replayed.
     telemetry:
         Optional :class:`~repro.telemetry.report.RunTelemetry` recorder.
         Absent by default (zero-cost, bit-identical chains); when
@@ -215,7 +206,6 @@ class DistributedIsing:
         updater: str = "compact",
         field: float = 0.0,
         fused: "bool | str" = "auto",
-        traced: "bool | str" = "auto",
         telemetry: RunTelemetry | None = None,
         fault_plan: FaultPlan | None = None,
         checkpoint_interval: int | None = None,
@@ -270,15 +260,6 @@ class DistributedIsing:
         # Per-core backends are TPU cost models: "auto" keeps the
         # elementwise op sequence the calibrated tables were fit to.
         self.fused = False if self.fused_config == "auto" else self.fused_config
-        self.traced_config = resolve_traced(traced)
-        self.traced = (
-            self.fused if self.traced_config == "auto" else self.traced_config
-        )
-        if self.traced and not self.fused:
-            raise ValueError(
-                "traced=True requires the fused sweep engine; "
-                "the elementwise path allocates per sweep and cannot be replayed"
-            )
         self.overlap_config = resolve_overlap(overlap)
         # "auto": hide halos exactly where the slow inter-pod tier makes
         # it worth modeling; flat single-pod timelines stay historical.
@@ -286,10 +267,6 @@ class DistributedIsing:
         self.overlap = (
             multi_pod if self.overlap_config == "auto" else self.overlap_config
         )
-        #: Per-sweep traced-replay spans on the modeled timeline (only
-        #: when ``record_trace`` and tracing are both on); exported as
-        #: the "traced replay" Chrome-trace track.
-        self.traced_log: list[dict] = []
 
         if pod is not None and pod.core_grid != self.core_grid:
             raise ValueError(
@@ -392,12 +369,6 @@ class DistributedIsing:
             for backend in self._backends
         ]
         self.block_shape = self._updaters[0].block_shape
-        # Fresh updaters mean any recorded phase programs are stale;
-        # executors are rebuilt with the topology (degrades included).
-        self._executors: "list[PhaseTracedExecutor | None]" = [
-            PhaseTracedExecutor(updater) if self.traced else None
-            for updater in self._updaters
-        ]
         base = self._generation * _GENERATION_STRIDE
         self._streams = [
             PhiloxStream(self.seed, base + core_id + 1)
@@ -506,41 +477,10 @@ class DistributedIsing:
     def _run_sweep(
         self, probs_black: np.ndarray | None, probs_white: np.ndarray | None
     ) -> None:
-        """One lockstep sweep through the SPMD runtime, logging traced spans."""
-        track = self._record_trace and self.traced
-        if track:
-            model_start = max(
-                core.profiler.total_seconds for core in self.pod.cores
-            )
-            replayed0 = sum(ex.sweeps_replayed for ex in self._executors)
-            eager0 = sum(ex.sweeps_eager for ex in self._executors)
+        """One lockstep sweep through the SPMD runtime."""
         self._states = self.runtime.run(
             lambda cid: self._sweep_program(cid, probs_black, probs_white)
         )
-        if track:
-            model_end = max(
-                core.profiler.total_seconds for core in self.pod.cores
-            )
-            replayed = sum(ex.sweeps_replayed for ex in self._executors) - replayed0
-            eager = sum(ex.sweeps_eager for ex in self._executors) - eager0
-            if eager == 0:
-                name = "traced replay"
-            elif replayed == 0:
-                name = "traced warmup"
-            else:
-                name = "traced mixed"
-            self.traced_log.append(
-                {
-                    "name": name,
-                    "start": model_start,
-                    "duration": model_end - model_start,
-                    "args": {
-                        "phases_replayed": replayed,
-                        "phases_eager": eager,
-                        "sweep": self.sweeps_done + 1,
-                    },
-                }
-            )
 
     def _phase_probs(
         self, core_id: int, color: str, global_probs: np.ndarray | None
@@ -579,7 +519,6 @@ class DistributedIsing:
         updater = self._updaters[core_id]
         backend = self._backends[core_id]
         stream = self._streams[core_id]
-        executor = self._executors[core_id]
         overlap = self.overlap
         profiler = self.pod.cores[core_id].profiler
         global_probs = {"black": probs_black, "white": probs_white}
@@ -597,18 +536,13 @@ class DistributedIsing:
             probs = self._phase_probs(core_id, color, global_probs[color])
             if overlap:
                 compute_start = profiler.total_seconds
-            if executor is not None and probs is None:
-                # Traced path: halos are staged into stable buffers and
-                # the phase runs as a recorded program after warm-up.
-                lat = executor.run_phase(lat, color, stream, halos)
-            else:
-                lat = updater.update_color(
-                    lat,
-                    color,
-                    stream=stream,
-                    probs=probs,
-                    halos=PhaseHalos(**halos),
-                )
+            lat = updater.update_color(
+                lat,
+                color,
+                stream=stream,
+                probs=probs,
+                halos=PhaseHalos(**halos),
+            )
             if overlap:
                 phase_compute = profiler.total_seconds - compute_start
                 yield OverlapCommit(
@@ -658,7 +592,6 @@ class DistributedIsing:
                 "block_shape": self._block_shape_arg,
                 "seed": self.seed,
                 "fused": self.fused_config,
-                "traced": self.traced_config,
                 "sweeps_done": self.sweeps_done,
                 "lattice": self.gather_lattice(),
                 "streams": [stream.state() for stream in self._streams],
@@ -707,7 +640,6 @@ class DistributedIsing:
             updater=state["updater"],
             field=state["field"],
             fused=state.get("fused", "auto"),
-            traced=state.get("traced", "auto"),
             telemetry=telemetry,
             fault_plan=fault_plan,
             checkpoint_interval=checkpoint_interval,
@@ -894,7 +826,6 @@ class DistributedIsing:
             self.runtime.overlap_exposed_seconds
         )
         record_fused_metrics(registry, *self._updaters)
-        record_traced_metrics(registry, *self._executors)
         return self.telemetry.build_report(
             kind="distributed",
             run={
@@ -912,7 +843,6 @@ class DistributedIsing:
                 "seed": self.seed,
                 "sweeps_done": self.sweeps_done,
                 "fused": self.fused,
-                "traced": self.traced,
                 "generation": self._generation,
                 "topology_events": [dict(ev) for ev in self.topology_events],
             },

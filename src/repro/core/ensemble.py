@@ -45,7 +45,6 @@ from .config import (
     checkpoint_envelope,
     default_block_shape,
     resolve_fused,
-    resolve_traced,
     unwrap_checkpoint,
 )
 from .packed import PackedState, PackedUpdater, record_packed_metrics
@@ -95,13 +94,10 @@ class EnsembleSimulation:
         bool.  The fused ensemble builds one per-chain
         :class:`~repro.core.accept.AcceptanceTable` (10 entries per
         chain) and keeps chains bit-identical to the elementwise path.
-    traced:
-        Traced sweep executor selection (see :mod:`repro.core.traced`):
-        ``"auto"`` (default) follows the resolved ``fused`` setting —
-        one recorded sweep is replayed for all chains at once, so the
-        whole batch amortises a single program.  ``True`` requires the
-        fused engine.  Roster changes (:meth:`add_chain` /
-        :meth:`remove_chain`) rebuild the batched state and therefore
+        Under the fused engine one recorded sweep is replayed for all
+        chains at once (see :mod:`repro.core.traced`), so the whole
+        batch amortises a single program; roster changes
+        (:meth:`add_chain` / :meth:`remove_chain`) and re-tempering
         re-record on the next sweep.
     telemetry:
         Optional :class:`~repro.telemetry.report.RunTelemetry` recorder
@@ -123,7 +119,6 @@ class EnsembleSimulation:
         block_shape: tuple[int, int] | None = None,
         field: float = 0.0,
         fused: "bool | str" = "auto",
-        traced: "bool | str" = "auto",
         telemetry: RunTelemetry | None = None,
         couplings: BondCouplings | None = None,
     ) -> None:
@@ -176,15 +171,6 @@ class EnsembleSimulation:
                 backend_kind(self.backend) == "numpy"
                 if self.fused_config == "auto"
                 else self.fused_config
-            )
-        self.traced_config = resolve_traced(traced)
-        self.traced = (
-            self.fused if self.traced_config == "auto" else self.traced_config
-        )
-        if self.traced and not self.fused:
-            raise ValueError(
-                "traced=True requires the fused sweep engine; "
-                "the elementwise path allocates per sweep and cannot be replayed"
             )
 
         if stream_ids is None:
@@ -256,7 +242,7 @@ class EnsembleSimulation:
         self.couplings = couplings
         self._updater = self._build_updater()
         self.block_shape = getattr(self._updater, "block_shape", None)
-        self._executor = TracedExecutor(self._updater) if self.traced else None
+        self._executor = TracedExecutor(self._updater) if self.fused else None
 
         # Per-chain initial states, drawn from each chain's own solo
         # stream so hot starts match the corresponding IsingSimulation
@@ -388,7 +374,6 @@ class EnsembleSimulation:
         block_shape: tuple[int, int] | None = None,
         field: float = 0.0,
         fused: "bool | str" = "auto",
-        traced: "bool | str" = "auto",
         telemetry: RunTelemetry | None = None,
         couplings: BondCouplings | None = None,
     ) -> "EnsembleSimulation":
@@ -420,7 +405,6 @@ class EnsembleSimulation:
             block_shape=block_shape,
             field=field,
             fused=fused,
-            traced=traced,
             telemetry=telemetry,
             couplings=couplings,
         )
@@ -546,7 +530,8 @@ class EnsembleSimulation:
     # -- evolution -----------------------------------------------------------
 
     def _advance(self, n_sweeps: int) -> None:
-        """Advance ``n_sweeps`` sweeps through the traced executor or eagerly."""
+        """Advance ``n_sweeps`` sweeps: replayed under the fused engine,
+        eager updater sweeps on the elementwise path."""
         executor = self._executor
         if executor is not None:
             self._state = executor.run(self._state, self.stream, n_sweeps)
@@ -583,8 +568,8 @@ class EnsembleSimulation:
     def run(self, n_sweeps: int) -> None:
         """Advance every chain by ``n_sweeps`` sweeps.
 
-        Without telemetry the whole batch goes to the traced executor in
-        one call; with telemetry, sweeps advance one at a time to keep
+        Without telemetry the whole batch goes to ``_advance`` in one
+        call; with telemetry, sweeps advance one at a time to keep
         per-sweep wall times.
         """
         if n_sweeps < 0:
@@ -702,7 +687,6 @@ class EnsembleSimulation:
                 "n_chains": self.n_chains,
                 "sweeps_done": self.sweeps_done,
                 "fused": self.fused,
-                "traced": self.traced,
                 "couplings": (
                     "ferro" if self.couplings is None else self.couplings.kind
                 ),
@@ -735,7 +719,6 @@ class EnsembleSimulation:
             "block_shape": self.block_shape,
             "seed": self.seed,
             "fused": self.fused_config,
-            "traced": self.traced_config,
             "lattices": self.lattices,
             "stream": self.stream.state(),
             "sweeps_done": self.sweeps_done,
@@ -791,7 +774,6 @@ class EnsembleSimulation:
             block_shape=tuple(block_shape) if block_shape is not None else None,
             field=state["field"],
             fused=state.get("fused", "auto"),
-            traced=state.get("traced", "auto"),
             couplings=couplings,
         )
         if ensemble.packed:
@@ -822,8 +804,7 @@ class EnsembleSimulation:
             self._updater = PackedUpdater(
                 self.betas, self.backend, rng_bits=rng_bits
             )
-            if self._executor is not None:
-                self._executor.rebind(self._updater)
+            self._executor.rebind(self._updater)
         words = {
             # astype normalises foreign-endian checkpoint words to the
             # native representation; the *values* are host-independent.

@@ -39,7 +39,6 @@ from .config import (
     checkpoint_envelope,
     default_block_shape,
     resolve_fused,
-    resolve_traced,
     unwrap_checkpoint,
 )
 from .conv import ConvUpdater, MaskedConvUpdater
@@ -146,14 +145,11 @@ class IsingSimulation:
         disables it on accounting (TPU) backends so the calibrated cost
         tables keep their historical op sequence.  Pass ``True`` /
         ``False`` to force.  Trajectories are bit-identical either way.
-    traced:
-        Traced sweep executor selection.  ``"auto"`` (default) follows
-        the resolved ``fused`` setting: where the fused engine runs, one
-        sweep is recorded as an (op, buffer) program and further sweeps
-        replay it with zero Python re-interpretation of updater logic
-        (see :mod:`repro.core.traced`).  Pass ``True`` / ``False`` to
-        force; ``True`` requires the fused engine.  Replayed sweeps are
-        bit-identical to eager ones.
+        Wherever the fused engine runs, the chain records one sweep as
+        an (op, buffer) program and replays it for every further sweep,
+        with zero Python re-interpretation of updater logic (see
+        :mod:`repro.core.traced`); replayed sweeps are bit-identical to
+        eager ones.
     telemetry:
         Optional :class:`~repro.telemetry.report.RunTelemetry` recorder.
         When omitted (the default) the sweep loop takes the exact seed
@@ -176,7 +172,6 @@ class IsingSimulation:
         block_shape: tuple[int, int] | None = None,
         field: float = 0.0,
         fused: "bool | str" = "auto",
-        traced: "bool | str" = "auto",
         telemetry: RunTelemetry | None = None,
     ) -> None:
         if isinstance(shape, (int, np.integer)):
@@ -217,15 +212,6 @@ class IsingSimulation:
                 _backend_kind(self.backend) == "numpy"
                 if self.fused_config == "auto"
                 else self.fused_config
-            )
-        self.traced_config = resolve_traced(traced)
-        self.traced = (
-            self.fused if self.traced_config == "auto" else self.traced_config
-        )
-        if self.traced and not self.fused:
-            raise ValueError(
-                "traced=True requires the fused sweep engine; "
-                "the elementwise path allocates per sweep and cannot be replayed"
             )
 
         if self.packed:
@@ -294,7 +280,7 @@ class IsingSimulation:
         #: keeps the plain layout).  Checkpoints carry it so a restored
         #: chain reproduces the same blocked tensors.
         self.block_shape = getattr(self._updater, "block_shape", None)
-        self._executor = TracedExecutor(self._updater) if self.traced else None
+        self._executor = TracedExecutor(self._updater) if self.fused else None
 
         if isinstance(initial, str):
             if initial == "hot":
@@ -328,7 +314,8 @@ class IsingSimulation:
     # -- evolution -----------------------------------------------------------
 
     def _advance(self, n_sweeps: int) -> None:
-        """Advance ``n_sweeps`` sweeps through the traced executor or eagerly."""
+        """Advance ``n_sweeps`` sweeps: replayed under the fused engine,
+        eager updater sweeps on the elementwise path."""
         executor = self._executor
         if executor is not None:
             self._state = executor.run(self._state, self.stream, n_sweeps)
@@ -355,8 +342,9 @@ class IsingSimulation:
     def run(self, n_sweeps: int) -> None:
         """Advance the chain by ``n_sweeps`` sweeps.
 
-        Without telemetry the whole batch goes to the traced executor in
-        one call — the replay loop never re-enters Python driver code;
+        Without telemetry the whole batch goes to ``_advance`` in one
+        call — under the fused engine the replay loop never re-enters
+        Python driver code;
         with telemetry attached, sweeps advance one at a time so wall
         times and physics samples keep their per-sweep resolution.
         """
@@ -405,7 +393,6 @@ class IsingSimulation:
             "dtype": self.backend.dtype.name,
             "block_shape": self.block_shape,
             "fused": self.fused_config,
-            "traced": self.traced_config,
             "lattice": self.lattice,
             "stream": self.stream.state(),
             "sweeps_done": self.sweeps_done,
@@ -455,7 +442,6 @@ class IsingSimulation:
             field=state["field"],
             block_shape=tuple(block_shape) if block_shape is not None else None,
             fused=state.get("fused", "auto"),
-            traced=state.get("traced", "auto"),
             initial=np.asarray(state["lattice"], dtype=np.float32),
         )
         if sim.packed:
@@ -483,7 +469,7 @@ class IsingSimulation:
         rng_bits = int(packed.get("rng_bits", 16))
         if rng_bits != self._updater.rng_bits:
             self._updater = PackedUpdater(self.beta, self.backend, rng_bits=rng_bits)
-            self._executor = TracedExecutor(self._updater) if self.traced else None
+            self._executor.rebind(self._updater)
         words = {
             # astype normalises foreign-endian checkpoint words to the
             # native representation; the *values* are host-independent.
@@ -530,7 +516,6 @@ class IsingSimulation:
                 "dtype": self.backend.dtype.name,
                 "block_shape": self.block_shape,
                 "fused": self.fused,
-                "traced": self.traced,
                 "seed": self.stream.seed,
                 "stream_id": self.stream.stream_id,
                 "sweeps_done": self.sweeps_done,

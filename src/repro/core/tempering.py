@@ -39,7 +39,7 @@ import numpy as np
 from ..backend.base import Backend
 from ..rng.streams import PhiloxStream
 from ..telemetry.report import RunReport, RunTelemetry
-from .config import checkpoint_envelope, resolve_traced, unwrap_checkpoint
+from .config import checkpoint_envelope, unwrap_checkpoint
 from .couplings import BondCouplings
 from .ensemble import EnsembleSimulation
 
@@ -94,11 +94,6 @@ class TemperingEnsemble:
         ``False`` degrades to a plain ensemble run (bit-identical to
         :class:`EnsembleSimulation` with the same chain layout) — the
         validation knob for "swaps are a physics no-op at ferro".
-    traced:
-        ``"auto"`` resolves to ``False`` here: every accepted swap round
-        rebuilds acceptance tables and would force a re-record, so
-        tracing only pays off with long swap intervals — opt in
-        explicitly if yours are.
 
     Chain layout: chain ``r * n_temps + t`` starts at ladder slot ``t``
     of replica ``r``; ``pairing[r, t]`` tracks which chain currently
@@ -118,7 +113,6 @@ class TemperingEnsemble:
         seed: int = 0,
         field: float = 0.0,
         fused: "bool | str" = "auto",
-        traced: "bool | str" = "auto",
         telemetry: RunTelemetry | None = None,
         initial: str = "hot",
         block_shape: "tuple[int, int] | None" = None,
@@ -156,10 +150,9 @@ class TemperingEnsemble:
             self.n_replicas * self.n_temps, dtype=np.int64
         ).reshape(self.n_replicas, self.n_temps)
 
-        # traced="auto" resolves to off: accepted swap rounds invalidate
-        # the recorded sweep, and re-recording every round costs more
-        # than it saves at typical swap intervals.
-        traced_cfg = resolve_traced(traced)
+        # Under the fused engine the ensemble replays a recorded sweep;
+        # an accepted swap round re-tempers it, which drops the program
+        # and re-records on the next run (see repro.core.traced).
         self.ensemble = EnsembleSimulation(
             shape,
             self._chain_temperatures(),
@@ -170,7 +163,6 @@ class TemperingEnsemble:
             block_shape=block_shape,
             field=field,
             fused=fused,
-            traced=False if traced_cfg == "auto" else traced_cfg,
             telemetry=telemetry,
             couplings=bonds,
         )

@@ -7,7 +7,8 @@ op.  BENCH_fused_sweep.json shows what that costs: once allocation is
 gone, eager per-op *dispatch* is the ceiling (fused conv at ~1.09x).
 The paper hits the same wall and amortises it by XLA-compiling the whole
 sweep into one program; the rack-scale GPU reproduction does it with
-fused persistent kernels.  This module is the software analogue:
+fused persistent kernels.  This module is the software analogue, and
+the solo and ensemble drivers run every fused chain through it:
 
 1. warm-up — one eager fused sweep builds every cached artifact
    (workspace buffers, the :class:`~repro.core.accept.AcceptanceTable`,
@@ -27,45 +28,29 @@ recorded Philox stream exactly as an eager sweep would.  Soundness is
 checked, not assumed: if the recording sweep calls any *allocating*
 backend op (a cold cache, an updater outside the fused steady state),
 the trace is marked unsound and the executor falls back to eager sweeps
-permanently for that binding.
+permanently for that binding.  The updater's Python-side counters (the
+fused table-hit and packed word gauges) are the one thing a replay does
+not touch; the executor adds the recording sweep's increments once per
+replayed batch, so the gauges read as if every sweep had run eagerly.
 
 A trace is bound to the identities of the state tensors and the stream
 it recorded.  Any change — checkpoint restore, ensemble roster rebuild,
-distributed topology rebuild, or a new shape/dtype/beta/field/fused
-configuration (all of which rebuild the updater and its buffers) —
-invalidates the trace and the next run re-records.
-
-When :mod:`numba` is importable, qualifying flip sequences inside a
-recorded program are additionally fused into one JIT-compiled kernel
-(see :func:`_fuse_flip_steps`); the import is guarded and the pure-Python
-replay path is authoritative — absence of numba only means the replay
-loop stays a loop of pre-bound backend calls.
+re-tempering, or a new shape/dtype/beta/field/fused configuration (all
+of which rebuild the updater and its buffers) — invalidates the trace
+and the next run re-records.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from ..backend.base import Backend
-from .kernels import PhaseHalos
-
-try:  # optional: JIT-fused replay of recognised flip sequences
-    import numba  # type: ignore
-except ImportError:  # pragma: no cover - exercised when numba is absent
-    numba = None
-
-#: Whether the optional numba replay path is available in this process.
-HAVE_NUMBA = numba is not None
 
 __all__ = [
-    "HAVE_NUMBA",
     "REPLAYABLE_OPS",
     "ALLOCATING_OPS",
     "SweepTrace",
     "TracedExecutor",
-    "PhaseTracedExecutor",
     "record_traced_metrics",
 ]
 
@@ -132,14 +117,23 @@ ALLOCATING_OPS = frozenset(
     }
 )
 
+#: Python-side counters a sweep bumps outside the backend ops, as
+#: (attribute holding the counting object or None for the updater
+#: itself, counter names).  Replays skip them, so the executor adds
+#: the recording sweep's increments per replayed sweep.
+_SWEEP_COUNTERS = (
+    (None, ("sweeps", "words_updated")),
+    ("workspace", ("hits", "table_hits", "bytes_saved")),
+)
+
 
 class SweepTrace:
     """One recorded sweep: an ordered (op, args) program plus soundness.
 
     ``record`` appends entries during the recording sweep; ``compile``
-    freezes them into a list of pre-bound callables (optionally fusing
-    flip sequences through numba); ``replay`` runs the program once —
-    one full sweep's worth of backend ops, no updater logic.
+    freezes them into a list of pre-bound callables; ``replay`` runs the
+    program once — one full sweep's worth of backend ops, no updater
+    logic.
     """
 
     def __init__(self) -> None:
@@ -147,7 +141,6 @@ class SweepTrace:
         self._steps: list | None = None
         self.sound = True
         self.unsound_ops: list[str] = []
-        self.numba_fused = 0
 
     def record(self, name: str, fn, args: tuple, kwargs: dict) -> None:
         self._entries.append((name, fn, args, kwargs))
@@ -158,29 +151,22 @@ class SweepTrace:
 
     @property
     def n_ops(self) -> int:
-        """Recorded backend ops per sweep (before any numba fusion)."""
+        """Recorded backend ops per sweep."""
         return len(self._entries)
 
-    def compile(self, backend: Backend) -> "SweepTrace":
+    def compile(self) -> "SweepTrace":
         """Freeze the recorded entries into pre-bound replay callables."""
         if not self.sound:
             raise RuntimeError(
                 f"cannot compile an unsound trace (saw {self.unsound_ops})"
             )
-        entries = self._entries
-        if HAVE_NUMBA:
-            entries, self.numba_fused = _fuse_flip_steps(entries, backend)
-        steps = []
-        for name, fn, args, kwargs in entries:
-            if kwargs:
-                steps.append(partial(fn, *args, **kwargs))
-            else:
-                steps.append(partial(fn, *args))
-        self._steps = steps
+        self._steps = [
+            partial(fn, *args, **kwargs) for _, fn, args, kwargs in self._entries
+        ]
         return self
 
     def replay(self) -> None:
-        """Run the recorded program once (one sweep / one phase)."""
+        """Run the recorded program once (one sweep)."""
         for step in self._steps:
             step()
 
@@ -222,8 +208,25 @@ class _RecordingBackend:
         return attr
 
 
-class _TracedBase:
-    """Counters and trace bookkeeping shared by both executor shapes."""
+def _counter_slots(updater) -> list:
+    """The (object, name) pairs of ``updater``'s sweep counters."""
+    slots = []
+    for holder, names in _SWEEP_COUNTERS:
+        obj = updater if holder is None else getattr(updater, holder, None)
+        if obj is not None:
+            slots.extend((obj, name) for name in names if hasattr(obj, name))
+    return slots
+
+
+class TracedExecutor:
+    """Whole-sweep traced execution for the solo and ensemble drivers.
+
+    ``run(state, stream, n)`` advances the chain ``n`` sweeps: the first
+    call pays one eager warm-up sweep and one recording sweep, every
+    further sweep is a replay.  All sweeps — eager, recording, replayed —
+    advance the Philox stream identically, so the trajectory is
+    bit-identical to ``n`` eager sweeps however they were split.
+    """
 
     def __init__(self, updater) -> None:
         self.updater = updater
@@ -232,8 +235,18 @@ class _TracedBase:
         self.traces_recorded = 0
         self.invalidations = 0
         self.fallbacks = 0
+        self.trace: SweepTrace | None = None
+        #: (object, counter name, increment per sweep) of the recording
+        #: sweep, re-applied ``n`` times per batch of ``n`` replays.
+        self._increments: list[tuple[object, str, int]] = []
         self._bound: tuple | None = None
+        self._warmed = False
         self._fallback = False
+
+    @property
+    def program_ops(self) -> int:
+        """Backend ops per replayed sweep (0 without a sound trace)."""
+        return self.trace.n_ops if self.trace is not None else 0
 
     @staticmethod
     def _tensors_of(state) -> tuple:
@@ -266,13 +279,15 @@ class _TracedBase:
         self._bound = key
 
     def _invalidate(self) -> None:
-        if self._has_trace():
+        if self.trace is not None:
             self.invalidations += 1
-        self._drop_traces()
+        self.trace = None
+        self._increments = []
+        self._warmed = False
         self._fallback = False
 
     def rebind(self, updater) -> None:
-        """Point at a rebuilt updater, dropping any recorded program.
+        """Point at a rebuilt or re-tempered updater, dropping any program.
 
         Counters carry over — invalidations are part of the story the
         ``traced_*`` gauges tell.
@@ -280,46 +295,6 @@ class _TracedBase:
         self.updater = updater
         self._invalidate()
         self._bound = None
-
-    # Subclass hooks -------------------------------------------------------
-
-    def _has_trace(self) -> bool:
-        raise NotImplementedError
-
-    def _drop_traces(self) -> None:
-        raise NotImplementedError
-
-    @property
-    def program_ops(self) -> int:
-        raise NotImplementedError
-
-
-class TracedExecutor(_TracedBase):
-    """Whole-sweep traced execution for the solo and ensemble drivers.
-
-    ``run(state, stream, n)`` advances the chain ``n`` sweeps: the first
-    call pays one eager warm-up sweep and one recording sweep, every
-    further sweep is a replay.  All sweeps — eager, recording, replayed —
-    advance the Philox stream identically, so the trajectory is
-    bit-identical to ``n`` eager sweeps however they were split.
-    """
-
-    def __init__(self, updater) -> None:
-        super().__init__(updater)
-        self.trace: SweepTrace | None = None
-        self._warmed = False
-
-    def _has_trace(self) -> bool:
-        return self.trace is not None
-
-    def _drop_traces(self) -> None:
-        self.trace = None
-        self._warmed = False
-
-    @property
-    def program_ops(self) -> int:
-        """Backend ops per replayed sweep (0 without a sound trace)."""
-        return self.trace.n_ops if self.trace is not None else 0
 
     def _eager(self, state, stream, n: int):
         updater = self.updater
@@ -332,6 +307,8 @@ class TracedExecutor(_TracedBase):
         trace = SweepTrace()
         updater = self.updater
         real = updater.backend
+        slots = _counter_slots(updater)
+        before = [getattr(obj, name) for obj, name in slots]
         updater.backend = _RecordingBackend(real, trace)
         try:
             state = updater.sweep(state, stream)
@@ -339,8 +316,13 @@ class TracedExecutor(_TracedBase):
             updater.backend = real
         self.sweeps_eager += 1  # the recording sweep advanced the chain
         if trace.sound and trace.n_ops > 0:
-            self.trace = trace.compile(real)
+            self.trace = trace.compile()
             self.traces_recorded += 1
+            self._increments = [
+                (obj, name, getattr(obj, name) - start)
+                for (obj, name), start in zip(slots, before)
+                if getattr(obj, name) != start
+            ]
         else:
             # Not a steady-state fused sweep (cold cache or elementwise
             # path): replay would be unfaithful, stay eager from now on.
@@ -373,245 +355,27 @@ class TracedExecutor(_TracedBase):
         for _ in range(n):
             replay()
         self.sweeps_replayed += n
+        for obj, name, step in self._increments:
+            setattr(obj, name, getattr(obj, name) + n * step)
         return state
 
 
-class PhaseTracedExecutor(_TracedBase):
-    """Per-colour-phase traced execution for one distributed core.
-
-    A distributed sweep interleaves halo collectives (which must stay
-    eager — they flow through the SPMD runtime and the link model) with
-    two local colour-phase updates, so the traced unit is the phase, not
-    the sweep.  Incoming halos are fresh arrays every sweep; they are
-    staged into stable per-(colour, direction) buffers before the phase
-    runs, so the recorded program's halo splices read refreshed contents
-    from the same arrays on every replay.
-    """
-
-    def __init__(self, updater) -> None:
-        super().__init__(updater)
-        self.traces: dict[str, SweepTrace] = {}
-        self._warmed: set[str] = set()
-        self._halo_bufs: dict[tuple[str, str], np.ndarray] = {}
-
-    def _has_trace(self) -> bool:
-        return bool(self.traces)
-
-    def _drop_traces(self) -> None:
-        self.traces.clear()
-        self._warmed.clear()
-
-    @property
-    def program_ops(self) -> int:
-        """Backend ops per replayed *sweep* (both colour phases)."""
-        return sum(trace.n_ops for trace in self.traces.values())
-
-    def _stage_halos(self, color: str, halos: dict) -> PhaseHalos:
-        staged = {}
-        for direction, arrived in halos.items():
-            key = (color, direction)
-            buf = self._halo_bufs.get(key)
-            if (
-                buf is None
-                or buf.shape != arrived.shape
-                or buf.dtype != arrived.dtype
-            ):
-                buf = np.empty_like(arrived)
-                self._halo_bufs[key] = buf
-            np.copyto(buf, arrived)
-            staged[direction] = buf
-        return PhaseHalos(**staged)
-
-    def run_phase(self, lat, color: str, stream, halos: dict):
-        """One colour phase: eager warm-up, then record, then replay."""
-        self._check_binding(lat, stream)
-        staged = self._stage_halos(color, halos)
-        trace = self.traces.get(color)
-        if trace is not None:
-            trace.replay()
-            self.sweeps_replayed += 1
-            return lat
-        updater = self.updater
-        if self._fallback or color not in self._warmed:
-            self._warmed.add(color)
-            self.sweeps_eager += 1
-            return updater.update_color(lat, color, stream=stream, halos=staged)
-        trace = SweepTrace()
-        real = updater.backend
-        updater.backend = _RecordingBackend(real, trace)
-        try:
-            lat = updater.update_color(lat, color, stream=stream, halos=staged)
-        finally:
-            updater.backend = real
-        self.sweeps_eager += 1
-        if trace.sound and trace.n_ops > 0:
-            self.traces[color] = trace.compile(real)
-            self.traces_recorded += 1
-        else:
-            self._fallback = True
-            self.fallbacks += 1
-        return lat
-
-
-def record_traced_metrics(registry, *executors) -> None:
-    """Publish the traced executor's gauges (zeros when tracing is off).
-
-    Sums over every executor given (one for solo/ensemble, one per core
-    for distributed; ``None`` entries are skipped so drivers can pass
-    their executor slot unconditionally):
+def record_traced_metrics(registry, executor: "TracedExecutor | None") -> None:
+    """Publish the traced executor's gauges (zeros without an executor).
 
     * ``traced_sweeps_replayed`` / ``traced_sweeps_eager`` — how the
-      chain's sweeps (phases, for distributed cores) were executed;
+      chain's sweeps were executed;
     * ``traced_traces_recorded`` / ``traced_invalidations`` /
       ``traced_fallbacks`` — recorder lifecycle;
     * ``traced_program_ops`` — backend ops per replayed sweep.
     """
-    replayed = eager = recorded = invalidations = fallbacks = ops = 0
-    for ex in executors:
-        if ex is None:
-            continue
-        replayed += ex.sweeps_replayed
-        eager += ex.sweeps_eager
-        recorded += ex.traces_recorded
-        invalidations += ex.invalidations
-        fallbacks += ex.fallbacks
-        ops += ex.program_ops
-    registry.gauge("traced_sweeps_replayed").set(replayed)
-    registry.gauge("traced_sweeps_eager").set(eager)
-    registry.gauge("traced_traces_recorded").set(recorded)
-    registry.gauge("traced_invalidations").set(invalidations)
-    registry.gauge("traced_fallbacks").set(fallbacks)
-    registry.gauge("traced_program_ops").set(ops)
-
-
-# -- optional numba acceleration -------------------------------------------
-
-def _backend_numba_eligible(backend: Backend) -> bool:
-    """Numba fusion must not swallow cost accounting or store rounding.
-
-    Only a plain no-accounting backend (the base no-op ``_charge``) with
-    identity store rounding (float32) qualifies; TPU cost-model backends
-    and bfloat16 replay through the recorded backend ops unchanged.
-    """
-    return (
-        type(backend)._charge is Backend._charge
-        and backend.dtype.quantize_into is None
-    )
-
-
-_FLIP_KERNEL = None
-
-
-def _flip_kernel():  # pragma: no cover - requires numba
-    """Build (once) the JIT kernel for the scalar-beta, maskless flip.
-
-    Mirrors the recorded op pentad exactly in float32: ``idx = int(5 *
-    sigma + nn)`` truncated toward zero, table gather with wrap, strict
-    ``probs < entry`` comparison, and the exact ±1 flip product.
-    """
-    global _FLIP_KERNEL
-    if _FLIP_KERNEL is None:
-        @numba.njit(cache=False)
-        def kernel(sigma, nn, probs, entries):
-            m = entries.shape[0]
-            for k in range(sigma.shape[0]):
-                idx = int(np.float32(sigma[k] * np.float32(5.0) + nn[k]))
-                f = (
-                    np.float32(1.0)
-                    if probs[k] < entries[idx % m]
-                    else np.float32(0.0)
-                )
-                sigma[k] = sigma[k] * (np.float32(1.0) - np.float32(2.0) * f)
-
-        _FLIP_KERNEL = kernel
-    return _FLIP_KERNEL
-
-
-def _is_flip_pentad(entries, i) -> "tuple | None":  # pragma: no cover
-    """Match the maskless fused_metropolis_flip op sequence at index ``i``.
-
-    Returns ``(sigma, nn, probs, table_entries)`` when entries[i:i+6] is
-    exactly acceptance_index/take/less/multiply(-2)/add(1)/multiply with
-    consistent buffer identities and no per-chain offsets, else None.
-    """
-    if i + 6 > len(entries):
-        return None
-    names = [entries[i + k][0] for k in range(6)]
-    if names != [
-        "acceptance_index_into",
-        "take_into",
-        "less_into",
-        "multiply_into",
-        "add_into",
-        "multiply_into",
-    ]:
-        return None
-    _, _, a_args, a_kwargs = entries[i]
-    if a_kwargs.get("offsets") is not None or (
-        len(a_args) >= 5 and a_args[4] is not None
+    for name in (
+        "sweeps_replayed",
+        "sweeps_eager",
+        "traces_recorded",
+        "invalidations",
+        "fallbacks",
+        "program_ops",
     ):
-        return None
-    sigma, nn, idx = a_args[0], a_args[1], a_args[2]
-    _, _, t_args, _ = entries[i + 1]
-    table_entries, ratio = t_args[0], t_args[2]
-    if t_args[1] is not idx:
-        return None
-    _, _, l_args, _ = entries[i + 2]
-    probs, flips = l_args[0], l_args[2]
-    if l_args[1] is not ratio:
-        return None
-    _, _, m2_args, _ = entries[i + 3]
-    if m2_args[0] is not flips or m2_args[2] is not flips:
-        return None
-    if np.size(m2_args[1]) != 1 or float(np.ravel(m2_args[1])[0]) != -2.0:
-        return None
-    _, _, a1_args, _ = entries[i + 4]
-    if a1_args[0] is not flips or a1_args[2] is not flips:
-        return None
-    if np.size(a1_args[1]) != 1 or float(np.ravel(a1_args[1])[0]) != 1.0:
-        return None
-    _, _, mf_args, _ = entries[i + 5]
-    if mf_args[0] is not sigma or mf_args[1] is not flips or mf_args[2] is not sigma:
-        return None
-    arrays = (sigma, nn, probs, table_entries)
-    for arr in arrays:
-        if arr.dtype != np.float32 or not arr.flags["C_CONTIGUOUS"]:
-            return None
-    return arrays
-
-
-def _fuse_flip_steps(entries, backend):  # pragma: no cover - requires numba
-    """Collapse recognised flip pentads into single JIT kernel calls.
-
-    Returns ``(new_entries, n_fused)``.  Any failure — ineligible
-    backend, unmatched patterns, numba compilation errors — degrades
-    gracefully to the unfused program, never to an error: the recorded
-    backend ops are always a correct replay on their own.
-    """
-    if not _backend_numba_eligible(backend):
-        return entries, 0
-    try:
-        kernel = _flip_kernel()
-        fused: list = []
-        n_fused = 0
-        i = 0
-        while i < len(entries):
-            match = _is_flip_pentad(entries, i)
-            if match is None:
-                fused.append(entries[i])
-                i += 1
-                continue
-            sigma, nn, probs, table_entries = match
-            fused.append(
-                (
-                    "numba_flip",
-                    kernel,
-                    (sigma.ravel(), nn.ravel(), probs.ravel(), table_entries),
-                    {},
-                )
-            )
-            n_fused += 1
-            i += 6
-        return fused, n_fused
-    except Exception:
-        return entries, 0
+        value = getattr(executor, name) if executor is not None else 0
+        registry.gauge(f"traced_{name}").set(value)

@@ -30,24 +30,21 @@ def compat_key(config) -> tuple:
 
     Two jobs coalesce into one ensemble iff their keys are equal:
     (shape, updater, dtype, backend kind, (model token, ladder token),
-    resolved block decomposition, resolved fused flag, resolved traced
-    flag).  The model token folds couplings kind, disorder seed, field
-    bits and lattice through :attr:`~repro.api.SimulationConfig.resolved_model`,
-    so a flat ``field=`` and its ``ModelSpec`` spelling coalesce;
-    distinct disorder realisations never share a batch (chains of one
-    ensemble share one bond configuration).  Temperature and seed are
+    resolved block decomposition, resolved fused flag).  The model token
+    folds couplings kind, disorder seed, field bits and lattice through
+    :attr:`~repro.api.SimulationConfig.resolved_model`, so a flat
+    ``field=`` and its ``ModelSpec`` spelling coalesce; distinct
+    disorder realisations never share a batch (chains of one ensemble
+    share one bond configuration).  Temperature and seed are
     deliberately absent — they are per-chain inside a batch.  Batched
-    jobs with tracing on all ride one recorded sweep program per engine
-    key.
+    jobs on the fused engine all ride one recorded sweep program per
+    engine key.
     """
     shape = _normalized_shape(config.shape)
     backend = "tpu" if config.backend == "tpu" else "numpy"
     fused = config.fused
     if fused == "auto":
         fused = backend == "numpy"
-    traced = getattr(config, "traced", "auto")
-    if traced == "auto":
-        traced = bool(fused)
     return (
         shape,
         config.updater,
@@ -56,7 +53,6 @@ def compat_key(config) -> tuple:
         (_model_token(config), _ladder_token(config)),
         _resolved_block_shape(config, shape),
         bool(fused),
-        bool(traced),
     )
 
 

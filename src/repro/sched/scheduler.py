@@ -556,7 +556,7 @@ class Scheduler:
         return config.resolved_temperature, stream, lattice
 
     def _backend_for(self, key: tuple, lease) -> "NumpyBackend | TPUBackend":
-        _, _, dtype_name, backend_kind, _, _, _, _ = key
+        _, _, dtype_name, backend_kind, _, _, _ = key
         dtype = resolve_dtype(dtype_name)
         if backend_kind == "tpu":
             return TPUBackend(lease.device.core, dtype)
@@ -589,7 +589,7 @@ class Scheduler:
         if lease is None:
             raise RuntimeError("no free device (caller must check the pool)")
         self._next_batch_id += 1
-        shape, updater, _, _, _, block_shape, fused, traced = key
+        shape, updater, _, _, _, block_shape, fused = key
         try:
             chains = [self._chain_of(job) for job in jobs]
             # Equal compat keys guarantee equal model tokens, so the
@@ -609,7 +609,6 @@ class Scheduler:
                 field=model.field,
                 couplings=couplings,
                 fused=fused,
-                traced=traced,
             )
         except Exception as exc:  # noqa: BLE001 — the plan is unbuildable
             self.pool.release(lease)

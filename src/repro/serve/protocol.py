@@ -61,7 +61,7 @@ PROTOCOL_VERSION = "repro.serve/v1"
 _CONFIG_FIELDS = frozenset(
     {
         "shape", "temperature", "beta", "field", "updater", "dtype",
-        "backend", "seed", "block_shape", "initial", "fused", "traced",
+        "backend", "seed", "block_shape", "initial", "fused",
     }
 )
 _MODEL_FIELDS = frozenset({"couplings", "disorder_seed", "field", "lattice"})

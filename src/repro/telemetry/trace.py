@@ -89,16 +89,6 @@ def _overlap_spans_of(source) -> list[dict]:
     return list(getattr(runtime, "overlap_log", ()) or ())
 
 
-def _traced_spans_of(source) -> list[dict]:
-    """Traced-executor replay spans, if any.
-
-    Accepts anything exposing ``traced_log``
-    (:class:`~repro.core.distributed.DistributedIsing` records one span
-    per sweep when both ``record_trace`` and the traced executor are on).
-    """
-    return list(getattr(source, "traced_log", ()) or ())
-
-
 def _serve_spans_of(source) -> list[dict]:
     """Front-door serve-layer spans, if any.
 
@@ -131,9 +121,7 @@ def chrome_trace(source) -> dict:
     faults" track so degraded collectives line up against the per-core
     timelines; a scheduler source with a non-empty ``sched_log`` gets a
     "scheduler batches" track the same way, so batch advances line up
-    against the device timelines they were booked on; a distributed run
-    with tracing on (non-empty ``traced_log``) gets a "traced replay"
-    track showing which sweeps ran as recorded programs; a run under the
+    against the device timelines they were booked on; a run under the
     split-phase overlap schedule (non-empty ``overlap_log``) gets a
     "halo overlap" track showing each window's hidden vs exposed
     communication; a tempering run (non-empty ``swap_log``) gets a
@@ -198,33 +186,6 @@ def chrome_trace(source) -> dict:
                     "cat": "sched",
                     "pid": 0,
                     "tid": sched_tid,
-                    "ts": span["start"] * _US,
-                    "dur": span["duration"] * _US,
-                    "args": span.get("args", {}),
-                }
-            )
-    traced_spans = _traced_spans_of(source)
-    if traced_spans:
-        traced_tid = next_tid
-        next_tid += 1
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": 0,
-                "tid": traced_tid,
-                "args": {"name": "traced replay"},
-            }
-        )
-        for span in traced_spans:
-            total_events += 1
-            events.append(
-                {
-                    "ph": "X",
-                    "name": span["name"],
-                    "cat": "traced",
-                    "pid": 0,
-                    "tid": traced_tid,
                     "ts": span["start"] * _US,
                     "dur": span["duration"] * _US,
                     "args": span.get("args", {}),
@@ -356,7 +317,6 @@ def chrome_trace(source) -> dict:
             "num_fault_spans": len(fault_spans),
             "num_sched_spans": len(sched_spans),
             "num_serve_spans": len(serve_spans),
-            "num_traced_spans": len(traced_spans),
             "num_tempering_spans": len(tempering_spans),
             "num_overlap_spans": len(overlap_spans),
         },

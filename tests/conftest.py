@@ -44,3 +44,11 @@ def count_draws(backend) -> list:
 
     backend.uniform_into = counting
     return shapes
+
+
+def eager_sweeps(sim, n_sweeps: int) -> None:
+    """Advance a solo or ensemble driver through its updater's own
+    ``sweep`` loop — the eager reference a replayed chain must match."""
+    for _ in range(n_sweeps):
+        sim._state = sim._updater.sweep(sim._state, sim.stream)
+    sim.sweeps_done += n_sweeps

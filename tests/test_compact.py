@@ -9,7 +9,7 @@ from repro.core.compact import CompactUpdater
 from repro.core.lattice import CompactLattice
 from repro.rng import PhiloxStream
 
-from .conftest import count_draws, make_lattice
+from .conftest import count_draws, eager_sweeps, make_lattice
 
 
 class TestMechanics:
@@ -196,18 +196,19 @@ class TestMergedDraw:
     def test_traced_replay_and_checkpoint_match_eager(self, side):
         from repro.core.simulation import IsingSimulation
 
-        def build(**kwargs):
-            return IsingSimulation(side, 2.269, seed=8, fused=True, **kwargs)
+        def build():
+            return IsingSimulation(side, 2.269, seed=8, fused=True)
 
-        eager = build(traced=False)
-        eager.run(8)
-        traced = build(traced=True)
+        eager = build()
+        eager_sweeps(eager, 8)
+        traced = build()
         traced.run(8)
+        assert traced._executor.sweeps_replayed == 6
         assert np.array_equal(eager.lattice, traced.lattice)
         assert eager.stream.counter == traced.stream.counter
 
         # Checkpoint mid-run and resume; the resumed chain must agree.
-        chain = build(traced=True)
+        chain = build()
         chain.run(3)
         snapshot = chain.state_dict()
         chain.run(5)

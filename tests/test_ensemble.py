@@ -9,7 +9,7 @@ from repro.backend import NumpyBackend
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.simulation import IsingSimulation, run_temperature_scan
 
-from .conftest import count_draws
+from .conftest import count_draws, eager_sweeps
 
 UPDATERS = ["compact", "conv", "checkerboard", "masked_conv"]
 DTYPES = ["float32", "bfloat16"]
@@ -213,7 +213,7 @@ class TestMergedDraw:
             backend = NumpyBackend()
             draws = count_draws(backend)
             ensemble = EnsembleSimulation(
-                side, TEMPS, seed=3, backend=backend, fused=fused, traced=False
+                side, TEMPS, seed=3, backend=backend, fused=fused
             )
             ensemble.run(4)
             runs[fused] = ensemble
@@ -255,14 +255,15 @@ class TestMergedDraw:
         assert stream.counters == replay.counters
 
     def test_traced_checkpoint_and_workspace(self):
-        eager = EnsembleSimulation(16, TEMPS, seed=2, fused=True, traced=False)
-        eager.run(8)
-        traced = EnsembleSimulation(16, TEMPS, seed=2, fused=True, traced=True)
+        eager = EnsembleSimulation(16, TEMPS, seed=2, fused=True)
+        eager_sweeps(eager, 8)
+        traced = EnsembleSimulation(16, TEMPS, seed=2, fused=True)
         traced.run(3)
         snapshot = traced.state_dict()
         traced.run(1)
         misses = traced._updater.workspace.misses
         traced.run(4)
+        assert traced._executor.sweeps_replayed == 6
         assert traced._updater.workspace.misses == misses
         assert np.array_equal(eager.lattices, traced.lattices)
         assert eager.stream.counters == traced.stream.counters

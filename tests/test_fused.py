@@ -16,6 +16,8 @@ from repro.core.update import acceptance_ratio
 from repro.telemetry import MetricsRegistry, RunTelemetry
 from repro.tpu.tensorcore import TensorCore
 
+from .conftest import eager_sweeps
+
 DTYPES = ["float32", "bfloat16"]
 UPDATERS = ["checkerboard", "compact", "conv", "masked_conv"]
 
@@ -200,10 +202,8 @@ class TestWorkspaceReuse:
 
     @pytest.mark.parametrize("updater", UPDATERS)
     def test_zero_steady_state_allocations(self, updater):
-        # traced=False: replayed sweeps bypass the Python-side workspace
-        # lookups this test counts, so pin the eager fused engine.
         sim = IsingSimulation(
-            (16, 16), 2.2, updater=updater, seed=1, fused=True, traced=False
+            (16, 16), 2.2, updater=updater, seed=1, fused=True
         )
         sim.run(2)  # warm the workspace
         ws = sim._updater.workspace
@@ -212,7 +212,9 @@ class TestWorkspaceReuse:
         warm_buffers = ws.n_buffers
         warm_bytes = ws.nbytes
         hits_before = ws.hits
-        sim.run(5)
+        # The updater's own sweeps: a replay performs no workspace
+        # lookups, so only eager sweeps show the allocation contract.
+        eager_sweeps(sim, 5)
         # Steady state: every lookup hits, nothing new is allocated.
         assert ws.misses == warm_misses
         assert ws.n_buffers == warm_buffers
@@ -222,11 +224,9 @@ class TestWorkspaceReuse:
 
 class TestFusedTelemetry:
     def test_report_carries_fused_flag_and_gauges(self):
-        # traced=False: replayed sweeps bypass the Python-side table-hit
-        # counters (the traced_* gauges cover them instead).
         sim = IsingSimulation(
             (16, 16), 2.2, updater="checkerboard", seed=2,
-            fused=True, traced=False, telemetry=RunTelemetry(physics_interval=0),
+            fused=True, telemetry=RunTelemetry(physics_interval=0),
         )
         sim.run(3)
         report = sim.report()

@@ -40,7 +40,7 @@ from repro.telemetry import MetricsRegistry, RunTelemetry
 from repro.tpu.dtypes import PACKED, resolve_dtype
 from repro.tpu.tensorcore import TensorCore
 
-from .conftest import make_lattice
+from .conftest import eager_sweeps, make_lattice
 
 
 def packed_backend() -> NumpyBackend:
@@ -176,12 +176,10 @@ class TestBitIdentity:
 
     def test_traced_replay_equals_eager(self):
         traced = IsingSimulation(128, 2.2, backend=packed_backend(), seed=1)
-        eager = IsingSimulation(
-            128, 2.2, backend=packed_backend(), seed=1, traced=False
-        )
-        assert traced.traced and not eager.traced
+        eager = IsingSimulation(128, 2.2, backend=packed_backend(), seed=1)
         traced.run(12)
-        eager.run(12)
+        eager_sweeps(eager, 12)
+        assert traced._executor.sweeps_replayed == 10
         assert np.array_equal(traced.lattice, eager.lattice)
 
     def test_checkerboard_updater_name_runs_same_engine(self):
@@ -194,13 +192,11 @@ class TestBitIdentity:
         assert np.array_equal(compact.lattice, checker.lattice)
 
     def test_steady_state_workspace_is_stable(self):
-        sim = IsingSimulation(
-            128, 2.2, backend=packed_backend(), seed=4, traced=False
-        )
+        sim = IsingSimulation(128, 2.2, backend=packed_backend(), seed=4)
         sim.run(3)
         ws = sim._updater.workspace
         buffers, misses = ws.n_buffers, ws.misses
-        sim.run(5)
+        eager_sweeps(sim, 5)  # replays skip the lookups under test
         assert ws.n_buffers == buffers
         assert ws.misses == misses
 
@@ -371,7 +367,7 @@ class TestCostModel:
 
     def test_packed_sim_runs_on_tpu_backend(self):
         backend = TPUBackend(TensorCore(core_id=0), PACKED)
-        sim = IsingSimulation(128, 2.2, backend=backend, seed=1, traced=False)
+        sim = IsingSimulation(128, 2.2, backend=backend, seed=1)
         sim.run(2)
         assert backend.core.profiler.seconds["vpu"] > 0.0
 
@@ -384,7 +380,6 @@ class TestTelemetry:
         telemetry = RunTelemetry()
         sim = IsingSimulation(
             128, 2.2, backend=packed_backend(), seed=1, telemetry=telemetry,
-            traced=False,  # replayed sweeps bypass the Python-side counters
         )
         sim.run(5)
         sim.report()

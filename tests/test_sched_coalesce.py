@@ -122,17 +122,3 @@ class TestDefaultBlockShapeAllUpdaters:
         assert canonical_cache_key(implicit, 5) == canonical_cache_key(spelled, 5)
 
 
-class TestTracedDimension:
-    def test_traced_split_batches(self):
-        on = SimulationConfig(shape=16, traced=True)
-        off = SimulationConfig(shape=16, traced=False)
-        assert compat_key(on) != compat_key(off)
-
-    def test_traced_auto_resolves_to_fused(self):
-        # "auto" follows the resolved fused engine, so spelling the
-        # resolved value explicitly still coalesces.
-        auto = SimulationConfig(shape=16, backend="numpy", fused=True)
-        explicit = SimulationConfig(
-            shape=16, backend="numpy", fused=True, traced=True
-        )
-        assert compat_key(auto) == compat_key(explicit)

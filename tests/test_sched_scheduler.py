@@ -92,7 +92,6 @@ class TestBitIdentity:
         bonds = BondCouplings.generate("bimodal", (12, 12), 9)
         solo = EnsembleSimulation(
             12, [2.0], updater="masked_conv", couplings=bonds, seed=6,
-            traced=False,
         )
         solo.run(7)
         np.testing.assert_array_equal(job.result.lattice, solo.lattices[0])

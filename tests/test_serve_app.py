@@ -294,6 +294,8 @@ class TestProtocolUnits:
     def test_config_from_wire_rejects_unknown_fields(self):
         with pytest.raises(ProtocolError, match="unknown config field"):
             config_from_wire({"shape": [8, 8], "wat": 1})
+        with pytest.raises(ProtocolError, match="unknown config field"):
+            config_from_wire({"shape": [8, 8], "traced": True})
         with pytest.raises(ProtocolError, match="JSON object"):
             config_from_wire([1, 2, 3])
         with pytest.raises(ProtocolError, match="backend"):

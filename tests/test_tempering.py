@@ -124,7 +124,6 @@ class TestSwapsDisabledBitIdentity:
             16,
             sim.ensemble.temperatures.copy(),
             seed=3,
-            traced=False,
         )
         sim.run(25)
         plain.run(25)
@@ -141,6 +140,30 @@ class TestSwapsDisabledBitIdentity:
         np.testing.assert_array_equal(a.pairing, b.pairing)
         assert a.swap_rounds == b.swap_rounds
         assert a.swap_accepts == b.swap_accepts
+
+
+class TestSwapsReplay:
+    @pytest.mark.parametrize("updater", ["compact", "masked_conv"])
+    def test_replay_between_rounds_matches_elementwise(self, updater):
+        """With swaps on, the fused ladder replays between rounds and
+        re-records after each accepted one; chains, pairings and swap
+        decisions match the never-replayed elementwise ladder."""
+        kwargs = dict(
+            shape=16, betas=np.linspace(0.40, 0.44, 4), n_replicas=2,
+            swap_interval=4, seed=0, updater=updater,
+        )
+        replayed = TemperingEnsemble(fused=True, **kwargs)
+        elementwise = TemperingEnsemble(fused=False, **kwargs)
+        replayed.run(40)
+        elementwise.run(40)
+        executor = replayed.ensemble._executor
+        assert replayed.swap_accepts > 0
+        assert executor.sweeps_replayed > 0
+        assert executor.invalidations > 0  # accepted rounds re-record
+        assert elementwise.ensemble._executor is None
+        np.testing.assert_array_equal(replayed.lattices, elementwise.lattices)
+        np.testing.assert_array_equal(replayed.pairing, elementwise.pairing)
+        assert replayed.swap_accepts == elementwise.swap_accepts
 
 
 class TestDeterminism:
@@ -267,7 +290,6 @@ class TestDisorderedKernels:
                 couplings=bonds,
                 seed=7,
                 fused=fused,
-                traced=False,
             )
             ens.run(15)
             runs.append(ens.lattices)
@@ -277,7 +299,6 @@ class TestDisorderedKernels:
         bonds = BondCouplings.generate("bimodal", (16, 16), 3)
         ens = EnsembleSimulation(
             16, [2.0], updater="masked_conv", couplings=bonds, seed=1,
-            traced=False,
         )
         ens.run(5)
         from repro.backend.numpy_backend import NumpyBackend
@@ -314,12 +335,12 @@ class TestSetTemperatures:
         must continue bit-identically to a freshly built ensemble at
         the new temperatures."""
         temps = np.array([2.6, 2.2, 2.0])
-        a = EnsembleSimulation(16, temps, seed=5, traced=False)
+        a = EnsembleSimulation(16, temps, seed=5)
         a.run(10)
         swapped = np.array([2.0, 2.2, 2.6])
         a.set_temperatures(swapped)
 
-        b = EnsembleSimulation(16, temps, seed=5, traced=False)
+        b = EnsembleSimulation(16, temps, seed=5)
         b.run(10)
         state = b.state_dict()
         state["temperatures"] = [float(t) for t in swapped]
@@ -331,7 +352,7 @@ class TestSetTemperatures:
         np.testing.assert_array_equal(a.lattices, c.lattices)
 
     def test_rejects_bad_shapes_and_values(self):
-        ens = EnsembleSimulation(16, [2.0, 2.2], seed=0, traced=False)
+        ens = EnsembleSimulation(16, [2.0, 2.2], seed=0)
         with pytest.raises(ValueError):
             ens.set_temperatures([2.0])
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 """Traced sweep executor: record once, replay N, stay bit-identical.
 
-The contract under test (see ``docs/traced_executor.md``): replayed
-sweeps are bit-identical to eager-fused sweeps (which are themselves
+The contract under test (see ``docs/traced_executor.md``): the solo and
+ensemble drivers replay every fused chain, and replayed sweeps are
+bit-identical to the updater's own eager sweeps (which are themselves
 bit-identical to the elementwise path), across all four updaters, both
-dtypes, solo / ensemble / distributed drivers, field on and off; traces
-invalidate on any binding change (restored checkpoints, roster rebuilds,
-new streams); checkpoints taken mid-replay round-trip; and the
-``traced_*`` telemetry gauges tell the recorder's story.
+dtypes, field on and off; traces invalidate on any binding change
+(restored checkpoints, roster rebuilds, new streams); checkpoints taken
+mid-replay round-trip, including ones that still carry the removed
+``traced`` setting; and the ``traced_*``, fused and packed gauges count
+replayed sweeps like eager ones.
 """
 
 from __future__ import annotations
@@ -16,56 +18,65 @@ import pytest
 
 from repro.api import SimulationConfig, load, simulate
 from repro.backend.numpy_backend import NumpyBackend
-from repro.core.config import default_block_shape, resolve_traced
+from repro.backend.tpu_backend import TPUBackend
+from repro.core.config import default_block_shape
 from repro.core.distributed import DistributedIsing
 from repro.core.ensemble import EnsembleSimulation
+from repro.core.fused import record_fused_metrics
+from repro.core.packed import record_packed_metrics
 from repro.core.simulation import IsingSimulation
+from repro.core.tempering import TemperingEnsemble
 from repro.core.traced import (
     ALLOCATING_OPS,
-    HAVE_NUMBA,
     REPLAYABLE_OPS,
     SweepTrace,
     TracedExecutor,
     record_traced_metrics,
 )
+from repro.telemetry import MetricsRegistry
 from repro.telemetry.report import RunTelemetry
-from repro.tpu.dtypes import BFLOAT16
+from repro.tpu.dtypes import BFLOAT16, PACKED
+from repro.tpu.tensorcore import TensorCore
+
+from .conftest import eager_sweeps
 
 UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
 
 
-def _solo(traced, updater="compact", dtype=None, field=0.0, seed=11, side=16):
+def _solo(updater="compact", dtype=None, field=0.0, seed=11, side=16):
     backend = NumpyBackend(dtype) if dtype is not None else None
     return IsingSimulation(
         side, 2.2, updater=updater, backend=backend, seed=seed,
-        field=field, fused=True, traced=traced,
+        field=field, fused=True,
     )
 
 
 class TestResolve:
     def test_auto_follows_fused(self):
-        sim = _solo("auto")
-        assert sim.traced is True
-        assert sim._executor is not None
+        assert _solo()._executor is not None
+        assert IsingSimulation(16, 2.2, fused=False)._executor is None
+        assert EnsembleSimulation(16, [2.0, 2.2])._executor is not None
+        assert EnsembleSimulation(16, [2.0, 2.2], fused=False)._executor is None
 
     def test_off_by_default_on_tpu_cost_model(self):
-        sim = DistributedIsing(16, 2.2, core_grid=(1, 1))
-        assert sim.traced is False
-        assert sim._executors == [None]
-
-    def test_true_requires_fused(self):
-        with pytest.raises(ValueError, match="requires the fused"):
-            IsingSimulation(16, 2.2, fused=False, traced=True)
-        with pytest.raises(ValueError, match="requires the fused"):
-            EnsembleSimulation(16, [2.0, 2.2], fused=False, traced=True)
-        with pytest.raises(ValueError, match="requires the fused"):
-            DistributedIsing(16, 2.2, core_grid=(1, 1), traced=True)
+        sim = IsingSimulation(16, 2.2, backend=TPUBackend(TensorCore(core_id=0)))
+        assert sim.fused is False
+        assert sim._executor is None
+        dist = DistributedIsing(16, 2.2, core_grid=(1, 1), fused=True)
+        assert not hasattr(dist, "_executors")
 
     def test_rejects_junk(self):
-        with pytest.raises(ValueError, match="traced must be"):
-            resolve_traced("yes")
-        with pytest.raises(ValueError, match="traced must be"):
-            SimulationConfig(traced="sometimes")
+        # Replay is how the fused engine runs, not an option.
+        with pytest.raises(TypeError, match="traced"):
+            SimulationConfig(shape=16, traced=False)
+        for build in (
+            lambda: IsingSimulation(16, 2.2, traced=False),
+            lambda: EnsembleSimulation(16, [2.0], traced=False),
+            lambda: DistributedIsing(16, 2.2, core_grid=(1, 1), traced=False),
+            lambda: TemperingEnsemble(16, [0.4, 0.5], traced=False),
+        ):
+            with pytest.raises(TypeError, match="traced"):
+                build()
 
     def test_op_sets_are_disjoint(self):
         assert not (REPLAYABLE_OPS & ALLOCATING_OPS)
@@ -75,11 +86,12 @@ class TestSoloBitIdentity:
     @pytest.mark.parametrize("updater", UPDATERS)
     @pytest.mark.parametrize("dtype", [None, BFLOAT16])
     def test_traced_matches_eager_fused(self, updater, dtype):
-        traced = _solo(True, updater=updater, dtype=dtype)
-        eager = _solo(False, updater=updater, dtype=dtype)
+        traced = _solo(updater=updater, dtype=dtype)
+        eager = _solo(updater=updater, dtype=dtype)
         traced.run(9)
-        eager.run(9)
+        eager_sweeps(eager, 9)
         assert np.array_equal(traced.lattice, eager.lattice)
+        assert traced.stream.counter == eager.stream.counter
         ex = traced._executor
         assert ex.traces_recorded == 1
         assert ex.fallbacks == 0
@@ -87,9 +99,9 @@ class TestSoloBitIdentity:
 
     @pytest.mark.parametrize("updater", UPDATERS)
     def test_traced_matches_elementwise(self, updater):
-        traced = _solo(True, updater=updater)
+        traced = _solo(updater=updater)
         elementwise = IsingSimulation(
-            16, 2.2, updater=updater, seed=11, fused=False, traced=False
+            16, 2.2, updater=updater, seed=11, fused=False
         )
         traced.run(8)
         elementwise.run(8)
@@ -97,15 +109,15 @@ class TestSoloBitIdentity:
 
     @pytest.mark.parametrize("updater", ["compact", "masked_conv"])
     def test_with_external_field(self, updater):
-        traced = _solo(True, updater=updater, field=0.3)
-        eager = _solo(False, updater=updater, field=0.3)
+        traced = _solo(updater=updater, field=0.3)
+        eager = _solo(updater=updater, field=0.3)
         traced.run(8)
-        eager.run(8)
+        eager_sweeps(eager, 8)
         assert np.array_equal(traced.lattice, eager.lattice)
 
     def test_split_runs_match_one_run(self):
-        whole = _solo(True)
-        split = _solo(True)
+        whole = _solo()
+        split = _solo()
         whole.run(10)
         for _ in range(10):
             split.run(1)
@@ -115,19 +127,35 @@ class TestSoloBitIdentity:
         # Telemetry-attached drivers advance one sweep per call; warm-up
         # state must persist across calls or tracing never engages.
         sim = IsingSimulation(
-            16, 2.2, seed=4, fused=True, traced=True,
+            16, 2.2, seed=4, fused=True,
             telemetry=RunTelemetry(physics_interval=0),
         )
         sim.run(6)
         assert sim._executor.sweeps_replayed == 4
-        bare = _solo(False, seed=4)
-        bare.run(6)
+        bare = _solo(seed=4)
+        eager_sweeps(bare, 6)
         assert np.array_equal(sim.lattice, bare.lattice)
+
+
+class TestEnsembleBitIdentity:
+    @pytest.mark.parametrize("updater", UPDATERS)
+    def test_replay_matches_eager(self, updater):
+        def build():
+            return EnsembleSimulation(
+                16, [1.8, 2.2, 2.6], updater=updater, seed=6, fused=True
+            )
+
+        traced, eager = build(), build()
+        traced.run(7)
+        eager_sweeps(eager, 7)
+        assert traced._executor.sweeps_replayed == 5
+        assert np.array_equal(traced.lattices, eager.lattices)
+        assert traced.stream.counters == eager.stream.counters
 
 
 class TestInvalidation:
     def test_new_stream_invalidates(self):
-        sim = _solo(True)
+        sim = _solo()
         sim.run(5)
         ex = sim._executor
         assert ex.traces_recorded == 1
@@ -137,7 +165,7 @@ class TestInvalidation:
         assert ex.traces_recorded == 2
 
     def test_ensemble_roster_change_invalidates(self):
-        ens = EnsembleSimulation(16, [2.0, 2.2], seed=2, traced=True)
+        ens = EnsembleSimulation(16, [2.0, 2.2], seed=2)
         ens.run(5)
         ex = ens._executor
         assert ex.traces_recorded == 1
@@ -150,13 +178,13 @@ class TestInvalidation:
         ens.run(3)
 
     def test_unsound_trace_falls_back_eagerly(self):
-        sim = _solo(True)
+        sim = _solo()
         ex = sim._executor
         trace = SweepTrace()
         trace.mark_unsound("array")
         assert not trace.sound
         with pytest.raises(RuntimeError, match="unsound"):
-            trace.compile(sim.backend)
+            trace.compile()
         # An executor over a non-fused updater records nothing and
         # permanently falls back rather than replaying garbage.
         eager = IsingSimulation(16, 2.2, seed=11, fused=False)
@@ -171,26 +199,35 @@ class TestInvalidation:
 
 class TestCheckpointRoundTrip:
     def test_solo_checkpoint_mid_replay(self):
-        sim = _solo(True)
+        sim = _solo()
         sim.run(6)  # well into replay territory
-        resumed = IsingSimulation.from_state_dict(sim.state_dict())
-        assert resumed.traced_config is True
-        assert resumed.traced is True
-        baseline = _solo(False)
-        baseline.run(13)
+        state = sim.state_dict()
+        assert "traced" not in state
+        resumed = IsingSimulation.from_state_dict(state)
+        assert resumed._executor is not None
+        baseline = _solo()
+        eager_sweeps(baseline, 13)
         sim.run(7)
         resumed.run(7)
         assert np.array_equal(sim.lattice, baseline.lattice)
         assert np.array_equal(resumed.lattice, baseline.lattice)
 
     def test_explicit_traced_flag_round_trips(self):
-        sim = _solo(False)
-        state = sim.state_dict()
-        assert state["traced"] is False
-        assert IsingSimulation.from_state_dict(state).traced is False
+        # Checkpoints written while traced= existed carry the flag; it
+        # is ignored on load and the resumed fused chain replays.
+        sim = _solo()
+        sim.run(3)
+        resumed = IsingSimulation.from_state_dict(
+            {**sim.state_dict(), "traced": False}
+        )
+        sim.run(5)
+        resumed.run(5)
+        assert resumed._executor.sweeps_replayed == 3
+        assert np.array_equal(resumed.lattice, sim.lattice)
+        assert "traced" not in resumed.state_dict()
 
     def test_ensemble_checkpoint_mid_replay(self):
-        ens = EnsembleSimulation(16, [2.0, 2.4], seed=5, traced=True)
+        ens = EnsembleSimulation(16, [2.0, 2.4], seed=5)
         ens.run(6)
         resumed = load(ens.state_dict())
         ens.run(6)
@@ -198,14 +235,13 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(ens.lattices, resumed.lattices)
 
     def test_distributed_checkpoint_mid_replay(self):
-        sim = DistributedIsing(
-            16, 2.2, core_grid=(2, 2), seed=3, fused=True, traced=True
-        )
+        # A fused distributed run used to replay per colour phase; its
+        # checkpoints carry "traced": True and resume on eager phases.
+        sim = DistributedIsing(16, 2.2, core_grid=(2, 2), seed=3, fused=True)
         sim.sweep(5)
-        state = sim.state_dict()
-        assert state["traced"] is True
-        resumed = DistributedIsing.from_state_dict(state)
-        assert resumed.traced is True
+        state = {**sim.state_dict(), "traced": True}
+        resumed = load(state)
+        assert "traced" not in resumed.state_dict()
         sim.sweep(5)
         resumed.sweep(5)
         assert np.array_equal(sim.gather_lattice(), resumed.gather_lattice())
@@ -215,61 +251,24 @@ class TestDistributed:
     @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
     def test_matches_eager_fused_and_elementwise(self, dtype):
         kw = dict(core_grid=(2, 2), seed=7, dtype=dtype)
-        traced = DistributedIsing(16, 2.2, fused=True, traced=True, **kw)
-        eager = DistributedIsing(16, 2.2, fused=True, traced=False, **kw)
+        fused = DistributedIsing(16, 2.2, fused=True, **kw)
         elementwise = DistributedIsing(16, 2.2, fused=False, **kw)
-        traced.sweep(6)
-        eager.sweep(6)
+        fused.sweep(6)
         elementwise.sweep(6)
-        assert np.array_equal(traced.gather_lattice(), eager.gather_lattice())
         assert np.array_equal(
-            traced.gather_lattice(), elementwise.gather_lattice()
+            fused.gather_lattice(), elementwise.gather_lattice()
         )
-        for ex in traced._executors:
-            assert ex.traces_recorded == 2  # one program per colour phase
-            assert ex.fallbacks == 0
-            assert ex.sweeps_replayed == 8  # (6 sweeps x 2 phases) - 4 warm
-
-    def test_explicit_probs_bypass_tracing(self):
-        sim = DistributedIsing(
-            16, 2.2, core_grid=(1, 1), seed=1, fused=True, traced=True
-        )
-        rng = np.random.default_rng(0)
-        pb = rng.random((16, 16)).astype(np.float32)
-        pw = rng.random((16, 16)).astype(np.float32)
-        sim.sweep(1, probs_black=pb, probs_white=pw)
-        assert sim._executors[0].traces_recorded == 0
-
-    def test_traced_log_spans_on_modeled_timeline(self):
-        from repro.telemetry.trace import chrome_trace
-
-        sim = DistributedIsing(
-            16, 2.2, core_grid=(2, 2), seed=2,
-            fused=True, traced=True, record_trace=True,
-        )
-        sim.sweep(5)
-        names = [span["name"] for span in sim.traced_log]
-        assert names[0] == "traced warmup"
-        assert names[-1] == "traced replay"
-        trace = chrome_trace(sim)
-        assert trace["otherData"]["num_traced_spans"] == 5
-        labels = [
-            ev["args"]["name"]
-            for ev in trace["traceEvents"]
-            if ev["ph"] == "M"
-        ]
-        assert "traced replay" in labels
 
 
 class TestTelemetryAndApi:
     def test_gauges(self):
         sim = IsingSimulation(
-            16, 2.2, seed=9, fused=True, traced=True,
+            16, 2.2, seed=9, fused=True,
             telemetry=RunTelemetry(physics_interval=0),
         )
         sim.run(6)
         report = sim.report()
-        assert report.run["traced"] is True
+        assert "traced" not in report.run
         metrics = report.metrics
         assert metrics["traced_sweeps_replayed"]["value"] == 4
         assert metrics["traced_sweeps_eager"]["value"] == 2
@@ -283,15 +282,36 @@ class TestTelemetryAndApi:
         assert registry.gauge("traced_sweeps_replayed").value == 0
 
     def test_config_passes_traced_through(self):
-        cfg = SimulationConfig(shape=16, temperature=2.2, traced=False)
-        sim = simulate(cfg)
-        assert sim.traced is False
-        assert simulate(cfg.evolve(traced="auto")).traced is True
+        # Replay follows the config's engine choice through the factory.
+        cfg = SimulationConfig(shape=16, temperature=2.2, fused=False)
+        assert simulate(cfg)._executor is None
+        assert simulate(cfg.evolve(fused="auto"))._executor is not None
 
-    def test_numba_absent_is_graceful(self):
-        # The container has no numba; the pure-Python replay loop is the
-        # authoritative path and everything above already exercised it.
-        assert HAVE_NUMBA is False
+    @pytest.mark.parametrize(
+        "side, dtype, counts",
+        [
+            # 16^2 sites gather a table entry each per sweep.
+            (16, None, {"fused_table_hits": 2560, "fused_bytes_saved": None}),
+            # A 128^2 packed lattice is 256 words per sweep.
+            (128, PACKED, {"packed_sweeps": 10, "packed_words_updated": 2560}),
+        ],
+        ids=["float32", "packed"],
+    )
+    def test_replayed_sweeps_count_in_engine_gauges(self, side, dtype, counts):
+        sim = _solo(dtype=dtype, side=side)
+        sim.telemetry = RunTelemetry(physics_interval=0)
+        sim.run(10)
+        assert sim._executor.sweeps_replayed == 8
+        eager = _solo(dtype=dtype, side=side)
+        eager_sweeps(eager, 10)
+        expected = MetricsRegistry()
+        record_fused_metrics(expected, eager._updater)
+        record_packed_metrics(expected, eager._updater)
+        metrics = sim.report().metrics
+        for name, count in counts.items():
+            assert metrics[name]["value"] == expected.gauge(name).value, name
+            if count is not None:
+                assert metrics[name]["value"] == count, name
 
 
 class TestDefaultBlockShape:
