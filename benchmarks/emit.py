@@ -14,16 +14,26 @@ Usage::
     PYTHONPATH=src python -m benchmarks.emit ensemble table2 # a subset
     PYTHONPATH=src python -m benchmarks.emit --only sched    # exactly one
     PYTHONPATH=src python -m benchmarks.emit --out-dir bench-artifacts
+    PYTHONPATH=src python -m benchmarks.emit table1 multipod \
+        --out-dir /tmp/fresh --compare bench-artifacts
+
+``--compare DIR`` checks every emitted report's ``modeled_*`` metrics
+against the same-named report in ``DIR`` and exits 1 if any differs by
+more than 1e-12 relative (:func:`repro.telemetry.bench.modeled_drift`).
+Use it only on modules that read no clock: the modeled values of
+``traced_sweep``, for one, divide by measured dispatch time.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import json
+import os
 import pkgutil
 import sys
 
-from repro.telemetry.bench import write_bench_report
+from repro.telemetry.bench import bench_filename, modeled_drift, write_bench_report
 
 __all__ = ["bench_module_names", "emit", "main"]
 
@@ -71,6 +81,13 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="output directory (default: $BENCH_OUT_DIR or '.')",
     )
+    parser.add_argument(
+        "--compare",
+        metavar="DIR",
+        default=None,
+        help="fail if any emitted modeled_* metric differs from DIR's "
+        "report by more than 1e-12 relative",
+    )
     args = parser.parse_args(argv)
     if args.only is not None and args.names:
         print("--only and positional names are mutually exclusive", file=sys.stderr)
@@ -86,9 +103,24 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    drifted = 0
     for name in names:
         path = emit(name, out_dir=args.out_dir)
         print(f"wrote {path}")
+        if args.compare is None:
+            continue
+        snapshot = os.path.join(args.compare, bench_filename(name))
+        if os.path.abspath(snapshot) == os.path.abspath(path):
+            print(f"--compare {args.compare} is the output directory", file=sys.stderr)
+            return 2
+        with open(path, encoding="utf-8") as fh, open(snapshot, encoding="utf-8") as old:
+            problems = modeled_drift(json.load(fh), json.load(old))
+        for problem in problems:
+            print(f"  {name}: {problem}")
+        drifted += bool(problems)
+    if drifted:
+        print(f"{drifted} report(s) moved a modeled metric", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -14,6 +14,11 @@ algorithm code runs on:
   optional bfloat16 storage rounding (used by the performance harness and
   the bf16 study).
 
+Both run the op bodies defined here.  An op books its modeled cost only
+when the backend has a :attr:`Backend.core`; without one it does not
+even compute the flops and byte counts, so a plain backend pays nothing
+for accounting it would discard.
+
 Every op quantizes its *result* with the backend dtype, which emulates a
 device that stores all intermediates in that format.  Matmuls accumulate
 in float32 regardless of dtype (MXU semantics).
@@ -33,21 +38,26 @@ __all__ = ["Backend"]
 
 
 class Backend:
-    """Executes the op vocabulary in numpy, with charging hooks.
+    """Executes the op vocabulary in numpy, charging a core when bound.
 
-    Subclasses override :meth:`_charge` to account for op cost; the base
-    implementation is a no-op, so ``Backend`` itself is a pure numpy
-    executor.
+    ``core`` is ``None`` here, which makes ``Backend`` a pure numpy
+    executor; an accounting subclass binds a simulated TensorCore, and
+    every op then books its (category, flops, bytes, batch) there.
     """
 
     def __init__(self, dtype: DType | str = FLOAT32) -> None:
         self.dtype = resolve_dtype(dtype)
+        #: The simulated TensorCore every op charges, or ``None``.
+        self.core = None
         # Lazily built per-shape scratch for in-place quantization (bf16
         # RNE needs a uint32 bias buffer and a bool NaN mask).  Perf cache
         # only — never serialized.
         self._qscratch: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- charging hook ---------------------------------------------------
+    # -- charging ----------------------------------------------------------
+    #
+    # Ops call _charge only under ``if self.core is not None``, and build
+    # its flops and byte arguments inside that branch.
 
     def _charge(
         self,
@@ -57,11 +67,14 @@ class Backend:
         bytes_moved: float = 0.0,
         batch: float | None = None,
     ) -> None:
-        """Record the cost of one op.  Overridden by accounting backends.
+        """Book the cost of one op on :attr:`core`.
 
         ``batch`` is the number of independent matrix blocks in a batched
         matmul (drives the MXU pipeline-utilization ramp).
         """
+        self.core.charge_op(
+            category, flops=flops, bytes_moved=bytes_moved, batch=batch
+        )
 
     def _nbytes(self, *arrays: np.ndarray) -> float:
         """Total HBM bytes of the given arrays under the backend dtype."""
@@ -83,25 +96,27 @@ class Backend:
         quantized on store.
         """
         out = np.matmul(a.astype(np.float32), b.astype(np.float32))
-        # FLOP count: 2 * (output elements) * (contraction length).
-        k = a.shape[-1]
-        batch = out.size / (out.shape[-1] * out.shape[-2]) if out.ndim >= 2 else 1.0
-        self._charge(
-            "mxu",
-            flops=2.0 * out.size * k,
-            bytes_moved=self._nbytes(a, b, out),
-            batch=batch,
-        )
+        if self.core is not None:
+            # FLOP count: 2 * (output elements) * (contraction length).
+            k = a.shape[-1]
+            batch = out.size / (out.shape[-1] * out.shape[-2]) if out.ndim >= 2 else 1.0
+            self._charge(
+                "mxu",
+                flops=2.0 * out.size * k,
+                bytes_moved=self._nbytes(a, b, out),
+                batch=batch,
+            )
         return self.dtype.quantize(out)
 
     # -- VPU: elementwise --------------------------------------------------
 
     def _elementwise(self, out: np.ndarray, *operands: np.ndarray, flops_per_elem: float = 1.0) -> np.ndarray:
-        self._charge(
-            "vpu",
-            flops=flops_per_elem * out.size,
-            bytes_moved=self._nbytes(*operands, out),
-        )
+        if self.core is not None:
+            self._charge(
+                "vpu",
+                flops=flops_per_elem * out.size,
+                bytes_moved=self._nbytes(*operands, out),
+            )
         return self.dtype.quantize(out)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,11 +153,12 @@ class Backend:
         hardware is the strided gather/scatter of the boundary slab.
         """
         target[index] = self.dtype.quantize(target[index] + update)
-        self._charge(
-            "formatting",
-            flops=float(update.size),
-            bytes_moved=2.0 * self._nbytes(update),
-        )
+        if self.core is not None:
+            self._charge(
+                "formatting",
+                flops=float(update.size),
+                bytes_moved=2.0 * self._nbytes(update),
+            )
         return target
 
     def shifted_pair_sum(self, a: np.ndarray, axis: int, offset: int) -> np.ndarray:
@@ -167,10 +183,11 @@ class Backend:
         else:
             shifted[..., dst, :] = a[..., src, :]
         out = (a + shifted).astype(np.float32)
-        # 2-tap im2col conv: 2 MACs = 4 flops per output element.
-        self._charge(
-            "conv", flops=4.0 * out.size, bytes_moved=self._nbytes(a, out)
-        )
+        if self.core is not None:
+            # 2-tap im2col conv: 2 MACs = 4 flops per output element.
+            self._charge(
+                "conv", flops=4.0 * out.size, bytes_moved=self._nbytes(a, out)
+            )
         return self.dtype.quantize(out)
 
     def conv2d_neighbors(self, a: np.ndarray) -> np.ndarray:
@@ -191,10 +208,11 @@ class Backend:
             + np.roll(a, 1, axis=-1)
             + np.roll(a, -1, axis=-1)
         ).astype(np.float32)
-        # im2col-style dense conv: 2 flops per kernel tap per output element.
-        self._charge(
-            "conv", flops=2.0 * 9.0 * out.size, bytes_moved=self._nbytes(a, out)
-        )
+        if self.core is not None:
+            # im2col-style dense conv: 2 flops per kernel tap per output element.
+            self._charge(
+                "conv", flops=2.0 * 9.0 * out.size, bytes_moved=self._nbytes(a, out)
+            )
         return self.dtype.quantize(out)
 
     # -- VPU: RNG ------------------------------------------------------------
@@ -210,18 +228,19 @@ class Backend:
         from its own key — the draw contract of the batched ensemble.
         """
         out = stream.uniform(shape)
-        # Philox4x32-10: 10 rounds x (2 mul + 4 xor/add) per 4 words, plus
-        # the int->float conversion: ~20 flops per element is a fair model.
-        self._charge(
-            "vpu", flops=20.0 * out.size, bytes_moved=self._nbytes(out)
-        )
+        if self.core is not None:
+            # Philox4x32-10: 10 rounds x (2 mul + 4 xor/add) per 4 words,
+            # plus the int->float conversion: ~20 flops per element.
+            self._charge(
+                "vpu", flops=20.0 * out.size, bytes_moved=self._nbytes(out)
+            )
         return self.dtype.quantize(out)
 
     # -- in-place (fused) vocabulary ---------------------------------------
     #
     # Every ``*_into`` op is bit-identical to its allocating twin — same
-    # numpy computation, same result quantization, same _charge call —
-    # but writes into caller-provided buffers so steady-state sweeps make
+    # numpy computation, same result quantization, same charge — but
+    # writes into caller-provided buffers so steady-state sweeps make
     # zero heap allocations.  On accounting backends the modeled cost is
     # unchanged per op.  The one exception is the op count: a fused,
     # stream-driven compact sweep books one ``uniform_into`` for all four
@@ -245,11 +264,12 @@ class Backend:
     def _elementwise_into(
         self, out: np.ndarray, *operands: np.ndarray, flops_per_elem: float = 1.0
     ) -> np.ndarray:
-        self._charge(
-            "vpu",
-            flops=flops_per_elem * out.size,
-            bytes_moved=self._nbytes(*operands, out),
-        )
+        if self.core is not None:
+            self._charge(
+                "vpu",
+                flops=flops_per_elem * out.size,
+                bytes_moved=self._nbytes(*operands, out),
+            )
         return self._quantize_into(out)
 
     def add_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -274,48 +294,54 @@ class Backend:
         np.less(a, b, out=out, casting="unsafe")
         # 0.0/1.0 are exact in every dtype, so the store rounding the
         # allocating twin applies is the identity here — skip the pass.
-        self._charge(
-            "vpu", flops=float(out.size), bytes_moved=self._nbytes(a, b, out)
-        )
+        if self.core is not None:
+            self._charge(
+                "vpu", flops=float(out.size), bytes_moved=self._nbytes(a, b, out)
+            )
         return out
 
     def take_into(self, table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gather ``table[indices]`` into ``out`` (acceptance-table lookup).
 
-        Indices wrap modulo the table length (``mode="wrap"``), which the
-        acceptance gather exploits: the scalar-beta table is laid out so
-        the negative ``5*sigma + nn`` indices land on their slots without
-        a bias add (see :class:`~repro.core.accept.AcceptanceTable`), and
-        wrap is also measurably faster than numpy's bounds-checked mode.
-        The table entries are already quantized device values, so no store
-        rounding is needed.  Charged as a memory-bound gather: one lookup
-        per element, index + result traffic.
+        ``indices`` should be non-negative, in range and of dtype
+        ``np.intp``, as :meth:`acceptance_index_into` writes them for an
+        :class:`~repro.core.accept.AcceptanceTable`: numpy converts any
+        other integer dtype into a fresh intp array on every call, and
+        its wrap loop slows down on negative indices.  ``mode="wrap"``
+        skips the bounds check; on in-range intp indices it measured as
+        fast as ``"clip"`` and faster than ``"raise"``.  The table
+        entries are already quantized device values, so no store rounding
+        is needed.  Charged as a memory-bound gather: one lookup per
+        element, a 4-byte index and the result per element.
         """
-        np.take(table, indices, out=out, mode="wrap")
-        self._charge(
-            "formatting",
-            flops=float(out.size),
-            bytes_moved=self._nbytes(out) + 4.0 * indices.size,
-        )
+        table.take(indices, out=out, mode="wrap")
+        if self.core is not None:
+            self._charge(
+                "formatting",
+                flops=float(out.size),
+                bytes_moved=self._nbytes(out) + 4.0 * indices.size,
+            )
         return out
 
     def matmul_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """In-place twin of :meth:`matmul` (float32 accumulation)."""
         np.matmul(a, b, out=out)
-        k = a.shape[-1]
-        batch = out.size / (out.shape[-1] * out.shape[-2]) if out.ndim >= 2 else 1.0
-        self._charge(
-            "mxu",
-            flops=2.0 * out.size * k,
-            bytes_moved=self._nbytes(a, b, out),
-            batch=batch,
-        )
+        if self.core is not None:
+            k = a.shape[-1]
+            batch = out.size / (out.shape[-1] * out.shape[-2]) if out.ndim >= 2 else 1.0
+            self._charge(
+                "mxu",
+                flops=2.0 * out.size * k,
+                bytes_moved=self._nbytes(a, b, out),
+                batch=batch,
+            )
         return self._quantize_into(out)
 
     def uniform_into(self, stream: PhiloxStream, out: np.ndarray) -> np.ndarray:
         """In-place twin of :meth:`random_uniform` (same counter advance)."""
         stream.uniform_into(out)
-        self._charge("vpu", flops=20.0 * out.size, bytes_moved=self._nbytes(out))
+        if self.core is not None:
+            self._charge("vpu", flops=20.0 * out.size, bytes_moved=self._nbytes(out))
         return self._quantize_into(out)
 
     def band_cross_matmul_into(self, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -340,20 +366,23 @@ class Backend:
         np.add(out[..., :, :-1], grid[..., :, 1:], out=out[..., :, :-1])
         np.add(out[..., 1:, :], grid[..., :-1, :], out=out[..., 1:, :])
         np.add(out[..., :-1, :], grid[..., 1:, :], out=out[..., :-1, :])
-        batch = out.size / (r * c)
-        self._charge(
-            "mxu",
-            flops=2.0 * out.size * c,
-            bytes_moved=self._nbytes(grid, out) + c * c * self.dtype.itemsize,
-            batch=batch,
-        )
-        self._charge(
-            "mxu",
-            flops=2.0 * out.size * r,
-            bytes_moved=self._nbytes(grid, out) + r * r * self.dtype.itemsize,
-            batch=batch,
-        )
-        self._charge("vpu", flops=float(out.size), bytes_moved=3.0 * self._nbytes(out))
+        if self.core is not None:
+            batch = out.size / (r * c)
+            self._charge(
+                "mxu",
+                flops=2.0 * out.size * c,
+                bytes_moved=self._nbytes(grid, out) + c * c * self.dtype.itemsize,
+                batch=batch,
+            )
+            self._charge(
+                "mxu",
+                flops=2.0 * out.size * r,
+                bytes_moved=self._nbytes(grid, out) + r * r * self.dtype.itemsize,
+                batch=batch,
+            )
+            self._charge(
+                "vpu", flops=float(out.size), bytes_moved=3.0 * self._nbytes(out)
+            )
         return self._quantize_into(out)
 
     def band_pair_matmul_into(
@@ -380,13 +409,14 @@ class Backend:
             np.add(out[..., dst], a[..., src], out=out[..., dst])
         else:
             np.add(out[..., dst, :], a[..., src, :], out=out[..., dst, :])
-        k = out.shape[axis]
-        self._charge(
-            "mxu",
-            flops=2.0 * out.size * k,
-            bytes_moved=self._nbytes(a, out) + k * k * self.dtype.itemsize,
-            batch=out.size / (out.shape[-1] * out.shape[-2]),
-        )
+        if self.core is not None:
+            k = out.shape[axis]
+            self._charge(
+                "mxu",
+                flops=2.0 * out.size * k,
+                bytes_moved=self._nbytes(a, out) + k * k * self.dtype.itemsize,
+                batch=out.size / (out.shape[-1] * out.shape[-2]),
+            )
         return self._quantize_into(out)
 
     def acceptance_index_into(
@@ -395,32 +425,34 @@ class Backend:
         nn: np.ndarray,
         idx_out: np.ndarray,
         fscratch: np.ndarray,
-        offsets: np.ndarray | None = None,
+        offsets: np.ndarray,
     ) -> np.ndarray:
         """Map (sigma, integer nn sum) pairs to acceptance-table slots.
 
-        Computes ``idx = 5*sigma + nn`` (plus per-chain table ``offsets``
-        when given): the odd values -9..9, which the 19-slot
-        :class:`~repro.core.accept.AcceptanceTable` layout resolves via
-        the gather's wrap mode (negative indices address the table from
-        the end), so no bias add is needed for the scalar-beta case;
-        per-chain offsets fold the +9 bias in.  The arithmetic runs in
-        raw float32 — NOT through the dtype's store rounding — because
-        table offsets for large ensembles exceed bfloat16's integer
-        range; every value involved is an exact float32 integer below
-        2**24, so the final int cast is exact.  Charged as a short VPU
-        chain (same modeled cost as the 10-slot formulation it replaced).
+        Computes ``idx = 5*sigma + nn + offsets``.  ``5*sigma + nn`` takes
+        the odd values -9..9, and :class:`~repro.core.accept.AcceptanceTable`
+        ``offsets`` add the +9 bias (a 0-d ``9`` for scalar beta, the
+        per-chain ``19*b + 9`` otherwise), so every index lands in
+        ``[0, table size)``.  ``idx_out`` should be ``np.intp``, the
+        dtype :meth:`take_into` gathers with no conversion.  The
+        arithmetic runs in raw float32 — NOT through the dtype's store
+        rounding — because table offsets for large ensembles exceed
+        bfloat16's integer range; every value involved is an exact
+        float32 integer below 2**24, so the final int cast is exact.
+        Charged as a short VPU chain with a 4-byte index per site: 4
+        flops per site for a 0-d offset, which the device folds into the
+        gather's base address, 5 for per-chain offsets.
         """
         np.multiply(sigma, np.float32(5.0), out=fscratch)
         np.add(fscratch, nn, out=fscratch)
-        if offsets is not None:
-            np.add(fscratch, offsets, out=fscratch)
+        np.add(fscratch, offsets, out=fscratch)
         np.copyto(idx_out, fscratch, casting="unsafe")
-        self._charge(
-            "vpu",
-            flops=(5.0 if offsets is not None else 4.0) * idx_out.size,
-            bytes_moved=self._nbytes(sigma, nn) + 4.0 * idx_out.size,
-        )
+        if self.core is not None:
+            self._charge(
+                "vpu",
+                flops=(4.0 if offsets.ndim == 0 else 5.0) * idx_out.size,
+                bytes_moved=self._nbytes(sigma, nn) + 4.0 * idx_out.size,
+            )
         return idx_out
 
     @staticmethod
@@ -445,17 +477,20 @@ class Backend:
 
     def roll_into(self, a: np.ndarray, shift: int, axis: int, out: np.ndarray) -> np.ndarray:
         self._roll_raw(a, shift, axis, out)
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
+        if self.core is not None:
+            self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
         return out
 
     def copy_into(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.copyto(out, a)
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
+        if self.core is not None:
+            self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
         return out
 
     def slice_copy_into(self, a: np.ndarray, index: tuple, out: np.ndarray) -> np.ndarray:
         np.copyto(out, a[index])
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
+        if self.core is not None:
+            self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
         return out
 
     def add_at_slice_into(
@@ -471,11 +506,12 @@ class Backend:
         np.add(view, update, out=slab)
         self._quantize_into(slab)
         np.copyto(view, slab)
-        self._charge(
-            "formatting",
-            flops=float(update.size),
-            bytes_moved=2.0 * self._nbytes(update),
-        )
+        if self.core is not None:
+            self._charge(
+                "formatting",
+                flops=float(update.size),
+                bytes_moved=2.0 * self._nbytes(update),
+            )
         return target
 
     def assign_at_slice_into(
@@ -513,9 +549,10 @@ class Backend:
             np.add(out[..., dst], a[..., src], out=out[..., dst])
         else:
             np.add(out[..., dst, :], a[..., src, :], out=out[..., dst, :])
-        self._charge(
-            "conv", flops=4.0 * out.size, bytes_moved=self._nbytes(a, out)
-        )
+        if self.core is not None:
+            self._charge(
+                "conv", flops=4.0 * out.size, bytes_moved=self._nbytes(a, out)
+            )
         return self._quantize_into(out)
 
     def conv2d_neighbors_into(
@@ -533,9 +570,10 @@ class Backend:
         np.add(out, tmp, out=out)
         self._roll_raw(a, -1, -1, tmp)
         np.add(out, tmp, out=out)
-        self._charge(
-            "conv", flops=2.0 * 9.0 * out.size, bytes_moved=self._nbytes(a, out)
-        )
+        if self.core is not None:
+            self._charge(
+                "conv", flops=2.0 * 9.0 * out.size, bytes_moved=self._nbytes(a, out)
+            )
         return self._quantize_into(out)
 
     # -- packed (multi-spin) vocabulary ------------------------------------
@@ -563,9 +601,10 @@ class Backend:
         caller owns the lane split and threshold comparison.
         """
         stream.bits_into(out)
-        self._charge(
-            "alu", flops=20.0 * out.size, bytes_moved=self._raw_nbytes(out)
-        )
+        if self.core is not None:
+            self._charge(
+                "alu", flops=20.0 * out.size, bytes_moved=self._raw_nbytes(out)
+            )
         return out
 
     def packed_rshift_into(self, a: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
@@ -576,9 +615,10 @@ class Backend:
         ``uint32 -> uniform`` mapping).
         """
         np.right_shift(a, a.dtype.type(shift), out=out)
-        self._charge(
-            "alu", flops=float(out.size), bytes_moved=self._raw_nbytes(a, out)
-        )
+        if self.core is not None:
+            self._charge(
+                "alu", flops=float(out.size), bytes_moved=self._raw_nbytes(a, out)
+            )
         return out
 
     def packed_xor_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -591,9 +631,10 @@ class Backend:
         packed vocabulary.
         """
         np.bitwise_xor(a, b, out=out)
-        self._charge(
-            "alu", flops=float(out.size), bytes_moved=self._raw_nbytes(a, b, out)
-        )
+        if self.core is not None:
+            self._charge(
+                "alu", flops=float(out.size), bytes_moved=self._raw_nbytes(a, b, out)
+            )
         return out
 
     def packed_shift_cols_into(
@@ -610,11 +651,12 @@ class Backend:
         if out is words or tmp is words or tmp is out:
             raise ValueError("words, out and tmp must be distinct buffers")
         packed_ops.shift_cols_into(words, direction, out, tmp)
-        self._charge(
-            "alu",
-            flops=3.0 * out.size,
-            bytes_moved=self._raw_nbytes(words, out),
-        )
+        if self.core is not None:
+            self._charge(
+                "alu",
+                flops=3.0 * out.size,
+                bytes_moved=self._raw_nbytes(words, out),
+            )
         return out
 
     def packed_compare_pack_into(
@@ -634,11 +676,12 @@ class Backend:
         width over sub-word lanes).
         """
         packed_ops.compare_pack_into(values, threshold, out, cmp, byte_lo, byte_tmp)
-        self._charge(
-            "alu",
-            flops=0.5 * values.size,
-            bytes_moved=self._raw_nbytes(values, out),
-        )
+        if self.core is not None:
+            self._charge(
+                "alu",
+                flops=0.5 * values.size,
+                bytes_moved=self._raw_nbytes(values, out),
+            )
         return out
 
     def packed_full_adder_into(
@@ -661,11 +704,12 @@ class Backend:
         aliasing contract.
         """
         packed_ops.full_adder_into(d1, d2, d3, d4, low, bit1, bit2, s1, s2)
-        self._charge(
-            "alu",
-            flops=12.0 * low.size,
-            bytes_moved=self._raw_nbytes(d1, d2, d3, d4, low, bit1, bit2),
-        )
+        if self.core is not None:
+            self._charge(
+                "alu",
+                flops=12.0 * low.size,
+                bytes_moved=self._raw_nbytes(d1, d2, d3, d4, low, bit1, bit2),
+            )
 
     def packed_flip_select_into(
         self,
@@ -686,11 +730,12 @@ class Backend:
         if out is tmp:
             raise ValueError("out and tmp must be distinct buffers")
         packed_ops.flip_select_into(low, bit1, bit2, r1, r0, out, tmp)
-        self._charge(
-            "alu",
-            flops=9.0 * out.size,
-            bytes_moved=self._raw_nbytes(low, bit1, bit2, r1, r0, out),
-        )
+        if self.core is not None:
+            self._charge(
+                "alu",
+                flops=9.0 * out.size,
+                bytes_moved=self._raw_nbytes(low, bit1, bit2, r1, r0, out),
+            )
         return out
 
     def packed_pack(self, bits: np.ndarray) -> np.ndarray:
@@ -703,7 +748,8 @@ class Backend:
         from ..baselines.multispin import pack_bits
 
         out = pack_bits(bits)
-        self._charge("formatting", bytes_moved=2.0 * self._raw_nbytes(out))
+        if self.core is not None:
+            self._charge("formatting", bytes_moved=2.0 * self._raw_nbytes(out))
         return out
 
     def packed_unpack(self, words: np.ndarray, cols: int) -> np.ndarray:
@@ -711,35 +757,41 @@ class Backend:
         from ..baselines.multispin import unpack_bits
 
         out = unpack_bits(words, cols)
-        self._charge("formatting", bytes_moved=2.0 * self._raw_nbytes(words))
+        if self.core is not None:
+            self._charge("formatting", bytes_moved=2.0 * self._raw_nbytes(words))
         return out
 
     # -- data formatting -------------------------------------------------------
 
     def roll(self, a: np.ndarray, shift: int, axis: int) -> np.ndarray:
         out = np.roll(a, shift, axis=axis)
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
+        if self.core is not None:
+            self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
         return out
 
     def concat(self, parts: Sequence[np.ndarray], axis: int) -> np.ndarray:
         out = np.concatenate(parts, axis=axis)
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
+        if self.core is not None:
+            self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
         return out
 
     def slice_copy(self, a: np.ndarray, index: tuple) -> np.ndarray:
         """Materialise a copy of ``a[index]`` (XLA slices always copy)."""
         out = np.ascontiguousarray(a[index])
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
+        if self.core is not None:
+            self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
         return out
 
     def reshape(self, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         out = np.reshape(a, shape)
-        # Logical reshapes are free on layouts that match tiling; charge a
-        # token byte count so pathological reshape-heavy code is visible.
-        self._charge("formatting", bytes_moved=0.0)
+        if self.core is not None:
+            # Logical reshapes are free on layouts that match tiling; book
+            # the op with no bytes so reshape-heavy code stays visible.
+            self._charge("formatting", bytes_moved=0.0)
         return out
 
     def copy(self, a: np.ndarray) -> np.ndarray:
         out = np.array(a, dtype=np.float32, copy=True)
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
+        if self.core is not None:
+            self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
         return out

@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from ..tpu.dtypes import DType, FLOAT32
 from .base import Backend
 
 __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(Backend):
-    """Executes ops in numpy with no charging; the physics fast path.
+    """Executes ops in numpy with no core bound; the physics fast path.
 
-    Identical numerics to :class:`~repro.backend.tpu_backend.TPUBackend`
-    with the same dtype — only the accounting differs — which is what lets
-    the test suite verify chain equivalence between the two.
+    It runs the same op bodies as
+    :class:`~repro.backend.tpu_backend.TPUBackend`, so numerics are
+    identical for the same dtype, which is what lets the test suite
+    verify chain equivalence between the two.  With no core, no op
+    computes its flops or byte counts.
     """
-
-    def __init__(self, dtype: DType | str = FLOAT32) -> None:
-        super().__init__(dtype)

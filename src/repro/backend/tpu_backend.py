@@ -1,8 +1,9 @@
 """Backend that executes ops in numpy and charges a simulated TensorCore.
 
 This is the accounting twin of :class:`NumpyBackend`: numerics are
-bit-identical for the same dtype (the equivalence tests rely on it), but
-every op books modeled time into the bound core's profiler through the
+bit-identical for the same dtype (the equivalence tests rely on it).  It
+only binds :attr:`~repro.backend.base.Backend.core`; the shared op bodies
+then book every op's modeled time into that core's profiler through the
 calibrated cost model — which is how the performance tables of the paper
 are regenerated without TPU hardware.
 """
@@ -32,18 +33,6 @@ class TPUBackend(Backend):
     def __init__(self, core: TensorCore, dtype: DType | str = BFLOAT16) -> None:
         super().__init__(dtype)
         self.core = core
-
-    def _charge(
-        self,
-        category: str,
-        *,
-        flops: float = 0.0,
-        bytes_moved: float = 0.0,
-        batch: float | None = None,
-    ) -> None:
-        self.core.charge_op(
-            category, flops=flops, bytes_moved=bytes_moved, batch=batch
-        )
 
 
 def float32_tpu_backend(core: TensorCore) -> TPUBackend:

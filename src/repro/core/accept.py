@@ -15,7 +15,12 @@ combinations, so the gathered probability equals, bit for bit, what the
 elementwise path would have computed at that site — in float32 and in
 bfloat16, with or without an external field, and per chain in the batched
 ensemble (where beta is a per-chain array and the table grows one
-ten-entry band per chain).
+19-slot band per chain).
+
+Scalar and per-chain tables share one biased layout: the slot of
+``(sigma, nn)`` in chain ``b``'s band is ``19 b + 5 sigma + nn + 9``, so
+every index the gather sees is a non-negative ``np.intp`` in range —
+the form numpy's ``take`` gathers fastest.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ class AcceptanceTable:
     beta:
         Scalar inverse temperature, or a per-chain broadcast array shaped
         ``(batch, 1, ..., 1)`` exactly as the updaters carry it.  The
-        per-chain case builds a flat ``batch * 10`` table plus a
+        per-chain case builds a flat ``batch * 19`` table plus a
         per-chain slot-offset tensor.
     field:
         External magnetic field h; folded into the entries the same way
@@ -51,22 +56,19 @@ class AcceptanceTable:
     Attributes
     ----------
     entries:
-        Flat float32 array of quantized acceptance probabilities in the
-        19-slot wrap layout: the entry for ``(sigma, nn)`` lives at slot
-        ``(5*sigma + nn) mod 19`` — the ten reachable ``5*sigma + nn``
-        values are the odd integers -9..9, distinct mod 19, so the
-        gather's wrap mode resolves negative indices without a bias add.
-        Chain ``b`` of a per-chain table occupies slots
-        ``[19 b, 19 b + 19)`` with the +9 bias folded into ``offsets``.
-        Unreachable slots hold 0 and are never addressed.
+        Flat float32 array of quantized acceptance probabilities, 19
+        slots per chain: chain ``b``'s entry for ``(sigma, nn)`` lives at
+        slot ``19 b + 5*sigma + nn + 9``.  The ten reachable
+        ``5*sigma + nn`` values are the odd integers -9..9, so the +9
+        bias maps them into the band ``[19 b, 19 b + 19)``.  Unreachable
+        (even) slots hold 0 and are never addressed.
     offsets:
-        ``None`` for scalar beta; otherwise a float32 tensor shaped like
-        ``beta`` holding ``19 * b + 9`` per chain, ready to broadcast
-        into :meth:`Backend.acceptance_index_into`.
+        Float32 bias tensor for :meth:`Backend.acceptance_index_into`:
+        a 0-d ``9`` for scalar beta, otherwise shaped like ``beta`` and
+        holding ``19 * b + 9`` per chain.
     """
 
-    #: Slots per chain: indices are ``5*sigma + nn`` (odd, -9..9), taken
-    #: modulo 19, so every reachable combination gets a distinct slot.
+    #: Slots per chain: ``5*sigma + nn + 9`` spans 0..18.
     SLOTS = 19
 
     def __init__(
@@ -86,40 +88,27 @@ class AcceptanceTable:
         # in row-major order.
         probs = acceptance_ratio(backend, sigma_vals, nn_vals, beta, field=field)
         probs = np.ascontiguousarray(probs, dtype=np.float32).reshape(-1, 10)
-        raw = (5.0 * sigma_combo + nn_combo).astype(np.int64)
-        # Scalar tables are addressed by the raw (possibly negative) index
-        # through the gather's wrap; per-chain tables by raw + 9 with the
-        # bias folded into the per-chain offsets.
-        wrap_slots = raw % self.SLOTS
-        bias_slots = raw + (self.SLOTS - 1) // 2
+        bias = (self.SLOTS - 1) // 2
+        slots = (5.0 * sigma_combo + nn_combo).astype(np.int64) + bias
 
-        if np.ndim(beta) == 0:
-            if probs.shape[0] != 1:
-                raise ValueError(
-                    f"scalar beta produced {probs.shape[0]} table bands"
-                )
-            self.entries = np.zeros(self.SLOTS, dtype=np.float32)
-            self.entries[wrap_slots] = probs[0]
-            self.offsets = None
-        else:
-            beta_arr = np.asarray(beta)
-            n_chains = beta_arr.shape[0]
-            if beta_arr.size != n_chains:
-                raise ValueError(
-                    f"per-chain beta must be shaped (batch, 1, ..., 1), "
-                    f"got {beta_arr.shape}"
-                )
-            if probs.shape[0] != n_chains:
-                raise ValueError(
-                    f"table has {probs.shape[0]} bands for {n_chains} chains"
-                )
-            banded = np.zeros((n_chains, self.SLOTS), dtype=np.float32)
-            banded[:, bias_slots] = probs
-            self.entries = banded.reshape(-1)
-            self.offsets = (
-                np.arange(n_chains, dtype=np.float32) * np.float32(self.SLOTS)
-                + np.float32((self.SLOTS - 1) // 2)
-            ).reshape(beta_arr.shape)
+        beta_arr = np.asarray(beta)
+        n_chains = beta_arr.shape[0] if beta_arr.ndim else 1
+        if beta_arr.size != n_chains:
+            raise ValueError(
+                f"per-chain beta must be shaped (batch, 1, ..., 1), "
+                f"got {beta_arr.shape}"
+            )
+        if probs.shape[0] != n_chains:
+            raise ValueError(
+                f"table has {probs.shape[0]} bands for {n_chains} chains"
+            )
+        banded = np.zeros((n_chains, self.SLOTS), dtype=np.float32)
+        banded[:, slots] = probs
+        self.entries = banded.reshape(-1)
+        self.offsets = (
+            np.arange(n_chains, dtype=np.float32) * np.float32(self.SLOTS)
+            + np.float32(bias)
+        ).reshape(beta_arr.shape)
 
     @property
     def n_entries(self) -> int:
@@ -127,11 +116,8 @@ class AcceptanceTable:
 
     @property
     def nbytes(self) -> int:
-        """Host bytes held by the table (entries + per-chain offsets)."""
-        total = self.entries.nbytes
-        if self.offsets is not None:
-            total += self.offsets.nbytes
-        return int(total)
+        """Host bytes held by the table (entries + offsets)."""
+        return int(self.entries.nbytes + self.offsets.nbytes)
 
 
 class BondedAcceptance:

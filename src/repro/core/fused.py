@@ -121,10 +121,8 @@ def fused_metropolis_flip(
             )
 
     fscratch = workspace.buffer("flip_fscratch", sigma.shape)
-    idx = workspace.buffer("flip_idx", sigma.shape, np.int32)
-    backend.acceptance_index_into(
-        sigma, nn, idx, fscratch, offsets=table.offsets
-    )
+    idx = workspace.buffer("flip_idx", sigma.shape, np.intp)
+    backend.acceptance_index_into(sigma, nn, idx, fscratch, table.offsets)
     ratio = workspace.buffer("flip_ratio", sigma.shape)
     backend.take_into(table.entries, idx, ratio)
     flips = workspace.buffer("flip_flips", sigma.shape)

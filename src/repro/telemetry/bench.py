@@ -10,21 +10,28 @@ in printed tables.
 
 Schema contract (``repro.telemetry/bench-report/v1``): ``metrics`` maps
 metric name to a number (units belong in the name — ``_seconds``,
-``_flips_per_ns``, ``_ratio``); ``meta`` is free-form JSON context.
-Additions are backward compatible, removals bump the version.
+``_flips_per_ns``, ``_ratio``); ``meta`` is free-form JSON context, and
+:func:`bench_report` stamps the host into ``meta["env"]`` (see
+:func:`host_environment`).  Additions are backward compatible, removals
+bump the version.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import time
+
+import numpy as np
 
 from .report import _jsonify
 
 __all__ = [
     "BENCH_REPORT_SCHEMA",
     "bench_report",
+    "host_environment",
+    "modeled_drift",
     "validate_bench_report",
     "write_bench_report",
     "bench_filename",
@@ -42,17 +49,64 @@ def bench_filename(name: str) -> str:
     return f"BENCH_{name}.json"
 
 
+def host_environment() -> dict:
+    """The host a measurement ran on: CPU model, nproc, Python, numpy, platform."""
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")),
+                cpu,
+            )
+    except OSError:
+        pass
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        nproc = os.cpu_count() or 1
+    return {
+        "cpu": cpu,
+        "nproc": nproc,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+
+
 def bench_report(name: str, metrics: dict, meta: dict | None = None) -> dict:
-    """Assemble (and validate) one bench result as a schema-v1 dict."""
+    """Assemble (and validate) one bench result as a schema-v1 dict.
+
+    ``meta["env"]`` is set to :func:`host_environment`.
+    """
+    meta = {**(meta or {}), "env": host_environment()}
     payload = {
         "schema": BENCH_REPORT_SCHEMA,
         "name": name,
         "created_unix": time.time(),
         "metrics": _jsonify(metrics),
-        "meta": _jsonify(meta or {}),
+        "meta": _jsonify(meta),
     }
     validate_bench_report(payload)
     return payload
+
+
+def modeled_drift(fresh: dict, snapshot: dict) -> list[str]:
+    """The ``modeled_*`` metrics on which two bench reports disagree.
+
+    Modeled metrics come from the cost model alone, so a fresh run of a
+    module that reads no clock must reproduce its committed snapshot to
+    float rounding.  Returns one line per metric that differs by more
+    than 1e-12 relative, or that only one of the two reports has.
+    """
+    new, old = fresh["metrics"], snapshot["metrics"]
+    problems = []
+    for key in sorted(k for k in old.keys() | new.keys() if k.startswith("modeled_")):
+        if key not in new or key not in old:
+            side = "snapshot" if key in old else "fresh run"
+            problems.append(f"{key}: only in the {side}")
+        elif abs(new[key] - old[key]) > 1e-12 * max(abs(new[key]), abs(old[key])):
+            problems.append(f"{key}: {old[key]!r} -> {new[key]!r}")
+    return problems
 
 
 def validate_bench_report(payload: dict) -> None:

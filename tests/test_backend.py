@@ -172,23 +172,37 @@ class TestInPlaceTwins:
         expected = any_backend.random_uniform((5, 5), PhiloxStream(3, 1))
         np.testing.assert_array_equal(out, expected)
 
-    def test_take_into_wraps_negative_indices(self, backend):
-        table = np.arange(19, dtype=np.float32)
-        idx = np.array([-9, -1, 0, 9], dtype=np.int32)
-        out = np.empty(4, dtype=np.float32)
-        backend.take_into(table, idx, out)
-        np.testing.assert_array_equal(out, [10.0, 18.0, 0.0, 9.0])
+    def test_take_into_gathers_biased_slots(self, backend):
+        # Every (sigma, nn) pair, biased into a 19-slot band: the gather
+        # sees only non-negative intp indices and returns slot 5s+nn+9.
+        sigma = np.repeat([-1.0, 1.0], 5).astype(np.float32)
+        nn = np.tile([-4.0, -2.0, 0.0, 2.0, 4.0], 2).astype(np.float32)
+        idx = np.empty(10, dtype=np.intp)
+        backend.acceptance_index_into(
+            sigma, nn, idx, np.empty(10, dtype=np.float32), np.float32(9.0)
+        )
+        out = np.empty(10, dtype=np.float32)
+        backend.take_into(np.arange(19, dtype=np.float32), idx, out)
+        np.testing.assert_array_equal(out, 5.0 * sigma + nn + 9.0)
 
     def test_acceptance_index_into(self, backend):
         sigma = np.array([-1.0, -1.0, 1.0, 1.0], dtype=np.float32)
         nn = np.array([-4.0, 4.0, -4.0, 4.0], dtype=np.float32)
-        idx = np.empty(4, dtype=np.int32)
+        idx = np.empty(4, dtype=np.intp)
         fscratch = np.empty(4, dtype=np.float32)
-        backend.acceptance_index_into(sigma, nn, idx, fscratch)
-        np.testing.assert_array_equal(idx, [-9, -1, 1, 9])
-        offsets = np.full(4, 9.0, dtype=np.float32)
-        backend.acceptance_index_into(sigma, nn, idx, fscratch, offsets=offsets)
+        # Scalar-beta tables pass a 0-d bias.
+        backend.acceptance_index_into(
+            sigma, nn, idx, fscratch, np.array(9.0, dtype=np.float32)
+        )
         np.testing.assert_array_equal(idx, [0, 8, 10, 18])
+        # Per-chain tables pass 19*b + 9, broadcast over each chain.
+        offsets = np.array([[9.0], [28.0]], dtype=np.float32)
+        idx2 = np.empty((2, 4), dtype=np.intp)
+        backend.acceptance_index_into(
+            np.stack([sigma, sigma]), np.stack([nn, nn]), idx2,
+            np.empty((2, 4), dtype=np.float32), offsets,
+        )
+        np.testing.assert_array_equal(idx2, [[0, 8, 10, 18], [19, 27, 29, 37]])
 
 
 class TestBandMatmulPrimitives:

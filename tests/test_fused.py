@@ -37,16 +37,39 @@ class TestAcceptanceTable:
         backend = NumpyBackend(dtype)
         table = AcceptanceTable(backend, beta=0.44, field=field)
         probs = _table_probs(backend, 0.44, field)[0]
-        raw = (5.0 * np.repeat([-1.0, 1.0], 5) + np.tile(NN_VALUES, 2)).astype(int)
-        # Scalar tables are addressed through the gather's wrap mode.
-        gathered = np.take(table.entries, raw % AcceptanceTable.SLOTS)
-        np.testing.assert_array_equal(gathered, probs)
-        # Wrap addressing with the raw (possibly negative) index agrees.
-        np.testing.assert_array_equal(
-            np.take(table.entries, raw, mode="wrap"), probs
+        # All ten (sigma, nn) slots, addressed the way the fused flip
+        # does: biased intp indices through take_into.
+        sigma = np.repeat([-1.0, 1.0], 5).astype(np.float32)
+        nn = np.tile(NN_VALUES, 2).astype(np.float32)
+        idx = np.empty(10, dtype=np.intp)
+        backend.acceptance_index_into(
+            sigma, nn, idx, np.empty(10, dtype=np.float32), table.offsets
         )
-        assert table.offsets is None
+        gathered = backend.take_into(
+            table.entries, idx, np.empty(10, dtype=np.float32)
+        )
+        np.testing.assert_array_equal(gathered, probs)
+        assert table.offsets.ndim == 0 and table.offsets == 9.0
         assert table.entries.size == AcceptanceTable.SLOTS
+
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    def test_every_reachable_index_is_in_range(self, n_chains):
+        backend = NumpyBackend()
+        betas = np.linspace(0.3, 0.6, n_chains).reshape(n_chains, 1)
+        table = AcceptanceTable(backend, beta=betas)
+        sigma = np.tile(np.repeat([-1.0, 1.0], 5), (n_chains, 1)).astype(np.float32)
+        nn = np.tile(NN_VALUES, (n_chains, 2)).astype(np.float32)
+        idx = np.empty(sigma.shape, dtype=np.intp)
+        backend.acceptance_index_into(
+            sigma, nn, idx, np.empty(sigma.shape, dtype=np.float32), table.offsets
+        )
+        assert idx.min() >= 0
+        assert idx.max() < AcceptanceTable.SLOTS * n_chains
+        # Ten distinct slots per chain, each holding that chain's ratio.
+        assert np.unique(idx).size == 10 * n_chains
+        np.testing.assert_array_equal(
+            np.take(table.entries, idx), _table_probs(backend, betas)
+        )
 
     def test_per_chain_layout_and_offsets(self):
         backend = NumpyBackend()

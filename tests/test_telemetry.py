@@ -5,6 +5,7 @@ telemetry never perturbs the physics (bit-identical chains)."""
 from __future__ import annotations
 
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.telemetry import (
     write_bench_report,
     write_chrome_trace,
 )
+from repro.telemetry.bench import modeled_drift
 
 UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
 
@@ -354,6 +356,32 @@ class TestBenchReport:
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError, match="metrics"):
             bench_report("bad", {})
+
+    def test_env_stamped_into_meta(self, tmp_path):
+        write_bench_report("unit", {"x_seconds": 1.0}, meta={"side": 8}, out_dir=str(tmp_path))
+        payload = json.loads((tmp_path / "BENCH_unit.json").read_text())
+        validate_bench_report(payload)
+        env = payload["meta"]["env"]
+        assert set(env) == {"cpu", "nproc", "python", "numpy", "platform"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["nproc"], int) and env["nproc"] >= 1
+        assert env["cpu"] and env["platform"]
+        assert payload["meta"]["side"] == 8
+        # Reports written before the stamp still validate.
+        del payload["meta"]["env"]
+        validate_bench_report(payload)
+
+    def test_modeled_drift_flags_moved_and_missing_metrics(self):
+        old = bench_report("unit", {"modeled_a": 1.0, "modeled_b": 2.0, "measured_s": 5.0})
+        same = bench_report("unit", {"modeled_a": 1.0 + 1e-13, "modeled_b": 2.0, "measured_s": 9.0})
+        assert modeled_drift(same, old) == []
+        moved = bench_report("unit", {"modeled_a": 1.0 + 1e-9, "modeled_c": 3.0})
+        assert modeled_drift(moved, old) == [
+            "modeled_a: 1.0 -> 1.000000001",
+            "modeled_b: only in the snapshot",
+            "modeled_c: only in the fresh run",
+        ]
 
 
 # -- harness smoke ---------------------------------------------------------
