@@ -8,7 +8,7 @@ sites while they are notionally in flight, and charges only
 executed op stream is identical to the blocking schedule — same sites,
 same Philox draws — so before timing anything this module asserts
 **bit-identity**: overlapped vs blocking produce identical lattices and
-identical Philox counters for all four config updaters, float32 and
+identical Philox counters for both distributed updaters, float32 and
 bfloat16, solo and under transient fault injection.
 
 Two modeled-clock gates then hold:
@@ -43,10 +43,10 @@ from repro.harness.perf import model_pod_step
 from repro.mesh.faults import FaultEvent, FaultPlan
 from repro.mesh.topology import HierarchicalTorus, Torus2D
 
-#: Config updaters exercised by the bit-identity sweep (the distributed
-#: driver maps "conv" to its conv neighbour kernel and everything else
-#: to the compact engine, so all four public spellings are covered).
-UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
+#: Updaters exercised by the bit-identity sweep: the two the distributed
+#: driver runs (the compact engine with its matmul or conv neighbour
+#: kernel); configs naming any other updater are rejected when built.
+UPDATERS = ("compact", "conv")
 
 #: The CI assertions.
 GATE_SPEEDUP = 1.3

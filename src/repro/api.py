@@ -51,8 +51,8 @@ from .backend.numpy_backend import NumpyBackend
 from .core.config import (
     CHECKPOINT_SCHEMA,
     backend_from_checkpoint,
+    check_config,
     checkpoint_kind,
-    resolve_fused,
     resolve_overlap,
 )
 from .core.couplings import COUPLING_KINDS, BondCouplings
@@ -78,8 +78,6 @@ __all__ = [
     "Client",
 ]
 
-_UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
-
 @dataclass(frozen=True)
 class ModelSpec:
     """What the run simulates: the Hamiltonian's quenched parameters.
@@ -95,7 +93,7 @@ class ModelSpec:
         "ferro" (J = +1 everywhere, default), "bimodal" (+/-J spin
         glass) or "gaussian" (J ~ N(0, 1)).  Disordered kinds currently
         require ``updater="masked_conv"`` and an unpacked dtype (see
-        ``docs/tempering.md`` for the support matrix).
+        the support table in ``docs/engines.md``).
     disorder_seed:
         Seed of the quenched bond draw; the realisation is a pure
         function of (couplings, shape, disorder_seed).  Ignored for
@@ -224,9 +222,10 @@ class SimulationConfig:
     dtype:
         On-device storage dtype: "float32", "bfloat16" or "packed"
         (64 spins per uint64 word; see ``docs/packed_engine.md``).
-        Packed runs require ``updater`` "compact" / "checkerboard",
-        ``field=0.0``, no ``block_shape``, and a lattice width that is
-        a multiple of 128; :func:`distributed` does not support it.
+        Which updaters, fields, couplings, block shapes and drivers
+        each dtype combines with is the "What each forbids" table in
+        ``docs/engines.md``; :func:`~repro.core.config.check_config`
+        applies it when the config is built.
     backend:
         "numpy" (host arithmetic), "tpu" (single simulated TensorCore
         cost model), a pre-built :class:`~repro.backend.base.Backend`,
@@ -328,51 +327,18 @@ class SimulationConfig:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.beta is not None and self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.updater not in _UPDATERS:
-            raise ValueError(
-                f"updater must be one of {_UPDATERS}, got {self.updater!r}"
-            )
-        resolve_fused(self.fused)  # raises on junk
         resolve_overlap(self.overlap)  # raises on junk
-        dtype = resolve_dtype(self.dtype)  # raises on junk
-        if dtype.name == "packed":
-            if self.updater not in ("compact", "checkerboard"):
-                raise ValueError(
-                    f"dtype='packed' supports updater='compact' or "
-                    f"'checkerboard' (both run the packed multi-spin "
-                    f"engine); {self.updater!r} has no packed kernels — "
-                    f"use dtype='float32' for it"
-                )
-            if self.field:
-                raise ValueError(
-                    "dtype='packed' requires field=0.0: the three-case "
-                    f"Metropolis collapse assumes h = 0 (got {self.field!r}); "
-                    "use dtype='float32' for runs with a field"
-                )
-            if self.block_shape is not None:
-                raise ValueError(
-                    "dtype='packed' does not take a block_shape: spins are "
-                    "stored as 64-bit words per compact quarter, not "
-                    "blocked grids"
-                )
-            if self.fused is False:
-                raise ValueError(
-                    "dtype='packed' has no elementwise path: the packed "
-                    "engine is workspace-backed only; drop fused=False or "
-                    "use dtype='float32'"
-                )
-        if self.model is not None and self.model.couplings != "ferro":
-            if self.updater != "masked_conv":
-                raise ValueError(
-                    f"disordered couplings ({self.model.couplings!r}) require "
-                    f"updater='masked_conv' (the compact/blocked updaters "
-                    f"have no per-bond kernels yet); got {self.updater!r}"
-                )
-            if dtype.name == "packed":
-                raise ValueError(
-                    "dtype='packed' supports couplings='ferro' only: the "
-                    "three-case Metropolis collapse assumes uniform J = 1"
-                )
+        model = self.model
+        check_config(
+            self.shape,
+            self.updater,
+            resolve_dtype(self.dtype).name,  # raises on junk
+            field=self.field or (model.field if model is not None else 0.0),
+            couplings=model.couplings if model is not None else "ferro",
+            block_shape=self.block_shape,
+            fused=self.fused,
+            distributed=self.grid is not None,
+        )
         if isinstance(self.backend, str) and self.backend not in ("numpy", "tpu"):
             raise ValueError(
                 f"backend must be 'numpy', 'tpu', a Backend or None, "
@@ -635,8 +601,10 @@ def tempering(config: SimulationConfig) -> TemperingEnsemble:
 def distributed(config: SimulationConfig) -> DistributedIsing:
     """Build the SPMD pod-slice simulation a config describes.
 
-    Requires ``grid``; the per-core backends are always simulated-TPU
-    cost models, so ``backend`` must be None or "tpu".
+    Requires ``grid`` (a config with ``grid`` set already holds the pod
+    rules: updater "compact" or "conv", no packed dtype); the per-core
+    backends are always simulated-TPU cost models, so ``backend`` must
+    be None or "tpu".
     """
     if config.grid is None:
         raise ValueError(
@@ -650,13 +618,6 @@ def distributed(config: SimulationConfig) -> DistributedIsing:
             "distributed() always runs on simulated-TPU per-core backends; "
             f"config.backend must be None or 'tpu', got {config.backend!r}"
         )
-    if resolve_dtype(config.dtype).name == "packed":
-        raise ValueError(
-            "distributed() does not support dtype='packed': the halo "
-            "exchange moves float spin planes, not 64-spin words; run "
-            "packed chains through simulate() / ensemble(), or use "
-            "dtype='float32'/'bfloat16' for pod runs"
-        )
     return DistributedIsing(
         config.shape,
         config.resolved_temperature,
@@ -668,7 +629,7 @@ def distributed(config: SimulationConfig) -> DistributedIsing:
         seed=config.seed,
         initial=config.initial,
         record_trace=config.record_trace,
-        updater="conv" if config.updater == "conv" else "compact",
+        updater=config.updater,
         field=config.resolved_model.field,
         fused=config.fused,
         telemetry=config._resolved_telemetry(),

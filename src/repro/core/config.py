@@ -1,11 +1,17 @@
 """Shared simulation-configuration helpers, neutral of any driver.
 
-Historically :func:`resolve_fused` and the backend checkpoint helpers
-lived in :mod:`repro.core.simulation` and were imported by
-:mod:`repro.core.distributed` and :mod:`repro.core.ensemble` — a
-layering inversion (the distributed driver reaching *up* into the
-single-core driver for plumbing).  They live here now, below all three
-drivers; ``simulation.py`` re-exports the old names for compatibility.
+This module sits below every driver (:mod:`repro.core.simulation`,
+:mod:`repro.core.ensemble`, :mod:`repro.core.distributed`) and the
+scheduler, and it is the one place that says which configurations are
+supported: :data:`UPDATERS` names the updaters, :func:`check_config`
+holds every rule about which updater, dtype, field, couplings, block
+shape, ``fused`` value and driver combine, :func:`resolve_fused` turns
+a ``fused`` selection into the engine a chain runs, and
+:func:`default_block_shape` picks the block decomposition an unset
+``block_shape`` means.  :class:`~repro.api.SimulationConfig` calls
+:func:`check_config` when it is built, the drivers call it from their
+public constructors, and the scheduler's batching and cache keys use
+the same resolvers, so a rule cannot drift between copies.
 
 This module also owns the versioned **checkpoint/v2** envelope shared by
 every driver's ``state_dict()``:
@@ -30,6 +36,8 @@ from ..backend.numpy_backend import NumpyBackend
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_KINDS",
+    "UPDATERS",
+    "check_config",
     "resolve_fused",
     "resolve_overlap",
     "default_block_shape",
@@ -48,18 +56,117 @@ CHECKPOINT_SCHEMA = "checkpoint/v2"
 CHECKPOINT_KINDS = ("single", "ensemble", "distributed", "tempering")
 
 
-def resolve_fused(fused: "bool | str") -> "bool | str":
-    """Normalise a fused-engine selection to ``"auto"`` / True / False.
+#: Updater names: "compact" (Algorithm 2), "conv" (the appendix conv
+#: variant on the compact layout), "checkerboard" (Algorithm 1) and
+#: "masked_conv" (naive full-lattice conv + mask).
+UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
 
-    ``"auto"`` resolves later against the backend family: enabled on plain
-    numpy backends (pure host speedup), disabled on accounting backends so
-    the calibrated TPU cost tables keep their historical op sequence.
+
+def check_config(
+    shape: "int | tuple[int, int]",
+    updater: str = "compact",
+    dtype: str = "float32",
+    field: float = 0.0,
+    couplings: str = "ferro",
+    block_shape: "tuple[int, int] | None" = None,
+    fused: "bool | str" = "auto",
+    distributed: bool = False,
+) -> None:
+    """Raise :class:`ValueError` unless the configuration is supported.
+
+    ``dtype`` is a dtype name and ``couplings`` a coupling kind;
+    ``distributed`` adds the pod driver's rules.  This is the one place
+    the supported-configuration rules are written: ``SimulationConfig``
+    and every driver constructor call it.  Rules that depend on which
+    factory is called (disorder on ``simulate()``, a ladder outside
+    ``tempering()``, distributed-only fields elsewhere) stay in the
+    factories.
     """
+    rows, cols = (shape, shape) if isinstance(shape, (int, np.integer)) else shape
+    if rows % 2 or cols % 2:
+        raise ValueError(f"lattice sides must be even, got {(rows, cols)}")
+    if updater not in UPDATERS:
+        raise ValueError(f"unknown updater {updater!r}; expected one of {UPDATERS}")
+    if fused != "auto" and not isinstance(fused, (bool, np.bool_)):
+        raise ValueError(f"fused must be 'auto', True or False, got {fused!r}")
+    if distributed and updater not in ("compact", "conv"):
+        raise ValueError(
+            f"updater must be 'compact' or 'conv' for distributed runs "
+            f"(every core runs the compact layout), got {updater!r}"
+        )
+    if dtype == "packed":
+        if distributed:
+            raise ValueError(
+                "distributed() does not support dtype='packed': the halo "
+                "exchange moves float spin planes, not 64-spin words; run "
+                "packed chains through simulate() / ensemble(), or use "
+                "dtype='float32'/'bfloat16' for pod runs"
+            )
+        if updater not in ("compact", "checkerboard"):
+            raise ValueError(
+                f"dtype='packed' supports updater='compact' or "
+                f"'checkerboard' (both run the packed multi-spin "
+                f"engine); {updater!r} has no packed kernels — use "
+                f"dtype='float32' for it"
+            )
+        if field:
+            raise ValueError(
+                "dtype='packed' requires field=0.0: the three-case "
+                f"Metropolis collapse assumes h = 0 (got {field!r}); "
+                "use dtype='float32' for runs with a field"
+            )
+        if block_shape is not None:
+            raise ValueError(
+                "dtype='packed' does not take a block_shape: spins are "
+                "stored as 64-bit words per compact quarter, not "
+                "blocked grids"
+            )
+        if fused is False:
+            raise ValueError(
+                "dtype='packed' has no elementwise path: the packed "
+                "engine is workspace-backed only; drop fused=False or "
+                "use dtype='float32'"
+            )
+        if cols % 128:
+            raise ValueError(
+                f"dtype='packed' needs the lattice width to be a "
+                f"multiple of 128 (each compact quarter packs into "
+                f"whole 64-bit words), got {cols}"
+            )
+        if couplings != "ferro":
+            raise ValueError(
+                "dtype='packed' supports couplings='ferro' only: the "
+                "three-case Metropolis collapse assumes uniform J = 1; "
+                "use dtype='float32' with updater='masked_conv' for "
+                "disordered bonds"
+            )
+    if couplings != "ferro" and updater != "masked_conv":
+        raise ValueError(
+            f"disordered couplings ({couplings!r}) require "
+            f"updater='masked_conv' (the compact/blocked updaters "
+            f"have no per-bond kernels yet); got {updater!r}"
+        )
+    if updater == "masked_conv" and block_shape is not None:
+        raise ValueError(
+            f"masked_conv does not take a block_shape (got {block_shape!r})"
+        )
+
+
+def resolve_fused(fused: "bool | str", backend: str, dtype: str) -> bool:
+    """Whether a chain on a ``backend`` kind and ``dtype`` name runs fused.
+
+    ``"auto"`` enables the fused engine on plain numpy backends (pure
+    host speedup) and disables it on accounting ("tpu") backends, so
+    the calibrated TPU cost tables keep their historical op sequence.
+    The packed engine exists only in workspace-backed form, so packed
+    chains always run fused (:func:`check_config` rejects
+    ``fused=False`` for them).
+    """
+    if dtype == "packed":
+        return True
     if fused == "auto":
-        return "auto"
-    if isinstance(fused, (bool, np.bool_)):
-        return bool(fused)
-    raise ValueError(f"fused must be 'auto', True or False, got {fused!r}")
+        return backend == "numpy"
+    return bool(fused)
 
 
 def resolve_overlap(overlap: "bool | str") -> "bool | str":
@@ -80,19 +187,21 @@ def resolve_overlap(overlap: "bool | str") -> "bool | str":
 
 
 def default_block_shape(
-    updater: str, shape: "tuple[int, int]"
+    updater: str, shape: "tuple[int, int]", dtype: str = "float32"
 ) -> "tuple[int, int] | None":
     """The driver's default block decomposition for ``updater`` on ``shape``.
 
     This is the single source of truth consumed by the drivers *and* by
-    the scheduler's cache key (:mod:`repro.sched.cache`), so an unset
-    ``block_shape`` and its spelled-out default can never drift apart:
+    the scheduler's batching and cache keys (:mod:`repro.sched`), so an
+    unset ``block_shape`` and its spelled-out default can never drift
+    apart:
 
-    * ``masked_conv`` runs unblocked (and rejects an explicit block);
+    * ``masked_conv`` and ``dtype="packed"`` run unblocked (and reject
+      an explicit block);
     * ``checkerboard`` defaults to one block covering the whole lattice;
     * ``compact`` / ``conv`` default to a 2x2 grid of half-lattice blocks.
     """
-    if updater == "masked_conv":
+    if updater == "masked_conv" or dtype == "packed":
         return None
     rows, cols = (int(shape[0]), int(shape[1]))
     if updater == "checkerboard":

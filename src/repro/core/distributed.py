@@ -50,6 +50,7 @@ from ..tpu.device import PodSlice
 from ..tpu.dtypes import DType, FLOAT32, resolve_dtype
 from .compact import CompactUpdater
 from .config import (
+    check_config,
     checkpoint_envelope,
     default_block_shape,
     resolve_fused,
@@ -210,12 +211,18 @@ class DistributedIsing:
         fault_plan: FaultPlan | None = None,
         checkpoint_interval: int | None = None,
     ) -> None:
-        if updater not in ("compact", "conv"):
-            raise ValueError(
-                f"updater must be 'compact' or 'conv', got {updater!r}"
-            )
         if isinstance(global_shape, (int, np.integer)):
             global_shape = (int(global_shape), int(global_shape))
+        dtype = resolve_dtype(dtype)
+        check_config(
+            global_shape,
+            updater,
+            dtype.name,
+            field=field,
+            block_shape=block_shape,
+            fused=fused,
+            distributed=True,
+        )
         rows, cols = global_shape
         p_rows, p_cols = core_grid
         if p_rows <= 0 or p_cols <= 0:
@@ -253,13 +260,13 @@ class DistributedIsing:
         self.temperature = float(temperature)
         self.beta = 1.0 / self.temperature
         self.field = float(field)
-        self.dtype = resolve_dtype(dtype)
+        self.dtype = dtype
         self.seed = int(seed)
         self.sweeps_done = 0
-        self.fused_config = resolve_fused(fused)
+        self.fused_config = fused
         # Per-core backends are TPU cost models: "auto" keeps the
         # elementwise op sequence the calibrated tables were fit to.
-        self.fused = False if self.fused_config == "auto" else self.fused_config
+        self.fused = resolve_fused(fused, "tpu", dtype.name)
         self.overlap_config = resolve_overlap(overlap)
         # "auto": hide halos exactly where the slow inter-pod tier makes
         # it worth modeling; flat single-pod timelines stay historical.

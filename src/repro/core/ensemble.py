@@ -32,9 +32,6 @@ from ..observables.energy import energy_per_spin
 from ..observables.magnetization import magnetization
 from ..rng.streams import BatchedPhiloxStream, PhiloxStream
 from ..telemetry.report import RunReport, RunTelemetry
-from .checkerboard import CheckerboardUpdater
-from .compact import CompactUpdater
-from .conv import ConvUpdater, MaskedConvUpdater
 from .couplings import BondCouplings, bond_total_energy
 from .fused import record_fused_metrics
 from .lattice import cold_lattice, random_lattice, validate_spins
@@ -42,6 +39,7 @@ from .config import (
     backend_from_checkpoint,
     backend_kind,
     check_checkpoint_dtype,
+    check_config,
     checkpoint_envelope,
     default_block_shape,
     resolve_fused,
@@ -52,7 +50,7 @@ from .traced import TracedExecutor, record_traced_metrics
 from .simulation import (
     ChainResult,
     IsingSimulation,
-    _UPDATERS,
+    _make_updater,
     summarize_chain,
 )
 
@@ -124,9 +122,22 @@ class EnsembleSimulation:
     ) -> None:
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape), int(shape))
-        rows, cols = shape
-        if rows % 2 or cols % 2:
-            raise ValueError(f"lattice sides must be even, got {shape}")
+        self.backend = backend if backend is not None else NumpyBackend()
+        dtype = self.backend.dtype.name
+        # Quenched per-bond disorder: ferro collapses to None (the clean
+        # fast path); real disorder runs on the plain-lattice masked_conv
+        # updater, whose weighted neighbour sum carries the bond planes.
+        if couplings is not None and couplings.kind == "ferro":
+            couplings = None
+        check_config(
+            shape,
+            updater,
+            dtype,
+            field=field,
+            couplings=couplings.kind if couplings is not None else "ferro",
+            block_shape=block_shape,
+            fused=fused,
+        )
         temps = np.asarray(temperatures, dtype=np.float64)
         if temps.ndim != 1 or temps.size == 0:
             raise ValueError(
@@ -134,17 +145,12 @@ class EnsembleSimulation:
             )
         if np.any(temps <= 0):
             raise ValueError(f"temperatures must be positive, got {temps}")
-        if updater not in _UPDATERS:
-            raise ValueError(
-                f"unknown updater {updater!r}; expected one of {sorted(_UPDATERS)}"
-            )
 
-        self.shape = (int(rows), int(cols))
+        self.shape = (int(shape[0]), int(shape[1]))
         self.temperatures = temps
         self.betas = 1.0 / temps
         self.n_chains = int(temps.size)
         self.field = float(field)
-        self.backend = backend if backend is not None else NumpyBackend()
         self.updater_name = updater
         self.seed = int(seed)
         #: Per-chain Philox seeds.  The constructor broadcasts the shared
@@ -154,24 +160,9 @@ class EnsembleSimulation:
         self.seeds = [self.seed] * self.n_chains
         self.sweeps_done = 0
         self.telemetry = telemetry
-        self.packed = self.backend.dtype.name == "packed"
-        self.fused_config = resolve_fused(fused)
-        if self.packed:
-            # The packed engine exists only in workspace-backed *_into
-            # form, so it is always "fused" regardless of backend kind.
-            if self.fused_config is False:
-                raise ValueError(
-                    "dtype='packed' has no elementwise path: the packed "
-                    "engine is workspace-backed only; drop fused=False or "
-                    "use dtype='float32'"
-                )
-            self.fused = True
-        else:
-            self.fused = (
-                backend_kind(self.backend) == "numpy"
-                if self.fused_config == "auto"
-                else self.fused_config
-            )
+        self.packed = dtype == "packed"
+        self.fused_config = fused
+        self.fused = resolve_fused(fused, backend_kind(self.backend), dtype)
 
         if stream_ids is None:
             stream_ids = range(self.n_chains)
@@ -181,64 +172,14 @@ class EnsembleSimulation:
                 f"{len(self.stream_ids)} stream ids for {self.n_chains} chains"
             )
 
-        if self.packed:
-            if updater not in ("compact", "checkerboard"):
-                raise ValueError(
-                    f"dtype='packed' supports updater='compact' or "
-                    f"'checkerboard' (both run the packed multi-spin "
-                    f"engine); {updater!r} has no packed kernels — use "
-                    f"dtype='float32' for it"
-                )
-            if self.field:
-                raise ValueError(
-                    "dtype='packed' requires field=0.0: the three-case "
-                    f"Metropolis collapse assumes h = 0 (got {self.field!r}); "
-                    "use dtype='float32' for runs with a field"
-                )
-            if block_shape is not None:
-                raise ValueError(
-                    "dtype='packed' does not take a block_shape: spins are "
-                    "stored as 64-bit words per compact quarter, not "
-                    "blocked grids"
-                )
-            if cols % 128:
-                raise ValueError(
-                    f"dtype='packed' needs the lattice width to be a "
-                    f"multiple of 128 (each compact quarter packs into "
-                    f"whole 64-bit words), got {cols}"
-                )
-        elif updater == "masked_conv":
-            if block_shape is not None:
-                raise ValueError("masked_conv does not take a block_shape")
-        elif block_shape is None:
-            block_shape = default_block_shape(updater, self.shape)
+        if block_shape is None:
+            block_shape = default_block_shape(updater, self.shape, dtype)
         self.block_shape = block_shape
-
-        # Quenched per-bond disorder: ferro collapses to None (the clean
-        # fast path); real disorder currently runs on the plain-lattice
-        # masked_conv updater, whose weighted neighbour sum carries the
-        # bond planes (see docs/tempering.md for the support matrix).
-        if couplings is not None and couplings.kind == "ferro":
-            couplings = None
-        if couplings is not None:
-            if self.packed:
-                raise ValueError(
-                    "dtype='packed' supports couplings='ferro' only: the "
-                    "three-case Metropolis collapse assumes uniform J = 1; "
-                    "use dtype='float32' with updater='masked_conv' for "
-                    "disordered bonds"
-                )
-            if updater != "masked_conv":
-                raise ValueError(
-                    f"disordered couplings ({couplings.kind!r}) require "
-                    f"updater='masked_conv' (the compact/blocked updaters "
-                    f"have no per-bond kernels yet); got {updater!r}"
-                )
-            if tuple(couplings.shape) != self.shape:
-                raise ValueError(
-                    f"bond coupling shape {tuple(couplings.shape)} != "
-                    f"lattice shape {self.shape}"
-                )
+        if couplings is not None and tuple(couplings.shape) != self.shape:
+            raise ValueError(
+                f"bond coupling shape {tuple(couplings.shape)} != "
+                f"lattice shape {self.shape}"
+            )
         self.couplings = couplings
         self._updater = self._build_updater()
         self.block_shape = getattr(self._updater, "block_shape", None)
@@ -281,43 +222,30 @@ class EnsembleSimulation:
     def _build_updater(self):
         """Construct the batched updater for the current chain roster.
 
-        The per-chain beta vector broadcasts against the batched state:
-        rank-3 (batch, rows, cols) for masked_conv, rank-5 grids for the
-        blocked updaters.  Called at construction and again whenever the
-        roster changes (:meth:`add_chain` / :meth:`remove_chain`) — the
-        updaters precompute per-chain acceptance tables from the beta
-        vector, so a roster change rebuilds them.
+        Called at construction and again whenever the roster changes
+        (:meth:`add_chain` / :meth:`remove_chain`) — the updaters
+        precompute per-chain acceptance tables from the beta vector, so
+        a roster change rebuilds them.
         """
-        if self.packed:
-            # The packed updater broadcasts its own (B,) thresholds over
-            # the batched (B, rows/2, cols/128) word planes.
-            return PackedUpdater(self.betas, self.backend, field=self.field)
-        state_rank = 3 if self.updater_name == "masked_conv" else 5
-        beta_vec = self.betas.reshape((self.n_chains,) + (1,) * (state_rank - 1))
-        if self.updater_name == "masked_conv":
-            return MaskedConvUpdater(
-                beta_vec,
-                self.backend,
-                field=self.field,
-                fused=self.fused,
-                couplings=self.couplings,
-            )
-        if self.updater_name == "checkerboard":
-            return CheckerboardUpdater(
-                beta_vec,
-                self.backend,
-                block_shape=self.block_shape,
-                field=self.field,
-                fused=self.fused,
-            )
-        updater_cls = ConvUpdater if self.updater_name == "conv" else CompactUpdater
-        return updater_cls(
-            beta_vec,
+        return _make_updater(
+            self.updater_name,
+            self._beta_vector(),
             self.backend,
-            block_shape=self.block_shape,
-            field=self.field,
-            fused=self.fused,
+            self.block_shape,
+            self.field,
+            self.fused,
+            couplings=self.couplings,
         )
+
+    def _beta_vector(self) -> np.ndarray:
+        """The per-chain betas, shaped to broadcast against the batched
+        state: ``(B,)`` for the packed engine's thresholds over its
+        ``(B, rows/2, cols/128)`` word planes, rank-3 ``(batch, rows,
+        cols)`` for masked_conv, rank-5 grids for the blocked updaters."""
+        if self.packed:
+            return self.betas
+        state_rank = 3 if self.updater_name == "masked_conv" else 5
+        return self.betas.reshape((self.n_chains,) + (1,) * (state_rank - 1))
 
     # -- state access -------------------------------------------------------
 
@@ -518,10 +446,7 @@ class EnsembleSimulation:
         if retemper is None or self.packed:
             self._updater = self._build_updater()
         else:
-            state_rank = 3 if self.updater_name == "masked_conv" else 5
-            retemper(
-                self.betas.reshape((self.n_chains,) + (1,) * (state_rank - 1))
-            )
+            retemper(self._beta_vector())
         if self._executor is not None:
             # The recorded sweep references the old acceptance table's
             # entries; drop it and re-record on the next sweep.

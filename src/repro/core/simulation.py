@@ -36,6 +36,7 @@ from .config import (
     backend_from_checkpoint,
     backend_kind,
     check_checkpoint_dtype,
+    check_config,
     checkpoint_envelope,
     default_block_shape,
     resolve_fused,
@@ -54,15 +55,36 @@ __all__ = [
     "run_temperature_scan",
 ]
 
-#: Updater names accepted by IsingSimulation: "compact" (Algorithm 2),
-#: "conv" (appendix conv variant on the compact layout), "checkerboard"
-#: (Algorithm 1) and "masked_conv" (naive full-lattice conv + mask).
-_UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
+def _make_updater(
+    updater: str,
+    beta: "float | np.ndarray",
+    backend: Backend,
+    block_shape: "tuple[int, int] | None",
+    field: float,
+    fused: bool,
+    couplings=None,
+):
+    """The sweep updater a checked configuration runs.
 
-# Compatibility aliases: these helpers moved to repro.core.config (the
-# distributed and ensemble drivers import them from there now).
-_backend_kind = backend_kind
-_backend_from_checkpoint = backend_from_checkpoint
+    A packed backend gets the packed multi-spin engine (for either of
+    its updater names); otherwise ``updater`` names the float updater.
+    ``beta`` is a scalar for one chain or a per-chain array shaped to
+    broadcast against a batched state.
+    """
+    if backend.dtype.name == "packed":
+        return PackedUpdater(beta, backend, field=field)
+    if updater == "masked_conv":
+        return MaskedConvUpdater(
+            beta, backend, field=field, fused=fused, couplings=couplings
+        )
+    updater_cls = {
+        "compact": CompactUpdater,
+        "conv": ConvUpdater,
+        "checkerboard": CheckerboardUpdater,
+    }[updater]
+    return updater_cls(
+        beta, backend, block_shape=block_shape, field=field, fused=fused
+    )
 
 
 @dataclass
@@ -176,106 +198,30 @@ class IsingSimulation:
     ) -> None:
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape), int(shape))
-        rows, cols = shape
-        if rows % 2 or cols % 2:
-            raise ValueError(f"lattice sides must be even, got {shape}")
+        self.backend = backend if backend is not None else NumpyBackend()
+        dtype = self.backend.dtype.name
+        check_config(
+            shape, updater, dtype, field=field, block_shape=block_shape, fused=fused
+        )
         if temperature <= 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
-        if updater not in _UPDATERS:
-            raise ValueError(
-                f"unknown updater {updater!r}; expected one of {sorted(_UPDATERS)}"
-            )
 
-        self.shape = (rows, cols)
+        self.shape = (int(shape[0]), int(shape[1]))
         self.temperature = float(temperature)
         self.beta = 1.0 / self.temperature
         self.field = float(field)
-        self.backend = backend if backend is not None else NumpyBackend()
-        self.packed = self.backend.dtype.name == "packed"
+        self.packed = dtype == "packed"
         self.stream = PhiloxStream(seed, stream_id)
         self.updater_name = updater
         self.sweeps_done = 0
         self.telemetry = telemetry
-        self.fused_config = resolve_fused(fused)
-        if self.packed:
-            # The packed engine exists only in workspace-backed *_into
-            # form, so it is always "fused" regardless of backend kind.
-            if self.fused_config is False:
-                raise ValueError(
-                    "dtype='packed' has no elementwise path: the packed "
-                    "engine is workspace-backed only; drop fused=False or "
-                    "use dtype='float32'"
-                )
-            self.fused = True
-        else:
-            self.fused = (
-                _backend_kind(self.backend) == "numpy"
-                if self.fused_config == "auto"
-                else self.fused_config
-            )
-
-        if self.packed:
-            if updater not in ("compact", "checkerboard"):
-                raise ValueError(
-                    f"dtype='packed' supports updater='compact' or "
-                    f"'checkerboard' (both run the packed multi-spin "
-                    f"engine); {updater!r} has no packed kernels — use "
-                    f"dtype='float32' for it"
-                )
-            if self.field:
-                raise ValueError(
-                    "dtype='packed' requires field=0.0: the three-case "
-                    f"Metropolis collapse assumes h = 0 (got {self.field!r}); "
-                    "use dtype='float32' for runs with a field"
-                )
-            if block_shape is not None:
-                raise ValueError(
-                    "dtype='packed' does not take a block_shape: spins are "
-                    "stored as 64-bit words per compact quarter, not "
-                    "blocked grids"
-                )
-            if cols % 128:
-                raise ValueError(
-                    f"dtype='packed' needs the lattice width to be a "
-                    f"multiple of 128 (each compact quarter packs into "
-                    f"whole 64-bit words), got {cols}"
-                )
-            self._updater = PackedUpdater(self.beta, self.backend, field=self.field)
-        elif updater == "masked_conv":
-            if block_shape is not None:
-                raise ValueError("masked_conv does not take a block_shape")
-            self._updater = MaskedConvUpdater(
-                self.beta, self.backend, field=self.field, fused=self.fused
-            )
-        elif updater == "checkerboard":
-            if block_shape is None:
-                block_shape = default_block_shape(updater, self.shape)
-            self._updater = CheckerboardUpdater(
-                self.beta,
-                self.backend,
-                block_shape=block_shape,
-                field=self.field,
-                fused=self.fused,
-            )
-        else:
-            if block_shape is None:
-                block_shape = default_block_shape(updater, self.shape)
-            if updater == "conv":
-                self._updater = ConvUpdater(
-                    self.beta,
-                    self.backend,
-                    block_shape=block_shape,
-                    field=self.field,
-                    fused=self.fused,
-                )
-            else:
-                self._updater = CompactUpdater(
-                    self.beta,
-                    self.backend,
-                    block_shape=block_shape,
-                    field=self.field,
-                    fused=self.fused,
-                )
+        self.fused_config = fused
+        self.fused = resolve_fused(fused, backend_kind(self.backend), dtype)
+        if block_shape is None:
+            block_shape = default_block_shape(updater, self.shape, dtype)
+        self._updater = _make_updater(
+            updater, self.beta, self.backend, block_shape, self.field, self.fused
+        )
         #: Resolved grid block decomposition (None for masked_conv, which
         #: keeps the plain layout).  Checkpoints carry it so a restored
         #: chain reproduces the same blocked tensors.
@@ -512,7 +458,7 @@ class IsingSimulation:
                 "temperature": self.temperature,
                 "field": self.field,
                 "updater": self.updater_name,
-                "backend": _backend_kind(self.backend),
+                "backend": backend_kind(self.backend),
                 "dtype": self.backend.dtype.name,
                 "block_shape": self.block_shape,
                 "fused": self.fused,

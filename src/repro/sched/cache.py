@@ -59,17 +59,18 @@ def _normalized_shape(shape) -> tuple[int, int]:
     return (int(rows), int(cols))
 
 
-def _resolved_block_shape(config, shape: tuple[int, int]):
+def _resolved_block_shape(config, shape: tuple[int, int], dtype: str):
     """The effective block decomposition, via the drivers' shared default.
 
     Delegating to :func:`~repro.core.config.default_block_shape` (rather
     than re-spelling the per-updater defaults here) guarantees an unset
-    ``block_shape`` and its explicit default hash to the same key.
+    ``block_shape`` and its explicit default hash to the same key, and
+    that a batch gets exactly the block its driver accepts.
     """
     if config.block_shape is not None:
         rows, cols = config.block_shape
         return (int(rows), int(cols))
-    return default_block_shape(config.updater, shape)
+    return default_block_shape(config.updater, shape, dtype)
 
 
 def _initial_token(initial) -> str:
@@ -138,6 +139,7 @@ def canonical_cache_key(config, sweeps: int) -> str:
     contract (backend kind, fused selection, telemetry).
     """
     shape = _normalized_shape(config.shape)
+    dtype = resolve_dtype(config.dtype).name
     parts = (
         CACHE_KEY_SCHEMA,
         f"shape={shape}",
@@ -145,8 +147,8 @@ def canonical_cache_key(config, sweeps: int) -> str:
         f"model={_model_token(config)}",
         f"ladder={_ladder_token(config)}",
         f"updater={config.updater}",
-        f"dtype={resolve_dtype(config.dtype).name}",
-        f"block_shape={_resolved_block_shape(config, shape)}",
+        f"dtype={dtype}",
+        f"block_shape={_resolved_block_shape(config, shape, dtype)}",
         f"initial={_initial_token(config.initial)}",
         f"seed={int(config.seed)}",
         f"sweeps={int(sweeps)}",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.config import resolve_fused
 from ..tpu.dtypes import resolve_dtype
 from .cache import _ladder_token, _model_token, _normalized_shape, _resolved_block_shape
 from .job import Job
@@ -42,17 +43,15 @@ def compat_key(config) -> tuple:
     """
     shape = _normalized_shape(config.shape)
     backend = "tpu" if config.backend == "tpu" else "numpy"
-    fused = config.fused
-    if fused == "auto":
-        fused = backend == "numpy"
+    dtype = resolve_dtype(config.dtype).name
     return (
         shape,
         config.updater,
-        resolve_dtype(config.dtype).name,
+        dtype,
         backend,
         (_model_token(config), _ladder_token(config)),
-        _resolved_block_shape(config, shape),
-        bool(fused),
+        _resolved_block_shape(config, shape, dtype),
+        resolve_fused(config.fused, backend, dtype),
     )
 
 

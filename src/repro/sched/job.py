@@ -115,14 +115,6 @@ class JobSpec:
                 "scheduler owns instrumentation (pass telemetry= to the "
                 "Scheduler)"
             )
-        if (
-            self.config.updater == "masked_conv"
-            and self.config.block_shape is not None
-        ):
-            raise ValueError(
-                "masked_conv does not take a block_shape "
-                f"(got {self.config.block_shape!r})"
-            )
         if not (
             self.config.backend is None
             or self.config.backend in ("numpy", "tpu")

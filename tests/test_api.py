@@ -123,6 +123,19 @@ class TestFactories:
         with pytest.raises(ValueError, match="backend"):
             distributed(SimulationConfig(shape=32, grid=(2, 2), backend="numpy"))
 
+    @pytest.mark.parametrize("updater", ["checkerboard", "masked_conv"])
+    def test_grid_config_rejects_updaters_the_pod_cannot_run(self, updater):
+        # Regression: distributed() used to run these as "compact".
+        with pytest.raises(ValueError, match="'compact' or 'conv'"):
+            SimulationConfig(shape=32, grid=(2, 2), updater=updater)
+
+    @pytest.mark.parametrize("updater", ["compact", "conv"])
+    def test_distributed_runs_the_updater_it_was_given(self, updater):
+        sim = distributed(SimulationConfig(shape=32, grid=(2, 2), updater=updater))
+        assert sim.updater_name == updater
+        nn_method = "conv" if updater == "conv" else "matmul"
+        assert all(u.nn_method == nn_method for u in sim._updaters)
+
     def test_distributed_carries_fault_fields(self):
         plan = repro.FaultPlan(drop_rate=0.01)
         sim = distributed(

@@ -8,10 +8,11 @@ import pytest
 from repro.backend import NumpyBackend
 from repro.backend.tpu_backend import TPUBackend
 from repro.core.accept import NN_VALUES, AcceptanceTable
+from repro.core.config import check_config, resolve_fused
 from repro.core.distributed import DistributedIsing
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.fused import SweepWorkspace, record_fused_metrics
-from repro.core.simulation import IsingSimulation, resolve_fused
+from repro.core.simulation import IsingSimulation
 from repro.core.update import acceptance_ratio
 from repro.telemetry import MetricsRegistry, RunTelemetry
 from repro.tpu.tensorcore import TensorCore
@@ -286,11 +287,13 @@ class TestFusedTelemetry:
 
 class TestFusedConfig:
     def test_resolve_fused(self):
-        assert resolve_fused("auto") == "auto"
-        assert resolve_fused(True) is True
-        assert resolve_fused(False) is False
+        assert resolve_fused("auto", "numpy", "float32") is True
+        assert resolve_fused("auto", "tpu", "bfloat16") is False
+        assert resolve_fused("auto", "tpu", "packed") is True
+        assert resolve_fused(True, "tpu", "float32") is True
+        assert resolve_fused(False, "numpy", "float32") is False
         with pytest.raises(ValueError, match="fused"):
-            resolve_fused("yes")
+            check_config(8, fused="yes")
 
     def test_auto_enables_on_numpy_disables_on_tpu(self):
         numpy_sim = IsingSimulation((8, 8), 2.2, seed=1)

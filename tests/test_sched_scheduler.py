@@ -53,6 +53,27 @@ class TestBitIdentity:
                 job.result.lattice, _solo_lattice(config, 7)
             )
 
+    @pytest.mark.parametrize("updater", ["compact", "checkerboard"])
+    @pytest.mark.parametrize("backend", ["numpy", "tpu"])
+    def test_packed_jobs_match_solo(self, updater, backend):
+        """Packed jobs finish: their batch gets the packed engine's
+        unblocked layout and its always-fused engine on both backends."""
+        scheduler = Scheduler(n_devices=1, max_batch=4)
+        configs = [
+            SimulationConfig(
+                shape=128, temperature=2.1 + 0.2 * i, updater=updater,
+                dtype="packed", backend=backend, seed=3 + i,
+            )
+            for i in range(2)
+        ]
+        jobs = [scheduler.submit(config, 4) for config in configs]
+        scheduler.drain()
+        for config, job in zip(configs, jobs):
+            assert job.state == "done", job.error
+            np.testing.assert_array_equal(
+                job.result.lattice, _solo_lattice(config, 4)
+            )
+
     def test_numpy_backend_matches_solo(self):
         scheduler = Scheduler(n_devices=1, max_batch=4)
         config = SimulationConfig(shape=16, temperature=2.1, seed=4)

@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.api import SimulationConfig
+from repro.api import SimulationConfig, simulate
 from repro.sched import Client, Scheduler
 from repro.serve import (
     PROTOCOL_VERSION,
@@ -150,6 +150,29 @@ class TestErrors:
 
         with_app(scenario)
 
+    @pytest.mark.parametrize(
+        "overrides, rule",
+        [
+            ({"shape": 33}, "lattice sides must be even"),
+            ({"shape": [64, 64], "dtype": "packed"}, "multiple of 128"),
+            (
+                {"updater": "masked_conv", "block_shape": [4, 4]},
+                "masked_conv does not take a block_shape",
+            ),
+        ],
+        ids=["odd-side", "narrow-packed", "masked-conv-block"],
+    )
+    def test_unsupported_config_is_400_at_post(self, overrides, rule):
+        async def scenario(app):
+            status, _, body = await post_job(
+                app, config=wire_config(**overrides)
+            )
+            assert status == 400, body
+            assert rule in body["error"]
+            assert app.accepted == 0
+
+        with_app(scenario)
+
     def test_wrong_method_405(self):
         async def scenario(app):
             status, _, body = await http_request(
@@ -162,6 +185,32 @@ class TestErrors:
             assert status == 405
 
         with_app(scenario)
+
+
+class TestPackedJobs:
+    @pytest.mark.parametrize("updater", ["compact", "checkerboard"])
+    @pytest.mark.parametrize("backend", ["numpy", "tpu"])
+    def test_packed_job_over_http_matches_simulate(self, updater, backend):
+        config = wire_config(
+            shape=[128, 128], dtype="packed", updater=updater, backend=backend
+        )
+
+        async def scenario(app):
+            status, _, body = await post_job(app, config=config, sweeps=4)
+            assert status == 202, body
+            status, _, res = await http_request(
+                "127.0.0.1", app.port, "GET", f"/v1/jobs/{body['id']}/result"
+            )
+            assert status == 200, res
+            assert res["state"] == "done"
+            return res["result"]
+
+        wire = with_app(scenario)
+        sim = simulate(config_from_wire(config))
+        sim.run(4)
+        np.testing.assert_array_equal(
+            np.asarray(wire["lattice"], dtype=np.float32), sim.lattice
+        )
 
 
 class TestBackpressure:
