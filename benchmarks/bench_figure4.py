@@ -3,13 +3,6 @@
 Measured: the cost of one temperature point's sampling loop.  Shape
 checks: the crossing of the Binder curves near Tc and the f32/bf16
 agreement, at quick-run scale.
-
-The emitted artifact additionally carries a Figure-4-style *weak
-scaling* section: modeled step times and efficiencies from 16 to 4096
-cores at the paper-scale per-core lattice, on concrete topologies
-including multi-pod :class:`~repro.mesh.topology.HierarchicalTorus`
-points priced by the two-tier link model, blocking vs split-phase
-overlap schedules (see ``docs/multipod.md``).
 """
 
 from __future__ import annotations
@@ -64,15 +57,8 @@ def test_bf16_curves_match_f32(figure4_result):
 
 
 def bench_payload() -> tuple[dict, dict]:
-    """Machine-readable summary: measured host sampling cost (quick) plus
-    the modeled 16 -> 4096-core weak-scaling curve with multi-pod points.
-    """
+    """Machine-readable summary: measured host sampling cost (quick)."""
     from time import perf_counter
-
-    from benchmarks.bench_multipod import (
-        PER_CORE,
-        measure_weak_scaling,
-    )
 
     def sample_once():
         sim = IsingSimulation(32, T_CRITICAL, seed=3)
@@ -86,31 +72,5 @@ def bench_payload() -> tuple[dict, dict]:
         "measured_sample_loop_seconds": wall,
         "measured_sweeps_per_second": 70 / wall,
     }
-    scaling = measure_weak_scaling()
-    for n_cores, row in scaling.items():
-        metrics[f"modeled_weak_{n_cores}_overlap_step_seconds"] = row[
-            "overlap_step_seconds"
-        ]
-        metrics[f"modeled_weak_{n_cores}_blocking_step_seconds"] = row[
-            "blocking_step_seconds"
-        ]
-        metrics[f"modeled_weak_{n_cores}_overlap_efficiency"] = row[
-            "overlap_efficiency"
-        ]
-        metrics[f"modeled_weak_{n_cores}_multi_pod"] = float(row["multi_pod"])
-    meta = {
-        "side": 32,
-        "n_samples": 50,
-        "burn_in": 20,
-        "updater": "compact",
-        "weak_scaling": {
-            "per_core_shape": list(PER_CORE),
-            "cores": sorted(scaling),
-            "multi_pod_cores": sorted(
-                n for n, row in scaling.items() if row["multi_pod"]
-            ),
-            "dtype": "bfloat16",
-            "clock": "modeled TPU seconds (two-tier link model)",
-        },
-    }
+    meta = {"side": 32, "n_samples": 50, "burn_in": 20, "updater": "compact"}
     return metrics, meta

@@ -99,19 +99,6 @@ def overhead_stats(pct: np.ndarray, n_orders: int) -> tuple[float, float, float]
     return float(median), float(q3 - q1), float(order)
 
 
-def overhead_pct(
-    seconds: dict[str, np.ndarray], floor: str, variant: str
-) -> tuple[float, float, float]:
-    """:func:`overhead_stats` of the per-round ``variant / floor - 1``, in %.
-
-    Rounds are paired (a round's timings ran back to back), so a slow
-    machine phase moves both halves of a pair and cancels out of the
-    ratio.
-    """
-    pct = 100.0 * (seconds[variant] / seconds[floor] - 1.0)
-    return overhead_stats(pct, len(seconds))
-
-
 @contextmanager
 def method_clock(owner: type, name: str):
     """Accumulate the seconds spent inside ``owner.name`` while active.

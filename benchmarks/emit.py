@@ -14,7 +14,7 @@ Usage::
     PYTHONPATH=src python -m benchmarks.emit ensemble table2 # a subset
     PYTHONPATH=src python -m benchmarks.emit --only sched    # exactly one
     PYTHONPATH=src python -m benchmarks.emit --out-dir bench-artifacts
-    PYTHONPATH=src python -m benchmarks.emit table1 multipod \
+    PYTHONPATH=src python -m benchmarks.emit table1 table2 \
         --out-dir /tmp/fresh --compare bench-artifacts
 
 ``--compare DIR`` checks every emitted report's ``modeled_*`` metrics

@@ -4,9 +4,7 @@ Spreads a lattice over a 2 x 4 grid of simulated TensorCores, runs
 lockstep SPMD sweeps with halo exchange over the toroidal mesh, and
 prints the per-category time breakdown (the paper's Table 3 quantities)
 plus a slice of the op-level trace (the paper's Fig. 6 trace viewer).
-Built through the unified ``repro.api`` surface, and finished with a
-fault-tolerance vignette: the same run under an injected core kill
-degrades onto the surviving sub-grid and keeps sweeping.
+Built through the unified ``repro.api`` surface.
 
 Usage::
 
@@ -47,24 +45,6 @@ def main() -> None:
             f"  t={event.start * 1e6:9.3f} us  {event.category:12s} "
             f"{event.name:22s} {event.duration * 1e6:8.3f} us"
         )
-
-    # -- fault tolerance: kill a core mid-run and keep going ------------
-    resilient = repro.distributed(config.evolve(
-        record_trace=False,
-        fault_plan=repro.FaultPlan(
-            events=(repro.FaultEvent("kill", core=5, sweep=6),),
-        ),
-        checkpoint_interval=3,
-    ))
-    resilient.run_resilient(10)
-    (event,) = resilient.topology_events
-    print(f"\nfault tolerance: core {event['dead_core']} killed at sweep "
-          f"{event['sweep_detected']};")
-    print(f"  restarted from checkpointed sweep {event['resumed_from_sweep']} "
-          f"on a {tuple(event['new_grid'])} grid "
-          f"(was {tuple(event['old_grid'])})")
-    print(f"  finished sweep {resilient.sweeps_done} on {resilient.num_cores} "
-          f"surviving cores; m = {resilient.magnetization():+.4f}")
 
 
 if __name__ == "__main__":

@@ -19,9 +19,7 @@ Quickstart::
 
 The :mod:`repro.api` surface (``SimulationConfig`` + ``simulate`` /
 ``ensemble`` / ``distributed`` / ``load``) is the stable entry point; the
-underlying classes remain importable for power users.  Fault tolerance
-(fault injection, checkpoint/restart, elastic degrade) is documented in
-``docs/fault_tolerance.md``.
+underlying classes remain importable for power users.
 """
 
 from .api import (
@@ -61,7 +59,6 @@ from .observables import (
     spin_glass_binder,
     spontaneous_magnetization,
 )
-from .mesh import FaultEvent, FaultPlan, RetryPolicy
 from .rng import PhiloxStream
 from .sched import Scheduler
 from .telemetry import (
@@ -86,9 +83,6 @@ __all__ = [
     "submit",
     "Client",
     "Scheduler",
-    "FaultEvent",
-    "FaultPlan",
-    "RetryPolicy",
     "BondCouplings",
     "CheckerboardUpdater",
     "CompactLattice",

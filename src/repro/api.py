@@ -53,14 +53,12 @@ from .core.config import (
     backend_from_checkpoint,
     check_config,
     checkpoint_kind,
-    resolve_overlap,
 )
 from .core.couplings import COUPLING_KINDS, BondCouplings
 from .core.distributed import DistributedIsing
 from .core.ensemble import EnsembleSimulation
 from .core.simulation import IsingSimulation
 from .core.tempering import TemperingEnsemble
-from .mesh.faults import FaultPlan
 from .sched.client import Client, submit
 from .telemetry.report import RunTelemetry
 from .tpu.dtypes import DType, resolve_dtype
@@ -246,21 +244,6 @@ class SimulationConfig:
     grid:
         Core grid (rows, cols) — required by :func:`distributed`,
         rejected elsewhere.  The old ``core_grid=`` spelling raises.
-    pod_grid:
-        Optional (pod rows, pod cols) tiling of ``grid`` into sub-pods —
-        a hierarchical multi-pod mesh with a two-tier link model (see
-        ``docs/multipod.md``).  :func:`distributed` only.
-    overlap:
-        Split-phase halo overlap: "auto" (default — on exactly for
-        multi-pod meshes), True or False.  Changes only the modeled
-        clock, never the chain.  :func:`distributed` only.
-    fault_plan:
-        Optional :class:`~repro.mesh.faults.FaultPlan` for
-        :func:`distributed` runs (single-core drivers have no mesh to
-        inject into, so they reject it).
-    checkpoint_interval:
-        Periodic in-memory checkpoint cadence for :func:`distributed`
-        (see :meth:`~repro.core.distributed.DistributedIsing.run_resilient`).
     initial:
         "hot", "cold", or an explicit spin array.
     record_trace:
@@ -282,10 +265,6 @@ class SimulationConfig:
     telemetry: "RunTelemetry | bool | None" = None
     block_shape: "tuple[int, int] | None" = None
     grid: "tuple[int, int] | None" = None
-    pod_grid: "tuple[int, int] | None" = None
-    overlap: "bool | str" = "auto"
-    fault_plan: "FaultPlan | None" = None
-    checkpoint_interval: "int | None" = None
     initial: "str | np.ndarray" = "hot"
     record_trace: bool = False
 
@@ -327,7 +306,6 @@ class SimulationConfig:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.beta is not None and self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        resolve_overlap(self.overlap)  # raises on junk
         model = self.model
         check_config(
             self.shape,
@@ -348,21 +326,6 @@ class SimulationConfig:
             rows, cols = self.grid
             if rows < 1 or cols < 1:
                 raise ValueError(f"grid must be positive, got {self.grid}")
-        if self.pod_grid is not None:
-            p_rows, p_cols = self.pod_grid
-            if p_rows < 1 or p_cols < 1:
-                raise ValueError(f"pod_grid must be positive, got {self.pod_grid}")
-            if self.grid is not None and (
-                self.grid[0] % p_rows or self.grid[1] % p_cols
-            ):
-                raise ValueError(
-                    f"grid {self.grid} not divisible by pod_grid {self.pod_grid}"
-                )
-        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
-            raise ValueError(
-                "checkpoint_interval must be >= 1 or None, "
-                f"got {self.checkpoint_interval}"
-            )
 
     @property
     def resolved_temperature(self) -> float:
@@ -471,11 +434,6 @@ def _reject_trace(config: SimulationConfig, factory: str) -> None:
             f"{factory}() has no per-core trace recorder; record_trace is a "
             "distributed() field"
         )
-    if config.overlap != "auto":
-        raise ValueError(
-            f"{factory}() has no halo exchange to overlap; overlap is a "
-            "distributed() field"
-        )
 
 
 def _reject_disorder(config: SimulationConfig, factory: str) -> None:
@@ -491,12 +449,11 @@ def _reject_disorder(config: SimulationConfig, factory: str) -> None:
 def simulate(config: SimulationConfig) -> IsingSimulation:
     """Build the single-chain simulation a config describes.
 
-    Rejects distributed-only fields (``grid``, ``pod_grid``, ``overlap``,
-    ``fault_plan``, ``checkpoint_interval``, ``record_trace``) and
+    Rejects distributed-only fields (``grid``, ``record_trace``) and
     tempering-only fields (``ladder``) instead of silently ignoring
     them.
     """
-    _reject(config, "simulate", "grid", "pod_grid", "fault_plan", "checkpoint_interval", "ladder")
+    _reject(config, "simulate", "grid", "ladder")
     _reject_trace(config, "simulate")
     _reject_disorder(config, "simulate")
     return IsingSimulation(
@@ -531,7 +488,7 @@ def ensemble(
         if n_chains < 1:
             raise ValueError(f"n_chains must be >= 1, got {n_chains}")
         temperatures = [config.resolved_temperature] * n_chains
-    _reject(config, "ensemble", "grid", "pod_grid", "fault_plan", "checkpoint_interval", "ladder")
+    _reject(config, "ensemble", "grid", "ladder")
     _reject_trace(config, "ensemble")
     model = config.resolved_model
     return EnsembleSimulation(
@@ -577,7 +534,7 @@ def tempering(config: SimulationConfig) -> TemperingEnsemble:
             "config.ladder has an empty ladder; set LadderSpec betas= or "
             "temperatures="
         )
-    _reject(config, "tempering", "grid", "pod_grid", "fault_plan", "checkpoint_interval")
+    _reject(config, "tempering", "grid")
     _reject_trace(config, "tempering")
     model = config.resolved_model
     return TemperingEnsemble(
@@ -622,8 +579,6 @@ def distributed(config: SimulationConfig) -> DistributedIsing:
         config.shape,
         config.resolved_temperature,
         core_grid=config.grid,
-        pod_grid=config.pod_grid,
-        overlap=config.overlap,
         dtype=config.dtype,
         block_shape=config.block_shape,
         seed=config.seed,
@@ -633,8 +588,6 @@ def distributed(config: SimulationConfig) -> DistributedIsing:
         field=config.resolved_model.field,
         fused=config.fused,
         telemetry=config._resolved_telemetry(),
-        fault_plan=config.fault_plan,
-        checkpoint_interval=config.checkpoint_interval,
     )
 
 
@@ -646,9 +599,9 @@ def load(state: dict, **kwargs):
     ``schema`` key) are
     classified by their distinguishing keys and decode with a
     :class:`DeprecationWarning`.  Extra keyword arguments forward to the
-    target class's ``from_state_dict`` (e.g. ``fault_plan=`` /
-    ``telemetry=`` for distributed restores — runtime attachments are
-    deliberately not part of the checkpoint).
+    target class's ``from_state_dict`` (e.g. ``telemetry=`` for
+    distributed restores — runtime attachments are deliberately not part
+    of the checkpoint).
 
     An envelope from an unknown schema version fails *here*, by name —
     a checkpoint from a newer writer must never be half-decoded by kind

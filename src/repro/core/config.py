@@ -39,7 +39,6 @@ __all__ = [
     "UPDATERS",
     "check_config",
     "resolve_fused",
-    "resolve_overlap",
     "default_block_shape",
     "backend_kind",
     "backend_from_checkpoint",
@@ -167,23 +166,6 @@ def resolve_fused(fused: "bool | str", backend: str, dtype: str) -> bool:
     if fused == "auto":
         return backend == "numpy"
     return bool(fused)
-
-
-def resolve_overlap(overlap: "bool | str") -> "bool | str":
-    """Normalise a halo-overlap selection to ``"auto"`` / True / False.
-
-    ``"auto"`` resolves later against the topology: the split-phase
-    schedule is enabled on hierarchical multi-pod meshes (where the slow
-    inter-pod tier is worth hiding) and stays off on flat tori, keeping
-    single-pod modeled timelines exactly as they were.  The chain itself
-    is schedule-independent — overlap only changes the modeled clock —
-    so forcing either value is always safe.
-    """
-    if overlap == "auto":
-        return "auto"
-    if isinstance(overlap, (bool, np.bool_)):
-        return bool(overlap)
-    raise ValueError(f"overlap must be 'auto', True or False, got {overlap!r}")
 
 
 def default_block_shape(

@@ -33,15 +33,9 @@ import numpy as np
 
 from ..backend.base import Backend
 from ..backend.tpu_backend import TPUBackend
-from ..mesh.faults import CoreLostError, FaultInjector, FaultPlan, PodLostError
-from ..mesh.links import LinkModel, TwoTierLinkModel, interior_fraction
-from ..mesh.runtime import OverlapCommit, PermuteRequest, SPMDRuntime
-from ..mesh.topology import (
-    HierarchicalTorus,
-    Torus2D,
-    degraded_grid,
-    degraded_pod_grid,
-)
+from ..mesh.links import LinkModel
+from ..mesh.runtime import PermuteRequest, SPMDRuntime
+from ..mesh.topology import Torus2D
 from ..observables.energy import energy_per_spin
 from ..observables.magnetization import magnetization
 from ..rng.streams import PhiloxStream
@@ -54,7 +48,6 @@ from .config import (
     checkpoint_envelope,
     default_block_shape,
     resolve_fused,
-    resolve_overlap,
     unwrap_checkpoint,
 )
 from .fused import record_fused_metrics
@@ -69,12 +62,6 @@ from .lattice import (
 )
 
 __all__ = ["DistributedIsing"]
-
-#: Stream-id spacing between topology generations: after an elastic
-#: degrade, generation g's core i draws from stream id
-#: ``g * _GENERATION_STRIDE + i + 1`` — deterministic, and disjoint from
-#: every earlier generation's streams for any realistic core count.
-_GENERATION_STRIDE = 1 << 20
 
 _ALL = slice(None)
 
@@ -112,26 +99,6 @@ class DistributedIsing:
         (rows, cols) of the core decomposition; each core gets a
         ``global/rows x global/cols`` sub-lattice (sides must divide
         evenly into even local sides).
-    pod_grid:
-        Optional (pod rows, pod cols) tiling of the core grid into
-        sub-pods.  When given, the mesh is a
-        :class:`~repro.mesh.topology.HierarchicalTorus` — flat core ids
-        and halo pairs (the chain is unchanged) but pod-crossing
-        collectives are priced on the slower inter-pod tier of a
-        :class:`~repro.mesh.links.TwoTierLinkModel` (the default link
-        model for hierarchical meshes), and a permanent loss degrades by
-        whole sub-pods (see ``docs/multipod.md``).  ``None`` (the
-        default) keeps the single-pod flat torus.
-    overlap:
-        Split-phase halo overlap selection: ``"auto"`` (default), True
-        or False.  "auto" enables overlap exactly on multi-pod
-        hierarchical meshes.  When on, each colour phase issues its four
-        halo permutes into an overlap window and commits the window
-        against the phase's interior compute — the modeled phase cost
-        becomes ``max(interior_compute, comm) + boundary_compute``
-        instead of ``comm + compute``.  The executed op stream is
-        identical either way (same sites, same Philox draws); only the
-        modeled clock changes.
     pod:
         An existing :class:`~repro.tpu.device.PodSlice` whose core grid
         matches; one is created when omitted.
@@ -168,26 +135,6 @@ class DistributedIsing:
         its registry and :meth:`report` emits a distributed
         :class:`~repro.telemetry.report.RunReport` with the per-core
         compute-vs-communication split.
-    fault_plan:
-        Optional :class:`~repro.mesh.faults.FaultPlan`.  When attached,
-        the SPMD runtime injects the plan's faults: transient drops /
-        delays / stalls are retried or absorbed (costing modeled time,
-        never data — the chain stays bit-identical), and permanent core
-        kills raise :class:`~repro.mesh.faults.CoreLostError`, which
-        :meth:`run_resilient` turns into a checkpoint-restart on a
-        degraded topology.  ``None`` (the default) keeps the historical
-        perfect-mesh path: bit-identical output, <2% overhead (gated by
-        ``benchmarks/bench_fault_overhead.py``).
-    checkpoint_interval:
-        Take an in-memory checkpoint (:meth:`state_dict`) every this
-        many sweeps — the restart point :meth:`run_resilient` falls back
-        to after a permanent core loss.  The snapshot is taken at the
-        sweep boundary without pausing the chain and is never charged to
-        modeled device time (the asynchronous-checkpointing idealisation:
-        host-side state capture overlaps the next sweep).  ``None``
-        disables periodic snapshots; a construction-time snapshot is
-        still taken whenever a ``fault_plan`` is attached so degrade
-        always has a restart point.
     """
 
     def __init__(
@@ -195,8 +142,6 @@ class DistributedIsing:
         global_shape: int | tuple[int, int],
         temperature: float,
         core_grid: tuple[int, int],
-        pod_grid: tuple[int, int] | None = None,
-        overlap: "bool | str" = "auto",
         pod: PodSlice | None = None,
         dtype: DType | str = FLOAT32,
         block_shape: tuple[int, int] | None = None,
@@ -208,8 +153,6 @@ class DistributedIsing:
         field: float = 0.0,
         fused: "bool | str" = "auto",
         telemetry: RunTelemetry | None = None,
-        fault_plan: FaultPlan | None = None,
-        checkpoint_interval: int | None = None,
     ) -> None:
         if isinstance(global_shape, (int, np.integer)):
             global_shape = (int(global_shape), int(global_shape))
@@ -238,24 +181,9 @@ class DistributedIsing:
             )
         if temperature <= 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
-        if pod_grid is not None:
-            g_rows, g_cols = pod_grid
-            if g_rows <= 0 or g_cols <= 0:
-                raise ValueError(f"pod grid must be positive, got {pod_grid}")
-            if p_rows % g_rows or p_cols % g_cols:
-                raise ValueError(
-                    f"core grid {core_grid} not divisible by pod grid {pod_grid}"
-                )
-            pod_grid = (int(g_rows), int(g_cols))
-
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1 or None, got {checkpoint_interval}"
-            )
 
         self.global_shape = (rows, cols)
         self.core_grid = (p_rows, p_cols)
-        self.pod_grid = pod_grid
         self.local_shape = (local_rows, local_cols)
         self.temperature = float(temperature)
         self.beta = 1.0 / self.temperature
@@ -267,98 +195,28 @@ class DistributedIsing:
         # Per-core backends are TPU cost models: "auto" keeps the
         # elementwise op sequence the calibrated tables were fit to.
         self.fused = resolve_fused(fused, "tpu", dtype.name)
-        self.overlap_config = resolve_overlap(overlap)
-        # "auto": hide halos exactly where the slow inter-pod tier makes
-        # it worth modeling; flat single-pod timelines stay historical.
-        multi_pod = pod_grid is not None and pod_grid[0] * pod_grid[1] > 1
-        self.overlap = (
-            multi_pod if self.overlap_config == "auto" else self.overlap_config
-        )
+        self.telemetry = telemetry
+        self.updater_name = updater
+        # Checkpoints carry the user's block_shape (None re-derives the
+        # per-quarter default on restore).
+        self._block_shape_arg = block_shape
 
         if pod is not None and pod.core_grid != self.core_grid:
             raise ValueError(
                 f"pod core grid {pod.core_grid} != requested {self.core_grid}"
             )
-        self.telemetry = telemetry
-        self.updater_name = updater
-        self.checkpoint_interval = checkpoint_interval
-        self.fault_plan = fault_plan
-        self.fault_injector: FaultInjector | None = None
-        #: Topology-change records appended by elastic degrades:
-        #: ``{"sweep_detected", "resumed_from_sweep", "dead_core",
-        #: "old_grid", "new_grid", "generation"}`` dicts, carried into
-        #: checkpoints and the run report.
-        self.topology_events: list[dict] = []
-        self._generation = 0
-        # Remembered for topology rebuilds after an elastic degrade (the
-        # user's explicit block_shape sticks; None re-derives per-quarter
-        # blocks from the new local shape).
-        self._block_shape_arg = block_shape
-        self._link_model = link_model
-        self._record_trace = bool(record_trace)
-
-        self._build_topology(self.core_grid, pod=pod)
-
-        global_plain = self._initial_lattice(initial)
-        self._states: list[CompactLattice] = self._scatter(global_plain)
-        self._last_checkpoint: dict | None = None
-        if self.checkpoint_interval is not None or fault_plan is not None:
-            self._last_checkpoint = self.state_dict()
-
-    # -- setup helpers ------------------------------------------------------
-
-    def _build_topology(
-        self, core_grid: tuple[int, int], pod: PodSlice | None = None
-    ) -> None:
-        """(Re)build pod, torus, runtime, backends, updaters and streams.
-
-        Called at construction and again by :meth:`_degrade` with a
-        smaller grid.  Stream ids incorporate the topology generation so
-        the post-degrade chain draws from fresh, deterministic streams
-        that no earlier generation ever touched.
-        """
-        p_rows, p_cols = core_grid
-        rows, cols = self.global_shape
-        self.core_grid = (p_rows, p_cols)
-        self.local_shape = (rows // p_rows, cols // p_cols)
-        local_rows, local_cols = self.local_shape
         self.pod = (
             pod
             if pod is not None
-            else PodSlice(core_grid, record_trace=self._record_trace)
+            else PodSlice(self.core_grid, record_trace=record_trace)
         )
-        if self.pod_grid is not None:
-            self.torus = HierarchicalTorus(
-                p_rows, p_cols, self.pod_grid[0], self.pod_grid[1]
-            )
-        else:
-            self.torus = Torus2D(p_rows, p_cols)
-        # The surface-to-volume fraction of each colour phase that runs
-        # while halos are in flight under the overlap schedule.
-        self._interior_fraction = interior_fraction(self.local_shape)
-        link_model = self._link_model
-        if link_model is None and isinstance(self.torus, HierarchicalTorus):
-            link_model = TwoTierLinkModel()
-        if self.fault_plan is not None and self.fault_injector is None:
-            self.fault_injector = FaultInjector(self.fault_plan, self.torus.num_cores)
-        prior_runtime = getattr(self, "runtime", None)
+        self.torus = Torus2D(p_rows, p_cols)
         self.runtime = SPMDRuntime(
             self.torus,
             link_model,
             cores=self.pod.cores,
-            metrics=self.telemetry.registry if self.telemetry is not None else None,
-            fault_injector=self.fault_injector,
+            metrics=telemetry.registry if telemetry is not None else None,
         )
-        if prior_runtime is not None:
-            # Keep pre-degrade fault and overlap spans so the trace shows
-            # the whole incident, not just the surviving generation.
-            self.runtime.fault_log.extend(prior_runtime.fault_log)
-            self.runtime.overlap_log.extend(prior_runtime.overlap_log)
-            self.runtime.overlap_windows = prior_runtime.overlap_windows
-            self.runtime.overlap_hidden_seconds = prior_runtime.overlap_hidden_seconds
-            self.runtime.overlap_exposed_seconds = (
-                prior_runtime.overlap_exposed_seconds
-            )
         self._backends: list[Backend] = [
             TPUBackend(core, self.dtype) for core in self.pod.cores
         ]
@@ -366,21 +224,24 @@ class DistributedIsing:
             CompactUpdater(
                 self.beta,
                 backend,
-                block_shape=self._block_shape_arg
-                if self._block_shape_arg is not None
+                block_shape=block_shape
+                if block_shape is not None
                 else default_block_shape("compact", self.local_shape),
-                nn_method="conv" if self.updater_name == "conv" else "matmul",
+                nn_method="conv" if updater == "conv" else "matmul",
                 field=self.field,
                 fused=self.fused,
             )
             for backend in self._backends
         ]
         self.block_shape = self._updaters[0].block_shape
-        base = self._generation * _GENERATION_STRIDE
         self._streams = [
-            PhiloxStream(self.seed, base + core_id + 1)
-            for core_id in range(self.num_cores)
+            PhiloxStream(self.seed, core_id + 1) for core_id in range(self.num_cores)
         ]
+
+        global_plain = self._initial_lattice(initial)
+        self._states: list[CompactLattice] = self._scatter(global_plain)
+
+    # -- setup helpers ------------------------------------------------------
 
     def _scatter(self, global_plain: np.ndarray) -> list[CompactLattice]:
         """Decompose a global plain lattice into per-core compact states."""
@@ -456,15 +317,11 @@ class DistributedIsing:
         if (probs_black is not None or probs_white is not None) and n_sweeps != 1:
             raise ValueError("explicit probs require n_sweeps == 1")
         telemetry = self.telemetry
-        injector = self.fault_injector
         for _ in range(n_sweeps):
-            if injector is not None:
-                injector.begin_sweep(self.sweeps_done)
             if telemetry is None:
                 self._run_sweep(probs_black, probs_white)
                 self.pod.mark_step()
                 self.sweeps_done += 1
-                self._maybe_checkpoint()
                 continue
             start = perf_counter()
             self._run_sweep(probs_black, probs_white)
@@ -474,7 +331,6 @@ class DistributedIsing:
                 step_seconds
             )
             self.sweeps_done += 1
-            self._maybe_checkpoint()
             if telemetry.wants_physics(self.sweeps_done):
                 plain = self.gather_lattice()
                 telemetry.record_physics(
@@ -512,22 +368,11 @@ class DistributedIsing:
         probs_black: np.ndarray | None,
         probs_white: np.ndarray | None,
     ) -> Generator[PermuteRequest, np.ndarray, CompactLattice]:
-        """The per-core SPMD program for one sweep (two colour phases).
-
-        Under the overlap schedule the op stream is *identical* — same
-        slab copies, same permutes, same phase update, same Philox draws
-        — but the permutes are flagged ``overlap=True`` (their modeled
-        time lands in a window instead of blocking) and each phase ends
-        with an :class:`~repro.mesh.runtime.OverlapCommit` carrying the
-        interior share of the phase's measured compute, so the runtime
-        can charge ``max(interior, comm) + boundary`` for the phase.
-        """
+        """The per-core SPMD program for one sweep (two colour phases)."""
         lat = self._states[core_id]
         updater = self._updaters[core_id]
         backend = self._backends[core_id]
         stream = self._streams[core_id]
-        overlap = self.overlap
-        profiler = self.pod.cores[core_id].profiler
         global_probs = {"black": probs_black, "white": probs_white}
 
         for color in ("black", "white"):
@@ -538,60 +383,31 @@ class DistributedIsing:
                     tensor=slab,
                     pairs=self.torus.shift_pairs(send_dir),
                     name=f"halo_{color}_{field}",
-                    overlap=overlap,
                 )
-            probs = self._phase_probs(core_id, color, global_probs[color])
-            if overlap:
-                compute_start = profiler.total_seconds
             lat = updater.update_color(
                 lat,
                 color,
                 stream=stream,
-                probs=probs,
+                probs=self._phase_probs(core_id, color, global_probs[color]),
                 halos=PhaseHalos(**halos),
             )
-            if overlap:
-                phase_compute = profiler.total_seconds - compute_start
-                yield OverlapCommit(
-                    interior_seconds=self._interior_fraction * phase_compute,
-                    name=f"overlap_{color}",
-                )
         return lat
 
-    # -- checkpoint / restart / resilience ----------------------------------
-
-    def _maybe_checkpoint(self) -> None:
-        """Snapshot at the sweep boundary if the interval says so.
-
-        Asynchronous-checkpointing idealisation: the snapshot is taken
-        host-side between sweeps and never charged to modeled device
-        time, so a checkpointed run's modeled timeline (and its chain) is
-        identical to an uncheckpointed one.
-        """
-        interval = self.checkpoint_interval
-        if interval is None or self.sweeps_done % interval:
-            return
-        self._last_checkpoint = self.state_dict()
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("checkpoints_taken").inc()
+    # -- checkpoint / restart ------------------------------------------------
 
     def state_dict(self) -> dict:
         """Serializable ``checkpoint/v2`` snapshot of the whole pod run.
 
         Carries the assembled global lattice, every core's Philox stream
-        state (counters included), the fused-engine selection, the
-        topology generation and any recorded topology-change events —
+        state (counters included) and the fused-engine selection —
         everything :meth:`from_state_dict` needs for a bit-identical
-        resume on the same core grid, or :meth:`run_resilient` needs to
-        restart on a degraded one.
+        resume on the same core grid.
         """
         return checkpoint_envelope(
             "distributed",
             {
                 "shape": self.global_shape,
                 "core_grid": self.core_grid,
-                "pod_grid": list(self.pod_grid) if self.pod_grid else None,
-                "overlap": self.overlap_config,
                 "temperature": self.temperature,
                 "field": self.field,
                 "updater": self.updater_name,
@@ -602,8 +418,6 @@ class DistributedIsing:
                 "sweeps_done": self.sweeps_done,
                 "lattice": self.gather_lattice(),
                 "streams": [stream.state() for stream in self._streams],
-                "generation": self._generation,
-                "topology_events": [dict(ev) for ev in self.topology_events],
             },
         )
 
@@ -615,28 +429,23 @@ class DistributedIsing:
         link_model: LinkModel | None = None,
         record_trace: bool = False,
         telemetry: RunTelemetry | None = None,
-        fault_plan: FaultPlan | None = None,
-        checkpoint_interval: int | None = None,
     ) -> "DistributedIsing":
         """Rebuild a distributed run from :meth:`state_dict` output.
 
         Accepts the ``checkpoint/v2`` envelope (and, with a
         :class:`DeprecationWarning`, legacy v1 dicts).  The lattice,
-        every core's Philox counter, the fused selection and the topology
-        generation all round-trip, so the resumed chain is bit-identical
-        to one that never stopped.  The simulated pod, link model,
-        telemetry and fault plan are *not* part of the checkpoint —
-        pass them again if the resumed run should carry them.
+        every core's Philox counter and the fused selection round-trip,
+        so the resumed chain is bit-identical to one that never stopped.
+        The simulated pod, link model and telemetry are *not* part of the
+        checkpoint — pass them again if the resumed run should carry
+        them.  Keys this build no longer writes are ignored.
         """
         state = unwrap_checkpoint(state, "distributed")
         block_shape = state.get("block_shape")
-        pod_grid = state.get("pod_grid")
         sim = cls(
             tuple(state["shape"]),
             state["temperature"],
             core_grid=tuple(state["core_grid"]),
-            pod_grid=tuple(pod_grid) if pod_grid is not None else None,
-            overlap=state.get("overlap", "auto"),
             pod=pod,
             dtype=state["dtype"],
             block_shape=tuple(block_shape) if block_shape is not None else None,
@@ -648,11 +457,7 @@ class DistributedIsing:
             field=state["field"],
             fused=state.get("fused", "auto"),
             telemetry=telemetry,
-            fault_plan=fault_plan,
-            checkpoint_interval=checkpoint_interval,
         )
-        sim._generation = int(state.get("generation", 0))
-        sim.topology_events = [dict(ev) for ev in state.get("topology_events", [])]
         streams = state["streams"]
         if len(streams) != sim.num_cores:
             raise ValueError(
@@ -660,105 +465,7 @@ class DistributedIsing:
             )
         sim._streams = [PhiloxStream.from_state(s) for s in streams]
         sim.sweeps_done = int(state["sweeps_done"])
-        if sim._last_checkpoint is not None:
-            sim._last_checkpoint = sim.state_dict()
         return sim
-
-    # Checkpoints restore through the same constructor path either way;
-    # ``resume`` is the verb the fault-tolerance docs use.
-    resume = from_state_dict
-
-    def run_resilient(self, n_sweeps: int) -> None:
-        """Advance ``n_sweeps`` sweeps, surviving permanent core losses.
-
-        Sweeps like :meth:`sweep`; when the fault plan kills a core
-        (:class:`~repro.mesh.faults.CoreLostError`) the run restarts from
-        the last checkpoint on the largest surviving sub-grid of the
-        original decomposition (see
-        :func:`~repro.mesh.topology.degraded_grid`), records the topology
-        change in :attr:`topology_events`, and re-runs the lost sweeps
-        there.  On a hierarchical mesh losses degrade by whole sub-pods —
-        a ``kill_pod`` event (:class:`~repro.mesh.faults.PodLostError`)
-        or a single dead core inside a pod both shed that pod's tile and
-        resume on the surviving pod grid (see
-        :func:`~repro.mesh.topology.degraded_pod_grid`).  Requires a
-        checkpoint to exist — any ``fault_plan`` or
-        ``checkpoint_interval`` at construction guarantees one.
-        """
-        if n_sweeps < 0:
-            raise ValueError(f"n_sweeps must be >= 0, got {n_sweeps}")
-        target = self.sweeps_done + n_sweeps
-        while self.sweeps_done < target:
-            try:
-                self.sweep(target - self.sweeps_done)
-            except CoreLostError as exc:
-                self._degrade(exc)
-
-    def _degrade(self, loss: CoreLostError) -> None:
-        """Checkpoint-restart on a smaller core grid after a core loss.
-
-        Rebuilds the pod/torus/runtime on the largest strictly-smaller
-        sub-grid that still decomposes the global lattice evenly,
-        re-scatters the last checkpoint's lattice onto it, and bumps the
-        topology generation so the surviving cores draw from fresh
-        deterministic Philox streams.  Physics continuity (the chain
-        stays a valid Metropolis chain at the same temperature) is the
-        contract after a degrade — bit-identity with the undisturbed run
-        is not possible once the decomposition changes.
-        """
-        if self._last_checkpoint is None:
-            raise RuntimeError(
-                "core lost but no checkpoint to restart from; construct with "
-                "checkpoint_interval=... or a fault_plan"
-            ) from loss
-        old_pod_grid = self.pod_grid
-        dead_pod: int | None = None
-        if isinstance(self.torus, HierarchicalTorus):
-            # Sub-pods are the degrade granularity on a hierarchical
-            # mesh: a pod loss (or a single dead core inside a pod —
-            # its pod's intra-torus is broken either way) sheds the
-            # whole tile and re-forms a smaller pod grid with the
-            # intra-pod shape intact.
-            if isinstance(loss, PodLostError):
-                dead_pod = loss.pod_id
-            else:
-                dead_pod = self.torus.pod_of(loss.core_id)
-            new_torus = degraded_pod_grid(self.torus, self.global_shape)
-            if new_torus is None:
-                raise loss
-            new_grid = (new_torus.rows, new_torus.cols)
-            self.pod_grid = new_torus.pod_grid
-        else:
-            new_grid = degraded_grid(self.core_grid, self.global_shape)
-            if new_grid is None:
-                raise loss
-        old_grid = self.core_grid
-        checkpoint = unwrap_checkpoint(self._last_checkpoint, "distributed")
-        self._generation += 1
-        # The injector survives the rebuild: its fired-event and
-        # dead-core records carry over so a one-shot kill does not
-        # re-fire against the degraded topology.
-        self._build_topology(new_grid)
-        self._states = self._scatter(
-            np.asarray(checkpoint["lattice"], dtype=np.float32)
-        )
-        self.sweeps_done = int(checkpoint["sweeps_done"])
-        event = {
-            "sweep_detected": loss.sweep,
-            "resumed_from_sweep": self.sweeps_done,
-            "dead_core": loss.core_id,
-            "old_grid": list(old_grid),
-            "new_grid": list(new_grid),
-            "generation": self._generation,
-        }
-        if dead_pod is not None:
-            event["dead_pod"] = dead_pod
-            event["old_pod_grid"] = list(old_pod_grid)
-            event["new_pod_grid"] = list(self.pod_grid)
-        self.topology_events.append(event)
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("topology_degrades").inc()
-        self._last_checkpoint = self.state_dict()
 
     # -- performance accounting -------------------------------------------------
 
@@ -825,13 +532,6 @@ class DistributedIsing:
         registry.gauge("collectives_executed").set(
             self.runtime.collectives_executed
         )
-        registry.gauge("halo_overlap_windows").set(self.runtime.overlap_windows)
-        registry.gauge("halo_overlap_hidden_seconds").set(
-            self.runtime.overlap_hidden_seconds
-        )
-        registry.gauge("halo_overlap_exposed_seconds").set(
-            self.runtime.overlap_exposed_seconds
-        )
         record_fused_metrics(registry, *self._updaters)
         return self.telemetry.build_report(
             kind="distributed",
@@ -839,8 +539,6 @@ class DistributedIsing:
                 "shape": self.global_shape,
                 "local_shape": self.local_shape,
                 "core_grid": self.core_grid,
-                "pod_grid": list(self.pod_grid) if self.pod_grid else None,
-                "overlap": self.overlap,
                 "n_cores": self.num_cores,
                 "temperature": self.temperature,
                 "field": self.field,
@@ -850,8 +548,6 @@ class DistributedIsing:
                 "seed": self.seed,
                 "sweeps_done": self.sweeps_done,
                 "fused": self.fused,
-                "generation": self._generation,
-                "topology_events": [dict(ev) for ev in self.topology_events],
             },
             rng={"streams": [stream.state() for stream in self._streams]},
             cores=self.core_splits(),

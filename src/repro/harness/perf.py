@@ -26,14 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from ..backend.tpu_backend import TPUBackend
 from ..core.compact import CompactUpdater
 from ..core.conv import MaskedConvUpdater
 from ..core.lattice import random_lattice
-from ..mesh.links import LinkModel, TwoTierLinkModel, interior_fraction
-from ..mesh.topology import HierarchicalTorus, Torus2D
+from ..mesh.links import LinkModel
 from ..rng.streams import PhiloxStream
 from ..tpu.cost_model import TPUCostModel, TPU_V3
 from ..tpu.dtypes import DType, BFLOAT16, resolve_dtype
@@ -65,11 +62,6 @@ class StepModel:
     seconds: dict[str, float] = field(default_factory=dict)
     flops: float = 0.0
     bytes: float = 0.0
-    #: Communication seconds hidden behind interior compute by the
-    #: split-phase overlap schedule (0.0 for blocking runs).  The
-    #: ``seconds["communication"]`` entry only holds the *exposed* part,
-    #: so ``step_time`` stays the honest modeled wall clock.
-    hidden_comm_seconds: float = 0.0
 
     @property
     def step_time(self) -> float:
@@ -215,67 +207,26 @@ def model_pod_step(
     dtype: DType | str = BFLOAT16,
     cost_model: TPUCostModel = TPU_V3,
     link_model: LinkModel | None = None,
-    topology: Torus2D | None = None,
-    overlap: bool = False,
 ) -> StepModel:
     """Modeled sweep cost of an SPMD pod slice (compute + halo exchange).
 
     One sweep exchanges eight boundary slabs per core: the two row edges
     (quarter width each) and two column edges (quarter height) per colour
     phase.
-
-    ``topology`` prices each halo direction on a concrete mesh via
-    :meth:`~repro.mesh.links.LinkModel.permute_time_on` — pass a
-    :class:`~repro.mesh.topology.HierarchicalTorus` to model multi-pod
-    slices (pod-crossing shifts pay the inter-pod tier; the default link
-    model becomes :class:`~repro.mesh.links.TwoTierLinkModel`, matching
-    the distributed driver).  ``overlap=True`` applies the split-phase
-    schedule: per colour phase only
-    ``max(0, comm - interior_compute)`` of the halo time is exposed,
-    with the hidden remainder reported in
-    :attr:`StepModel.hidden_comm_seconds`.
     """
     if n_cores <= 0:
         raise ValueError(f"n_cores must be positive, got {n_cores}")
-    if topology is not None and topology.num_cores != n_cores:
-        raise ValueError(
-            f"topology has {topology.num_cores} cores but n_cores={n_cores}"
-        )
-    link = link_model
-    if link is None:
-        link = (
-            TwoTierLinkModel()
-            if isinstance(topology, HierarchicalTorus)
-            else LinkModel()
-        )
+    link = link_model if link_model is not None else LinkModel()
     dtype = resolve_dtype(dtype)
     base = model_single_core_step(per_core_shape, updater, dtype, cost_model)
     rows, cols = per_core_shape
     row_edge_bytes = (cols // 2) * dtype.itemsize
     col_edge_bytes = (rows // 2) * dtype.itemsize
-    edges = (
-        ("south", row_edge_bytes),
-        ("north", row_edge_bytes),
-        ("east", col_edge_bytes),
-        ("west", col_edge_bytes),
-    )
-    if topology is None:
-        comm_phase = sum(link.permute_time(n_cores, b) for _, b in edges)
-    else:
-        comm_phase = sum(
-            link.permute_time_on(topology, topology.shift_pairs(d), b)
-            for d, b in edges
-        )
-    comm = comm_phase * 2.0  # two colour phases
-    hidden = 0.0
-    if overlap:
-        compute = sum(base.seconds.values())
-        interior_phase = interior_fraction(per_core_shape) * compute / 2.0
-        exposed = 2.0 * max(0.0, comm_phase - interior_phase)
-        hidden = comm - exposed
-        comm = exposed
+    # South, north, east, west halos of one colour phase.
+    edges = (row_edge_bytes, row_edge_bytes, col_edge_bytes, col_edge_bytes)
+    comm_phase = sum(link.permute_time(n_cores, b) for b in edges)
     seconds = dict(base.seconds)
-    seconds["communication"] = comm
+    seconds["communication"] = comm_phase * 2.0  # two colour phases
     return StepModel(
         per_core_shape=base.per_core_shape,
         n_cores=n_cores,
@@ -284,5 +235,4 @@ def model_pod_step(
         seconds=seconds,
         flops=base.flops,
         bytes=base.bytes,
-        hidden_comm_seconds=hidden,
     )

@@ -17,13 +17,6 @@ tables (see ``docs/observability.md`` for the schemas)::
 writes a Chrome trace-event file (load it at https://ui.perfetto.dev or
 ``chrome://tracing``) and is supported by experiments that execute on
 simulated devices (currently ``smoke``, ``sched`` and ``serve``).
-
-``--fault-plan PATH`` loads a JSON-serialized
-:class:`~repro.mesh.faults.FaultPlan` (``FaultPlan.to_json_dict``
-format) and runs fault-accepting experiments (currently ``smoke``)
-under injected mesh faults — see ``docs/fault_tolerance.md``::
-
-    ising-tpu smoke --fault-plan plan.json --telemetry-out run.json
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ import inspect
 import json
 import sys
 
-from ..mesh.faults import FaultPlan
 from ..telemetry.report import RunTelemetry
 from ..version import __version__
 from . import figure4, figure7, figure8, figure9, sched_demo, serve, smoke
@@ -68,14 +60,11 @@ def run_experiment(
     quick: bool = False,
     telemetry: RunTelemetry | None = None,
     record_trace: bool = False,
-    fault_plan: FaultPlan | None = None,
 ):
     """Run one experiment by name and return its ExperimentResult.
 
-    ``telemetry`` / ``record_trace`` / ``fault_plan`` are forwarded to
-    experiments whose ``run`` signature accepts them (currently the
-    telemetry smoke); a fault plan aimed at an experiment that cannot
-    take one is an error rather than a silent no-op.
+    ``telemetry`` / ``record_trace`` are forwarded to experiments whose
+    ``run`` signature accepts them.
     """
     try:
         fn, _ = EXPERIMENTS[name]
@@ -91,13 +80,6 @@ def run_experiment(
         kwargs["telemetry"] = telemetry
     if record_trace and "record_trace" in params:
         kwargs["record_trace"] = True
-    if fault_plan is not None:
-        if "fault_plan" not in params:
-            raise ValueError(
-                f"experiment {name!r} does not accept a fault plan "
-                "(fault injection currently applies to 'smoke')"
-            )
-        kwargs["fault_plan"] = fault_plan
     return fn(**kwargs)
 
 
@@ -139,12 +121,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="write a Chrome trace (chrome://tracing / Perfetto) to PATH",
     )
-    parser.add_argument(
-        "--fault-plan",
-        metavar="PATH",
-        help="run under the JSON-serialized FaultPlan at PATH "
-        "(fault-accepting experiments only; see docs/fault_tolerance.md)",
-    )
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -161,21 +137,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    fault_plan = None
-    if args.fault_plan:
-        if len(names) != 1:
-            print(
-                "--fault-plan requires a single experiment, not 'all'",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            with open(args.fault_plan, encoding="utf-8") as fh:
-                fault_plan = FaultPlan.from_json_dict(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot load fault plan {args.fault_plan!r}: {exc}", file=sys.stderr)
-            return 2
-
     for name in names:
         telemetry = RunTelemetry() if wants_artifacts else None
         try:
@@ -187,7 +148,6 @@ def main(argv: list[str] | None = None) -> int:
                 quick=args.quick or args.experiment == "all",
                 telemetry=telemetry,
                 record_trace=bool(args.trace_out),
-                fault_plan=fault_plan,
             )
             harness_wall = perf_counter() - start
         except ValueError as exc:

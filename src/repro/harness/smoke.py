@@ -12,18 +12,11 @@ track per core.
 Run it through the CLI to archive the artifacts::
 
     ising-tpu smoke --telemetry-out run.json --trace-out trace.json
-
-With a serialized :class:`~repro.mesh.faults.FaultPlan` the same smoke
-runs on a degraded mesh (``ising-tpu smoke --fault-plan plan.json``):
-transient faults are retried (visible as ``mesh_retries`` /
-``fault_injected`` counters and a "mesh faults" trace track), and core
-kills degrade onto the surviving sub-grid mid-run.
 """
 
 from __future__ import annotations
 
 from ..core.distributed import DistributedIsing
-from ..mesh.faults import FaultPlan
 from ..observables.onsager import T_CRITICAL
 from ..telemetry.report import RunTelemetry
 from ..telemetry.trace import chrome_trace
@@ -40,15 +33,12 @@ def run(
     seed: int = 7,
     telemetry: RunTelemetry | None = None,
     record_trace: bool = False,
-    fault_plan: FaultPlan | None = None,
 ) -> ExperimentResult:
     """Run the instrumented distributed smoke and return its result.
 
     A telemetry recorder is created when none is passed, so the smoke is
     always instrumented; the run report (and, with ``record_trace``, the
-    Chrome trace) land in ``result.artifacts``.  With a ``fault_plan``
-    the run sweeps through :meth:`~repro.core.distributed.DistributedIsing.run_resilient`,
-    surviving injected core kills by degrading the topology.
+    Chrome trace) land in ``result.artifacts``.
     """
     if telemetry is None:
         telemetry = RunTelemetry(physics_interval=5)
@@ -61,13 +51,8 @@ def run(
         seed=seed,
         record_trace=record_trace,
         telemetry=telemetry,
-        fault_plan=fault_plan,
-        checkpoint_interval=max(1, n_sweeps // 6) if fault_plan else None,
     )
-    if fault_plan is not None:
-        sim.run_resilient(n_sweeps)
-    else:
-        sim.sweep(n_sweeps)
+    sim.sweep(n_sweeps)
     report = sim.report()
     report_dict = report.to_json_dict()
 
@@ -106,14 +91,7 @@ def run(
             + ", ".join(f"{k} {100 * v:.2f}%" for k, v in breakdown.items())
             + f".  Mean sweep wall {report_dict['sweeps']['wall_seconds_mean'] * 1e3:.2f} ms; "
             f"flip activity {report_dict['physics'].get('flip_activity_mean', float('nan')):.3f}.  "
-            + (
-                "Topology degraded to "
-                f"{sim.core_grid[0]}x{sim.core_grid[1]} after "
-                f"{len(sim.topology_events)} core loss(es).  "
-                if sim.topology_events
-                else ""
-            )
-            + "Use --telemetry-out / --trace-out to archive the JSON artifacts."
+            "Use --telemetry-out / --trace-out to archive the JSON artifacts."
         ),
         artifacts=artifacts,
     )

@@ -1,53 +1,20 @@
-"""Simulated TPU pod interconnect: topology, collectives, SPMD runtime
-and deterministic fault injection (see ``docs/fault_tolerance.md`` and,
-for the hierarchical multi-pod tier, ``docs/multipod.md``)."""
+"""Simulated TPU pod interconnect: topology, collectives and the lockstep
+SPMD runtime."""
 
 from .collectives import all_gather, all_reduce, collective_permute, validate_pairs
-from .faults import (
-    CollectiveFaults,
-    CoreLostError,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    MeshFaultError,
-    MeshTimeoutError,
-    PodLostError,
-    RetryPolicy,
-)
-from .links import LinkModel, TwoTierLinkModel, interior_fraction
-from .runtime import LockstepError, OverlapCommit, PermuteRequest, SPMDRuntime
-from .topology import (
-    DIRECTIONS,
-    HierarchicalTorus,
-    Torus2D,
-    degraded_grid,
-    degraded_pod_grid,
-)
+from .links import LinkModel
+from .runtime import LockstepError, PermuteRequest, SPMDRuntime
+from .topology import DIRECTIONS, Torus2D
 
 __all__ = [
     "all_gather",
     "all_reduce",
     "collective_permute",
     "validate_pairs",
-    "CollectiveFaults",
-    "CoreLostError",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "MeshFaultError",
-    "MeshTimeoutError",
-    "PodLostError",
-    "RetryPolicy",
     "LinkModel",
-    "TwoTierLinkModel",
-    "interior_fraction",
     "LockstepError",
-    "OverlapCommit",
     "PermuteRequest",
     "SPMDRuntime",
     "DIRECTIONS",
-    "HierarchicalTorus",
     "Torus2D",
-    "degraded_grid",
-    "degraded_pod_grid",
 ]

@@ -15,14 +15,6 @@ eight-permute per-sweep total matches the paper's Table 4 grid:
 c0 = 2.9 us, c1 = 2.06 us, and an effective serialization of ~2.7 GB/s
 per edge.  Within the table's range the modeled per-sweep totals
 reproduce the measured 0.18-0.65 ms to ~25%.
-
-Fault charging: injected faults (``repro.mesh.faults``) flow through the
-same accounting.  A delayed or stalled collective charges
-``permute_time(...) + injected seconds`` to every core; a failed
-delivery attempt charges the retry policy's detection timeout plus
-backoff.  Degraded runs therefore produce the same honest Table 3/4
-style compute-vs-communication breakdowns as clean ones — the fault tax
-shows up in the ``communication`` category rather than vanishing.
 """
 
 from __future__ import annotations
@@ -30,34 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .topology import HierarchicalTorus, Torus2D
-
-__all__ = ["LinkModel", "TwoTierLinkModel", "interior_fraction"]
-
-
-def interior_fraction(local_shape: tuple[int, int]) -> float:
-    """Fraction of one colour phase's sites that need no halo data.
-
-    Per colour phase a core updates ``lr * lc / 2`` of its local sites;
-    the only ones whose neighbour sums consume an in-flight halo are
-    those on the four boundary lines of the local lattice — ``lc/2``
-    phase sites on each boundary row, ``lr/2`` on each boundary column,
-    with the phase's two corners counted once — ``lr + lc - 2`` sites in
-    total.  Everything else is *interior* and can be updated while the
-    halo ``collective_permute`` is still in flight, which is the
-    surface-to-volume ratio the split-phase overlap schedule charges:
-    interior work scales with area, halo-dependent work with perimeter.
-
-    Degenerates gracefully: a 2x2 local lattice is all boundary
-    (fraction 0.0 — nothing can hide), and the fraction approaches 1.0
-    for the paper's superdense per-core lattices.
-    """
-    lr, lc = local_shape
-    if lr <= 0 or lc <= 0:
-        raise ValueError(f"local shape must be positive, got {local_shape}")
-    boundary = lr + lc - 2
-    phase_sites = lr * lc / 2.0
-    return max(0.0, 1.0 - boundary / phase_sites)
+__all__ = ["LinkModel"]
 
 
 @dataclass(frozen=True)
@@ -79,66 +44,3 @@ class LinkModel:
             + self.sync_per_sqrt_core * math.sqrt(n_cores)
             + self.serialization_s_per_byte * bytes_per_edge
         )
-
-    def permute_time_on(
-        self, topology: Torus2D, pairs, bytes_per_edge: float
-    ) -> float:
-        """Permute time for a concrete collective on a concrete topology.
-
-        The flat model has a single tier, so this is
-        :meth:`permute_time` over the whole slice regardless of which
-        pairs the collective names; :class:`TwoTierLinkModel` overrides
-        it to price pod-crossing collectives on the slower tier.
-        """
-        return self.permute_time(topology.num_cores, bytes_per_edge)
-
-
-@dataclass(frozen=True)
-class TwoTierLinkModel(LinkModel):
-    """Two-tier interconnect: intra-pod torus links plus inter-pod links.
-
-    The inherited fields are the *intra-pod* tier — the Table 4 fit,
-    unchanged, with the lockstep-sync term growing with the sub-pod's
-    core count (that is the mesh whose diameter the intra-pod barrier
-    crosses).  A collective whose pair list stays inside every sub-pod
-    therefore costs exactly what today's flat model charges a pod of
-    that size, which is the calibration contract: on a single-pod
-    :class:`~repro.mesh.topology.HierarchicalTorus` (or a flat
-    :class:`~repro.mesh.topology.Torus2D`) this model reproduces
-    :class:`LinkModel` to the digit.
-
-    Collectives with at least one pod-crossing pair additionally pay the
-    *inter-pod* tier: a larger base latency (the paper's dedicated
-    in-pod mesh gives way to inter-pod links that cross switch hops), a
-    sync term growing with sqrt(#pods) (the pod-level barrier), and a
-    ~10x slower serialization — the NVLink-vs-InfiniBand shape of the
-    rack-scale follow-up (arXiv:2502.18624), transplanted to pods.
-    Lockstep makes the slow tier price the whole collective: everyone
-    waits for the slowest edge.
-    """
-
-    inter_base_latency: float = 20e-6
-    inter_sync_per_sqrt_pod: float = 5e-6
-    inter_serialization_s_per_byte: float = 3.68e-9
-
-    def inter_pod_time(self, n_pods: int, bytes_per_edge: float) -> float:
-        """Extra modeled seconds a pod-crossing collective pays."""
-        if n_pods <= 0:
-            raise ValueError(f"n_pods must be positive, got {n_pods}")
-        if bytes_per_edge < 0:
-            raise ValueError(f"bytes_per_edge must be >= 0, got {bytes_per_edge}")
-        return (
-            self.inter_base_latency
-            + self.inter_sync_per_sqrt_pod * math.sqrt(n_pods)
-            + self.inter_serialization_s_per_byte * bytes_per_edge
-        )
-
-    def permute_time_on(
-        self, topology: Torus2D, pairs, bytes_per_edge: float
-    ) -> float:
-        if not isinstance(topology, HierarchicalTorus):
-            return self.permute_time(topology.num_cores, bytes_per_edge)
-        intra = self.permute_time(topology.cores_per_pod, bytes_per_edge)
-        if topology.num_pods > 1 and topology.pairs_cross_pods(pairs):
-            return intra + self.inter_pod_time(topology.num_pods, bytes_per_edge)
-        return intra

@@ -14,33 +14,6 @@ Compute between collectives runs inside the generators, so any
 TPUBackend charges land on the right core automatically.  An optional
 :class:`~repro.telemetry.metrics.MetricsRegistry` additionally books
 collective counts, bytes and modeled seconds for run reports.
-
-Split-phase overlap: a program may flag halo permutes with
-``overlap=True`` and later yield an :class:`OverlapCommit` carrying the
-interior compute it performed while those halos were notionally in
-flight.  The runtime executes overlap permutes *identically* to blocking
-ones (same data movement, same lockstep order — the chain stays
-bit-identical) but defers their modeled link time into a window; at the
-commit it charges only ``max(0, window_comm - interior_seconds)`` as
-exposed communication, turning the per-phase cost into
-``max(interior_compute, comm) + boundary_compute``.  Window outcomes are
-recorded in :attr:`SPMDRuntime.overlap_log` and the
-``halo_overlap_windows_total`` / ``halo_overlap_hidden_seconds_total`` /
-``halo_overlap_exposed_seconds_total`` counters.
-
-Fault tolerance: with a :class:`~repro.mesh.faults.FaultInjector`
-attached, every collective first asks the injector what goes wrong.
-Transient failures (dropped or over-timeout deliveries) are retried with
-exponential backoff under the plan's :class:`~repro.mesh.faults.RetryPolicy`
-— each failed attempt charges the timeout plus backoff through the link
-model, books ``mesh_retries`` / ``mesh_timeouts`` /``fault_injected``
-counters, and records a span in :attr:`SPMDRuntime.fault_log` (exported
-as a dedicated mesh track by :func:`repro.telemetry.trace.chrome_trace`).
-A collective that exhausts its retry budget raises
-:class:`~repro.mesh.faults.MeshTimeoutError`; a permanent core kill
-surfaces as :class:`~repro.mesh.faults.CoreLostError`.  Without an
-injector the collective path is exactly the historical one — a single
-``is None`` branch (asserted <2% by ``benchmarks/bench_fault_overhead.py``).
 """
 
 from __future__ import annotations
@@ -52,49 +25,19 @@ import numpy as np
 
 from ..tpu.tensorcore import TensorCore
 from .collectives import collective_permute
-from .faults import CollectiveFaults, FaultInjector, FaultPlan, MeshTimeoutError
 from .links import LinkModel
 from .topology import Torus2D
 
-__all__ = ["PermuteRequest", "OverlapCommit", "LockstepError", "SPMDRuntime"]
+__all__ = ["PermuteRequest", "LockstepError", "SPMDRuntime"]
 
 
 @dataclass
 class PermuteRequest:
-    """A core's collective_permute call: its operand and the global pairs.
-
-    With ``overlap=True`` the runtime still moves the data immediately
-    (the receiving program gets its halo back from the ``yield`` exactly
-    as in the blocking schedule — same tensors, same order, which is
-    what keeps the chain bit-identical), but the modeled link time is
-    *deferred* into the current overlap window instead of charged on the
-    spot.  The program must later yield an :class:`OverlapCommit` to
-    close the window; only the communication time the interior compute
-    could not hide is then charged.
-    """
+    """A core's collective_permute call: its operand and the global pairs."""
 
     tensor: np.ndarray
     pairs: tuple[tuple[int, int], ...]
     name: str = "collective_permute"
-    overlap: bool = False
-
-
-@dataclass
-class OverlapCommit:
-    """Closes an overlap window: the halos issued with ``overlap=True``
-    have landed and the phase's boundary updates are about to run.
-
-    ``interior_seconds`` is this core's modeled compute that ran while
-    the halos were in flight (the interior-site updates of the
-    split-phase schedule).  The runtime charges
-    ``max(0, window_comm - interior_seconds)`` as *exposed*
-    communication — i.e. the per-phase cost becomes
-    ``max(interior_compute, comm) + boundary_compute`` instead of the
-    blocking ``comm + compute``.
-    """
-
-    interior_seconds: float
-    name: str = "halo_overlap"
 
 
 class LockstepError(RuntimeError):
@@ -120,11 +63,6 @@ class SPMDRuntime:
         ``collective_bytes_total`` (payload bytes per participating core)
         and the modeled ``collective_seconds`` histogram.  ``None`` (the
         default) keeps the lockstep loop free of metric calls.
-    fault_injector:
-        Optional :class:`~repro.mesh.faults.FaultInjector` (or a
-        :class:`~repro.mesh.faults.FaultPlan`, from which an injector is
-        built).  ``None`` (the default) keeps the historical perfect-mesh
-        collective path.
     """
 
     def __init__(
@@ -133,7 +71,6 @@ class SPMDRuntime:
         link_model: LinkModel | None = None,
         cores: list[TensorCore] | None = None,
         metrics=None,
-        fault_injector: "FaultInjector | FaultPlan | None" = None,
     ) -> None:
         self.torus = torus
         self.link_model = link_model if link_model is not None else LinkModel()
@@ -143,31 +80,7 @@ class SPMDRuntime:
             )
         self.cores = cores
         self.metrics = metrics
-        if isinstance(fault_injector, FaultPlan):
-            fault_injector = FaultInjector(fault_injector, torus.num_cores)
-        self.fault_injector = fault_injector
         self.collectives_executed = 0
-        #: Retry / fault spans on the modeled timeline:
-        #: ``{"name", "collective", "start", "duration"}`` dicts, consumed
-        #: by :func:`repro.telemetry.trace.chrome_trace` as a mesh track.
-        self.fault_log: list[dict] = []
-        #: Committed overlap windows on the modeled timeline:
-        #: ``{"name", "start", "duration", "comm_seconds", "hidden_seconds",
-        #: "exposed_seconds", "permutes"}`` dicts, exported as a
-        #: ``halo overlap`` track by :func:`repro.telemetry.trace.chrome_trace`.
-        self.overlap_log: list[dict] = []
-        self.overlap_windows = 0
-        self.overlap_hidden_seconds = 0.0
-        self.overlap_exposed_seconds = 0.0
-        # Open overlap window: deferred comm seconds/bytes of permutes
-        # issued with overlap=True, charged at the next OverlapCommit.
-        self._window_seconds = 0.0
-        self._window_bytes = 0.0
-        self._window_permutes = 0
-        # Modeled communication seconds accumulated so far — the time
-        # base for fault_log spans (matches the profiler timeline when
-        # cores are attached, still monotonic when they are not).
-        self._comm_clock = 0.0
 
     def run(
         self, make_program: Callable[[int], Generator[PermuteRequest, np.ndarray, Any]]
@@ -199,31 +112,14 @@ class SPMDRuntime:
                     "collective — SPMD programs must not diverge"
                 )
             requests = [req for req in pending if req is not None]
-            first = requests[0]
-            if isinstance(first, OverlapCommit):
-                for cid, req in enumerate(requests):
-                    if not isinstance(req, OverlapCommit):
-                        raise LockstepError(
-                            f"core {cid} issued a collective while core 0 "
-                            "committed an overlap window — SPMD programs "
-                            "must not diverge"
-                        )
-                received = self._commit_overlap(requests)
-            else:
-                pairs = first.pairs
-                for cid, req in enumerate(requests):
-                    if isinstance(req, OverlapCommit):
-                        raise LockstepError(
-                            f"core {cid} committed an overlap window while "
-                            "core 0 issued a collective — SPMD programs "
-                            "must not diverge"
-                        )
-                    if req.pairs != pairs:
-                        raise LockstepError(
-                            f"core {cid} issued pairs {req.pairs} while core 0 "
-                            f"issued {pairs} — collective specs must be globally identical"
-                        )
-                received = self._execute_collective(requests)
+            pairs = requests[0].pairs
+            for cid, req in enumerate(requests):
+                if req.pairs != pairs:
+                    raise LockstepError(
+                        f"core {cid} issued pairs {req.pairs} while core 0 "
+                        f"issued {pairs} — collective specs must be globally identical"
+                    )
+            received = self._execute_collective(requests)
 
             for cid, program in enumerate(programs):
                 try:
@@ -232,249 +128,27 @@ class SPMDRuntime:
                     finished[cid] = True
                     pending[cid] = None
                     results[cid] = stop.value
-        if self._window_permutes or self._window_seconds:
-            raise LockstepError(
-                f"programs finished with an open overlap window "
-                f"({self._window_permutes} uncommitted overlap permutes) — "
-                "every overlap=True PermuteRequest must be followed by an "
-                "OverlapCommit before the program returns"
-            )
         return results
 
     def _execute_collective(self, requests: list[PermuteRequest]) -> list[np.ndarray]:
-        """Run one collective: fault consultation, retries, data movement.
-
-        The fault-free path (no injector) is the historical one — permute,
-        count, charge — behind a single ``is None`` branch.  Under a
-        fault plan, failed delivery attempts are modeled *before* the
-        data movement: a retried collective delivers exactly the same
-        tensors as an unfaulted one (transient faults cost time, never
-        data), which is what keeps fault-injected runs bit-identical.
-        """
+        """Run one collective: permute, count, charge."""
         request = requests[0]
-        injector = self.fault_injector
-        if injector is None:
-            received = collective_permute(
-                [req.tensor for req in requests], request.pairs
-            )
-            self.collectives_executed += 1
-            if request.overlap:
-                self._defer_communication(request)
-            else:
-                self._charge_communication(request)
-            return received
-
-        ordinal = self.collectives_executed
-        # May raise CoreLostError (permanent kill) — propagates to the
-        # driver, which degrades via checkpoint-restart.
-        faults = injector.collective_faults(ordinal)
-        if self.metrics is not None and faults.injected:
-            self.metrics.counter("fault_injected").inc(faults.injected)
-
-        policy = injector.retry
-        failed_attempts = faults.drops
-        delay = faults.delay_seconds
-        bytes_per_edge = float(request.tensor.nbytes)
-        base_seconds = self.link_model.permute_time_on(
-            self.torus, request.pairs, bytes_per_edge
-        )
-        if delay > 0.0 and base_seconds + delay > policy.timeout_seconds:
-            # The slow link trips the per-collective timeout: the delayed
-            # attempt is abandoned at the deadline and re-issued; the
-            # retry then completes at base speed.
-            failed_attempts += 1
-            delay = 0.0
-            if self.metrics is not None:
-                self.metrics.counter("mesh_timeouts").inc()
-
-        if failed_attempts > policy.max_retries:
-            self._book_retries(request, ordinal, policy, policy.max_retries)
-            if self.metrics is not None:
-                self.metrics.counter("mesh_timeouts").inc()
-            raise MeshTimeoutError(request.name, ordinal, policy.max_retries + 1)
-        if failed_attempts:
-            self._book_retries(request, ordinal, policy, failed_attempts)
-
-        received = collective_permute(
-            [req.tensor for req in requests], request.pairs
-        )
+        received = collective_permute([req.tensor for req in requests], request.pairs)
         self.collectives_executed += 1
-        extra = delay + faults.stall_seconds
-        if request.overlap:
-            # Transient slowdowns ride along in the window: a delayed
-            # halo is still hideable behind interior compute, exactly
-            # like the base link time.  (Retries above were charged
-            # immediately — a deadline-detected drop blocks the issuing
-            # phase itself, nothing can hide it.)
-            self._defer_communication(request, extra_seconds=extra)
-            if extra > 0.0:
-                self.fault_log.append(
-                    {
-                        "name": f"fault_extra:{request.name}",
-                        "collective": ordinal,
-                        "start": self._comm_clock,
-                        "duration": extra,
-                    }
-                )
-            return received
-        self._charge_communication(request, extra_seconds=extra)
-        if extra > 0.0:
-            self.fault_log.append(
-                {
-                    "name": f"fault_extra:{request.name}",
-                    "collective": ordinal,
-                    "start": self._comm_clock - extra,
-                    "duration": extra,
-                }
-            )
+        self._charge_communication(request)
         return received
 
-    def _book_retries(
-        self,
-        request: PermuteRequest,
-        ordinal: int,
-        policy,
-        n_attempts: int,
-    ) -> None:
-        """Charge ``n_attempts`` failed deliveries + backoff to every core.
-
-        Each failed attempt costs the full per-collective timeout (drops
-        are detected by deadline, not by magic) plus the policy's
-        exponential backoff before the re-issue; lockstep means every
-        core pays.  Spans land in :attr:`fault_log` so retry storms are
-        visible in the exported Chrome trace.
-        """
-        bytes_per_edge = float(request.tensor.nbytes)
-        for attempt in range(1, n_attempts + 1):
-            seconds = policy.timeout_seconds + policy.backoff(attempt)
-            name = f"retry{attempt}:{request.name}"
-            if self.cores is not None:
-                for core in self.cores:
-                    core.charge_communication(
-                        seconds, bytes_moved=bytes_per_edge, name=name
-                    )
-            self.fault_log.append(
-                {
-                    "name": name,
-                    "collective": ordinal,
-                    "start": self._comm_clock,
-                    "duration": seconds,
-                }
-            )
-            self._comm_clock += seconds
-            if self.metrics is not None:
-                self.metrics.counter("mesh_retries").inc()
-
-    def _charge_communication(
-        self, request: PermuteRequest, extra_seconds: float = 0.0
-    ) -> None:
+    def _charge_communication(self, request: PermuteRequest) -> None:
         bytes_per_edge = float(request.tensor.nbytes)
         if self.metrics is not None:
             self.metrics.counter("collectives_total").inc()
             self.metrics.counter("collective_bytes_total").inc(bytes_per_edge)
         if self.cores is None:
-            self._comm_clock += extra_seconds
             return
-        seconds = (
-            self.link_model.permute_time_on(
-                self.torus, request.pairs, bytes_per_edge
-            )
-            + extra_seconds
-        )
-        self._comm_clock += seconds
+        seconds = self.link_model.permute_time(self.torus.num_cores, bytes_per_edge)
         if self.metrics is not None:
             self.metrics.histogram("collective_seconds").observe(seconds)
         for core in self.cores:
             core.charge_communication(
                 seconds, bytes_moved=bytes_per_edge, name=request.name
             )
-
-    def _defer_communication(
-        self, request: PermuteRequest, extra_seconds: float = 0.0
-    ) -> None:
-        """Book an overlap permute's modeled time into the open window.
-
-        The data already moved (the caller permuted before calling us);
-        only the *clock* is deferred: the link time joins the window and
-        is reconciled against interior compute at the next
-        :class:`OverlapCommit`.  Collective counters book immediately —
-        the op happened — so fault-plan ordinals and run-report op
-        counts are schedule-independent.
-        """
-        bytes_per_edge = float(request.tensor.nbytes)
-        if self.metrics is not None:
-            self.metrics.counter("collectives_total").inc()
-            self.metrics.counter("collective_bytes_total").inc(bytes_per_edge)
-        seconds = (
-            self.link_model.permute_time_on(
-                self.torus, request.pairs, bytes_per_edge
-            )
-            + extra_seconds
-        )
-        if self.metrics is not None:
-            self.metrics.histogram("collective_seconds").observe(seconds)
-        self._window_seconds += seconds
-        self._window_bytes += bytes_per_edge
-        self._window_permutes += 1
-
-    def _commit_overlap(self, commits: list[OverlapCommit]) -> list[None]:
-        """Close the open overlap window against each core's interior work.
-
-        Lockstep semantics: every core waited on the same permutes, so
-        the window's comm total is global; each core hides up to its own
-        ``interior_seconds`` of it and pays the remainder as *exposed*
-        communication — ``max(interior, comm)`` instead of
-        ``interior + comm``.  The aggregate counters track the slowest
-        core (the one the modeled step time follows).
-        """
-        window = self._window_seconds
-        window_bytes = self._window_bytes
-        n_permutes = self._window_permutes
-        self._window_seconds = 0.0
-        self._window_bytes = 0.0
-        self._window_permutes = 0
-
-        exposed_pod = 0.0
-        if self.cores is not None:
-            for cid, commit in enumerate(commits):
-                interior = max(0.0, float(commit.interior_seconds))
-                exposed = max(0.0, window - interior)
-                exposed_pod = max(exposed_pod, exposed)
-                # Bytes book here rather than per-permute so total comm
-                # bytes match the blocking schedule even when the time
-                # is fully hidden.
-                self.cores[cid].charge_communication(
-                    exposed,
-                    bytes_moved=window_bytes,
-                    name=f"halo_exposed:{commit.name}",
-                )
-        else:
-            interior = max(0.0, float(commits[0].interior_seconds))
-            exposed_pod = max(0.0, window - interior)
-        hidden_pod = window - exposed_pod
-
-        self.overlap_windows += 1
-        self.overlap_hidden_seconds += hidden_pod
-        self.overlap_exposed_seconds += exposed_pod
-        self.overlap_log.append(
-            {
-                "name": commits[0].name,
-                "start": self._comm_clock,
-                "duration": window,
-                "comm_seconds": window,
-                "hidden_seconds": hidden_pod,
-                "exposed_seconds": exposed_pod,
-                "permutes": n_permutes,
-                "bytes": window_bytes,
-            }
-        )
-        self._comm_clock += exposed_pod
-        if self.metrics is not None:
-            self.metrics.counter("halo_overlap_windows_total").inc()
-            self.metrics.counter("halo_overlap_hidden_seconds_total").inc(
-                hidden_pod
-            )
-            self.metrics.counter("halo_overlap_exposed_seconds_total").inc(
-                exposed_pod
-            )
-        return [None] * len(commits)

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "Torus2D",
-    "HierarchicalTorus",
-    "DIRECTIONS",
-    "degraded_grid",
-    "degraded_pod_grid",
-]
+__all__ = ["Torus2D", "DIRECTIONS"]
 
 #: Shift directions: (row delta, col delta) of the *receiving* core
 #: relative to the sender.
@@ -91,171 +85,3 @@ class Torus2D:
             raise ValueError(
                 f"unknown direction {direction!r}; expected one of {sorted(DIRECTIONS)}"
             ) from None
-
-
-@dataclass(frozen=True)
-class HierarchicalTorus(Torus2D):
-    """A pod-of-pods: fast intra-pod torus links, slower inter-pod tier.
-
-    The core id space is the *flat* ``rows x cols`` torus inherited from
-    :class:`Torus2D` — linear ids, neighbours, ``shift_pairs`` and
-    ``hop_distance`` are all identical to a flat torus of the same total
-    shape, which is what keeps the halo data movement (and therefore the
-    chain) bit-identical when a run is re-hosted on a hierarchical mesh.
-    What the subclass adds is *structure*: the grid is tiled into
-    ``pod_rows x pod_cols`` sub-pods, each an intra-pod torus of
-    ``rows/pod_rows x cols/pod_cols`` cores, and edges that leave a
-    sub-pod are classified as inter-pod links so a two-tier
-    :class:`~repro.mesh.links.TwoTierLinkModel` can price them on the
-    slower tier (the rack-scale hierarchical decomposition of
-    arXiv:2502.18624, mapped onto the paper's pod vocabulary).
-
-    ``pod_rows`` / ``pod_cols`` count the *pods along each axis*, so a
-    ``HierarchicalTorus(8, 8, 2, 2)`` is a 2x2 grid of 4x4-core pods.
-    """
-
-    pod_rows: int
-    pod_cols: int
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.pod_rows <= 0 or self.pod_cols <= 0:
-            raise ValueError(
-                f"pod grid must be positive, got {self.pod_rows}x{self.pod_cols}"
-            )
-        if self.rows % self.pod_rows or self.cols % self.pod_cols:
-            raise ValueError(
-                f"core grid {self.rows}x{self.cols} not divisible by pod "
-                f"grid {self.pod_rows}x{self.pod_cols}"
-            )
-
-    # -- pod structure ------------------------------------------------------
-
-    @property
-    def pod_grid(self) -> tuple[int, int]:
-        """(pods per row axis, pods per column axis)."""
-        return (self.pod_rows, self.pod_cols)
-
-    @property
-    def pod_shape(self) -> tuple[int, int]:
-        """Cores per sub-pod along each axis."""
-        return (self.rows // self.pod_rows, self.cols // self.pod_cols)
-
-    @property
-    def num_pods(self) -> int:
-        return self.pod_rows * self.pod_cols
-
-    @property
-    def cores_per_pod(self) -> int:
-        pr, pc = self.pod_shape
-        return pr * pc
-
-    def pod_of(self, core_id: int) -> int:
-        """Linear pod id (row-major over the pod grid) owning a core."""
-        row, col = self.coords(core_id)
-        pr, pc = self.pod_shape
-        return (row // pr) * self.pod_cols + (col // pc)
-
-    def pod_coords(self, pod_id: int) -> tuple[int, int]:
-        if not 0 <= pod_id < self.num_pods:
-            raise ValueError(f"pod id {pod_id} outside 0..{self.num_pods - 1}")
-        return divmod(pod_id, self.pod_cols)
-
-    def cores_in_pod(self, pod_id: int) -> tuple[int, ...]:
-        """Linear core ids of one sub-pod, row-major."""
-        prow, pcol = self.pod_coords(pod_id)
-        pr, pc = self.pod_shape
-        return tuple(
-            self.linear_id(prow * pr + r, pcol * pc + c)
-            for r in range(pr)
-            for c in range(pc)
-        )
-
-    def crosses_pods(self, src: int, dst: int) -> bool:
-        """True when the (src, dst) edge leaves its sub-pod."""
-        return self.pod_of(src) != self.pod_of(dst)
-
-    def pairs_cross_pods(self, pairs) -> bool:
-        """True when any (src, dst) pair in a collective spans two pods.
-
-        Lockstep semantics make this the tier question for a whole
-        collective: the permute completes when its slowest edge lands,
-        so one inter-pod pair prices the collective on the slow tier.
-        """
-        return any(self.crosses_pods(src, dst) for src, dst in pairs)
-
-
-def degraded_grid(
-    core_grid: tuple[int, int], global_shape: tuple[int, int]
-) -> tuple[int, int] | None:
-    """Largest surviving torus sub-grid after a permanent core loss.
-
-    Pod slices are rectangular, so losing one core means re-forming a
-    *smaller rectangular* torus from the survivors and re-decomposing the
-    lattice onto it.  A candidate (r, c) must fit inside the old grid,
-    hold strictly fewer cores (the dead one is excluded), and still
-    decompose ``global_shape`` evenly into even-sided per-core lattices
-    (the checkerboard constraint).  Among candidates the most cores win;
-    ties prefer the taller grid, keeping the choice deterministic.
-
-    Returns ``None`` when no valid smaller grid exists (then the loss is
-    unrecoverable and :class:`~repro.mesh.faults.CoreLostError` should
-    propagate).
-    """
-    p_rows, p_cols = core_grid
-    rows, cols = global_shape
-    best: tuple[int, int] | None = None
-    best_key = None
-    for r in range(1, p_rows + 1):
-        if rows % r or (rows // r) % 2:
-            continue
-        for c in range(1, p_cols + 1):
-            if r * c >= p_rows * p_cols:
-                continue
-            if cols % c or (cols // c) % 2:
-                continue
-            key = (r * c, r)
-            if best_key is None or key > best_key:
-                best, best_key = (r, c), key
-    return best
-
-
-def degraded_pod_grid(
-    torus: HierarchicalTorus, global_shape: tuple[int, int]
-) -> HierarchicalTorus | None:
-    """Largest surviving pod-of-pods after losing one entire sub-pod.
-
-    Losing a sub-pod removes a whole tile of the hierarchical mesh, so
-    recovery re-forms a *smaller rectangular pod grid* from the
-    survivors, keeping the intra-pod shape intact (sub-pods are physical
-    units — a rack, a pod slice — and do not re-partition).  A candidate
-    ``(gr, gc)`` pod grid must fit inside the old one, hold strictly
-    fewer pods, and still decompose ``global_shape`` evenly into
-    even-sided per-core lattices on the resulting
-    ``gr*pod_rows x gc*pod_cols`` core grid.  Most surviving cores win;
-    ties prefer more pod rows, keeping the choice deterministic.
-
-    Returns ``None`` when no valid smaller pod grid exists (a single-pod
-    mesh cannot shed its only pod).
-    """
-    pr, pc = torus.pod_shape
-    rows, cols = global_shape
-    best: tuple[int, int] | None = None
-    best_key = None
-    for gr in range(1, torus.pod_rows + 1):
-        core_rows = gr * pr
-        if rows % core_rows or (rows // core_rows) % 2:
-            continue
-        for gc in range(1, torus.pod_cols + 1):
-            if gr * gc >= torus.num_pods:
-                continue
-            core_cols = gc * pc
-            if cols % core_cols or (cols // core_cols) % 2:
-                continue
-            key = (gr * gc, gr)
-            if best_key is None or key > best_key:
-                best, best_key = (gr, gc), key
-    if best is None:
-        return None
-    gr, gc = best
-    return HierarchicalTorus(gr * pr, gc * pc, gr, gc)

@@ -50,10 +50,6 @@ _TRANSITIONS: dict[str, tuple[str, ...]] = {
     JobState.FAILED: (),
 }
 
-#: Distributed-only config fields a scheduler job must leave unset.
-_UNSCHEDULABLE_FIELDS = ("grid", "fault_plan", "checkpoint_interval")
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """One tenant's immutable simulation request.
@@ -62,12 +58,11 @@ class JobSpec:
     ----------
     config:
         A single-chain :class:`~repro.api.SimulationConfig`.  Distributed
-        fields (``grid`` / ``fault_plan`` / ``checkpoint_interval`` /
-        ``record_trace``) and ``telemetry`` must be unset — the scheduler
-        owns the device pool and the instrumentation.  ``backend`` must
-        be ``None`` / ``"numpy"`` / ``"tpu"`` (a pre-built
-        :class:`~repro.backend.base.Backend` instance cannot be
-        content-addressed for the result cache).
+        fields (``grid`` / ``record_trace``) and ``telemetry`` must be
+        unset — the scheduler owns the device pool and the
+        instrumentation.  ``backend`` must be ``None`` / ``"numpy"`` /
+        ``"tpu"`` (a pre-built :class:`~repro.backend.base.Backend`
+        instance cannot be content-addressed for the result cache).
     sweeps:
         Number of full lattice sweeps to run before measuring.
     priority:
@@ -91,13 +86,12 @@ class JobSpec:
             )
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
-        for name in _UNSCHEDULABLE_FIELDS:
-            if getattr(self.config, name) is not None:
-                raise ValueError(
-                    f"scheduler jobs must leave config.{name} unset "
-                    f"(got {getattr(self.config, name)!r}); the scheduler "
-                    "owns the device pool and telemetry"
-                )
+        if self.config.grid is not None:
+            raise ValueError(
+                "scheduler jobs must leave config.grid unset "
+                f"(got {self.config.grid!r}); the scheduler owns the device "
+                "pool and telemetry"
+            )
         if getattr(self.config, "ladder", None) is not None:
             raise ValueError(
                 "scheduler jobs must leave config.ladder unset; a "

@@ -4,13 +4,10 @@ Rack-scale work is scheduled, not launched (Bisson et al.) — the
 scheduler never touches a core directly.  It acquires a
 :class:`DeviceLease` from the :class:`DevicePool`, binds the batch's
 backend to the leased core, and must survive the lease being *revoked*
-mid-run: :meth:`DevicePool.revoke` marks a core lost (operator drain, or
-a mesh fault surfacing as
-:class:`~repro.mesh.faults.CoreLostError`), and the next
-:meth:`DevicePool.check` on that lease raises the same
-:class:`~repro.mesh.faults.CoreLostError` the SPMD runtime uses — one
-fault vocabulary across both runtimes.  The scheduler answers by
-requeueing the batch's jobs from their last consistent snapshots.
+mid-run: :meth:`DevicePool.revoke` marks a core lost (an operator
+drain), and the next :meth:`DevicePool.check` on that lease raises
+:class:`CoreLostError`.  The scheduler answers by requeueing the batch's
+jobs from their last consistent snapshots.
 
 All time on this pool is the *cost-model clock*: every op a leased
 backend executes books modeled seconds into the core's profiler, so
@@ -22,11 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..mesh.faults import CoreLostError
 from ..tpu.profiler import Profiler
 from ..tpu.tensorcore import TensorCore
 
-__all__ = ["DeviceLease", "Device", "DevicePool"]
+__all__ = ["CoreLostError", "DeviceLease", "Device", "DevicePool"]
+
+
+class CoreLostError(RuntimeError):
+    """A leased core was revoked; its holder must requeue its work."""
+
+    def __init__(self, core_id: int) -> None:
+        super().__init__(f"core {core_id} lost")
+        self.core_id = core_id
 
 
 @dataclass
@@ -122,12 +126,11 @@ class DevicePool:
             if lease.device.lease is lease:
                 lease.device.lease = None
 
-    def revoke(self, core_id: int, sweep: int = 0) -> None:
+    def revoke(self, core_id: int) -> None:
         """Mark a device lost; its current lease (if any) is dead.
 
         The holder finds out at its next :meth:`check`, which raises
-        :class:`~repro.mesh.faults.CoreLostError` — the same surface a
-        mesh fault plan produces — and must requeue its work.
+        :class:`CoreLostError`, and must requeue its work.
         """
         device = self._device(core_id)
         device.lost = True
@@ -136,9 +139,9 @@ class DevicePool:
             device.lease = None
 
     def check(self, lease: DeviceLease) -> None:
-        """Raise :class:`~repro.mesh.faults.CoreLostError` if revoked."""
+        """Raise :class:`CoreLostError` if revoked."""
         if lease.device.lost or not lease.active:
-            raise CoreLostError(lease.device.core_id, 0, 0)
+            raise CoreLostError(lease.device.core_id)
 
     # -- cost-model clock ----------------------------------------------------
 

@@ -19,7 +19,7 @@ levers stacked on top of each other:
    higher-priority arrival snapshots the lowest-priority running batch
    through its ``checkpoint/v2`` envelope and requeues its jobs, which
    later resume bit-identically from their tokens.  A revoked device
-   lease (:class:`~repro.mesh.faults.CoreLostError`) requeues the same
+   lease (:class:`~repro.sched.pool.CoreLostError`) requeues the same
    way, from the last consistent token.
 
 Scheduling is cooperative and synchronous: :meth:`Scheduler.step` runs
@@ -40,7 +40,6 @@ from ..backend.tpu_backend import TPUBackend
 from ..core.couplings import BondCouplings, bond_energy_per_spin
 from ..core.ensemble import EnsembleSimulation
 from ..core.lattice import cold_lattice, random_lattice, validate_spins
-from ..mesh.faults import CoreLostError
 from ..observables.energy import energy_per_spin
 from ..observables.magnetization import magnetization
 from ..rng.streams import PhiloxStream
@@ -49,7 +48,7 @@ from ..tpu.dtypes import resolve_dtype
 from .cache import ResultCache, _normalized_shape, canonical_cache_key
 from .coalesce import Coalescer, compat_key
 from .job import Job, JobResult, JobSpec, JobState
-from .pool import DevicePool
+from .pool import CoreLostError, DevicePool
 
 __all__ = ["Scheduler", "SchedulerSaturatedError", "SchedulerDrainingError"]
 

@@ -20,7 +20,7 @@ Two concerns live here, deliberately separated from the service logic in
    ``/stream`` endpoint.  The client half (:func:`http_request`,
    :func:`stream_frames`) exists so tests, benchmarks and the harness
    can exercise the server over real sockets without any third-party
-   HTTP library — the container ships numpy/scipy only.
+   HTTP library — the package depends on numpy only.
 
 The protocol is versioned by :data:`PROTOCOL_VERSION`; responses carry
 it so clients can detect schema drift.
@@ -54,7 +54,7 @@ __all__ = [
 PROTOCOL_VERSION = "repro.serve/v1"
 
 #: Config fields a tenant may set over the wire.  Pool/telemetry-owning
-#: fields (grid, fault_plan, telemetry, record_trace, ...) are the
+#: fields (grid, telemetry, record_trace, ...) are the
 #: scheduler's — :class:`~repro.sched.job.JobSpec` would reject them
 #: anyway, but rejecting unknown keys here gives a 400 with the field
 #: name instead of a late validation error.

@@ -11,7 +11,7 @@ JSON schema documented in ``docs/observability.md``.
 Schema stability contract: ``schema`` is ``"repro.telemetry/run-report/v1"``;
 any field removal or meaning change bumps the version, additions do not.
 :func:`validate_run_report` checks a decoded JSON dict against v1 without
-any third-party schema library (the container ships numpy/scipy only).
+any third-party schema library (the package depends on numpy only).
 """
 
 from __future__ import annotations

@@ -56,57 +56,20 @@ def _profilers_of(source) -> list[tuple[int, tuple | None, Profiler]]:
     return rows
 
 
-def _fault_spans_of(source) -> list[dict]:
-    """Retry / fault spans recorded by an SPMD runtime, if any.
-
-    Accepts anything exposing ``fault_log`` directly (an
-    :class:`~repro.mesh.runtime.SPMDRuntime`) or through a ``runtime``
-    attribute (:class:`~repro.core.distributed.DistributedIsing`).
-    """
-    runtime = getattr(source, "runtime", source)
-    return list(getattr(runtime, "fault_log", ()) or ())
-
-
-def _sched_spans_of(source) -> list[dict]:
-    """Batch-advance spans recorded by a scheduler, if any.
-
-    Accepts anything exposing ``sched_log``
-    (:class:`~repro.sched.scheduler.Scheduler` records one span per
-    batch advance when built with ``record_trace=True``).
-    """
-    return list(getattr(source, "sched_log", ()) or ())
-
-
-def _overlap_spans_of(source) -> list[dict]:
-    """Halo-overlap window spans recorded by an SPMD runtime, if any.
-
-    Accepts anything exposing ``overlap_log`` directly (an
-    :class:`~repro.mesh.runtime.SPMDRuntime`) or through a ``runtime``
-    attribute (:class:`~repro.core.distributed.DistributedIsing` under
-    the split-phase overlap schedule).
-    """
-    runtime = getattr(source, "runtime", source)
-    return list(getattr(runtime, "overlap_log", ()) or ())
-
-
-def _serve_spans_of(source) -> list[dict]:
-    """Front-door serve-layer spans, if any.
-
-    Accepts anything exposing ``serve_log``
-    (:class:`~repro.serve.app.ServeApp` merges request accept/shed
-    spans with the autoscaler's scale events there).
-    """
-    return list(getattr(source, "serve_log", ()) or ())
-
-
-def _tempering_spans_of(source) -> list[dict]:
-    """Replica-exchange swap-round spans, if any.
-
-    Accepts anything exposing ``swap_log``
-    (:class:`~repro.core.tempering.TemperingEnsemble` records one span
-    per swap round with attempted/accepted counts in ``args``).
-    """
-    return list(getattr(source, "swap_log", ()) or ())
+#: Span tracks rendered after the per-core tracks, in tid order:
+#: (track label, event category, source attribute holding the spans).
+#: A :class:`~repro.sched.scheduler.Scheduler` built with
+#: ``record_trace=True`` records one ``sched_log`` span per batch
+#: advance; a :class:`~repro.serve.app.ServeApp` merges request
+#: accept/shed spans and autoscale events into ``serve_log``; a
+#: :class:`~repro.core.tempering.TemperingEnsemble` records one
+#: ``swap_log`` span per swap round.  Each span is a ``{"name", "start",
+#: "duration"}`` dict with optional ``args``.
+_SPAN_TRACKS = (
+    ("scheduler batches", "sched", "sched_log"),
+    ("serve front door", "serve", "serve_log"),
+    ("tempering swaps", "tempering", "swap_log"),
+)
 
 
 def chrome_trace(source) -> dict:
@@ -115,21 +78,14 @@ def chrome_trace(source) -> dict:
     ``source`` may be a :class:`Profiler`, a list of profilers, a
     :class:`~repro.tpu.device.PodSlice` or a distributed simulation.  One
     thread track is emitted per core; each op becomes a complete ("X")
-    event with its profiler category as the event category.  When the
-    source carries an SPMD runtime with a non-empty ``fault_log`` (retry
-    storms, injected delays), those spans render on an extra "mesh
-    faults" track so degraded collectives line up against the per-core
-    timelines; a scheduler source with a non-empty ``sched_log`` gets a
-    "scheduler batches" track the same way, so batch advances line up
-    against the device timelines they were booked on; a run under the
-    split-phase overlap schedule (non-empty ``overlap_log``) gets a
-    "halo overlap" track showing each window's hidden vs exposed
-    communication; a tempering run (non-empty ``swap_log``) gets a
-    "tempering swaps" track with one span per swap round, attempted and
-    accepted exchange counts in the span args; a serve front door with a
-    non-empty ``serve_log`` gets a "serve front door" track with request
-    accept/shed and autoscale events.  Raises if no trace
-    events were recorded (build the profilers with ``record_trace=True``).
+    event with its profiler category as the event category.  A source
+    carrying a non-empty span log (see :data:`_SPAN_TRACKS`) gets one
+    extra track per log, after the core tracks: "scheduler batches" so
+    batch advances line up against the device timelines they were
+    booked on, "serve front door" with request accept/shed and
+    autoscale events, and "tempering swaps" with attempted and accepted
+    exchange counts in the span args.  Raises if no trace events were
+    recorded (build the profilers with ``record_trace=True``).
     """
     try:
         rows = _profilers_of(source)
@@ -163,145 +119,37 @@ def chrome_trace(source) -> dict:
                     "dur": ev.duration * _US,
                 }
             )
-    next_tid = max((core_id for core_id, _, _ in rows), default=-1) + 1
-    sched_spans = _sched_spans_of(source)
-    if sched_spans:
-        sched_tid = next_tid
-        next_tid += 1
+    tid = max((core_id for core_id, _, _ in rows), default=-1) + 1
+    span_counts = {}
+    for label, category, attribute in _SPAN_TRACKS:
+        spans = list(getattr(source, attribute, ()) or ())
+        span_counts[category] = len(spans)
+        if not spans:
+            continue
         events.append(
             {
                 "ph": "M",
                 "name": "thread_name",
                 "pid": 0,
-                "tid": sched_tid,
-                "args": {"name": "scheduler batches"},
+                "tid": tid,
+                "args": {"name": label},
             }
         )
-        for span in sched_spans:
-            total_events += 1
+        for span in spans:
             events.append(
                 {
                     "ph": "X",
                     "name": span["name"],
-                    "cat": "sched",
+                    "cat": category,
                     "pid": 0,
-                    "tid": sched_tid,
+                    "tid": tid,
                     "ts": span["start"] * _US,
                     "dur": span["duration"] * _US,
                     "args": span.get("args", {}),
                 }
             )
-    serve_spans = _serve_spans_of(source)
-    if serve_spans:
-        serve_tid = next_tid
-        next_tid += 1
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": 0,
-                "tid": serve_tid,
-                "args": {"name": "serve front door"},
-            }
-        )
-        for span in serve_spans:
-            total_events += 1
-            events.append(
-                {
-                    "ph": "X",
-                    "name": span["name"],
-                    "cat": "serve",
-                    "pid": 0,
-                    "tid": serve_tid,
-                    "ts": span["start"] * _US,
-                    "dur": span["duration"] * _US,
-                    "args": span.get("args", {}),
-                }
-            )
-    tempering_spans = _tempering_spans_of(source)
-    if tempering_spans:
-        tempering_tid = next_tid
-        next_tid += 1
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": 0,
-                "tid": tempering_tid,
-                "args": {"name": "tempering swaps"},
-            }
-        )
-        for span in tempering_spans:
-            total_events += 1
-            events.append(
-                {
-                    "ph": "X",
-                    "name": span["name"],
-                    "cat": "tempering",
-                    "pid": 0,
-                    "tid": tempering_tid,
-                    "ts": span["start"] * _US,
-                    "dur": span["duration"] * _US,
-                    "args": span.get("args", {}),
-                }
-            )
-    overlap_spans = _overlap_spans_of(source)
-    if overlap_spans:
-        overlap_tid = next_tid
-        next_tid += 1
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": 0,
-                "tid": overlap_tid,
-                "args": {"name": "halo overlap"},
-            }
-        )
-        for span in overlap_spans:
-            total_events += 1
-            events.append(
-                {
-                    "ph": "X",
-                    "name": span["name"],
-                    "cat": "overlap",
-                    "pid": 0,
-                    "tid": overlap_tid,
-                    "ts": span["start"] * _US,
-                    "dur": span["duration"] * _US,
-                    "args": {
-                        "comm_seconds": span["comm_seconds"],
-                        "hidden_seconds": span["hidden_seconds"],
-                        "exposed_seconds": span["exposed_seconds"],
-                        "permutes": span["permutes"],
-                    },
-                }
-            )
-    fault_spans = _fault_spans_of(source)
-    if fault_spans:
-        fault_tid = next_tid
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": 0,
-                "tid": fault_tid,
-                "args": {"name": "mesh faults"},
-            }
-        )
-        for span in fault_spans:
-            events.append(
-                {
-                    "ph": "X",
-                    "name": span["name"],
-                    "cat": "fault",
-                    "pid": 0,
-                    "tid": fault_tid,
-                    "ts": span["start"] * _US,
-                    "dur": span["duration"] * _US,
-                    "args": {"collective": span["collective"]},
-                }
-            )
+        total_events += len(spans)
+        tid += 1
     if total_events == 0:
         raise ValueError(
             "no trace events recorded — construct the profiler/pod with "
@@ -314,11 +162,9 @@ def chrome_trace(source) -> dict:
             "source": "repro.telemetry.trace",
             "timeline": "modeled TPU seconds (not wall clock)",
             "num_cores": len(rows),
-            "num_fault_spans": len(fault_spans),
-            "num_sched_spans": len(sched_spans),
-            "num_serve_spans": len(serve_spans),
-            "num_tempering_spans": len(tempering_spans),
-            "num_overlap_spans": len(overlap_spans),
+            "num_sched_spans": span_counts["sched"],
+            "num_serve_spans": span_counts["serve"],
+            "num_tempering_spans": span_counts["tempering"],
         },
     }
 

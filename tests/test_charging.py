@@ -1,4 +1,5 @@
-"""Cost accounting: plain backends build no charges, TPU op logs are pinned."""
+"""Cost accounting: plain backends build no charges, TPU op logs and the
+distributed modeled clock are pinned."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 from repro.backend import NumpyBackend
 from repro.backend.base import Backend
 from repro.backend.tpu_backend import TPUBackend
+from repro.core.distributed import DistributedIsing
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.simulation import IsingSimulation
 from repro.tpu.tensorcore import TensorCore
@@ -164,3 +166,62 @@ class TestModeledClockPinned:
             core.op_log.clear()
         if sim._executor is not None:
             assert sim._executor.sweeps_replayed == 1
+
+
+# Every core's profiler after two sweeps of a 32^2 lattice on a 2x2 pod:
+# (seconds, bytes, op_counts) per category.  Nothing else pins the
+# distributed driver's modeled clock (the paper tables use
+# model_pod_step), so this guards the SPMD runtime's per-collective
+# charge and the per-core op stream.  All four cores book alike.
+_POD_COMMON_SECONDS = {
+    "mxu": 3.2028334486266524e-05,
+    "conv": 0.0,
+    "communication": 1.1250841599999996e-04,
+}
+PINNED_POD = {
+    "elementwise": (
+        {
+            **_POD_COMMON_SECONDS,
+            "vpu": 1.4400536526946095e-04,
+            "formatting": 1.2803134151111092e-04,
+        },
+        {
+            "mxu": 12288.0,
+            "conv": 0.0,
+            "vpu": 45120.0,
+            "formatting": 4096.0,
+            "communication": 512.0,
+        },
+        {"mxu": 16, "conv": 0, "vpu": 72, "formatting": 152, "communication": 16},
+    ),
+    "fused": (
+        {
+            **_POD_COMMON_SECONDS,
+            "vpu": 1.1800447544910179e-04,
+            "formatting": 1.440312464888887e-04,
+        },
+        {
+            "mxu": 12288.0,
+            "conv": 0.0,
+            "vpu": 35164.0,
+            "formatting": 8192.0,
+            "communication": 512.0,
+        },
+        {"mxu": 16, "conv": 0, "vpu": 59, "formatting": 147, "communication": 16},
+    ),
+}
+
+
+class TestDistributedClockPinned:
+    @pytest.mark.parametrize("kind", sorted(PINNED_POD))
+    def test_every_core_matches_pinned_profile(self, kind):
+        seconds, bytes_moved, op_counts = PINNED_POD[kind]
+        sim = DistributedIsing(
+            (32, 32), 2.0, core_grid=(2, 2), seed=1, fused=kind == "fused"
+        )
+        sim.sweep(2)
+        for core in sim.pod.cores:
+            profiler = core.profiler
+            assert profiler.seconds == pytest.approx(seconds, rel=1e-12, abs=0.0)
+            assert profiler.bytes == pytest.approx(bytes_moved, rel=1e-12, abs=0.0)
+            assert profiler.op_counts == op_counts

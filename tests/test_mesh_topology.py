@@ -1,34 +1,17 @@
-"""2D torus topology tests (flat and hierarchical)."""
+"""2D torus topology tests."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.mesh.topology import (
-    DIRECTIONS,
-    HierarchicalTorus,
-    Torus2D,
-    degraded_pod_grid,
-)
+from repro.mesh.topology import DIRECTIONS, Torus2D
 
 
-@pytest.fixture(params=["flat", "hierarchical"])
+@pytest.fixture(params=["flat"])
 def make_torus(request):
-    """Build a flat or hierarchical torus of the same core-id space.
-
-    The hierarchical subclass inherits the flat id space, so every
-    wrap-around / edge-case invariant of ``shift_pairs`` and
-    ``hop_distance`` must hold identically for both.
-    """
-
-    def make(rows: int, cols: int) -> Torus2D:
-        if request.param == "flat":
-            return Torus2D(rows, cols)
-        pod_rows = 2 if rows % 2 == 0 and rows > 1 else 1
-        pod_cols = 2 if cols % 2 == 0 and cols > 1 else 1
-        return HierarchicalTorus(rows, cols, pod_rows, pod_cols)
-
-    return make
+    """Build a torus; the wrap-around / edge-case invariants of
+    ``shift_pairs`` and ``hop_distance`` below run against it."""
+    return Torus2D
 
 
 class TestCoordinates:
@@ -115,7 +98,7 @@ class TestHopDistance:
 
 
 class TestShiftPairsEdgeCases:
-    """Wrap-around invariants both topology classes must satisfy."""
+    """Wrap-around invariants of the torus."""
 
     def test_degenerate_axis_self_sends(self, make_torus):
         # On a 1 x n torus, north/south shifts wrap every core onto itself.
@@ -148,7 +131,7 @@ class TestShiftPairsEdgeCases:
 
 
 class TestHopDistanceEdgeCases:
-    """Wrap-around invariants both topology classes must satisfy."""
+    """Wrap-around invariants of the torus."""
 
     def test_wrap_beats_direct_path(self, make_torus):
         torus = make_torus(6, 8)
@@ -170,80 +153,3 @@ class TestHopDistanceEdgeCases:
             for b in range(torus.num_cores):
                 via = torus.neighbor(a, "east")
                 assert torus.hop_distance(a, b) <= 1 + torus.hop_distance(via, b)
-
-
-class TestHierarchicalTorus:
-    def test_flat_id_space_is_inherited(self):
-        flat = Torus2D(4, 6)
-        hier = HierarchicalTorus(4, 6, 2, 3)
-        for direction in DIRECTIONS:
-            assert hier.shift_pairs(direction) == flat.shift_pairs(direction)
-        for cid in range(flat.num_cores):
-            assert hier.coords(cid) == flat.coords(cid)
-
-    def test_pod_structure(self):
-        hier = HierarchicalTorus(4, 6, 2, 3)
-        assert hier.pod_grid == (2, 3)
-        assert hier.pod_shape == (2, 2)
-        assert hier.num_pods == 6
-        assert hier.cores_per_pod == 4
-        seen = []
-        for pod_id in range(hier.num_pods):
-            cores = hier.cores_in_pod(pod_id)
-            assert len(cores) == 4
-            assert all(hier.pod_of(c) == pod_id for c in cores)
-            seen.extend(cores)
-        assert sorted(seen) == list(range(hier.num_cores))
-
-    def test_crosses_pods(self):
-        hier = HierarchicalTorus(4, 4, 2, 2)
-        inside = hier.linear_id(0, 0), hier.linear_id(0, 1)
-        across = hier.linear_id(0, 1), hier.linear_id(0, 2)
-        assert not hier.crosses_pods(*inside)
-        assert hier.crosses_pods(*across)
-        assert hier.pairs_cross_pods([across])
-        assert not hier.pairs_cross_pods([inside])
-
-    def test_single_pod_never_crosses(self):
-        hier = HierarchicalTorus(2, 2, 1, 1)
-        for direction in DIRECTIONS:
-            assert not hier.pairs_cross_pods(hier.shift_pairs(direction))
-
-    def test_halo_shifts_cross_pods_on_multi_pod_grids(self):
-        hier = HierarchicalTorus(4, 4, 2, 2)
-        for direction in DIRECTIONS:
-            assert hier.pairs_cross_pods(hier.shift_pairs(direction))
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="not divisible"):
-            HierarchicalTorus(4, 4, 3, 2)
-        with pytest.raises(ValueError, match="positive"):
-            HierarchicalTorus(4, 4, 0, 2)
-        with pytest.raises(ValueError, match="outside"):
-            HierarchicalTorus(4, 4, 2, 2).pod_coords(4)
-
-
-class TestDegradedPodGrid:
-    def test_sheds_one_pod_keeps_pod_shape(self):
-        hier = HierarchicalTorus(4, 4, 2, 2)
-        survivor = degraded_pod_grid(hier, (32, 32))
-        assert survivor is not None
-        assert survivor.pod_shape == hier.pod_shape
-        assert survivor.num_pods < hier.num_pods
-        # Ties prefer more pod rows: 2x1 over 1x2.
-        assert survivor.pod_grid == (2, 1)
-        assert (32 // survivor.rows) % 2 == 0
-        assert (32 // survivor.cols) % 2 == 0
-
-    def test_single_pod_is_unrecoverable(self):
-        hier = HierarchicalTorus(2, 2, 1, 1)
-        assert degraded_pod_grid(hier, (8, 8)) is None
-
-    def test_respects_even_local_sides(self):
-        # Global 6 x 8 over a 2x2-pod grid of 1x1-core pods: keeping two
-        # pod rows would give odd (3-row) local lattices, so the even-
-        # sides constraint forces the surviving grid to one pod row.
-        hier = HierarchicalTorus(2, 2, 2, 2)
-        survivor = degraded_pod_grid(hier, (6, 8))
-        assert survivor is not None
-        assert survivor.pod_grid == (1, 2)

@@ -33,15 +33,9 @@ class TestJobSpecValidation:
         "field_name,value",
         [
             ("grid", (2, 2)),
-            ("fault_plan", None),  # replaced below
-            ("checkpoint_interval", 3),
         ],
     )
     def test_rejects_distributed_fields(self, field_name, value):
-        if field_name == "fault_plan":
-            from repro.mesh.faults import FaultPlan
-
-            value = FaultPlan()
         config = SimulationConfig(shape=8, **{field_name: value})
         with pytest.raises(ValueError, match=field_name):
             JobSpec(config=config, sweeps=5)

@@ -345,6 +345,15 @@ class TestProtocolUnits:
             config_from_wire({"shape": [8, 8], "wat": 1})
         with pytest.raises(ProtocolError, match="unknown config field"):
             config_from_wire({"shape": [8, 8], "traced": True})
+        # Fields of the removed multi-pod tier and fault injection.
+        for removed, value in (
+            ("pod_grid", [2, 2]),
+            ("overlap", True),
+            ("fault_plan", {}),
+            ("checkpoint_interval", 4),
+        ):
+            with pytest.raises(ProtocolError, match="unknown config field"):
+                config_from_wire({"shape": [8, 8], removed: value})
         with pytest.raises(ProtocolError, match="JSON object"):
             config_from_wire([1, 2, 3])
         with pytest.raises(ProtocolError, match="backend"):

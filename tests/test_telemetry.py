@@ -330,6 +330,66 @@ class TestChromeTrace:
             assert 0 <= span["args"]["accepted"] <= span["args"]["attempted"]
         assert trace["otherData"]["num_tempering_spans"] == 4
 
+    def test_span_tracks_follow_the_core_tracks_in_order(self):
+        from types import SimpleNamespace
+
+        from repro.tpu.profiler import Profiler
+        from repro.tpu.tensorcore import TensorCore
+
+        core = TensorCore(core_id=0, profiler=Profiler(record_trace=True))
+        core.charge_communication(1e-6, bytes_moved=8.0, name="halo")
+
+        def spans(name, n):
+            return [
+                {"name": f"{name}{i}", "start": i * 1e-6, "duration": 1e-6}
+                for i in range(n)
+            ]
+
+        source = SimpleNamespace(
+            cores=[core],
+            sched_log=spans("batch", 1),
+            serve_log=spans("accept", 2),
+            swap_log=[
+                {**span, "args": {"attempted": 2, "accepted": 1}}
+                for span in spans("swap", 3)
+            ],
+        )
+        trace = chrome_trace(source)
+        events = trace["traceEvents"]
+        tracks = [
+            (e["tid"], e["args"]["name"])
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        ]
+        assert tracks == [
+            (0, "core 0 (0, 0)"),
+            (1, "scheduler batches"),
+            (2, "serve front door"),
+            (3, "tempering swaps"),
+        ]
+        spans_by_tid = {
+            tid: [
+                (e["cat"], e["name"])
+                for e in events
+                if e["ph"] == "X" and e["tid"] == tid
+            ]
+            for tid in (1, 2, 3)
+        }
+        assert spans_by_tid == {
+            1: [("sched", "batch0")],
+            2: [("serve", "accept0"), ("serve", "accept1")],
+            3: [("tempering", f"swap{i}") for i in range(3)],
+        }
+        swap = next(e for e in events if e.get("cat") == "tempering")
+        assert swap["args"] == {"attempted": 2, "accepted": 1}
+        assert swap["ts"] == 0.0 and swap["dur"] == pytest.approx(1.0)
+        other = trace["otherData"]
+        assert (
+            other["num_sched_spans"],
+            other["num_serve_spans"],
+            other["num_tempering_spans"],
+        ) == (1, 2, 3)
+
 
 # -- bench report schema ---------------------------------------------------
 
