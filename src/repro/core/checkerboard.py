@@ -177,15 +177,9 @@ class CheckerboardUpdater:
         A ``(batch, rows, cols)`` stack of chains becomes the rank-5
         batched grid ``[batch, m, n, r, c]``.
         """
-        if plain.ndim == 3:
-            return self.backend.array(
-                np.stack([plain_to_grid(p, self.block_shape) for p in plain])
-            )
         return self.backend.array(plain_to_grid(plain, self.block_shape))
 
     def to_plain(self, grid: np.ndarray) -> np.ndarray:
-        if grid.ndim == 5:
-            return np.stack([grid_to_plain(g) for g in grid])
         return grid_to_plain(grid)
 
     def sweep_plain(

@@ -243,13 +243,7 @@ class CompactUpdater:
         cols)`` stack of independent chains yields the batched rank-5
         form (one shared geometry, one chain per leading index).
         """
-        block = self._block_for(plain.shape)
-        if plain.ndim == 3:
-            lat = CompactLattice.stack(
-                [CompactLattice.from_plain(p, block) for p in plain]
-            )
-        else:
-            lat = CompactLattice.from_plain(plain, block)
+        lat = CompactLattice.from_plain(plain, self._block_for(plain.shape))
         return CompactLattice(
             s00=self.backend.array(lat.s00),
             s01=self.backend.array(lat.s01),

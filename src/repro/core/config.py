@@ -149,6 +149,19 @@ def check_config(
         raise ValueError(
             f"masked_conv does not take a block_shape (got {block_shape!r})"
         )
+    if block_shape is not None and not distributed:
+        # compact and conv tile the quarter lattice, checkerboard the
+        # full one; a pod tiles each core's share instead.
+        if updater == "checkerboard":
+            tiled, what = (rows, cols), "lattice"
+        else:
+            tiled, what = (rows // 2, cols // 2), "quarter lattice"
+        r, c = block_shape
+        if r <= 0 or c <= 0 or tiled[0] % r or tiled[1] % c:
+            raise ValueError(
+                f"block_shape {tuple(block_shape)} does not tile the {what} "
+                f"{tiled} that updater={updater!r} blocks"
+            )
 
 
 def resolve_fused(fused: "bool | str", backend: str, dtype: str) -> bool:

@@ -54,11 +54,9 @@ from .fused import record_fused_metrics
 from .kernels import PhaseHalos
 from .lattice import (
     CompactLattice,
-    cold_lattice,
+    initial_lattice,
     plain_to_grid,
     plain_to_quarters,
-    random_lattice,
-    validate_spins,
 )
 
 __all__ = ["DistributedIsing"]
@@ -238,7 +236,9 @@ class DistributedIsing:
             PhiloxStream(self.seed, core_id + 1) for core_id in range(self.num_cores)
         ]
 
-        global_plain = self._initial_lattice(initial)
+        global_plain = initial_lattice(
+            self.global_shape, initial, PhiloxStream(self.seed, 0)
+        )
         self._states: list[CompactLattice] = self._scatter(global_plain)
 
     # -- setup helpers ------------------------------------------------------
@@ -249,23 +249,6 @@ class DistributedIsing:
             self._updaters[cid].to_state(self._local_slice(global_plain, cid))
             for cid in range(self.num_cores)
         ]
-
-    def _initial_lattice(self, initial: str | np.ndarray) -> np.ndarray:
-        if isinstance(initial, str):
-            if initial == "hot":
-                return random_lattice(self.global_shape, PhiloxStream(self.seed, 0))
-            if initial == "cold":
-                return cold_lattice(self.global_shape)
-            raise ValueError(
-                f"initial must be 'hot', 'cold' or an array, got {initial!r}"
-            )
-        plain = np.asarray(initial, dtype=np.float32)
-        if plain.shape != self.global_shape:
-            raise ValueError(
-                f"initial lattice shape {plain.shape} != {self.global_shape}"
-            )
-        validate_spins(plain)
-        return plain
 
     def _local_slice(self, global_plain: np.ndarray, core_id: int) -> np.ndarray:
         ci, cj = self.torus.coords(core_id)

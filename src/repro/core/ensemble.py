@@ -9,8 +9,10 @@ batching for this codebase: every chain's state carries a leading batch
 axis, per-chain inverse temperatures enter the Metropolis rule as a
 broadcast beta vector, and per-chain Philox keys make the batched draw
 *exactly* the B solo draws — so each chain of the ensemble is
-bit-identical to the corresponding single :class:`IsingSimulation` fed
-the same (seed, stream_id) pair.
+bit-identical to the corresponding single
+:class:`~repro.core.simulation.IsingSimulation` fed the same
+(seed, stream_id) pair.  That solo driver is this class run with one
+chain.
 
 Memory: batching materialises all B lattice states (and B uniform
 tensors per colour phase) at once, so the working set grows linearly in
@@ -21,6 +23,7 @@ HBM-bound lattices pick the batch so ``B * lattice_bytes`` still fits.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field as dataclass_field
 from time import perf_counter
 from typing import Iterable, Sequence
 
@@ -30,11 +33,11 @@ from ..backend.base import Backend
 from ..backend.numpy_backend import NumpyBackend
 from ..observables.energy import energy_per_spin
 from ..observables.magnetization import magnetization
+from ..observables.stats import blocking_error, binder_jackknife
 from ..rng.streams import BatchedPhiloxStream, PhiloxStream
 from ..telemetry.report import RunReport, RunTelemetry
-from .couplings import BondCouplings, bond_total_energy
-from .fused import record_fused_metrics
-from .lattice import cold_lattice, random_lattice, validate_spins
+from .checkerboard import CheckerboardUpdater
+from .compact import CompactUpdater
 from .config import (
     backend_from_checkpoint,
     backend_kind,
@@ -45,16 +48,124 @@ from .config import (
     resolve_fused,
     unwrap_checkpoint,
 )
+from .conv import ConvUpdater, MaskedConvUpdater
+from .couplings import BondCouplings, bond_total_energy
+from .fused import record_fused_metrics
+from .lattice import initial_lattice, validate_spins
 from .packed import PackedState, PackedUpdater, record_packed_metrics
 from .traced import TracedExecutor, record_traced_metrics
-from .simulation import (
-    ChainResult,
-    IsingSimulation,
-    _make_updater,
-    summarize_chain,
-)
 
-__all__ = ["EnsembleSimulation"]
+__all__ = ["EnsembleSimulation", "ChainResult", "summarize_chain"]
+
+
+def _make_updater(
+    updater: str,
+    beta: "float | np.ndarray",
+    backend: Backend,
+    block_shape: "tuple[int, int] | None",
+    field: float,
+    fused: bool,
+    couplings=None,
+    rng_bits: int = 16,
+):
+    """The sweep updater a checked configuration runs.
+
+    A packed backend gets the packed multi-spin engine (for either of
+    its updater names) drawing ``rng_bits`` per site; otherwise
+    ``updater`` names the float updater.  ``beta`` is a scalar for one
+    chain or a per-chain array shaped to broadcast against a batched
+    state.
+    """
+    if backend.dtype.name == "packed":
+        return PackedUpdater(beta, backend, field=field, rng_bits=rng_bits)
+    if updater == "masked_conv":
+        return MaskedConvUpdater(
+            beta, backend, field=field, fused=fused, couplings=couplings
+        )
+    updater_cls = {
+        "compact": CompactUpdater,
+        "conv": ConvUpdater,
+        "checkerboard": CheckerboardUpdater,
+    }[updater]
+    return updater_cls(
+        beta, backend, block_shape=block_shape, field=field, fused=fused
+    )
+
+
+@dataclass
+class ChainResult:
+    """Summary statistics of one sampled chain at a fixed temperature."""
+
+    temperature: float
+    n_samples: int
+    abs_m: float
+    abs_m_err: float
+    m2: float
+    m4: float
+    u4: float
+    u4_err: float
+    energy: float
+    energy_err: float
+    m_series: np.ndarray = dataclass_field(repr=False)
+    e_series: np.ndarray = dataclass_field(repr=False)
+
+
+def summarize_chain(
+    temperature: float, m_series: np.ndarray, e_series: np.ndarray
+) -> ChainResult:
+    """Blocking / jackknife summary of one chain's per-sweep series.
+
+    Every chain of :meth:`EnsembleSimulation.sample` goes through it, so
+    a batched scan summarises identically to a serial loop of solo
+    chains (the per-chain bit-identity tests rely on it).
+    """
+    m_series = np.asarray(m_series, dtype=np.float64)
+    e_series = np.asarray(e_series, dtype=np.float64)
+    n_samples = int(m_series.size)
+    n_blocks = min(32, max(2, n_samples // 4))
+    abs_m, abs_m_err = blocking_error(np.abs(m_series), n_blocks=n_blocks)
+    energy, energy_err = blocking_error(e_series, n_blocks=n_blocks)
+    u4, u4_err = binder_jackknife(m_series, n_blocks=n_blocks)
+    m_sq = m_series * m_series
+    return ChainResult(
+        temperature=float(temperature),
+        n_samples=n_samples,
+        abs_m=abs_m,
+        abs_m_err=abs_m_err,
+        m2=float(np.mean(m_sq)),
+        m4=float(np.mean(m_sq * m_sq)),
+        u4=u4,
+        u4_err=u4_err,
+        energy=energy,
+        energy_err=energy_err,
+        m_series=m_series,
+        e_series=e_series,
+    )
+
+
+def _magnetizations(plains: np.ndarray) -> np.ndarray:
+    """Per-chain signed magnetization of a ``(B, rows, cols)`` stack."""
+    return np.array([magnetization(p) for p in plains], dtype=np.float64)
+
+
+def _open_checkpoint(
+    state: dict, kind: str, backend: "Backend | None"
+) -> "tuple[dict, Backend, tuple[int, int] | None]":
+    """Unwrap a ``kind`` checkpoint; resolve the backend and block shape
+    it resumes on.
+
+    The checkpoint's backend kind ("numpy" / "tpu") and dtype are
+    round-tripped unless ``backend`` is given (e.g. a TPUBackend bound
+    to a specific simulated core); unknown kinds or dtype names raise.
+    """
+    state = unwrap_checkpoint(state, kind)
+    if backend is None:
+        backend = backend_from_checkpoint(
+            state.get("backend", "numpy"), state["dtype"]
+        )
+    check_checkpoint_dtype(state["dtype"], backend)
+    block_shape = state.get("block_shape")
+    return state, backend, tuple(block_shape) if block_shape is not None else None
 
 
 class EnsembleSimulation:
@@ -77,13 +188,16 @@ class EnsembleSimulation:
         Global experiment seed shared by every chain.
     stream_ids:
         Length-B Philox stream ids; defaults to ``range(B)``.  Chain b
-        is bit-identical to ``IsingSimulation(..., seed=seed,
+        is bit-identical to the solo ``IsingSimulation(..., seed=seed,
         stream_id=stream_ids[b])``.
     initial:
-        "hot" / "cold" (applied to every chain), a length-B sequence of
-        those strings, or an explicit ``(B, rows, cols)`` +/-1 array.
+        "hot" / "cold" (applied to every chain), or a length-B sequence
+        of per-chain starts — those strings or +/-1 lattices, e.g. an
+        explicit ``(B, rows, cols)`` array.
     block_shape:
-        Grid block decomposition, as in :class:`IsingSimulation`.
+        Grid block decomposition for the blocked updaters (defaults to
+        a 2x2 grid of half-lattice blocks for compact and conv, one
+        whole-lattice block for checkerboard).
     field:
         External magnetic field h, shared by every chain.
     fused:
@@ -98,11 +212,14 @@ class EnsembleSimulation:
         (:meth:`add_chain` / :meth:`remove_chain`) and re-tempering
         re-record on the next sweep.
     telemetry:
-        Optional :class:`~repro.telemetry.report.RunTelemetry` recorder
-        (same contract as :class:`IsingSimulation`: absent by default,
-        zero-cost when disabled, RNG-neutral when enabled).  Physics
-        samples record the chain-averaged magnetization / energy and the
-        cross-chain mean flip activity.
+        Optional :class:`~repro.telemetry.report.RunTelemetry` recorder.
+        When omitted (the default) the sweep loop pays one ``is None``
+        branch — no timing calls, no per-sweep allocation; when attached,
+        sweep wall times and sampled physics signals (the chain-averaged
+        magnetization / energy and the cross-chain mean flip activity)
+        are recorded and :meth:`report` emits a
+        :class:`~repro.telemetry.report.RunReport`.  Telemetry never
+        touches the RNG stream, so instrumented chains stay bit-identical.
     """
 
     def __init__(
@@ -113,7 +230,7 @@ class EnsembleSimulation:
         backend: Backend | None = None,
         seed: int = 0,
         stream_ids: Iterable[int] | None = None,
-        initial: str | Sequence[str] | np.ndarray = "hot",
+        initial: "str | Sequence[str | np.ndarray] | np.ndarray" = "hot",
         block_shape: tuple[int, int] | None = None,
         field: float = 0.0,
         fused: "bool | str" = "auto",
@@ -153,11 +270,6 @@ class EnsembleSimulation:
         self.field = float(field)
         self.updater_name = updater
         self.seed = int(seed)
-        #: Per-chain Philox seeds.  The constructor broadcasts the shared
-        #: ``seed``; chains joined through :meth:`add_chain` /
-        #: :meth:`from_chains` may carry their own (the batched stream
-        #: keys every chain independently either way).
-        self.seeds = [self.seed] * self.n_chains
         self.sweeps_done = 0
         self.telemetry = telemetry
         self.packed = dtype == "packed"
@@ -166,10 +278,10 @@ class EnsembleSimulation:
 
         if stream_ids is None:
             stream_ids = range(self.n_chains)
-        self.stream_ids = [int(s) for s in stream_ids]
-        if len(self.stream_ids) != self.n_chains:
+        stream_ids = [int(s) for s in stream_ids]
+        if len(stream_ids) != self.n_chains:
             raise ValueError(
-                f"{len(self.stream_ids)} stream ids for {self.n_chains} chains"
+                f"{len(stream_ids)} stream ids for {self.n_chains} chains"
             )
 
         if block_shape is None:
@@ -181,52 +293,43 @@ class EnsembleSimulation:
                 f"lattice shape {self.shape}"
             )
         self.couplings = couplings
-        self._updater = self._build_updater()
+        self._updater = self._build_updater(rng_bits=16)
         self.block_shape = getattr(self._updater, "block_shape", None)
         self._executor = TracedExecutor(self._updater) if self.fused else None
 
         # Per-chain initial states, drawn from each chain's own solo
-        # stream so hot starts match the corresponding IsingSimulation
-        # draw-for-draw; the batched stream then inherits the counters.
-        streams = [PhiloxStream(self.seed, sid) for sid in self.stream_ids]
+        # stream so hot starts match a lone chain draw-for-draw; the
+        # batched stream then inherits the counters.
+        streams = [PhiloxStream(self.seed, sid) for sid in stream_ids]
         if isinstance(initial, str):
             initial = [initial] * self.n_chains
-        if isinstance(initial, np.ndarray):
-            plains = np.asarray(initial, dtype=np.float32)
-            if plains.shape != (self.n_chains,) + self.shape:
-                raise ValueError(
-                    f"initial lattice stack shape {plains.shape} != "
-                    f"{(self.n_chains,) + self.shape}"
-                )
-            for b in range(self.n_chains):
-                validate_spins(plains[b])
-        else:
-            if len(initial) != self.n_chains:
-                raise ValueError(
-                    f"{len(initial)} initial states for {self.n_chains} chains"
-                )
-            chain_plains = []
-            for start, stream in zip(initial, streams):
-                if start == "hot":
-                    chain_plains.append(random_lattice(self.shape, stream))
-                elif start == "cold":
-                    chain_plains.append(cold_lattice(self.shape))
-                else:
-                    raise ValueError(
-                        f"initial must be 'hot', 'cold' or an array, got {start!r}"
-                    )
-            plains = np.stack(chain_plains)
+        if len(initial) != self.n_chains:
+            raise ValueError(
+                f"initial lattice stack of {len(initial)} states for "
+                f"{self.n_chains} chains"
+            )
+        plains = np.stack(
+            [
+                initial_lattice(self.shape, start, stream)
+                for start, stream in zip(initial, streams)
+            ]
+        )
         self.stream = BatchedPhiloxStream.from_streams(streams)
         self._state = self._updater.to_state(plains)
 
-    def _build_updater(self):
+    def _build_updater(self, rng_bits: "int | None" = None):
         """Construct the batched updater for the current chain roster.
 
-        Called at construction and again whenever the roster changes
-        (:meth:`add_chain` / :meth:`remove_chain`) — the updaters
-        precompute per-chain acceptance tables from the beta vector, so
-        a roster change rebuilds them.
+        Called at construction and again whenever the roster or the
+        betas change (:meth:`add_chain` / :meth:`remove_chain` /
+        :meth:`set_temperatures`) — the updaters precompute per-chain
+        acceptance tables from the beta vector, so a roster change
+        rebuilds them.  A rebuild keeps the packed engine's draw width
+        (``rng_bits``, 32 only after a checkpoint restore) unless told
+        otherwise.
         """
+        if rng_bits is None:
+            rng_bits = getattr(self._updater, "rng_bits", 16)
         return _make_updater(
             self.updater_name,
             self._beta_vector(),
@@ -235,13 +338,20 @@ class EnsembleSimulation:
             self.field,
             self.fused,
             couplings=self.couplings,
+            rng_bits=rng_bits,
         )
 
-    def _beta_vector(self) -> np.ndarray:
-        """The per-chain betas, shaped to broadcast against the batched
+    def _beta_vector(self) -> "float | np.ndarray":
+        """The betas as the updaters take them.
+
+        One chain gets its scalar beta, so the acceptance table keeps
+        the 0-d offset and the op sequence of a lone chain.  Otherwise
+        the per-chain betas are shaped to broadcast against the batched
         state: ``(B,)`` for the packed engine's thresholds over its
         ``(B, rows/2, cols/128)`` word planes, rank-3 ``(batch, rows,
         cols)`` for masked_conv, rank-5 grids for the blocked updaters."""
+        if self.n_chains == 1:
+            return float(self.betas[0])
         if self.packed:
             return self.betas
         state_rank = 3 if self.updater_name == "masked_conv" else 5
@@ -258,13 +368,16 @@ class EnsembleSimulation:
     def n_sites(self) -> int:
         return self.shape[0] * self.shape[1]
 
-    def to_single(self, index: int) -> IsingSimulation:
+    def to_single(self, index: int) -> "IsingSimulation":
         """Split chain ``index`` out as an equivalent solo simulation.
 
-        The returned :class:`IsingSimulation` shares the ensemble's
-        backend and continues the chain bit-identically from the current
-        lattice and Philox counter.
+        The returned :class:`~repro.core.simulation.IsingSimulation`
+        shares the ensemble's backend and engine (``fused``, the packed
+        draw width) and continues the chain bit-identically from the
+        current lattice and Philox counter.
         """
+        from .simulation import IsingSimulation  # the solo subclasses this one
+
         if not 0 <= index < self.n_chains:
             raise IndexError(
                 f"chain index {index} out of range for {self.n_chains} chains"
@@ -275,20 +388,23 @@ class EnsembleSimulation:
                 "IsingSimulation runs the clean ferromagnet only; keep "
                 "them batched in the ensemble"
             )
-        sim = IsingSimulation(
+        solo = IsingSimulation(
             self.shape,
             float(self.temperatures[index]),
             updater=self.updater_name,
             backend=self.backend,
-            seed=self.seeds[index],
-            stream_id=self.stream_ids[index],
-            initial=np.asarray(self.lattices[index], dtype=np.float32),
+            seed=self.stream.seeds[index],
+            stream_id=self.stream.stream_ids[index],
+            initial=self.lattices[index],
             block_shape=self.block_shape,
             field=self.field,
+            fused=self.fused_config,
         )
-        sim.stream = self.stream.chain(index)
-        sim.sweeps_done = self.sweeps_done
-        return sim
+        return solo._resume(
+            self._packed_payload(index) if self.packed else None,
+            BatchedPhiloxStream.from_streams([self.stream.chain(index)]),
+            self.sweeps_done,
+        )
 
     # -- continuous batching (join/leave at sweep boundaries) ----------------
 
@@ -312,8 +428,7 @@ class EnsembleSimulation:
         position) and its current plain lattice, so chains mid-flight —
         restored from checkpoints, split out of other ensembles, or fresh
         — batch together and each continues bit-identically to the solo
-        :class:`IsingSimulation` it came from.  Counters need not be
-        aligned across chains.
+        chain it came from.  Counters need not be aligned across chains.
         """
         if not chains:
             raise ValueError("need at least one chain")
@@ -337,7 +452,6 @@ class EnsembleSimulation:
             couplings=couplings,
         )
         ensemble.stream = BatchedPhiloxStream.from_streams(streams)
-        ensemble.seeds = [s.seed for s in streams]
         return ensemble
 
     def _rebuild_roster(
@@ -351,8 +465,6 @@ class EnsembleSimulation:
         self.temperatures = np.asarray(temps, dtype=np.float64)
         self.betas = 1.0 / self.temperatures
         self.n_chains = int(self.temperatures.size)
-        self.seeds = [s.seed for s in streams]
-        self.stream_ids = [s.stream_id for s in streams]
         self._updater = self._build_updater()
         self.stream = BatchedPhiloxStream.from_streams(streams)
         self._state = self._updater.to_state(
@@ -393,10 +505,10 @@ class EnsembleSimulation:
         """Leave the batch at a sweep boundary, returning the chain's state.
 
         Returns the removed chain's ``(lattice, stream)`` — everything a
-        solo :class:`IsingSimulation` (or a later :meth:`add_chain`)
-        needs to continue it bit-identically.  The surviving chains keep
-        their exact lattices and Philox counters.  The last chain cannot
-        be removed; retire the whole ensemble instead.
+        solo chain (or a later :meth:`add_chain`) needs to continue it
+        bit-identically.  The surviving chains keep their exact lattices
+        and Philox counters.  The last chain cannot be removed; retire
+        the whole ensemble instead.
         """
         if not 0 <= index < self.n_chains:
             raise IndexError(
@@ -476,19 +588,11 @@ class EnsembleSimulation:
         telemetry.record_sweep(perf_counter() - start)
         if telemetry.wants_physics(self.sweeps_done):
             plains = self.lattices
-            mean_m = float(
-                np.mean([magnetization(p) for p in plains])
+            telemetry.record_physics(
+                plains,
+                np.mean(_magnetizations(plains)),
+                np.mean(self._energies(plains)),
             )
-            if self.couplings is not None:
-                mean_e = float(
-                    np.mean(bond_total_energy(plains, self.couplings))
-                    / self.n_sites
-                )
-            else:
-                mean_e = float(
-                    np.mean([energy_per_spin(p) for p in plains])
-                )
-            telemetry.record_physics(plains, mean_m, mean_e)
 
     def run(self, n_sweeps: int) -> None:
         """Advance every chain by ``n_sweeps`` sweeps.
@@ -510,8 +614,7 @@ class EnsembleSimulation:
 
     def magnetizations(self) -> np.ndarray:
         """Per-chain signed magnetization, shaped ``(B,)``."""
-        plains = self.lattices
-        return np.array([magnetization(p) for p in plains], dtype=np.float64)
+        return _magnetizations(self.lattices)
 
     def energies_per_spin(self) -> np.ndarray:
         """Per-chain (zero-field) energy per site, shaped ``(B,)``.
@@ -520,7 +623,9 @@ class EnsembleSimulation:
         ``J_ij`` planes; the clean ferromagnet keeps the historical
         :func:`~repro.observables.energy.energy_per_spin` estimator.
         """
-        plains = self.lattices
+        return self._energies(self.lattices)
+
+    def _energies(self, plains: np.ndarray) -> np.ndarray:
         if self.couplings is not None:
             return bond_total_energy(plains, self.couplings) / self.n_sites
         return np.array([energy_per_spin(p) for p in plains], dtype=np.float64)
@@ -545,9 +650,8 @@ class EnsembleSimulation:
         """Burn in, then record per-sweep m and e for every chain.
 
         Returns one :class:`ChainResult` per chain, in chain order, each
-        computed with the same estimators as
-        :meth:`IsingSimulation.sample` — a batched scan summarises
-        identically to the serial loop it replaces.
+        summarised by :func:`summarize_chain` — a batched scan summarises
+        identically to the serial loop of solo chains it replaces.
         """
         if n_samples <= 0:
             raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -559,15 +663,8 @@ class EnsembleSimulation:
         for k in range(n_samples):
             self.run(thin)
             plains = self.lattices
-            for b in range(self.n_chains):
-                m_series[b, k] = magnetization(plains[b])
-            if self.couplings is not None:
-                e_series[:, k] = (
-                    bond_total_energy(plains, self.couplings) / self.n_sites
-                )
-            else:
-                for b in range(self.n_chains):
-                    e_series[b, k] = energy_per_spin(plains[b])
+            m_series[:, k] = _magnetizations(plains)
+            e_series[:, k] = self._energies(plains)
         return [
             summarize_chain(self.temperatures[b], m_series[b], e_series[b])
             for b in range(self.n_chains)
@@ -581,67 +678,70 @@ class EnsembleSimulation:
         Requires an attached telemetry recorder.  ``rng.streams`` carries
         every chain's final Philox counter position, in chain order.
         """
+        run = {
+            **self._layout(),
+            "temperatures": self.temperatures.tolist(),
+            "seed": self.seed,
+            "n_chains": self.n_chains,
+            "sweeps_done": self.sweeps_done,
+            "fused": self.fused,
+            "couplings": "ferro" if self.couplings is None else self.couplings.kind,
+            "disorder_seed": (
+                None if self.couplings is None else self.couplings.disorder_seed
+            ),
+        }
+        streams = [self.stream.chain(b).state() for b in range(self.n_chains)]
+        return self._build_report("ensemble", run, streams, n_chains=self.n_chains)
+
+    def _build_report(
+        self, kind: str, run: dict, streams: "list[dict]", **gauges
+    ) -> RunReport:
+        """Book the end-of-run gauges and assemble a ``kind`` report."""
         if self.telemetry is None:
             raise RuntimeError(
                 "no telemetry attached; construct with "
-                "EnsembleSimulation(..., telemetry=RunTelemetry())"
+                f"{type(self).__name__}(..., telemetry=RunTelemetry())"
             )
         registry = self.telemetry.registry
         registry.gauge("sweeps_done").set(self.sweeps_done)
-        registry.gauge("n_chains").set(self.n_chains)
+        for name, value in gauges.items():
+            registry.gauge(name).set(value)
         record_fused_metrics(registry, self._updater)
         record_traced_metrics(registry, self._executor)
         record_packed_metrics(registry, self._updater)
-        streams = [
-            {"seed": seed, "stream_id": sid, "counter": counter}
-            for seed, sid, counter in zip(
-                self.stream.seeds, self.stream.stream_ids, self.stream.counters
-            )
-        ]
         return self.telemetry.build_report(
-            kind="ensemble",
-            run={
-                "shape": self.shape,
-                "temperatures": self.temperatures.tolist(),
-                "field": self.field,
-                "updater": self.updater_name,
-                "backend": backend_kind(self.backend),
-                "dtype": self.backend.dtype.name,
-                "block_shape": self.block_shape,
-                "seed": self.seed,
-                "n_chains": self.n_chains,
-                "sweeps_done": self.sweeps_done,
-                "fused": self.fused,
-                "couplings": (
-                    "ferro" if self.couplings is None else self.couplings.kind
-                ),
-                "disorder_seed": (
-                    None if self.couplings is None else self.couplings.disorder_seed
-                ),
-            },
-            rng={"streams": streams},
+            kind=kind, run=run, rng={"streams": streams}
         )
+
+    def _layout(self) -> dict:
+        """Geometry and engine keys shared by checkpoints and reports."""
+        return {
+            "shape": self.shape,
+            "field": self.field,
+            "updater": self.updater_name,
+            "backend": backend_kind(self.backend),
+            "dtype": self.backend.dtype.name,
+            "block_shape": self.block_shape,
+        }
 
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
         """Serializable checkpoint of the whole ensemble.
 
-        Emitted as a versioned ``checkpoint/v2`` envelope.  Round-trips
-        everything a resume needs for bit-identical continuation:
-        lattices, per-chain RNG counters, backend kind, dtype and block
-        decomposition.  Packed ensembles additionally store the batched
-        word planes (see :meth:`IsingSimulation.state_dict`), so resume
-        is bit-identical at the word level.
+        Emitted as a versioned ``checkpoint/v2`` envelope (see
+        :mod:`repro.core.config`).  Round-trips everything a resume
+        needs for bit-identical continuation: lattices, per-chain RNG
+        counters, backend kind, dtype and block decomposition.  Packed
+        ensembles additionally store their word planes with the
+        bit-order contract (``packed``: little-endian 64-bit words plus
+        the stream mode's ``rng_bits``), so resume is bit-identical at
+        the word level; a packed checkpoint refuses to load on an
+        unpacked backend, and vice versa.
         """
         payload = {
-            "shape": self.shape,
+            **self._layout(),
             "temperatures": self.temperatures.tolist(),
-            "field": self.field,
-            "updater": self.updater_name,
-            "backend": backend_kind(self.backend),
-            "dtype": self.backend.dtype.name,
-            "block_shape": self.block_shape,
             "seed": self.seed,
             "fused": self.fused_config,
             "lattices": self.lattices,
@@ -652,16 +752,7 @@ class EnsembleSimulation:
             # The arrays regenerate bit-identically from the token.
             payload["couplings"] = self.couplings.state_token()
         if self.packed:
-            payload["packed"] = {
-                "word_bits": 64,
-                "bit_order": "little",
-                "rng_bits": self._updater.rng_bits,
-                "quarter_shape": self._state.quarter_shape,
-                "words": {
-                    name: getattr(self._state, name).copy()
-                    for name in ("w00", "w01", "w10", "w11")
-                },
-            }
+            payload["packed"] = self._packed_payload()
         return checkpoint_envelope("ensemble", payload)
 
     @classmethod
@@ -671,15 +762,11 @@ class EnsembleSimulation:
         """Rebuild an ensemble from :meth:`state_dict` output.
 
         Accepts the ``checkpoint/v2`` envelope or (with a
-        :class:`DeprecationWarning`) a legacy v1 dict.
+        :class:`DeprecationWarning`) a legacy v1 dict.  Pass ``backend``
+        to resume on an explicit (pre-built) backend instead of the
+        checkpoint's own kind and dtype.
         """
-        state = unwrap_checkpoint(state, "ensemble")
-        if backend is None:
-            backend = backend_from_checkpoint(
-                state.get("backend", "numpy"), state["dtype"]
-            )
-        check_checkpoint_dtype(state["dtype"], backend)
-        block_shape = state.get("block_shape")
+        state, backend, block_shape = _open_checkpoint(state, "ensemble", backend)
         coup = state.get("couplings")
         couplings = (
             BondCouplings.generate(
@@ -696,27 +783,51 @@ class EnsembleSimulation:
             seed=state["seed"],
             stream_ids=state["stream"]["stream_ids"],
             initial=np.asarray(state["lattices"], dtype=np.float32),
-            block_shape=tuple(block_shape) if block_shape is not None else None,
+            block_shape=block_shape,
             field=state["field"],
             fused=state.get("fused", "auto"),
             couplings=couplings,
         )
-        if ensemble.packed:
-            ensemble._restore_packed(state.get("packed"))
-        ensemble.stream = BatchedPhiloxStream.from_state(state["stream"])
-        ensemble.seeds = list(ensemble.stream.seeds)
-        ensemble.sweeps_done = int(state["sweeps_done"])
-        return ensemble
+        return ensemble._resume(
+            state.get("packed"),
+            BatchedPhiloxStream.from_state(state["stream"]),
+            state["sweeps_done"],
+        )
+
+    def _packed_payload(self, chains=slice(None)) -> dict:
+        """The packed word planes of ``chains`` (all, or one index) with
+        their bit-order contract and draw width."""
+        return {
+            "word_bits": 64,
+            "bit_order": "little",
+            "rng_bits": self._updater.rng_bits,
+            "quarter_shape": self._state.quarter_shape,
+            "words": {
+                name: getattr(self._state, name)[chains].copy()
+                for name in ("w00", "w01", "w10", "w11")
+            },
+        }
+
+    def _resume(
+        self, packed: "dict | None", stream: BatchedPhiloxStream, sweeps_done: int
+    ) -> "EnsembleSimulation":
+        """Continue chains mid-run: their packed word planes and draw
+        width, Philox counters and sweep count."""
+        if self.packed:
+            self._restore_packed(packed)
+        self.stream = stream
+        self.sweeps_done = int(sweeps_done)
+        return self
 
     def _restore_packed(self, packed: dict | None) -> None:
-        """Rebuild the batched packed word planes from a checkpoint payload."""
+        """Rebuild the packed word planes from a checkpoint payload."""
         if packed is None:
             raise ValueError(
                 "checkpoint has no packed payload: it was written by an "
-                "unpacked ensemble and cannot resume as dtype='packed' (the "
+                "unpacked chain and cannot resume as dtype='packed' (the "
                 "packed stream mode consumes randomness on a different "
                 "counter schedule); resume on the checkpoint's own dtype, "
-                "or start a fresh packed run from its lattices"
+                "or start a fresh packed run from its lattice"
             )
         if packed.get("word_bits", 64) != 64 or packed.get("bit_order", "little") != "little":
             raise ValueError(
@@ -726,22 +837,17 @@ class EnsembleSimulation:
             )
         rng_bits = int(packed.get("rng_bits", 16))
         if rng_bits != self._updater.rng_bits:
-            self._updater = PackedUpdater(
-                self.betas, self.backend, rng_bits=rng_bits
-            )
+            self._updater = self._build_updater(rng_bits)
             self._executor.rebind(self._updater)
-        words = {
-            # astype normalises foreign-endian checkpoint words to the
-            # native representation; the *values* are host-independent.
-            name: np.ascontiguousarray(
-                np.asarray(packed["words"][name]).astype(np.uint64, copy=False)
-            )
-            for name in ("w00", "w01", "w10", "w11")
-        }
+        planes = self._state.w00.shape
         self._state = PackedState(
-            words["w00"],
-            words["w01"],
-            words["w10"],
-            words["w11"],
+            *(
+                # A converting copy: foreign-endian checkpoint words become
+                # native (the *values* are host-independent), and the
+                # running chain never writes into the caller's checkpoint.
+                np.array(packed["words"][name], dtype=np.uint64, order="C")
+                .reshape(planes)
+                for name in ("w00", "w01", "w10", "w11")
+            ),
             tuple(packed["quarter_shape"]),
         )

@@ -30,6 +30,7 @@ __all__ = [
     "random_lattice",
     "cold_lattice",
     "validate_spins",
+    "initial_lattice",
     "plain_to_grid",
     "grid_to_plain",
     "plain_to_quarters",
@@ -66,9 +67,35 @@ def validate_spins(plain: np.ndarray) -> None:
         raise ValueError(f"spins must be +/-1; found values {bad[:8]}")
 
 
+def initial_lattice(
+    shape: tuple[int, int], initial: "str | np.ndarray", stream: PhiloxStream
+) -> np.ndarray:
+    """A chain's plain starting lattice: ``"hot"`` draws it from
+    ``stream``, ``"cold"`` is all up, and an explicit +/-1 array is
+    checked against ``shape`` and used as given."""
+    if isinstance(initial, str):
+        if initial == "hot":
+            return random_lattice(shape, stream)
+        if initial == "cold":
+            return cold_lattice(shape)
+        raise ValueError(
+            f"initial must be 'hot', 'cold' or an array, got {initial!r}"
+        )
+    plain = np.asarray(initial, dtype=np.float32)
+    if plain.shape != tuple(shape):
+        raise ValueError(f"initial lattice shape {plain.shape} != {tuple(shape)}")
+    validate_spins(plain)
+    return plain
+
+
 def plain_to_grid(plain: np.ndarray, block_shape: tuple[int, int]) -> np.ndarray:
-    """Split a plain lattice into an ``[m, n, r, c]`` grid of blocks."""
-    rows, cols = plain.shape
+    """Split a plain lattice into an ``[m, n, r, c]`` grid of blocks.
+
+    Leading batch axes pass through: ``(B, rows, cols)`` chains become
+    the rank-5 ``[B, m, n, r, c]`` grid, and likewise in the converters
+    below.
+    """
+    *lead, rows, cols = plain.shape
     r, c = block_shape
     if r <= 0 or c <= 0:
         raise ValueError(f"block shape must be positive, got {block_shape}")
@@ -78,16 +105,18 @@ def plain_to_grid(plain: np.ndarray, block_shape: tuple[int, int]) -> np.ndarray
         )
     m, n = rows // r, cols // c
     return np.ascontiguousarray(
-        plain.reshape(m, r, n, c).transpose(0, 2, 1, 3)
+        plain.reshape(*lead, m, r, n, c).swapaxes(-3, -2)
     )
 
 
 def grid_to_plain(grid: np.ndarray) -> np.ndarray:
     """Inverse of :func:`plain_to_grid`."""
-    if grid.ndim != 4:
+    if grid.ndim < 4:
         raise ValueError(f"expected a rank-4 grid, got shape {grid.shape}")
-    m, n, r, c = grid.shape
-    return np.ascontiguousarray(grid.transpose(0, 2, 1, 3).reshape(m * r, n * c))
+    *lead, m, n, r, c = grid.shape
+    return np.ascontiguousarray(
+        grid.swapaxes(-3, -2).reshape(*lead, m * r, n * c)
+    )
 
 
 def plain_to_quarters(
@@ -99,14 +128,14 @@ def plain_to_quarters(
     ``y mod 2``; the lattice must have even dimensions so every quarter has
     the same shape.
     """
-    rows, cols = plain.shape
+    rows, cols = plain.shape[-2:]
     if rows % 2 or cols % 2:
         raise ValueError(f"lattice shape must be even, got {plain.shape}")
     return (
-        np.ascontiguousarray(plain[0::2, 0::2]),
-        np.ascontiguousarray(plain[0::2, 1::2]),
-        np.ascontiguousarray(plain[1::2, 0::2]),
-        np.ascontiguousarray(plain[1::2, 1::2]),
+        np.ascontiguousarray(plain[..., 0::2, 0::2]),
+        np.ascontiguousarray(plain[..., 0::2, 1::2]),
+        np.ascontiguousarray(plain[..., 1::2, 0::2]),
+        np.ascontiguousarray(plain[..., 1::2, 1::2]),
     )
 
 
@@ -114,15 +143,15 @@ def quarters_to_plain(
     q00: np.ndarray, q01: np.ndarray, q10: np.ndarray, q11: np.ndarray
 ) -> np.ndarray:
     """Inverse of :func:`plain_to_quarters`."""
-    h, w = q00.shape
     for name, q in (("q01", q01), ("q10", q10), ("q11", q11)):
-        if q.shape != (h, w):
+        if q.shape != q00.shape:
             raise ValueError(f"{name} shape {q.shape} != q00 shape {q00.shape}")
-    plain = np.empty((2 * h, 2 * w), dtype=np.float32)
-    plain[0::2, 0::2] = q00
-    plain[0::2, 1::2] = q01
-    plain[1::2, 0::2] = q10
-    plain[1::2, 1::2] = q11
+    *lead, h, w = q00.shape
+    plain = np.empty((*lead, 2 * h, 2 * w), dtype=np.float32)
+    plain[..., 0::2, 0::2] = q00
+    plain[..., 0::2, 1::2] = q01
+    plain[..., 1::2, 0::2] = q10
+    plain[..., 1::2, 1::2] = q11
     return plain
 
 
@@ -176,16 +205,6 @@ class CompactLattice:
         return self.s00.shape
 
     @property
-    def batched(self) -> bool:
-        """True when the tensors carry a leading ensemble chain axis."""
-        return self.s00.ndim == 5
-
-    @property
-    def n_chains(self) -> int:
-        """Number of ensemble chains (1 for the unbatched form)."""
-        return self.s00.shape[0] if self.batched else 1
-
-    @property
     def plain_shape(self) -> tuple[int, int]:
         m, n, r, c = self.s00.shape[-4:]
         return 2 * m * r, 2 * n * c
@@ -196,31 +215,6 @@ class CompactLattice:
         return rows * cols
 
     @classmethod
-    def stack(cls, lats: "list[CompactLattice]") -> "CompactLattice":
-        """Stack unbatched lattices of one geometry into the batched form."""
-        if not lats:
-            raise ValueError("need at least one lattice to stack")
-        if any(lat.batched for lat in lats):
-            raise ValueError("can only stack unbatched lattices")
-        return cls(
-            s00=np.stack([lat.s00 for lat in lats]),
-            s01=np.stack([lat.s01 for lat in lats]),
-            s10=np.stack([lat.s10 for lat in lats]),
-            s11=np.stack([lat.s11 for lat in lats]),
-        )
-
-    def chain(self, index: int) -> "CompactLattice":
-        """Extract one chain of a batched lattice as an unbatched copy."""
-        if not self.batched:
-            raise ValueError("chain() requires a batched lattice")
-        return CompactLattice(
-            s00=np.ascontiguousarray(self.s00[index]),
-            s01=np.ascontiguousarray(self.s01[index]),
-            s10=np.ascontiguousarray(self.s10[index]),
-            s11=np.ascontiguousarray(self.s11[index]),
-        )
-
-    @classmethod
     def from_plain(
         cls, plain: np.ndarray, block_shape: tuple[int, int] | None = None
     ) -> "CompactLattice":
@@ -228,11 +222,12 @@ class CompactLattice:
 
         ``block_shape`` is the (r, c) of each compact block; the default is
         one block spanning the whole quarter (fine off-TPU, where there is
-        no 128-alignment constraint).
+        no 128-alignment constraint).  A ``(batch, rows, cols)`` stack of
+        chains yields the batched rank-5 form.
         """
         q00, q01, q10, q11 = plain_to_quarters(plain)
         if block_shape is None:
-            block_shape = q00.shape
+            block_shape = q00.shape[-2:]
         return cls(
             s00=plain_to_grid(q00, block_shape),
             s01=plain_to_grid(q01, block_shape),
@@ -246,8 +241,6 @@ class CompactLattice:
         Returns ``(2H, 2W)`` for the unbatched form and
         ``(batch, 2H, 2W)`` for the batched form.
         """
-        if self.batched:
-            return np.stack([self.chain(b).to_plain() for b in range(self.n_chains)])
         return quarters_to_plain(
             grid_to_plain(self.s00),
             grid_to_plain(self.s01),

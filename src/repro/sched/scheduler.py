@@ -39,7 +39,7 @@ from ..backend.numpy_backend import NumpyBackend
 from ..backend.tpu_backend import TPUBackend
 from ..core.couplings import BondCouplings, bond_energy_per_spin
 from ..core.ensemble import EnsembleSimulation
-from ..core.lattice import cold_lattice, random_lattice, validate_spins
+from ..core.lattice import initial_lattice
 from ..observables.energy import energy_per_spin
 from ..observables.magnetization import magnetization
 from ..rng.streams import PhiloxStream
@@ -530,23 +530,7 @@ class Scheduler:
             lattice = np.asarray(job.resume["lattice"], dtype=np.float32)
             return config.resolved_temperature, stream, lattice
         stream = PhiloxStream(config.seed, 0)
-        initial = config.initial
-        if isinstance(initial, str):
-            if initial == "hot":
-                lattice = random_lattice(shape, stream)
-            elif initial == "cold":
-                lattice = cold_lattice(shape)
-            else:
-                raise ValueError(
-                    f"initial must be 'hot', 'cold' or an array, got {initial!r}"
-                )
-        else:
-            lattice = np.asarray(initial, dtype=np.float32)
-            if lattice.shape != shape:
-                raise ValueError(
-                    f"initial lattice shape {lattice.shape} != {shape}"
-                )
-            validate_spins(lattice)
+        lattice = initial_lattice(shape, config.initial, stream)
         job.resume = {
             "lattice": np.array(lattice, copy=True),
             "stream": stream.state(),

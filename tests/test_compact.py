@@ -205,7 +205,7 @@ class TestMergedDraw:
         traced.run(8)
         assert traced._executor.sweeps_replayed == 6
         assert np.array_equal(eager.lattice, traced.lattice)
-        assert eager.stream.counter == traced.stream.counter
+        assert eager.stream.counters == traced.stream.counters
 
         # Checkpoint mid-run and resume; the resumed chain must agree.
         chain = build()
@@ -216,4 +216,4 @@ class TestMergedDraw:
         resumed.run(5)
         assert np.array_equal(resumed.lattice, chain.lattice)
         assert np.array_equal(resumed.lattice, eager.lattice)
-        assert resumed.stream.counter == eager.stream.counter
+        assert resumed.stream.counters == eager.stream.counters

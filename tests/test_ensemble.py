@@ -168,6 +168,16 @@ class TestEnsembleLifecycle:
         solo.run(4)
         assert np.array_equal(ensemble.lattices[2], solo.lattice)
 
+    def test_to_single_keeps_the_elementwise_engine(self):
+        ensemble = EnsembleSimulation(8, TEMPS, seed=8, fused=False)
+        ensemble.run(2)
+        solo = ensemble.to_single(1)
+        assert solo.fused is False
+        assert solo._executor is None
+        ensemble.run(3)
+        solo.run(3)
+        assert np.array_equal(ensemble.lattices[1], solo.lattice)
+
     def test_replica_ensemble_distinct_chains(self):
         # Same temperature, distinct stream ids: chains must decorrelate.
         ensemble = EnsembleSimulation(16, np.full(4, 2.3), seed=1)

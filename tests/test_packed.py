@@ -261,6 +261,41 @@ class TestCheckpoints:
         resumed = IsingSimulation.from_state_dict(state)
         assert resumed._updater.rng_bits == 32
 
+    @staticmethod
+    def _rng32_ensemble() -> EnsembleSimulation:
+        ens = EnsembleSimulation(128, [2.0, 2.4], backend=packed_backend(), seed=6)
+        state = ens.state_dict()
+        state["packed"]["rng_bits"] = 32
+        return EnsembleSimulation.from_state_dict(state)
+
+    def test_rng_bits_survive_set_temperatures(self):
+        ens, twin = self._rng32_ensemble(), self._rng32_ensemble()
+        ens.set_temperatures([2.0, 2.4])
+        assert ens._updater.rng_bits == 32
+        ens.run(3)
+        twin.run(3)
+        assert np.array_equal(ens.lattices, twin.lattices)
+        assert ens.stream.counters == twin.stream.counters
+
+    def test_rng_bits_survive_remove_and_add_chain(self):
+        ens, twin = self._rng32_ensemble(), self._rng32_ensemble()
+        lattice, stream = ens.remove_chain(0)
+        assert ens._updater.rng_bits == 32
+        ens.add_chain(2.0, stream, lattice)  # rejoins as chain 1
+        ens.run(3)
+        twin.run(3)
+        assert np.array_equal(ens.lattices[::-1], twin.lattices)
+        assert ens.stream.counters[::-1] == twin.stream.counters
+
+    def test_rng_bits_survive_to_single(self):
+        ens, twin = self._rng32_ensemble(), self._rng32_ensemble()
+        solo = ens.to_single(1)
+        assert solo._updater.rng_bits == 32
+        solo.run(3)
+        twin.run(3)
+        assert np.array_equal(solo.lattice, twin.lattices[1])
+        assert solo.stream.counters == twin.stream.counters[1:]
+
     def test_foreign_word_layout_rejected(self):
         sim = IsingSimulation(128, 2.2, backend=packed_backend(), seed=1)
         state = sim.state_dict()

@@ -159,8 +159,12 @@ class TestErrors:
                 {"updater": "masked_conv", "block_shape": [4, 4]},
                 "masked_conv does not take a block_shape",
             ),
+            (
+                {"shape": [12, 12], "block_shape": [4, 4]},
+                "block_shape (4, 4) does not tile",
+            ),
         ],
-        ids=["odd-side", "narrow-packed", "masked-conv-block"],
+        ids=["odd-side", "narrow-packed", "masked-conv-block", "untiled-block"],
     )
     def test_unsupported_config_is_400_at_post(self, overrides, rule):
         async def scenario(app):

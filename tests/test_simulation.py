@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.backend import NumpyBackend
+from repro.core.config import checkpoint_kind
 from repro.core.simulation import IsingSimulation, run_temperature_scan
+from repro.telemetry import RunTelemetry
 
 from .conftest import make_lattice
 
@@ -208,3 +210,49 @@ class TestCheckpointFidelity:
     def test_masked_conv_rejects_block_shape(self):
         with pytest.raises(ValueError, match="block_shape"):
             IsingSimulation(8, 2.3, updater="masked_conv", block_shape=(2, 2))
+
+
+class TestSoloFormats:
+    """The solo's checkpoint and run-report formats, key for key."""
+
+    @pytest.mark.parametrize("dtype, side", [("float32", 16), ("packed", 128)])
+    def test_state_dict_keys(self, dtype, side):
+        sim = IsingSimulation(
+            side, 2.3, backend=NumpyBackend(dtype), seed=3, stream_id=2
+        )
+        sim.run(2)
+        state = sim.state_dict()
+        keys = {
+            "schema", "kind", "shape", "temperature", "field", "updater",
+            "backend", "dtype", "block_shape", "fused", "lattice", "stream",
+            "sweeps_done",
+        }
+        if dtype == "packed":
+            keys.add("packed")
+            assert set(state["packed"]) == {
+                "word_bits", "bit_order", "rng_bits", "quarter_shape", "words",
+            }
+            assert state["packed"]["words"]["w00"].shape == (side // 2, side // 128)
+        assert set(state) == keys
+        assert state["kind"] == "single"
+        assert state["lattice"].shape == (side, side)
+        assert set(state["stream"]) == {"seed", "stream_id", "counter"}
+        assert state["stream"]["seed"] == 3
+        assert state["stream"]["stream_id"] == 2
+        # A v1 dict (no schema or kind) is classified by its keys: only
+        # ensembles carry "temperatures".
+        legacy = {k: v for k, v in state.items() if k not in ("schema", "kind")}
+        assert checkpoint_kind(legacy) == "single"
+
+    def test_report_keys(self):
+        sim = IsingSimulation(16, 2.3, seed=3, stream_id=2, telemetry=RunTelemetry())
+        sim.run(3)
+        report = sim.report()
+        assert report.kind == "single"
+        assert set(report.run) == {
+            "shape", "temperature", "field", "updater", "backend", "dtype",
+            "block_shape", "fused", "seed", "stream_id", "sweeps_done",
+        }
+        assert report.run["seed"] == 3
+        assert report.run["stream_id"] == 2
+        assert report.rng == {"streams": [sim.state_dict()["stream"]]}

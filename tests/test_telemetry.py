@@ -172,7 +172,7 @@ class TestBitIdentity:
         plain.run(12)
         instrumented.run(12)
         np.testing.assert_array_equal(plain.lattice, instrumented.lattice)
-        assert plain.stream.counter == instrumented.stream.counter
+        assert plain.stream.counters == instrumented.stream.counters
 
     @pytest.mark.parametrize("updater", UPDATERS)
     def test_ensemble_telemetry_bit_identical(self, updater):

@@ -91,7 +91,7 @@ class TestSoloBitIdentity:
         traced.run(9)
         eager_sweeps(eager, 9)
         assert np.array_equal(traced.lattice, eager.lattice)
-        assert traced.stream.counter == eager.stream.counter
+        assert traced.stream.counters == eager.stream.counters
         ex = traced._executor
         assert ex.traces_recorded == 1
         assert ex.fallbacks == 0
@@ -159,7 +159,7 @@ class TestInvalidation:
         sim.run(5)
         ex = sim._executor
         assert ex.traces_recorded == 1
-        sim.stream = type(sim.stream)(sim.stream.seed, sim.stream.stream_id)
+        sim.stream = type(sim.stream)(sim.stream.seeds, sim.stream.stream_ids)
         sim.run(5)
         assert ex.invalidations == 1
         assert ex.traces_recorded == 2
