@@ -42,7 +42,6 @@ from .core import (
     ConvUpdater,
     DistributedIsing,
     EnsembleSimulation,
-    Ising3D,
     IsingSimulation,
     MaskedConvUpdater,
     TemperingEnsemble,
@@ -90,7 +89,6 @@ __all__ = [
     "ConvUpdater",
     "DistributedIsing",
     "EnsembleSimulation",
-    "Ising3D",
     "IsingSimulation",
     "MaskedConvUpdater",
     "TemperingEnsemble",

@@ -19,7 +19,6 @@ chains stay bit-identical to bare ones.
 from .checkerboard import CheckerboardUpdater
 from .compact import CompactUpdater
 from .distributed import DistributedIsing
-from .ising3d import Ising3D, T_CRITICAL_3D
 from .conv import ConvUpdater, MaskedConvUpdater
 from .kernels import (
     PhaseHalos,
@@ -42,7 +41,6 @@ from .lattice import (
 )
 from .couplings import BondCouplings
 from .ensemble import EnsembleSimulation
-from .metropolis import metropolis_chain, metropolis_sweep
 from .tempering import TemperingEnsemble, swap_acceptance_probability
 from .packed import PackedState, PackedUpdater, record_packed_metrics
 from .wolff import WolffUpdater
@@ -53,8 +51,6 @@ __all__ = [
     "CheckerboardUpdater",
     "CompactUpdater",
     "DistributedIsing",
-    "Ising3D",
-    "T_CRITICAL_3D",
     "ConvUpdater",
     "MaskedConvUpdater",
     "PhaseHalos",
@@ -72,8 +68,6 @@ __all__ = [
     "quarters_to_plain",
     "random_lattice",
     "validate_spins",
-    "metropolis_chain",
-    "metropolis_sweep",
     "PackedState",
     "PackedUpdater",
     "record_packed_metrics",

@@ -191,9 +191,9 @@ class EnsembleSimulation:
         is bit-identical to the solo ``IsingSimulation(..., seed=seed,
         stream_id=stream_ids[b])``.
     initial:
-        "hot" / "cold" (applied to every chain), or a length-B sequence
-        of per-chain starts — those strings or +/-1 lattices, e.g. an
-        explicit ``(B, rows, cols)`` array.
+        "hot" / "cold" or one +/-1 ``(rows, cols)`` lattice (applied to
+        every chain), or a length-B sequence of per-chain starts — those
+        strings or lattices, e.g. an explicit ``(B, rows, cols)`` array.
     block_shape:
         Grid block decomposition for the blocked updaters (defaults to
         a 2x2 grid of half-lattice blocks for compact and conv, one
@@ -301,7 +301,11 @@ class EnsembleSimulation:
         # stream so hot starts match a lone chain draw-for-draw; the
         # batched stream then inherits the counters.
         streams = [PhiloxStream(self.seed, sid) for sid in stream_ids]
-        if isinstance(initial, str):
+        # One string or one 2-D lattice starts every chain.  Not
+        # np.ndim: it raises on a mixed list of strings and arrays.
+        if isinstance(initial, str) or (
+            isinstance(initial, np.ndarray) and initial.ndim == 2
+        ):
             initial = [initial] * self.n_chains
         if len(initial) != self.n_chains:
             raise ValueError(

@@ -88,7 +88,7 @@ class IsingSimulation(EnsembleSimulation):
             backend=backend,
             seed=seed,
             stream_ids=[stream_id],
-            initial=initial if isinstance(initial, str) else [initial],
+            initial=initial,
             block_shape=block_shape,
             field=field,
             fused=fused,

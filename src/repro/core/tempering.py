@@ -20,8 +20,9 @@ the host-side ``pairing`` (which chain currently owns which beta slot)
 and re-tempers the ensemble — a ten-entry-per-chain acceptance-table
 rebuild, no lattice traffic.  Each chain therefore keeps its own Philox
 stream and advances bit-reproducibly; with swaps disabled the ensemble
-is bit-identical to a plain :class:`EnsembleSimulation`, and the
-scheduler's coalescer can batch tempering ladders like any other job.
+is bit-identical to a plain :class:`EnsembleSimulation`.  A ladder is
+one coupled simulation, so it runs through ``repro.tempering(config)``;
+the scheduler rejects ladder configs.
 
 Swap decisions draw from a dedicated ``PhiloxStream(seed,
 SWAP_STREAM_ID)``, so the full swap trajectory is a pure function of
@@ -114,7 +115,7 @@ class TemperingEnsemble:
         field: float = 0.0,
         fused: "bool | str" = "auto",
         telemetry: RunTelemetry | None = None,
-        initial: str = "hot",
+        initial: "str | np.ndarray" = "hot",
         block_shape: "tuple[int, int] | None" = None,
         swaps_enabled: bool = True,
     ) -> None:

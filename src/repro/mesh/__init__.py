@@ -1,14 +1,12 @@
 """Simulated TPU pod interconnect: topology, collectives and the lockstep
 SPMD runtime."""
 
-from .collectives import all_gather, all_reduce, collective_permute, validate_pairs
+from .collectives import collective_permute, validate_pairs
 from .links import LinkModel
 from .runtime import LockstepError, PermuteRequest, SPMDRuntime
 from .topology import DIRECTIONS, Torus2D
 
 __all__ = [
-    "all_gather",
-    "all_reduce",
     "collective_permute",
     "validate_pairs",
     "LinkModel",

@@ -1,10 +1,8 @@
-"""Data semantics of the XLA collectives used by the paper.
+"""Data semantics of the XLA collective used by the paper.
 
 ``collective_permute`` forwards each source core's tensor to its target
 core according to a globally identical list of (source, target) pairs;
 cores that are not the target of any pair receive zeros (XLA semantics).
-``all_gather`` and ``all_reduce`` are provided for observable collection
-(pod-wide magnetization without going through the host).
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["collective_permute", "all_gather", "all_reduce", "validate_pairs"]
+__all__ = ["collective_permute", "validate_pairs"]
 
 
 def validate_pairs(pairs: Sequence[tuple[int, int]], n_cores: int) -> None:
@@ -51,22 +49,3 @@ def collective_permute(
         received[dst] = values[src].copy()
     return received
 
-
-def all_gather(values: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Every core receives the concatenation of all cores' tensors."""
-    stacked = np.stack(list(values))
-    return [stacked.copy() for _ in values]
-
-
-def all_reduce(values: Sequence[np.ndarray], op: str = "sum") -> list[np.ndarray]:
-    """Every core receives the elementwise reduction over all cores."""
-    stacked = np.stack(list(values))
-    if op == "sum":
-        reduced = stacked.sum(axis=0)
-    elif op == "max":
-        reduced = stacked.max(axis=0)
-    elif op == "min":
-        reduced = stacked.min(axis=0)
-    else:
-        raise ValueError(f"unknown reduction {op!r}; expected sum/max/min")
-    return [reduced.copy() for _ in values]

@@ -10,7 +10,7 @@ into batched, cached, schedulable work:
   the canonical hash of (config, seed, sweep count);
 * :mod:`repro.sched.coalesce` — groups compatible jobs into one
   vectorized :class:`~repro.core.ensemble.EnsembleSimulation`;
-* :mod:`repro.sched.pool` — simulated TensorCore leases with revocation;
+* :mod:`repro.sched.pool` — simulated TensorCore leases;
 * :mod:`repro.sched.scheduler` — continuous batching, weighted-fair
   admission, priority preemption via checkpoint/v2 snapshots;
 * :mod:`repro.sched.client` — the ``Client`` / ``submit()`` front door

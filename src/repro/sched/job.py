@@ -168,8 +168,9 @@ class Job:
         self.from_cache = False
         self.preemptions = 0
         #: Continuation token: ``{"lattice", "stream", "sweeps_done"}``
-        #: captured at admission and refreshed by preemption snapshots,
-        #: so a revoked lease replays from the last consistent point.
+        #: taken by a preemption snapshot, so the job resumes where it
+        #: left its device (and a ``shutdown()``/``adopt()`` handoff
+        #: carries it); None for a job that was never preempted.
         self.resume: dict | None = None
         self.submitted_tick: int | None = None
         self.finished_tick: int | None = None

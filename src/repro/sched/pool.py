@@ -3,11 +3,8 @@
 Rack-scale work is scheduled, not launched (Bisson et al.) — the
 scheduler never touches a core directly.  It acquires a
 :class:`DeviceLease` from the :class:`DevicePool`, binds the batch's
-backend to the leased core, and must survive the lease being *revoked*
-mid-run: :meth:`DevicePool.revoke` marks a core lost (an operator
-drain), and the next :meth:`DevicePool.check` on that lease raises
-:class:`CoreLostError`.  The scheduler answers by requeueing the batch's
-jobs from their last consistent snapshots.
+backend to the leased core, and releases the lease when the batch
+retires, fails or is preempted.
 
 All time on this pool is the *cost-model clock*: every op a leased
 backend executes books modeled seconds into the core's profiler, so
@@ -22,32 +19,22 @@ from dataclasses import dataclass, field
 from ..tpu.profiler import Profiler
 from ..tpu.tensorcore import TensorCore
 
-__all__ = ["CoreLostError", "DeviceLease", "Device", "DevicePool"]
-
-
-class CoreLostError(RuntimeError):
-    """A leased core was revoked; its holder must requeue its work."""
-
-    def __init__(self, core_id: int) -> None:
-        super().__init__(f"core {core_id} lost")
-        self.core_id = core_id
+__all__ = ["DeviceLease", "Device", "DevicePool"]
 
 
 @dataclass
 class DeviceLease:
-    """One holder's exclusive claim on a device until released/revoked."""
+    """One holder's exclusive claim on a device until released."""
 
     device: "Device"
     holder: str
-    active: bool = True
 
 
 @dataclass
 class Device:
-    """One poolable simulated TensorCore plus its lease/loss bookkeeping."""
+    """One poolable simulated TensorCore plus its lease bookkeeping."""
 
     core: TensorCore
-    lost: bool = False
     lease: DeviceLease | None = field(default=None, repr=False)
 
     @property
@@ -101,47 +88,24 @@ class DevicePool:
         return len(self.devices)
 
     @property
-    def n_lost(self) -> int:
-        return sum(1 for d in self.devices if d.lost)
-
-    @property
     def n_available(self) -> int:
-        return sum(1 for d in self.devices if d.lease is None and not d.lost)
+        return sum(1 for d in self.devices if d.lease is None)
 
     # -- leasing -------------------------------------------------------------
 
     def acquire(self, holder: str) -> DeviceLease | None:
-        """Lease a free healthy device to ``holder``, or None if saturated."""
+        """Lease a free device to ``holder``, or None if saturated."""
         for device in self.devices:
-            if device.lease is None and not device.lost:
+            if device.lease is None:
                 lease = DeviceLease(device=device, holder=str(holder))
                 device.lease = lease
                 return lease
         return None
 
     def release(self, lease: DeviceLease) -> None:
-        """Return a lease; idempotent for already-revoked leases."""
-        if lease.active:
-            lease.active = False
-            if lease.device.lease is lease:
-                lease.device.lease = None
-
-    def revoke(self, core_id: int) -> None:
-        """Mark a device lost; its current lease (if any) is dead.
-
-        The holder finds out at its next :meth:`check`, which raises
-        :class:`CoreLostError`, and must requeue its work.
-        """
-        device = self._device(core_id)
-        device.lost = True
-        if device.lease is not None:
-            device.lease.active = False
-            device.lease = None
-
-    def check(self, lease: DeviceLease) -> None:
-        """Raise :class:`CoreLostError` if revoked."""
-        if lease.device.lost or not lease.active:
-            raise CoreLostError(lease.device.core_id)
+        """Return a lease; idempotent."""
+        if lease.device.lease is lease:
+            lease.device.lease = None
 
     # -- cost-model clock ----------------------------------------------------
 
@@ -153,9 +117,3 @@ class DevicePool:
     def total_busy(self) -> float:
         """Serial-equivalent modeled device seconds (sum over devices)."""
         return sum(d.busy_seconds for d in self.devices)
-
-    def _device(self, core_id: int) -> Device:
-        for device in self.devices:
-            if device.core_id == core_id:
-                return device
-        raise ValueError(f"no device with core_id {core_id} in the pool")

@@ -18,9 +18,7 @@ levers stacked on top of each other:
    ordered by (priority desc, tenant fair-share, arrival); a
    higher-priority arrival snapshots the lowest-priority running batch
    through its ``checkpoint/v2`` envelope and requeues its jobs, which
-   later resume bit-identically from their tokens.  A revoked device
-   lease (:class:`~repro.sched.pool.CoreLostError`) requeues the same
-   way, from the last consistent token.
+   later resume bit-identically from their tokens.
 
 Scheduling is cooperative and synchronous: :meth:`Scheduler.step` runs
 one admission + advance round, :meth:`Scheduler.drain` runs rounds until
@@ -48,7 +46,7 @@ from ..tpu.dtypes import resolve_dtype
 from .cache import ResultCache, _normalized_shape, canonical_cache_key
 from .coalesce import Coalescer, compat_key
 from .job import Job, JobResult, JobSpec, JobState
-from .pool import CoreLostError, DevicePool
+from .pool import DevicePool
 
 __all__ = ["Scheduler", "SchedulerSaturatedError", "SchedulerDrainingError"]
 
@@ -186,7 +184,6 @@ class Scheduler:
         self.jobs_completed = 0
         self.jobs_failed = 0
         self.preemptions = 0
-        self.lease_revocations = 0
         self.batches_started = 0
         self.max_occupancy = 0
         #: Chrome-trace spans (one per batch advance) when tracing is on.
@@ -281,15 +278,6 @@ class Scheduler:
     def drain(self, max_ticks: int = 100_000) -> None:
         """Run scheduling rounds until idle (all jobs done or failed)."""
         while self._queue or self._batches:
-            if (
-                self._queue
-                and not self._batches
-                and self.pool.n_lost == self.pool.n_devices
-            ):
-                raise RuntimeError(
-                    "device pool exhausted: every lease was revoked and "
-                    f"{len(self._queue)} job(s) remain queued"
-                )
             if self.ticks >= max_ticks:
                 raise RuntimeError(
                     f"scheduler did not drain within {max_ticks} ticks"
@@ -520,8 +508,8 @@ class Scheduler:
 
         Fresh jobs derive their initial state exactly as a solo
         :class:`~repro.core.simulation.IsingSimulation` would — same
-        stream, same hot-start draw — and record their admission token;
-        preempted jobs resume from their snapshot token.
+        stream, same hot-start draw; preempted and adopted jobs resume
+        from their snapshot token.
         """
         config = job.spec.config
         shape = _normalized_shape(config.shape)
@@ -531,11 +519,6 @@ class Scheduler:
             return config.resolved_temperature, stream, lattice
         stream = PhiloxStream(config.seed, 0)
         lattice = initial_lattice(shape, config.initial, stream)
-        job.resume = {
-            "lattice": np.array(lattice, copy=True),
-            "stream": stream.state(),
-            "sweeps_done": job.sweeps_done,
-        }
         return config.resolved_temperature, stream, lattice
 
     def _backend_for(self, key: tuple, lease) -> "NumpyBackend | TPUBackend":
@@ -616,16 +599,12 @@ class Scheduler:
         )
         telemetry = self.telemetry
         try:
-            self.pool.check(batch.lease)
             for job in batch.jobs:
                 if job.state == JobState.ADMITTED:
                     job.transition(JobState.RUNNING)
             clock0 = batch.lease.device.busy_seconds
             wall0 = perf_counter() if telemetry is not None else 0.0
             batch.ensemble.run(n_sweeps)
-        except CoreLostError:
-            self._requeue_lost(batch)
-            return
         except Exception as exc:  # noqa: BLE001 — batch-wide failure
             self._fail(batch, exc)
             return
@@ -736,20 +715,6 @@ class Scheduler:
         if self.telemetry is not None:
             self.telemetry.registry.counter("sched_preemptions").inc()
 
-    def _requeue_lost(self, batch: _Batch) -> None:
-        """A revoked lease: roll jobs back to their last tokens, requeue."""
-        self.pool.release(batch.lease)
-        self._batches.remove(batch)
-        for job in batch.jobs:
-            job.sweeps_done = int(job.resume["sweeps_done"])
-            if job.state == JobState.RUNNING:
-                job.transition(JobState.PREEMPTED)
-            job.transition(JobState.QUEUED)
-            self._queue.append(job)
-        self.lease_revocations += 1
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("sched_lease_revocations").inc()
-
     def _fail(self, batch: _Batch, exc: Exception) -> None:
         self.pool.release(batch.lease)
         self._batches.remove(batch)
@@ -797,11 +762,9 @@ class Scheduler:
                 "max_occupancy": self.max_occupancy,
             },
             "preemptions": self.preemptions,
-            "lease_revocations": self.lease_revocations,
             "tenants": dict(self._tenant_service),
             "pool": {
                 "n_devices": self.pool.n_devices,
-                "n_lost": self.pool.n_lost,
                 "makespan_seconds": self.pool.makespan(),
                 "total_busy_seconds": self.pool.total_busy(),
             },
@@ -828,9 +791,6 @@ class Scheduler:
         registry.gauge("sched_cache_hits").set(self.cache.hits)
         registry.gauge("sched_cache_misses").set(self.cache.misses)
         registry.gauge("sched_preemptions_total").set(self.preemptions)
-        registry.gauge("sched_lease_revocations_total").set(
-            self.lease_revocations
-        )
         registry.gauge("sched_batches_started").set(self.batches_started)
         registry.gauge("sched_max_occupancy").set(self.max_occupancy)
         registry.gauge("sched_makespan_modeled_seconds").set(

@@ -100,6 +100,22 @@ class TestFactories:
         assert ens.n_chains == 5
         assert np.allclose(ens.temperatures, 2.2)
 
+    @pytest.mark.parametrize("n_chains", [2, 8])
+    def test_ensemble_starts_every_chain_from_one_explicit_lattice(
+        self, n_chains
+    ):
+        # Regression: a 2-D initial lattice was read as a stack of rows.
+        lat = np.ones((8, 8), np.float32)
+        cfg = SimulationConfig(shape=8, initial=lat)
+        ens = ensemble(cfg, n_chains=n_chains)
+        np.testing.assert_array_equal(
+            ens.lattices, np.broadcast_to(lat, (n_chains, 8, 8))
+        )
+        ens.run(3)
+        solo = simulate(cfg)
+        solo.run(3)
+        np.testing.assert_array_equal(ens.lattices[0], solo.lattice)
+
     def test_ensemble_temperature_scan(self):
         ens = ensemble(SimulationConfig(shape=16), temperatures=[1.5, 2.0, 3.0])
         assert list(ens.temperatures) == [1.5, 2.0, 3.0]
@@ -330,6 +346,17 @@ class TestTemperingFactory:
     def test_needs_a_ladder(self):
         with pytest.raises(ValueError, match="ladder"):
             tempering(SimulationConfig(shape=16))
+
+    def test_starts_every_chain_from_one_explicit_lattice(self):
+        lat = np.ones((8, 8), np.float32)
+        sim = tempering(
+            SimulationConfig(
+                shape=8, initial=lat, ladder=LadderSpec(betas=(0.4, 0.5))
+            )
+        )
+        np.testing.assert_array_equal(
+            sim.lattices, np.broadcast_to(lat, (4, 8, 8))
+        )
 
     def test_other_factories_reject_ladder(self):
         cfg = SimulationConfig(

@@ -1,16 +1,11 @@
-"""Collective data-semantics tests (XLA collective_permute et al.)."""
+"""Collective data-semantics tests (XLA collective_permute)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.mesh.collectives import (
-    all_gather,
-    all_reduce,
-    collective_permute,
-    validate_pairs,
-)
+from repro.mesh.collectives import collective_permute, validate_pairs
 
 
 def _values(n, size=3):
@@ -69,24 +64,3 @@ class TestValidatePairs:
         with pytest.raises(ValueError, match="outside"):
             validate_pairs([(-1, 0)], 2)
 
-
-class TestOtherCollectives:
-    def test_all_gather(self):
-        out = all_gather(_values(3))
-        assert len(out) == 3
-        for received in out:
-            assert received.shape == (3, 3)
-            assert np.array_equal(received[:, 0], [1.0, 2.0, 3.0])
-
-    def test_all_reduce_sum(self):
-        out = all_reduce(_values(3), op="sum")
-        for received in out:
-            assert np.all(received == 6.0)
-
-    def test_all_reduce_max_min(self):
-        assert np.all(all_reduce(_values(3), op="max")[0] == 3.0)
-        assert np.all(all_reduce(_values(3), op="min")[0] == 1.0)
-
-    def test_all_reduce_bad_op(self):
-        with pytest.raises(ValueError, match="reduction"):
-            all_reduce(_values(2), op="mean")

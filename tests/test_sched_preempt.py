@@ -4,18 +4,15 @@ Satellite to the scheduler suite: a run snapshotted mid-scan through the
 ``checkpoint/v2`` envelope and resumed — directly via ``repro.load()``,
 or through the scheduler's preemption path — must reproduce the
 uninterrupted run's *magnetisation trace* bit for bit, with the fused
-engine left on its ``"auto"`` default.  Also covers the fault path:
-a revoked device lease requeues the batch's jobs, which replay from
-their last consistent tokens to the same answers.
+engine left on its ``"auto"`` default.
 """
 
 import numpy as np
-import pytest
 
 import repro
 from repro.api import SimulationConfig, simulate
 from repro.observables import magnetization
-from repro.sched import DevicePool, Scheduler
+from repro.sched import Scheduler
 
 TEMPS = [1.8, 2.1, 2.4]
 SIDE = 12
@@ -134,24 +131,3 @@ class TestSchedulerPreemptionPath:
             ]
             assert job.result.magnetization == trace[-1]
 
-
-class TestLeaseRevocation:
-    @pytest.mark.parametrize("revoke_after", [1, 2])
-    def test_revoked_lease_requeues_and_replays(self, revoke_after):
-        pool = DevicePool(2)
-        scheduler = Scheduler(pool=pool, max_batch=4, quantum=3)
-        configs = [
-            SimulationConfig(shape=SIDE, temperature=t, seed=40 + i, backend="tpu")
-            for i, t in enumerate(TEMPS)
-        ]
-        jobs = [scheduler.submit(c, SWEEPS) for c in configs]
-        for _ in range(revoke_after):
-            scheduler.step()
-        pool.revoke(0)
-        scheduler.drain()
-        assert scheduler.lease_revocations >= 1
-        assert pool.n_lost == 1
-        for config, job in zip(configs, jobs):
-            sim = simulate(config)
-            sim.run(SWEEPS)
-            np.testing.assert_array_equal(job.result.lattice, sim.lattice)

@@ -15,11 +15,7 @@ import pytest
 
 from repro.api import SimulationConfig, simulate
 from repro.core.ensemble import EnsembleSimulation
-from repro.sched import (
-    DevicePool,
-    Scheduler,
-    SchedulerSaturatedError,
-)
+from repro.sched import Scheduler, SchedulerSaturatedError
 from repro.telemetry import RunTelemetry
 
 UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
@@ -237,13 +233,24 @@ class TestSchedulingPolicy:
         with pytest.raises(ValueError, match="weight"):
             Scheduler(tenant_weights={"x": 0.0})
 
-    def test_drain_raises_when_pool_exhausted(self):
-        pool = DevicePool(1)
-        scheduler = Scheduler(pool=pool)
-        scheduler.submit(SimulationConfig(shape=8, seed=0), 5)
-        pool.revoke(0)
-        with pytest.raises(RuntimeError, match="exhausted"):
-            scheduler.drain()
+    def test_finished_jobs_keep_no_continuation_token(self):
+        """Only a preemption snapshot sets ``job.resume``: a job that ran
+        straight through holds no lattice copy once it is done."""
+        scheduler = Scheduler(n_devices=1, max_batch=2, quantum=2)
+        jobs = [
+            scheduler.submit(SimulationConfig(shape=side, seed=i), 6)
+            for i, side in enumerate((8, 8, 12))
+        ]
+        scheduler.step()
+        jobs.append(
+            scheduler.submit(SimulationConfig(shape=8, seed=9), 4, priority=5)
+        )
+        jobs.append(scheduler.submit(SimulationConfig(shape=8, seed=0), 6))
+        scheduler.drain()
+        assert all(job.state == "done" for job in jobs)
+        straight = [job for job in jobs if job.preemptions == 0]
+        assert straight and len(straight) < len(jobs)
+        assert all(job.resume is None for job in straight)
 
 
 class TestFailureHandling:
