@@ -124,8 +124,8 @@ def measure() -> dict:
     stats = scheduler.stats()
     return {
         "n_jobs": len(jobs),
-        "serial_modeled_seconds": serial_seconds,
-        "sched_makespan_seconds": makespan,
+        "modeled_serial_seconds": serial_seconds,
+        "modeled_sched_makespan_seconds": makespan,
         "modeled_speedup_x": serial_seconds / makespan,
         "max_batch_occupancy": stats["batches"]["max_occupancy"],
         "batches_started": stats["batches"]["started"],
@@ -139,8 +139,8 @@ def test_scheduler_3x_on_modeled_clock():
     numbers = measure()
     assert numbers["jobs_completed"] == _N_JOBS
     assert numbers["modeled_speedup_x"] >= 3.0, (
-        f"scheduler makespan {numbers['sched_makespan_seconds']:.4f}s modeled "
-        f"vs serial {numbers['serial_modeled_seconds']:.4f}s is only "
+        f"scheduler makespan {numbers['modeled_sched_makespan_seconds']:.4f}s modeled "
+        f"vs serial {numbers['modeled_serial_seconds']:.4f}s is only "
         f"{numbers['modeled_speedup_x']:.2f}x (need >= 3x)"
     )
 
@@ -310,8 +310,8 @@ def main() -> None:
     numbers = measure()
     print(f"{_N_JOBS}-job mix ({_N_UNIQUE} unique), {_SWEEPS} sweeps/job, "
           f"{_N_DEVICES} devices, max_batch={_MAX_BATCH}")
-    print(f"serial modeled   {numbers['serial_modeled_seconds'] * 1e3:10.2f} ms")
-    print(f"sched makespan   {numbers['sched_makespan_seconds'] * 1e3:10.2f} ms")
+    print(f"serial modeled   {numbers['modeled_serial_seconds'] * 1e3:10.2f} ms")
+    print(f"sched makespan   {numbers['modeled_sched_makespan_seconds'] * 1e3:10.2f} ms")
     print(f"modeled speedup  {numbers['modeled_speedup_x']:10.1f} x")
     print(f"max occupancy    {numbers['max_batch_occupancy']:10d} chains")
     print(f"cache hits       {numbers['cache_hits']:10d}")

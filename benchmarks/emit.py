@@ -20,8 +20,10 @@ Usage::
 ``--compare DIR`` checks every emitted report's ``modeled_*`` metrics
 against the same-named report in ``DIR`` and exits 1 if any differs by
 more than 1e-12 relative (:func:`repro.telemetry.bench.modeled_drift`).
-Use it only on modules that read no clock: the modeled values of
-``traced_sweep``, for one, divide by measured dispatch time.
+Use it only on modules whose modeled values read no clock: those of
+``traced_sweep``, for one, divide by measured dispatch time, while
+``sched`` times its overhead gate beside modeled values that come from
+the cost model alone.
 """
 
 from __future__ import annotations

@@ -49,10 +49,12 @@ class Backend:
         self.dtype = resolve_dtype(dtype)
         #: The simulated TensorCore every op charges, or ``None``.
         self.core = None
-        # Lazily built per-shape scratch for in-place quantization (bf16
-        # RNE needs a uint32 bias buffer and a bool NaN mask).  Perf cache
-        # only — never serialized.
+        # Scratch for in-place quantization (bf16 RNE needs a uint32 bias
+        # buffer and a bool NaN mask): per-shape views of one pair sized
+        # for the largest array rounded so far, so a new shape costs two
+        # views, not two arrays.  Perf cache only — never serialized.
         self._qscratch: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._qflat: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- charging ----------------------------------------------------------
     #
@@ -254,10 +256,15 @@ class Backend:
             return out
         scratch = self._qscratch.get(out.shape)
         if scratch is None:
-            scratch = (
-                np.empty(out.shape, dtype=np.uint32),
-                np.empty(out.shape, dtype=bool),
-            )
+            size = out.size
+            flat = self._qflat
+            if flat is None or flat[0].size < size:
+                flat = self._qflat = (
+                    np.empty(size, dtype=np.uint32),
+                    np.empty(size, dtype=bool),
+                )
+                self._qscratch.clear()
+            scratch = tuple(a[:size].reshape(out.shape) for a in flat)
             self._qscratch[out.shape] = scratch
         return rounder(out, scratch[0], scratch[1])
 

@@ -23,8 +23,9 @@ the solo and ensemble drivers run every fused chain through it:
 
 Replay is bit-identical to eager-fused by construction: every mutation
 of a fused sweep flows through backend ops on buffers that are stable
-across sweeps, and the one stateful op — ``uniform_into`` — advances the
-recorded Philox stream exactly as an eager sweep would.  Soundness is
+across sweeps, and the stateful ops — ``uniform_into`` and
+``packed_bits_into`` — advance the recorded Philox stream exactly as an
+eager sweep would.  Soundness is
 checked, not assumed: if the recording sweep calls any *allocating*
 backend op (a cold cache, an updater outside the fused steady state),
 the trace is marked unsound and the executor falls back to eager sweeps
@@ -32,6 +33,16 @@ permanently for that binding.  The updater's Python-side counters (the
 fused table-hit and packed word gauges) are the one thing a replay does
 not touch; the executor adds the recording sweep's increments once per
 replayed batch, so the gauges read as if every sweep had run eagerly.
+
+Draw-ahead: Philox is counter-based, so the counter alone fixes every
+word, and one draw of ``k`` sweeps' words is the ``k`` per-sweep draws
+laid end to end.  When a recorded sweep's only stream ops are
+``uniform_into`` calls on the bound stream, each drawing whole Philox
+counters per chain, and the backend books no modeled time, replay draws
+up to ``k = 4 * BLOCK_COUNTERS // (chains * words per sweep)`` sweeps'
+uniforms with one call and each replayed sweep copies its slice into the
+buffers its draws wrote.  A call never draws past the sweeps it runs, so
+on return every counter sits where eager sweeps leave it.
 
 A trace is bound to the identities of the state tensors and the stream
 it recorded.  Any change — checkpoint restore, ensemble roster rebuild,
@@ -44,7 +55,10 @@ from __future__ import annotations
 
 from functools import partial
 
+import numpy as np
+
 from ..backend.base import Backend
+from ..rng.philox import BLOCK_COUNTERS
 
 __all__ = [
     "REPLAYABLE_OPS",
@@ -126,6 +140,9 @@ _SWEEP_COUNTERS = (
     ("workspace", ("hits", "table_hits", "bytes_saved")),
 )
 
+#: Ops that advance the stream they are given: each call is one Philox draw.
+_STREAM_OPS = frozenset({"uniform_into", "packed_bits_into"})
+
 
 class SweepTrace:
     """One recorded sweep: an ordered (op, args) program plus soundness.
@@ -141,6 +158,8 @@ class SweepTrace:
         self._steps: list | None = None
         self.sound = True
         self.unsound_ops: list[str] = []
+        #: Philox draws (stream ops) per sweep.
+        self.n_draws = 0
 
     def record(self, name: str, fn, args: tuple, kwargs: dict) -> None:
         self._entries.append((name, fn, args, kwargs))
@@ -163,12 +182,109 @@ class SweepTrace:
         self._steps = [
             partial(fn, *args, **kwargs) for _, fn, args, kwargs in self._entries
         ]
+        self.n_draws = sum(entry[0] in _STREAM_OPS for entry in self._entries)
         return self
 
     def replay(self) -> None:
         """Run the recorded program once (one sweep)."""
         for step in self._steps:
             step()
+
+    def draw_ahead(self, stream, backend: Backend) -> "_DrawAhead | None":
+        """This program with its uniforms drawn ahead, or ``None``.
+
+        Engages when ``backend`` books no modeled time, every stream op
+        is a ``uniform_into`` on ``stream`` that draws whole Philox
+        counters (a multiple of 4 words) per chain, and at least two
+        sweeps' words fit in ``4 * BLOCK_COUNTERS``.  Each draw step
+        becomes a copy of its words from a :class:`_Cursor`.
+        """
+        if backend.core is not None:
+            return None
+        rows = getattr(stream, "n_chains", 1)
+        cursor = _Cursor()
+        steps = list(self._steps)
+        draw = None
+        width = 0
+        for i, (name, fn, args, kwargs) in enumerate(self._entries):
+            if name not in _STREAM_OPS:
+                continue
+            if name != "uniform_into" or kwargs or args[0] is not stream:
+                return None
+            out = args[1]
+            words = out.size // rows
+            if words % 4:
+                return None
+            steps[i] = partial(
+                _copy_drawn, cursor, out.reshape(rows, words), width, width + words
+            )
+            width += words
+            draw = draw or fn
+        if draw is None or 4 * BLOCK_COUNTERS // (rows * width) < 2:
+            return None
+        return _DrawAhead(draw, rows, width, steps, cursor)
+
+
+class _Cursor:
+    """Where replayed draws read: one chunk's uniforms and a sweep's offset.
+
+    A :class:`_DrawAhead` and its copy steps share it, and it refers to
+    neither.  A bound method or closure of either in the steps would be
+    a reference cycle, and every dropped chain would keep its buffers
+    until the cyclic garbage collector ran.
+    """
+
+    __slots__ = ("uniforms", "base")
+
+    def __init__(self) -> None:
+        self.uniforms: np.ndarray | None = None
+        self.base = 0
+
+
+def _copy_drawn(cursor: _Cursor, out: np.ndarray, start: int, stop: int) -> None:
+    """One replayed draw: words ``[start, stop)`` of the current sweep."""
+    base = cursor.base
+    np.copyto(out, cursor.uniforms[:, base + start : base + stop])
+
+
+class _DrawAhead:
+    """A recorded sweep that draws the uniforms of ``k`` sweeps in one call.
+
+    ``draw`` is the recorded ``uniform_into``; ``rows`` the stream's
+    chains, ``width`` the words one sweep draws per chain.  A chunk of
+    ``k <= cap`` sweeps draws ``(rows, k * width)`` uniforms, then runs
+    ``steps`` (the program with each draw replaced by a copy) ``k`` times.
+    """
+
+    __slots__ = ("draw", "rows", "width", "cap", "steps", "cursor", "_flat")
+
+    def __init__(self, draw, rows: int, width: int, steps: list, cursor: _Cursor) -> None:
+        self.draw = draw
+        self.rows = rows
+        self.width = width
+        self.cap = 4 * BLOCK_COUNTERS // (rows * width)
+        self.steps = steps
+        self.cursor = cursor
+        self._flat: np.ndarray | None = None
+
+    def replay(self, stream, n: int) -> int:
+        """Run ``n`` sweeps; return the Philox draws they made."""
+        rows, width, steps, cursor = self.rows, self.width, self.steps, self.cursor
+        draws = 0
+        for done in range(0, n, self.cap):
+            k = min(self.cap, n - done)
+            size = rows * k * width
+            if self._flat is None or self._flat.size < size:
+                self._flat = np.empty(size, dtype=np.float32)
+            uniforms = self._flat[:size].reshape(rows, k * width)
+            self.draw(stream, uniforms)
+            draws += 1
+            cursor.uniforms = uniforms
+            for j in range(k):
+                cursor.base = j * width
+                for step in steps:
+                    step()
+        return draws
 
 
 class _RecordingBackend:
@@ -223,9 +339,11 @@ class TracedExecutor:
 
     ``run(state, stream, n)`` advances the chain ``n`` sweeps: the first
     call pays one eager warm-up sweep and one recording sweep, every
-    further sweep is a replay.  All sweeps — eager, recording, replayed —
-    advance the Philox stream identically, so the trajectory is
-    bit-identical to ``n`` eager sweeps however they were split.
+    further sweep is a replay, with its uniforms drawn ahead where the
+    program allows (:meth:`SweepTrace.draw_ahead`).  All sweeps — eager,
+    recording, replayed — advance the Philox stream identically, so the
+    trajectory is bit-identical to ``n`` eager sweeps however they were
+    split.
     """
 
     def __init__(self, updater) -> None:
@@ -235,7 +353,10 @@ class TracedExecutor:
         self.traces_recorded = 0
         self.invalidations = 0
         self.fallbacks = 0
+        #: Philox draws the replayed sweeps made.
+        self.replay_draws = 0
         self.trace: SweepTrace | None = None
+        self._ahead: _DrawAhead | None = None
         #: (object, counter name, increment per sweep) of the recording
         #: sweep, re-applied ``n`` times per batch of ``n`` replays.
         self._increments: list[tuple[object, str, int]] = []
@@ -282,6 +403,7 @@ class TracedExecutor:
         if self.trace is not None:
             self.invalidations += 1
         self.trace = None
+        self._ahead = None
         self._increments = []
         self._warmed = False
         self._fallback = False
@@ -317,6 +439,7 @@ class TracedExecutor:
         self.sweeps_eager += 1  # the recording sweep advanced the chain
         if trace.sound and trace.n_ops > 0:
             self.trace = trace.compile()
+            self._ahead = trace.draw_ahead(stream, real)
             self.traces_recorded += 1
             self._increments = [
                 (obj, name, getattr(obj, name) - start)
@@ -351,9 +474,13 @@ class TracedExecutor:
         trace = self.trace
         if trace is None:
             return self._eager(state, stream, n) if n else state
-        replay = trace.replay
-        for _ in range(n):
-            replay()
+        if self._ahead is not None:
+            self.replay_draws += self._ahead.replay(stream, n)
+        else:
+            replay = trace.replay
+            for _ in range(n):
+                replay()
+            self.replay_draws += n * trace.n_draws
         self.sweeps_replayed += n
         for obj, name, step in self._increments:
             setattr(obj, name, getattr(obj, name) + n * step)
@@ -367,7 +494,11 @@ def record_traced_metrics(registry, executor: "TracedExecutor | None") -> None:
       chain's sweeps were executed;
     * ``traced_traces_recorded`` / ``traced_invalidations`` /
       ``traced_fallbacks`` — recorder lifecycle;
-    * ``traced_program_ops`` — backend ops per replayed sweep.
+    * ``traced_program_ops`` — backend ops per replayed sweep;
+    * ``traced_replay_draws`` — Philox draws (``uniform_into`` or
+      ``packed_bits_into`` calls) the replayed sweeps made, so
+      ``traced_sweeps_replayed / traced_replay_draws`` reads as sweeps
+      per Philox call.
     """
     for name in (
         "sweeps_replayed",
@@ -376,6 +507,7 @@ def record_traced_metrics(registry, executor: "TracedExecutor | None") -> None:
         "invalidations",
         "fallbacks",
         "program_ops",
+        "replay_draws",
     ):
         value = getattr(executor, name) if executor is not None else 0
         registry.gauge(f"traced_{name}").set(value)

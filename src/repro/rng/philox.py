@@ -35,6 +35,7 @@ __all__ = [
     "philox_uniform_bits",
     "philox_uniform_bits_batched",
     "make_philox_scratch",
+    "fit_philox_scratch",
     "philox_bits_into",
     "philox_uniform_into",
     "uint32_to_uniform",
@@ -225,6 +226,11 @@ _SHIFT8 = np.uint64(8)
 _UNIFORM_SCALE = np.float32(2.0**-24)
 
 
+def _block_for(n_streams: int, n_counters: int) -> int:
+    """Counters per stream in one block of an ``n_counters`` draw."""
+    return max(1, min(n_counters, BLOCK_COUNTERS // n_streams))
+
+
 def make_philox_scratch(n_streams: int, n_words: int) -> dict:
     """Preallocate every buffer :func:`philox_bits_into` needs.
 
@@ -232,14 +238,16 @@ def make_philox_scratch(n_streams: int, n_words: int) -> dict:
     independent streams drawing ``n_words`` words each; reusing it across
     calls is what makes the in-place generator allocation-free.  Its
     arrays hold one block of at most :data:`BLOCK_COUNTERS` counters
-    (summed over streams), not the whole draw.
+    (summed over streams), not the whole draw, so
+    :func:`fit_philox_scratch` can aim it at any draw of at most
+    ``n_words`` words per stream.
     """
     if n_streams < 1:
         raise ValueError(f"n_streams must be >= 1, got {n_streams}")
     if n_words < 1:
         raise ValueError(f"n_words must be >= 1, got {n_words}")
     n_counters = -(-n_words // 4)
-    block = max(1, min(n_counters, BLOCK_COUNTERS // n_streams))
+    block = _block_for(n_streams, n_counters)
     pair = (2, n_streams, block)
     return {
         "n_streams": n_streams,
@@ -256,6 +264,28 @@ def make_philox_scratch(n_streams: int, n_words: int) -> dict:
         "schedule_for": None,
         "schedule": None,
     }
+
+
+def fit_philox_scratch(scratch: "dict | None", n_streams: int, n_words: int) -> dict:
+    """A scratch for an ``(n_streams, n_words)`` draw, reusing ``scratch``.
+
+    A scratch serves any draw whose block fits its arrays: ``scratch`` is
+    then aimed at ``n_words`` in place and returned.  Only a missing
+    scratch, another stream count or a draw that needs a bigger block
+    builds a new one.  A stream that keeps the result holds one scratch
+    whatever sizes it draws, never larger than one block of
+    :data:`BLOCK_COUNTERS` counters.
+    """
+    n_counters = -(-n_words // 4)
+    if (
+        scratch is None
+        or scratch["n_streams"] != n_streams
+        or scratch["block"] < _block_for(n_streams, n_counters)
+    ):
+        return make_philox_scratch(n_streams, n_words)
+    scratch["n_words"] = n_words
+    scratch["n_counters"] = n_counters
+    return scratch
 
 
 def _key_schedule(keys: np.ndarray, rounds: int, scratch: dict) -> list:
@@ -377,9 +407,9 @@ def philox_bits_into(
     Bit-identical to :func:`philox_uniform_bits_batched` (and, for a
     single stream, to :func:`philox_uniform_bits`): same counter layout,
     same round network, same lane interleave.  All intermediates live in
-    ``scratch`` (from :func:`make_philox_scratch` with matching
-    ``n_streams``/``n_words``); ``out`` must be a C-contiguous
-    ``(n_streams, n_words)`` uint32 array.
+    ``scratch`` (from :func:`make_philox_scratch` or
+    :func:`fit_philox_scratch` with matching ``n_streams``/``n_words``);
+    ``out`` must be a C-contiguous ``(n_streams, n_words)`` uint32 array.
     """
     if out.dtype != np.uint32:
         raise ValueError(f"out must be uint32, got {out.dtype} {out.shape}")

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .philox import (
-    make_philox_scratch,
+    fit_philox_scratch,
     philox_bits_into,
     philox_uniform_bits,
     philox_uniform_bits_batched,
@@ -63,9 +63,10 @@ class PhiloxStream:
         self._key = split_key(self.seed, self.stream_id)
         self._keys = np.array([self._key], dtype=np.uint32)
         self._counter = 0
-        # Lazily built per-draw-size workspaces for uniform_into/bits_into;
-        # purely a performance cache, deliberately excluded from state().
-        self._inplace_scratch: dict[int, dict] = {}
+        # The one workspace every uniform_into/bits_into draw shares
+        # (fit_philox_scratch); purely a performance cache, deliberately
+        # excluded from state().
+        self._scratch: dict | None = None
 
     def __repr__(self) -> str:
         return (
@@ -113,9 +114,9 @@ class PhiloxStream:
         """Fill ``out`` (C-contiguous float32) with uniforms, allocation-free.
 
         Bit-identical to ``uniform(out.shape)`` — same counter advance,
-        same word-to-float mapping — but every intermediate lives in a
-        per-size workspace cached on the stream, so steady-state draws
-        perform no heap allocation.
+        same word-to-float mapping — but every intermediate lives in the
+        one workspace cached on the stream, so steady-state draws perform
+        no heap allocation.
         """
         if out.dtype != np.float32 or not out.flags["C_CONTIGUOUS"]:
             raise ValueError("out must be a C-contiguous float32 array")
@@ -126,11 +127,8 @@ class PhiloxStream:
         size = int(out.size)
         if size == 0:
             return out
-        scratch = self._inplace_scratch.get(size)
-        if scratch is None:
-            scratch = make_philox_scratch(1, size)
-            self._inplace_scratch[size] = scratch
-        fill([self._counter], self._keys, out.reshape(1, size), scratch)
+        self._scratch = fit_philox_scratch(self._scratch, 1, size)
+        fill([self._counter], self._keys, out.reshape(1, size), self._scratch)
         self._counter += -(-size // 4)
         return out
 
@@ -139,11 +137,11 @@ class PhiloxStream:
 
         Bit-identical to ``random_bits(out.size).reshape(out.shape)`` —
         same counter advance of ``ceil(size / 4)`` blocks — but every
-        intermediate lives in the same per-size workspace
-        :meth:`uniform_into` uses.  The words are the *raw* generator
-        output: no top-24-bit shift is applied, so callers own the
-        mapping from words to acceptance values (the packed engine
-        compares them against integer thresholds directly).
+        intermediate lives in the same workspace :meth:`uniform_into`
+        uses.  The words are the *raw* generator output: no top-24-bit
+        shift is applied, so callers own the mapping from words to
+        acceptance values (the packed engine compares them against
+        integer thresholds directly).
         """
         if out.dtype != np.uint32 or not out.flags["C_CONTIGUOUS"]:
             raise ValueError("out must be a C-contiguous uint32 array")
@@ -201,9 +199,9 @@ class BatchedPhiloxStream:
             dtype=np.uint32,
         )
         self._counters = [0] * len(stream_ids)
-        # Per-draw-size workspaces for uniform_into (perf cache only;
+        # The one workspace every in-place draw shares (perf cache only;
         # never serialized).
-        self._inplace_scratch: dict[int, dict] = {}
+        self._scratch: dict | None = None
 
     @classmethod
     def from_streams(cls, streams: "Sequence[PhiloxStream]") -> "BatchedPhiloxStream":
@@ -285,15 +283,12 @@ class BatchedPhiloxStream:
         per_chain = int(out.size) // self.n_chains
         if per_chain == 0:
             return out
-        scratch = self._inplace_scratch.get(per_chain)
-        if scratch is None:
-            scratch = make_philox_scratch(self.n_chains, per_chain)
-            self._inplace_scratch[per_chain] = scratch
+        self._scratch = fit_philox_scratch(self._scratch, self.n_chains, per_chain)
         fill(
             self._counters,
             self._keys,
             out.reshape(self.n_chains, per_chain),
-            scratch,
+            self._scratch,
         )
         n_counters = -(-per_chain // 4)
         self._counters = [c + n_counters for c in self._counters]

@@ -172,6 +172,20 @@ class TestInPlaceTwins:
         expected = any_backend.random_uniform((5, 5), PhiloxStream(3, 1))
         np.testing.assert_array_equal(out, expected)
 
+    def test_rounding_scratch_is_one_pair_for_every_shape(self, bf16_backend):
+        # Draw-ahead rounds a (chains, k * words) buffer for each k a run
+        # uses; each new shape must cost views, not arrays.
+        shapes = [(1, 4), (3, 4096), (2, 9), (3, 100), (1, 8192), (7,)]
+        for shape in shapes:
+            out = np.empty(shape, dtype=np.float32)
+            bf16_backend.uniform_into(PhiloxStream(3, 1), out)
+            expected = bf16_backend.random_uniform(shape, PhiloxStream(3, 1))
+            np.testing.assert_array_equal(out, expected)
+        bias, nan = bf16_backend._qflat
+        assert bias.size == nan.size == 3 * 4096
+        for scratch in bf16_backend._qscratch.values():
+            assert all(np.shares_memory(a, b) for a, b in zip(scratch, (bias, nan)))
+
     def test_take_into_gathers_biased_slots(self, backend):
         # Every (sigma, nn) pair, biased into a 19-slot band: the gather
         # sees only non-negative intp indices and returns slot 5s+nn+9.

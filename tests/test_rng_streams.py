@@ -153,3 +153,48 @@ class TestBatchedPhiloxStream:
             BatchedPhiloxStream([1, 2, 3], [0, 1])
         with pytest.raises(ValueError, match=">= 0"):
             BatchedPhiloxStream(0, [0]).random_bits(-1)
+
+
+class TestOneScratchPerStream:
+    """Every in-place draw of a stream shares one block-bounded workspace."""
+
+    # Sizes from 1 to 5,000 words, out of order, with every tail length.
+    SIZES = (1, 5000, 4, 7, 1024, 2, 4097, 12, 999, 3, 2500, 256, 4999, 6)
+
+    @pytest.mark.parametrize("n_chains", [None, 3], ids=["solo", "batched"])
+    def test_interleaved_draws_match_oracle(self, n_chains):
+        from repro.rng.philox import (
+            BLOCK_COUNTERS,
+            philox_uniform_bits,
+            philox_uniform_bits_batched,
+            uint32_to_uniform,
+        )
+
+        if n_chains is None:
+            stream = PhiloxStream(31, 4)
+            rows, keys = 1, None
+        else:
+            stream = BatchedPhiloxStream(31, [4, 5, 6])
+            rows, keys = n_chains, stream._keys
+        counters = [0] * rows
+        for i, size in enumerate(self.SIZES):
+            if keys is None:
+                expected = philox_uniform_bits(counters[0], size, stream._key)[None]
+            else:
+                expected = philox_uniform_bits_batched(counters, size, keys)
+            if i % 2:
+                out = np.empty((rows, size), dtype=np.uint32)
+                stream.bits_into(out)
+            else:
+                expected = uint32_to_uniform(expected)
+                out = np.empty((rows, size), dtype=np.float32)
+                stream.uniform_into(out)
+            np.testing.assert_array_equal(out, expected)
+            counters = [c + -(-size // 4) for c in counters]
+            assert (stream.counters if n_chains else [stream.counter]) == counters
+        scratch = stream._scratch
+        assert scratch["block"] * rows <= BLOCK_COUNTERS
+        assert scratch["x"].shape == (2, rows, scratch["block"])
+        # The largest draw set the block; nothing else is held.
+        assert scratch["block"] == min(1250, BLOCK_COUNTERS // rows)
+        assert [k for k in vars(stream) if "scratch" in k] == ["_scratch"]

@@ -7,11 +7,16 @@ bit-identical to the elementwise path), across all four updaters, both
 dtypes, field on and off; traces invalidate on any binding change
 (restored checkpoints, roster rebuilds, new streams); checkpoints taken
 mid-replay round-trip, including ones that still carry the removed
-``traced`` setting; and the ``traced_*``, fused and packed gauges count
-replayed sweeps like eager ones.
+``traced`` setting; the ``traced_*``, fused and packed gauges count
+replayed sweeps like eager ones; and replay that draws Philox several
+sweeps ahead leaves lattices, counters and the modeled op log where
+eager sweeps leave them after every call.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from repro.core.fused import record_fused_metrics
 from repro.core.packed import record_packed_metrics
 from repro.core.simulation import IsingSimulation
 from repro.core.tempering import TemperingEnsemble
+from repro.rng.philox import BLOCK_COUNTERS
 from repro.core.traced import (
     ALLOCATING_OPS,
     REPLAYABLE_OPS,
@@ -280,6 +286,27 @@ class TestTelemetryAndApi:
         registry = RunTelemetry().registry
         record_traced_metrics(registry, None)
         assert registry.gauge("traced_sweeps_replayed").value == 0
+        assert registry.gauge("traced_replay_draws").value == 0
+
+    @pytest.mark.parametrize(
+        "chain, n, replayed, draws",
+        [("solo-32", 30, 28, 1), ("solo-512", 5, 3, 3), ("tpu-16", 8, 6, 6)],
+    )
+    def test_replay_draws_gauge(self, chain, n, replayed, draws):
+        # sweeps replayed / replay draws reads as sweeps per Philox call:
+        # 28 for a drawn-ahead 32^2 chain, 1 where draw-ahead is off.
+        if chain == "tpu-16":
+            sim = IsingSimulation(
+                16, 2.2, backend=TPUBackend(TensorCore(core_id=0)), seed=1,
+                fused=True,
+            )
+        else:
+            sim = IsingSimulation(int(chain[5:]), 2.2, seed=1)
+        sim.run(n)  # without telemetry, so run(n) is one call
+        registry = MetricsRegistry()
+        record_traced_metrics(registry, sim._executor)
+        assert registry.gauge("traced_sweeps_replayed").value == replayed
+        assert registry.gauge("traced_replay_draws").value == draws
 
     def test_config_passes_traced_through(self):
         # Replay follows the config's engine choice through the factory.
@@ -331,3 +358,130 @@ class TestDefaultBlockShape:
     def test_driver_consumes_helper(self, updater):
         implicit = IsingSimulation(16, 2.2, updater=updater)
         assert implicit.block_shape == default_block_shape(updater, (16, 16))
+
+
+def _ensemble(n_chains: int, side: int, **kw):
+    temps = list(np.linspace(1.8, 2.8, n_chains))
+    return EnsembleSimulation(side, temps, seed=6, fused=True, **kw)
+
+
+def _check(sim, ref, n: int) -> None:
+    """``sim.run(n)`` must leave what ``n`` eager sweeps of ``ref`` leave."""
+    sim.run(n)
+    eager_sweeps(ref, n)
+    assert np.array_equal(sim.lattices, ref.lattices), n
+    assert sim.stream.counters == ref.stream.counters, n
+
+
+class TestDrawAhead:
+    """Replay draws up to k sweeps of uniforms with one Philox call."""
+
+    RUNS = (1, 2, 5, 30, 64, 65, 100, 3)
+
+    @pytest.mark.parametrize(
+        "chains, side, cap",
+        [(1, 32, 64), (3, 16, 85), (16, 32, 4)],
+        ids=["solo-32", "3x16", "16x32"],
+    )
+    def test_run_lengths_match_eager(self, chains, side, cap):
+        sim, ref = _ensemble(chains, side), _ensemble(chains, side)
+        for n in self.RUNS:
+            _check(sim, ref, n)
+        ex = sim._executor
+        assert ex._ahead.cap == cap
+        # Each call draws ceil(replayed / cap) times; the first call
+        # warms and the second records.
+        replayed = [0, 1, 5, 30, 64, 65, 100, 3]
+        assert ex.replay_draws == sum(-(-r // cap) for r in replayed)
+
+    @pytest.mark.parametrize("updater", UPDATERS)
+    @pytest.mark.parametrize("dtype", [None, BFLOAT16])
+    def test_updaters_and_dtypes(self, updater, dtype):
+        sim = _solo(updater=updater, dtype=dtype)
+        ref = _solo(updater=updater, dtype=dtype)
+        for n in (3, 1, 12, 40):
+            _check(sim, ref, n)
+        assert sim._executor._ahead is not None
+
+    def test_with_field(self):
+        sim, ref = _solo(field=0.3, side=32), _solo(field=0.3, side=32)
+        for n in (5, 30, 70):
+            _check(sim, ref, n)
+        assert sim._executor._ahead is not None
+
+    def test_partial_counter_draws_stay_per_sweep(self):
+        # A 6^2 compact sweep draws 9 words per sub-lattice: not whole
+        # Philox counters, so the recorded program runs as it is.
+        sim, ref = _solo(side=6), _solo(side=6)
+        for n in (5, 30):
+            _check(sim, ref, n)
+        ex = sim._executor
+        assert ex._ahead is None
+        assert ex.replay_draws == 4 * ex.sweeps_replayed
+
+    def test_resume_between_calls(self):
+        sim, ref = _ensemble(3, 16), _ensemble(3, 16)
+        _check(sim, ref, 10)
+        resumed = EnsembleSimulation.from_state_dict(sim.state_dict())
+        for n in (1, 30, 7):
+            _check(resumed, ref, n)
+        assert resumed._executor._ahead is not None
+
+    def test_roster_and_temperature_changes_between_calls(self):
+        sim, ref = _ensemble(3, 16), _ensemble(3, 16)
+        _check(sim, ref, 12)
+        lattice, stream = sim.remove_chain(1)
+        ref.remove_chain(1)
+        _check(sim, ref, 20)
+        sim.add_chain(2.1, stream, lattice)
+        ref.add_chain(2.1, stream, lattice)
+        _check(sim, ref, 9)
+        sim.set_temperatures([2.5, 1.9, 2.2])
+        ref.set_temperatures([2.5, 1.9, 2.2])
+        for n in (1, 25):
+            _check(sim, ref, n)
+        assert sim._executor.invalidations == 3
+
+    def test_modeled_op_log_is_unchanged(self):
+        def op_log(calls):
+            core = TensorCore(core_id=0, op_log=[])
+            sim = IsingSimulation(
+                16, 2.2, backend=TPUBackend(core), seed=1, fused=True
+            )
+            for n in calls:
+                sim.run(n)
+            assert sim._executor._ahead is None
+            return [entry[:3] for entry in core.op_log]
+
+        assert op_log([8]) == op_log([1] * 8)
+
+    def test_memory_is_bounded_and_dropped(self):
+        sim = _solo(side=32)
+        for n in range(1, 71):
+            sim.run(n)
+        scratch = sim.stream._scratch
+        assert scratch["block"] == BLOCK_COUNTERS
+        ahead = sim._executor._ahead
+        assert ahead._flat.size <= 4 * BLOCK_COUNTERS
+        assert ahead._flat.dtype == np.float32
+        sim.set_temperatures([2.3])
+        assert sim._executor._ahead is None
+        sim.run(5)
+        assert sim._executor._ahead is not None
+        sim.stream = type(sim.stream)(sim.stream.seeds, sim.stream.stream_ids)
+        sim.run(1)  # rebinds to the new stream: warm-up only
+        assert sim._executor._ahead is None
+
+    @pytest.mark.parametrize("chains", [1, 16])
+    def test_dropped_chain_needs_no_cyclic_gc(self, chains):
+        gc.collect()
+        gc.disable()
+        try:
+            sim = _ensemble(chains, 16)
+            sim.run(10)
+            ex = sim._executor
+            refs = [weakref.ref(obj) for obj in (ex, ex.trace, ex._ahead._flat)]
+            del sim, ex
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
