@@ -1,20 +1,26 @@
-"""Tempering ladder overhead and batching gates.
+"""Tempering ladder overhead, batching and replay gates.
 
-Two properties make :class:`~repro.core.tempering.TemperingEnsemble`
+Three properties make :class:`~repro.core.tempering.TemperingEnsemble`
 cheap enough to leave on:
 
 1. **Swap bookkeeping is nearly free.**  A swap round costs one
    vectorized energy evaluation, a handful of host-side scalar
-   accept/reject tests, and — only for chains whose temperature
-   actually moved — a ten-entry acceptance-table rebuild
-   (``retemper`` keeps the sweep workspace).  Amortized over a
-   realistic ``swap_interval`` this must stay **under 5%** of sweep
-   time on a 16-beta ladder.
+   accept/reject tests, and — on rounds that accept a swap — a
+   ten-entry-per-chain acceptance-table refill in place (``retemper``
+   keeps the sweep workspace and the recorded sweep).  The refill runs
+   inside ``attempt_swaps``, so it falls in the swap round the gate
+   times, not in the next sweep.  Amortized over a realistic
+   ``swap_interval`` this must stay **under 5%** of sweep time on a
+   16-beta ladder.
 2. **The ladder rides the batched ensemble.**  All
    ``n_replicas x n_temperatures`` chains advance as one rank-3
    batched state, so a ladder must beat the serial loop-of-chains
    baseline by **>= 3x** — the same replica-batching lever as
    ``bench_ensemble.py``, now applied across ladder slots.
+3. **Swap rounds keep the recorded sweep.**  A fixed-count gate: a
+   16-beta 16^2 ladder swapping after every sweep runs 40 sweeps as 2
+   eager ones (warm-up and recording) and 38 replays, with swaps
+   accepted along the way.
 
 Run as a script for a quick table:
 
@@ -155,6 +161,24 @@ def gate_batched_beats_serial(t_serial: float, t_batched: float) -> None:
     )
 
 
+#: The replay gate's ladder: a swap round after every sweep.
+REPLAY_SIDE = 16
+REPLAY_SWEEPS = 40
+
+
+def test_ladder_replays_across_swap_rounds():
+    """Gate: accepted swap rounds re-temper the recorded sweep in place,
+    so only the warm-up and recording sweeps run eagerly."""
+    sim = run_ladder(REPLAY_SIDE, REPLAY_SWEEPS, swaps_enabled=True, swap_interval=1)
+    executor = sim.ensemble._executor
+    assert sim.swap_accepts > 0, "the ladder should accept some swaps"
+    counts = (executor.sweeps_eager, executor.sweeps_replayed)
+    assert counts == (2, REPLAY_SWEEPS - 2), (
+        f"(eager, replayed) sweeps {counts} of {REPLAY_SWEEPS}: swap "
+        "rounds must keep the recorded sweep"
+    )
+
+
 def test_swap_overhead_under_5pct():
     gate_swap_overhead(*measure_overhead())
 
@@ -228,6 +252,7 @@ def main(argv: list[str] | None = None) -> None:
     failures = 0
     for gate, gate_args in (
         (test_swap_rounds_fire_and_accept, ()),
+        (test_ladder_replays_across_swap_rounds, ()),
         (gate_swap_overhead, (t_sweep, t_swap)),
         (gate_batched_beats_serial, (t_serial, t_batched)),
     ):
@@ -238,7 +263,10 @@ def main(argv: list[str] | None = None) -> None:
             print(f"GATE FAIL {gate.__name__}: {exc}")
     if failures:
         sys.exit(failures)
-    print("gates: OK (swap overhead < 5%, batched >= 3x serial)")
+    print(
+        "gates: OK (swap overhead < 5%, batched >= 3x serial, "
+        f"{REPLAY_SWEEPS - 2}/{REPLAY_SWEEPS} ladder sweeps replayed)"
+    )
 
 
 if __name__ == "__main__":

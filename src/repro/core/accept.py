@@ -36,6 +36,13 @@ __all__ = ["AcceptanceTable", "BondedAcceptance", "NN_VALUES"]
 # Reachable 4-neighbour sums of a +/-1 checkerboard lattice.
 NN_VALUES = (-4.0, -2.0, 0.0, 2.0, 4.0)
 
+# The ten (sigma, nn) combinations a table holds, and the slot of each in
+# a chain's band: 5 * sigma + nn, biased into 0..18.
+_SIGMA_COMBO = np.repeat([-1.0, 1.0], len(NN_VALUES))
+_NN_COMBO = np.tile(NN_VALUES, 2)
+_BIAS = 9
+_SLOT_OF_COMBO = (5.0 * _SIGMA_COMBO + _NN_COMBO).astype(np.int64) + _BIAS
+
 
 class AcceptanceTable:
     """The ten (per chain) reachable acceptance probabilities, pre-`exp`ed.
@@ -79,36 +86,49 @@ class AcceptanceTable:
     ) -> None:
         self.backend = backend
         self.field = float(field)
-        sigma_combo = np.repeat([-1.0, 1.0], len(NN_VALUES))
-        nn_combo = np.tile(NN_VALUES, 2)
-        sigma_vals = backend.array(sigma_combo)
-        nn_vals = backend.array(nn_combo)
+        shape = np.shape(beta)
+        n_chains = shape[0] if shape else 1
+        if int(np.prod(shape)) != n_chains:
+            raise ValueError(
+                f"per-chain beta must be shaped (batch, 1, ..., 1), got {shape}"
+            )
+        self.entries = np.zeros(n_chains * self.SLOTS, dtype=np.float32)
+        self.offsets = (
+            np.arange(n_chains, dtype=np.float32) * np.float32(self.SLOTS)
+            + np.float32(_BIAS)
+        ).reshape(shape)
+        self.retemper(beta)
+
+    def retemper(self, beta: "float | np.ndarray") -> None:
+        """Refill :attr:`entries` for new inverse temperatures, in place.
+
+        ``beta`` must have the shape the table was built with: the
+        offsets depend only on the chain count, so they stay, and a
+        recorded sweep that gathers from ``entries`` reads the new
+        probabilities.
+        """
+        if np.shape(beta) != self.offsets.shape:
+            raise ValueError(
+                f"table holds betas shaped {self.offsets.shape}, "
+                f"got {np.shape(beta)}"
+            )
         # Run the exact elementwise op sequence on the ten combos; with a
         # per-chain beta the broadcast yields one ten-entry band per chain
         # in row-major order.
-        probs = acceptance_ratio(backend, sigma_vals, nn_vals, beta, field=field)
+        probs = acceptance_ratio(
+            self.backend,
+            self.backend.array(_SIGMA_COMBO),
+            self.backend.array(_NN_COMBO),
+            beta,
+            field=self.field,
+        )
         probs = np.ascontiguousarray(probs, dtype=np.float32).reshape(-1, 10)
-        bias = (self.SLOTS - 1) // 2
-        slots = (5.0 * sigma_combo + nn_combo).astype(np.int64) + bias
-
-        beta_arr = np.asarray(beta)
-        n_chains = beta_arr.shape[0] if beta_arr.ndim else 1
-        if beta_arr.size != n_chains:
+        bands = self.entries.reshape(-1, self.SLOTS)
+        if probs.shape[0] != bands.shape[0]:
             raise ValueError(
-                f"per-chain beta must be shaped (batch, 1, ..., 1), "
-                f"got {beta_arr.shape}"
+                f"table has {probs.shape[0]} bands for {bands.shape[0]} chains"
             )
-        if probs.shape[0] != n_chains:
-            raise ValueError(
-                f"table has {probs.shape[0]} bands for {n_chains} chains"
-            )
-        banded = np.zeros((n_chains, self.SLOTS), dtype=np.float32)
-        banded[:, slots] = probs
-        self.entries = banded.reshape(-1)
-        self.offsets = (
-            np.arange(n_chains, dtype=np.float32) * np.float32(self.SLOTS)
-            + np.float32(bias)
-        ).reshape(beta_arr.shape)
+        bands[:, _SLOT_OF_COMBO] = probs
 
     @property
     def n_entries(self) -> int:
@@ -133,9 +153,10 @@ class BondedAcceptance:
     ``exp(-2 beta sigma (nn + h))`` through the ``*_into`` vocabulary —
     allocation-free in steady state and fully replayable by the traced
     executor, mirroring :func:`~repro.core.update.acceptance_ratio` and
-    :func:`~repro.core.update.metropolis_flip` op for op (including the
-    shared ``-2 * beta`` device-scalar cache) so fused and elementwise
-    disordered sweeps stay bit-identical.
+    :func:`~repro.core.update.metropolis_flip` op for op, with the same
+    ``-2 * beta`` values, so fused and elementwise disordered sweeps stay
+    bit-identical.  The gaussian case owns its ``-2 * beta`` array, so
+    :meth:`retemper` can refill it in place.
     """
 
     def __init__(
@@ -148,11 +169,30 @@ class BondedAcceptance:
         self.backend = backend
         self.field = float(field)
         self.couplings = couplings
-        self.beta = beta
+        self.table = None
+        self.factor = None
         if couplings.kind == "gaussian":
-            self.table = None
+            self.factor = self._factor_of(beta)
         else:
             self.table = AcceptanceTable(backend, beta, field=field)
+
+    def _factor_of(self, beta: "float | np.ndarray") -> np.ndarray:
+        """``-2 * beta`` as the elementwise path materialises it, owned."""
+        value = self.backend.array(-2.0 * np.asarray(beta, dtype=np.float64))
+        return np.array(value, dtype=np.float32)
+
+    def retemper(self, beta: "float | np.ndarray") -> None:
+        """New inverse temperatures, written into the arrays a sweep reads."""
+        if self.table is not None:
+            self.table.retemper(beta)
+            return
+        factor = self._factor_of(beta)
+        if factor.shape != self.factor.shape:
+            raise ValueError(
+                f"acceptance holds betas shaped {self.factor.shape}, "
+                f"got {factor.shape}"
+            )
+        np.copyto(self.factor, factor)
 
     @property
     def kind(self) -> str:
@@ -168,6 +208,7 @@ class BondedAcceptance:
 
     def flip_into(
         self,
+        backend: Backend,
         sigma: np.ndarray,
         nn: np.ndarray,
         probs: np.ndarray,
@@ -176,29 +217,23 @@ class BondedAcceptance:
     ) -> np.ndarray:
         """In-place Metropolis step on weighted neighbour sums.
 
-        Mutates ``sigma`` (and, when ``field != 0``, shifts ``nn`` in
-        place — callers recompute ``nn`` every phase from a workspace
-        buffer) and returns ``sigma``.
+        Runs its ops on ``backend``, the updater's, so a recording sweep
+        sees them.  Mutates ``sigma`` (and, when ``field != 0``, shifts
+        ``nn`` in place — callers recompute ``nn`` every phase from a
+        workspace buffer) and returns ``sigma``.
         """
         if self.table is not None:
             # Local import: fused.py imports this module for the table type.
             from .fused import fused_metropolis_flip
 
             return fused_metropolis_flip(
-                self.backend, sigma, nn, probs, self.table, workspace, mask=mask
+                backend, sigma, nn, probs, self.table, workspace, mask=mask
             )
-        backend = self.backend
         if sigma.shape != nn.shape or sigma.shape != probs.shape:
             raise ValueError(
                 f"shape mismatch: sigma {sigma.shape}, nn {nn.shape}, "
                 f"probs {probs.shape}"
             )
-        beta_arr = np.asarray(self.beta, dtype=np.float64)
-        if beta_arr.ndim == 0:
-            beta_key = ("beta", float(beta_arr))
-        else:
-            beta_key = ("beta", beta_arr.shape, beta_arr.tobytes())
-        factor = _cached_device_scalar(backend, beta_key, lambda: -2.0 * beta_arr)
         if self.field != 0.0:
             field_scalar = _cached_device_scalar(
                 backend, ("field", float(self.field)), float(self.field)
@@ -206,7 +241,7 @@ class BondedAcceptance:
             backend.add_into(nn, field_scalar, nn)
         local = workspace.buffer("bonded_local", sigma.shape)
         backend.multiply_into(sigma, nn, local)
-        backend.multiply_into(factor, local, local)
+        backend.multiply_into(self.factor, local, local)
         backend.exp_into(local, local)
         flips = workspace.buffer("flip_flips", sigma.shape)
         backend.less_into(probs, local, flips)

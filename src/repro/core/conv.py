@@ -23,16 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend.base import Backend
-from ..backend.numpy_backend import NumpyBackend
 from ..rng.streams import PhiloxStream
-from .accept import AcceptanceTable, BondedAcceptance
+from .accept import BondedAcceptance
 from .compact import CompactUpdater
 from .couplings import (
     BondCouplings,
     weighted_neighbor_sum,
     weighted_neighbor_sum_into,
 )
-from .fused import SweepWorkspace, fused_metropolis_flip
+from .fused import FloatUpdater, fused_metropolis_flip
 from .lattice import checkerboard_mask
 from .update import metropolis_flip
 
@@ -60,13 +59,16 @@ class ConvUpdater(CompactUpdater):
         )
 
 
-class MaskedConvUpdater:
+class MaskedConvUpdater(FloatUpdater):
     """Checkerboard Metropolis with a full-lattice conv and colour masks.
 
     State is the plain lattice.  Each colour phase computes the
     4-neighbour sum of *every* site with one wrap-around convolution,
     draws uniforms for every site, and masks the flips — the same
     redundancies Algorithm 1 has, with the conv replacing its matmuls.
+    With disordered ``couplings`` the neighbour sum weighs each bond by
+    its quenched J and acceptance goes through a
+    :class:`~repro.core.accept.BondedAcceptance`.
     """
 
     def __init__(
@@ -77,56 +79,22 @@ class MaskedConvUpdater:
         fused: bool = False,
         couplings: BondCouplings | None = None,
     ) -> None:
-        if np.any(np.asarray(beta) <= 0):
-            raise ValueError(f"beta must be positive, got {beta}")
-        # Scalar for a single chain; a (batch, 1, 1) broadcast array when
-        # driving a batched ensemble at per-chain temperatures.
-        self.beta = float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=np.float64)
-        self.field = float(field)
-        self.backend = backend if backend is not None else NumpyBackend()
-        self.fused = bool(fused)
+        # beta is a scalar for a single chain; a (batch, 1, 1) broadcast
+        # array when driving a batched ensemble.
+        super().__init__(beta, backend, field=field, fused=fused)
         # Ferro couplings collapse to None so the clean model keeps the
         # conv fast path and its exact historical bit-stream.
         if couplings is not None and couplings.kind == "ferro":
             couplings = None
         self.couplings = couplings
         self._mask_cache: dict[tuple[int, int], dict[str, np.ndarray]] = {}
-        self._workspace: SweepWorkspace | None = None
-        self._accept_table: "AcceptanceTable | BondedAcceptance | None" = None
 
-    @property
-    def workspace(self) -> SweepWorkspace | None:
-        """The fused engine's scratch workspace (None until first use)."""
-        return self._workspace
-
-    def _fused_ctx(self) -> "tuple[AcceptanceTable | BondedAcceptance, SweepWorkspace]":
-        if self._workspace is None:
-            self._workspace = SweepWorkspace()
-        if self._accept_table is None:
-            if self.couplings is None:
-                self._accept_table = AcceptanceTable(
-                    self.backend, self.beta, field=self.field
-                )
-            else:
-                self._accept_table = BondedAcceptance(
-                    self.backend, self.beta, self.couplings, field=self.field
-                )
-        return self._accept_table, self._workspace
-
-    def retemper(self, beta: float | np.ndarray) -> None:
-        """Swap in new (per-chain) inverse temperatures, in place.
-
-        Keeps the lattice-shaped workspace buffers (they are
-        beta-independent) and drops only the acceptance table, so a
-        replica-exchange swap round costs a ten-entry-per-chain table
-        rebuild rather than a full updater rebuild.  Callers holding a
-        traced executor must ``rebind`` it afterwards — the recorded
-        sweep references the old table's entries.
-        """
-        if np.any(np.asarray(beta) <= 0):
-            raise ValueError(f"beta must be positive, got {beta}")
-        self.beta = float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=np.float64)
-        self._accept_table = None
+    def _make_table(self):
+        if self.couplings is None:
+            return super()._make_table()
+        return BondedAcceptance(
+            self.backend, self.beta, self.couplings, field=self.field
+        )
 
     def _masks(self, shape: tuple[int, ...]) -> dict[str, np.ndarray]:
         # Masks depend only on the trailing (rows, cols); a batched plain
@@ -152,36 +120,22 @@ class MaskedConvUpdater:
 
         In fused mode the lattice is updated *in place* and returned.
         """
+        probs = self._uniforms(plain.shape, stream, probs, "probs")
         if self.fused:
             table, ws = self._fused_ctx()
-            if probs is None:
-                if stream is None:
-                    raise ValueError("either stream or probs must be provided")
-                probs = ws.buffer("probs", plain.shape)
-                self.backend.uniform_into(stream, probs)
-            elif probs.shape != plain.shape:
-                raise ValueError(
-                    f"probs shape {probs.shape} != lattice shape {plain.shape}"
-                )
             mask = self._masks(plain.shape)[color]
             if self.couplings is not None:
                 nn = weighted_neighbor_sum_into(
                     self.backend, plain, self.couplings, ws
                 )
-                return table.flip_into(plain, nn, probs, ws, mask=mask)
+                return table.flip_into(
+                    self.backend, plain, nn, probs, ws, mask=mask
+                )
             nn = ws.buffer("conv_nn", plain.shape)
             tmp = ws.buffer("conv_roll_tmp", plain.shape)
             self.backend.conv2d_neighbors_into(plain, nn, tmp)
             return fused_metropolis_flip(
                 self.backend, plain, nn, probs, table, ws, mask=mask
-            )
-        if probs is None:
-            if stream is None:
-                raise ValueError("either stream or probs must be provided")
-            probs = self.backend.random_uniform(plain.shape, stream)
-        elif probs.shape != plain.shape:
-            raise ValueError(
-                f"probs shape {probs.shape} != lattice shape {plain.shape}"
             )
         if self.couplings is not None:
             nn = weighted_neighbor_sum(self.backend, plain, self.couplings)
@@ -191,17 +145,6 @@ class MaskedConvUpdater:
         return metropolis_flip(
             self.backend, plain, nn, probs, self.beta, mask=mask, field=self.field
         )
-
-    def sweep(
-        self,
-        plain: np.ndarray,
-        stream: PhiloxStream | None = None,
-        probs_black: np.ndarray | None = None,
-        probs_white: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """One full sweep: black phase then white phase."""
-        plain = self.update_color(plain, "black", stream, probs_black)
-        return self.update_color(plain, "white", stream, probs_white)
 
     # -- uniform interface with the grid/compact updaters -------------------
 
@@ -213,6 +156,3 @@ class MaskedConvUpdater:
         # A copy: fused sweeps mutate the state in place, and callers
         # (simulation.lattice, samplers) must keep stable snapshots.
         return np.array(state, dtype=np.float32, copy=True)
-
-    def sweep_plain(self, plain: np.ndarray, stream: PhiloxStream) -> np.ndarray:
-        return self.sweep(self.to_state(plain), stream)

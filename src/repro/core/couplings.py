@@ -97,9 +97,9 @@ class BondCouplings:
         self.right = right
         self.down = down
         self.shape = right.shape
-        # Per-backend device tensors (the four broadcastable planes the
+        # Device tensors per dtype name (the four broadcastable planes the
         # weighted neighbour sum reads), built lazily on first use.
-        self._device: dict[int, tuple[Backend, dict[str, np.ndarray]]] = {}
+        self._device: dict[str, dict[str, np.ndarray]] = {}
 
     def __repr__(self) -> str:
         return (
@@ -145,24 +145,27 @@ class BondCouplings:
         return cls(kind, disorder_seed, bonds[0], bonds[1])
 
     def device_arrays(self, backend: Backend) -> dict[str, np.ndarray]:
-        """The four direction planes as backend tensors, cached per backend.
+        """The four direction planes as backend tensors, cached per dtype.
 
         ``right`` / ``down`` are the stored planes; ``left`` / ``up`` are
         their periodic rolls (``left[i, j] = right[i, j-1]``), so the
         weighted neighbour sum needs no rolls of the couplings at sweep
         time.  Materialised through ``backend.array`` so bfloat16
-        backends quantise the couplings exactly once.
+        backends quantise the couplings exactly once.  ``backend.array``
+        books no modeled time and depends only on the storage dtype, so
+        every backend of one dtype (a recording proxy included) shares
+        the planes.
         """
-        cached = self._device.get(id(backend))
-        if cached is not None and cached[0] is backend:
-            return cached[1]
-        arrays = {
-            "right": backend.array(self.right),
-            "left": backend.array(np.roll(self.right, 1, axis=1)),
-            "down": backend.array(self.down),
-            "up": backend.array(np.roll(self.down, 1, axis=0)),
-        }
-        self._device[id(backend)] = (backend, arrays)
+        name = backend.dtype.name
+        arrays = self._device.get(name)
+        if arrays is None:
+            arrays = {
+                "right": backend.array(self.right),
+                "left": backend.array(np.roll(self.right, 1, axis=1)),
+                "down": backend.array(self.down),
+                "up": backend.array(np.roll(self.down, 1, axis=0)),
+            }
+            self._device[name] = arrays
         return arrays
 
     def state_token(self) -> dict:

@@ -209,8 +209,8 @@ class EnsembleSimulation:
         Under the fused engine one recorded sweep is replayed for all
         chains at once (see :mod:`repro.core.traced`), so the whole
         batch amortises a single program; roster changes
-        (:meth:`add_chain` / :meth:`remove_chain`) and re-tempering
-        re-record on the next sweep.
+        (:meth:`add_chain` / :meth:`remove_chain`) re-record on the next
+        sweep, while re-tempering keeps the program.
     telemetry:
         Optional :class:`~repro.telemetry.report.RunTelemetry` recorder.
         When omitted (the default) the sweep loop pays one ``is None``
@@ -324,13 +324,13 @@ class EnsembleSimulation:
     def _build_updater(self, rng_bits: "int | None" = None):
         """Construct the batched updater for the current chain roster.
 
-        Called at construction and again whenever the roster or the
-        betas change (:meth:`add_chain` / :meth:`remove_chain` /
-        :meth:`set_temperatures`) — the updaters precompute per-chain
-        acceptance tables from the beta vector, so a roster change
-        rebuilds them.  A rebuild keeps the packed engine's draw width
-        (``rng_bits``, 32 only after a checkpoint restore) unless told
-        otherwise.
+        Called at construction, when the roster changes
+        (:meth:`add_chain` / :meth:`remove_chain`: a new batch width
+        needs new tables and buffers) and when a packed checkpoint
+        restores another draw width.  A rebuild keeps the packed
+        engine's draw width (``rng_bits``, 32 only after a checkpoint
+        restore) unless told otherwise.  New betas alone go through
+        :meth:`set_temperatures`, which keeps the updater.
         """
         if rng_bits is None:
             rng_bits = getattr(self._updater, "rng_bits", 16)
@@ -543,11 +543,9 @@ class EnsembleSimulation:
         counters are untouched (states never move between chains — only
         the betas do), so each chain's future trajectory is exactly the
         one it would have had if constructed at the new temperature with
-        its current lattice and counter.  Cheap by design: updaters that
-        expose :meth:`retemper` keep their workspaces and rebuild only
-        the per-chain acceptance table; the packed engine rebuilds its
-        threshold updater.  Any recorded trace is dropped and re-records
-        on the next sweep.
+        its current lattice and counter.  The updater rewrites its
+        acceptance entries (packed: its thresholds) in place, so a
+        recorded sweep keeps replaying.
         """
         temps = np.asarray(temperatures, dtype=np.float64)
         if temps.shape != (self.n_chains,):
@@ -558,15 +556,7 @@ class EnsembleSimulation:
             raise ValueError(f"temperatures must be positive, got {temps}")
         self.temperatures = temps
         self.betas = 1.0 / temps
-        retemper = getattr(self._updater, "retemper", None)
-        if retemper is None or self.packed:
-            self._updater = self._build_updater()
-        else:
-            retemper(self._beta_vector())
-        if self._executor is not None:
-            # The recorded sweep references the old acceptance table's
-            # entries; drop it and re-record on the next sweep.
-            self._executor.rebind(self._updater)
+        self._updater.retemper(self._beta_vector())
 
     # -- evolution -----------------------------------------------------------
 

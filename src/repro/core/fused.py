@@ -12,6 +12,13 @@ trajectories (the ``*_into`` ops are exact twins of their allocating
 counterparts, and the acceptance probabilities come from an
 :class:`~repro.core.accept.AcceptanceTable` built with the very same
 backend op sequence).
+
+:class:`FloatUpdater` is what the float updaters (checkerboard, compact,
+conv, masked conv) share: the beta check, the default backend, the
+workspace and acceptance table of the fused engine, one step that draws
+or checks a colour phase's uniforms, the black-then-white sweep, and
+``retemper``, which rewrites the table in place so a recorded sweep
+replays at the new temperatures.
 """
 
 from __future__ import annotations
@@ -19,10 +26,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend.base import Backend
+from ..backend.numpy_backend import NumpyBackend
+from ..rng.streams import PhiloxStream
 from .accept import AcceptanceTable
 from .update import _cached_device_scalar
 
-__all__ = ["SweepWorkspace", "fused_metropolis_flip", "record_fused_metrics"]
+__all__ = [
+    "FloatUpdater",
+    "SweepWorkspace",
+    "fused_metropolis_flip",
+    "record_fused_metrics",
+]
 
 
 class SweepWorkspace:
@@ -81,6 +95,131 @@ class SweepWorkspace:
     def nbytes(self) -> int:
         """Total bytes held by the scratch buffers."""
         return int(sum(b.nbytes for b in self._buffers.values()))
+
+
+def _checked_beta(beta: "float | np.ndarray") -> "float | np.ndarray":
+    """A float for one chain, a float64 array for per-chain betas."""
+    if np.any(np.asarray(beta) <= 0):
+        raise ValueError(f"beta must be positive, got {beta}")
+    return float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=np.float64)
+
+
+class FloatUpdater:
+    """The contract every float checkerboard updater shares.
+
+    Parameters
+    ----------
+    beta:
+        Inverse temperature (J = 1, k_B = 1): a scalar for one chain, or
+        an array shaped to broadcast against a batched state (one beta
+        per chain) when driving an ensemble.
+    backend:
+        Op executor; defaults to a pure float32 numpy backend.
+    field:
+        External magnetic field h.
+    fused:
+        When true, sweeps run the fused engine: acceptance probabilities
+        come from a table gather and every intermediate lives in a
+        reusable :class:`SweepWorkspace`, so steady-state sweeps allocate
+        nothing and **mutate the state in place** (bit-identical
+        trajectories to the elementwise path).
+
+    A subclass supplies ``update_color(state, color, stream, probs)``
+    (one colour phase), its colour masks and ``to_state`` / ``to_plain``.
+    """
+
+    def __init__(
+        self,
+        beta: "float | np.ndarray",
+        backend: Backend | None = None,
+        field: float = 0.0,
+        fused: bool = False,
+    ) -> None:
+        self.beta = _checked_beta(beta)
+        self.backend = backend if backend is not None else NumpyBackend()
+        self.field = float(field)
+        self.fused = bool(fused)
+        self._workspace: SweepWorkspace | None = None
+        self._table = None
+
+    @property
+    def workspace(self) -> SweepWorkspace | None:
+        """The fused engine's scratch workspace (None until first use)."""
+        return self._workspace
+
+    def _make_table(self):
+        """The acceptance table of the fused engine at ``self.beta``."""
+        return AcceptanceTable(self.backend, self.beta, field=self.field)
+
+    def _fused_ctx(self) -> "tuple[AcceptanceTable, SweepWorkspace]":
+        if self._workspace is None:
+            self._workspace = SweepWorkspace()
+        if self._table is None:
+            self._table = self._make_table()
+        return self._table, self._workspace
+
+    def retemper(self, beta: "float | np.ndarray") -> None:
+        """Set new (per-chain) inverse temperatures, in place.
+
+        The workspace stays, and a built acceptance table is refilled in
+        place rather than rebuilt: a recorded sweep reads the very arrays
+        it held when recording, so it replays at the new temperatures.
+        The chain count cannot change.
+        """
+        self.beta = _checked_beta(beta)
+        if self._table is not None:
+            self._table.retemper(self.beta)
+
+    def _uniforms(
+        self,
+        shape: tuple[int, ...],
+        stream: PhiloxStream | None,
+        probs,
+        name: "str | tuple[str, ...]",
+    ):
+        """A colour phase's uniforms: ``probs`` checked, or drawn.
+
+        ``name`` names the fused engine's workspace buffer; a tuple of
+        names draws one ``shape`` tensor per name, in order, and
+        ``probs`` is then the matching tuple.  The fused engine's
+        workspace and table are built first, as every fused phase needs.
+        """
+        if self.fused:
+            _, ws = self._fused_ctx()
+        many = isinstance(name, tuple)
+        if probs is not None:
+            given = probs if many else (probs,)
+            if any(p.shape != shape for p in given):
+                raise ValueError(
+                    f"probs shape{'s' if many else ''} "
+                    f"{', '.join(str(p.shape) for p in given)} != state shape {shape}"
+                )
+            return probs
+        if stream is None:
+            raise ValueError("either stream or probs must be provided")
+        names = name if many else (name,)
+        if self.fused:
+            drawn = tuple(ws.buffer(n, shape) for n in names)
+            for out in drawn:
+                self.backend.uniform_into(stream, out)
+        else:
+            drawn = tuple(self.backend.random_uniform(shape, stream) for _ in names)
+        return drawn if many else drawn[0]
+
+    def sweep(
+        self,
+        state,
+        stream: PhiloxStream | None = None,
+        probs_black=None,
+        probs_white=None,
+    ):
+        """One full sweep: a black phase followed by a white phase."""
+        state = self.update_color(state, "black", stream, probs_black)
+        return self.update_color(state, "white", stream, probs_white)
+
+    def sweep_plain(self, plain: np.ndarray, stream: PhiloxStream) -> np.ndarray:
+        """One sweep on a plain lattice (converting in and out)."""
+        return self.to_plain(self.sweep(self.to_state(plain), stream))
 
 
 def fused_metropolis_flip(

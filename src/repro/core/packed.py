@@ -144,8 +144,6 @@ class PackedUpdater:
         beta_arr = np.asarray(beta, dtype=np.float64)
         if beta_arr.ndim > 1:
             raise ValueError(f"beta must be a scalar or 1-D vector, got shape {beta_arr.shape}")
-        if not np.all(beta_arr > 0):
-            raise ValueError(f"beta must be positive, got {beta}")
         if field:
             raise ValueError(
                 "the packed engine has no field support: the three-case "
@@ -155,29 +153,13 @@ class PackedUpdater:
         if rng_bits not in (16, 32):
             raise ValueError(f"rng_bits must be 16 or 32, got {rng_bits}")
         self.backend = backend if backend is not None else NumpyBackend(PACKED)
-        self.beta = float(beta_arr) if beta_arr.ndim == 0 else beta_arr
         self.field = 0.0
         self.rng_bits = int(rng_bits)
         self.batched = beta_arr.ndim == 1
-
-        # Thresholds through the exact float32 expression of the float
-        # chains: exp(float32(-2 beta) * float32(sigma * nn)).
-        factor = (np.float32(-2.0) * beta_arr.astype(np.float32)).astype(np.float32)
-        self.threshold_k1 = np.exp(factor * np.float32(2.0))  # sigma*nn = +2
-        self.threshold_k0 = np.exp(factor * np.float32(4.0))  # sigma*nn = +4
-        # Integer comparison space for stream mode: 16-bit lanes against
-        # ceil(t * 2**16), or the top 24 bits of a word against
-        # ceil(t * 2**24) (the exact u < t twin).  uint32 because the
-        # ceiling can reach 2**rng_bits at tiny beta.
-        cmp_bits = 16 if rng_bits == 16 else 24
-        self._int_k1 = packed_threshold(self.threshold_k1, cmp_bits)
-        self._int_k0 = packed_threshold(self.threshold_k0, cmp_bits)
-        if self.batched:
-            # Per-chain thresholds broadcast over (B, rows, cols) planes.
-            self.threshold_k1 = self.threshold_k1.reshape(-1, 1, 1)
-            self.threshold_k0 = self.threshold_k0.reshape(-1, 1, 1)
-            self._int_k1 = self._int_k1.reshape(-1, 1, 1)
-            self._int_k0 = self._int_k0.reshape(-1, 1, 1)
+        self.threshold_k1, self.threshold_k0, self._int_k1, self._int_k0 = (
+            self._thresholds(beta_arr)
+        )
+        self.beta = float(beta_arr) if beta_arr.ndim == 0 else beta_arr
 
         self._workspace = SweepWorkspace()
         self._views: dict[tuple, np.ndarray] = {}
@@ -189,6 +171,47 @@ class PackedUpdater:
     def workspace(self) -> SweepWorkspace:
         """Scratch workspace (exposed for telemetry, like the fused engine)."""
         return self._workspace
+
+    def _thresholds(self, beta_arr: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(float k1, float k0, integer k1, integer k0) thresholds.
+
+        0-d arrays for a scalar beta; ``(B, 1, 1)`` for a ``(B,)`` vector,
+        to broadcast over the ``(B, rows, cols)`` planes.
+        """
+        if not np.all(beta_arr > 0):
+            raise ValueError(f"beta must be positive, got {beta_arr}")
+        # Thresholds through the exact float32 expression of the float
+        # chains: exp(float32(-2 beta) * float32(sigma * nn)).
+        factor = (np.float32(-2.0) * beta_arr.astype(np.float32)).astype(np.float32)
+        k1 = np.exp(factor * np.float32(2.0))  # sigma*nn = +2
+        k0 = np.exp(factor * np.float32(4.0))  # sigma*nn = +4
+        # Integer comparison space for stream mode: 16-bit lanes against
+        # ceil(t * 2**16), or the top 24 bits of a word against
+        # ceil(t * 2**24) (the exact u < t twin).  uint32 because the
+        # ceiling can reach 2**rng_bits at tiny beta.
+        cmp_bits = 16 if self.rng_bits == 16 else 24
+        thresholds = (k1, k0, packed_threshold(k1, cmp_bits), packed_threshold(k0, cmp_bits))
+        shape = beta_arr.shape + (1, 1) if beta_arr.ndim else ()
+        return tuple(np.asarray(t).reshape(shape) for t in thresholds)
+
+    def retemper(self, beta: "float | np.ndarray") -> None:
+        """New inverse temperatures, written into the thresholds in place.
+
+        A recorded sweep reads the very threshold arrays it held when
+        recording, so it replays at the new temperatures.  The chain
+        count cannot change.
+        """
+        beta_arr = np.asarray(beta, dtype=np.float64)
+        held = (self.threshold_k1, self.threshold_k0, self._int_k1, self._int_k0)
+        new = self._thresholds(beta_arr)
+        if new[0].shape != held[0].shape:
+            raise ValueError(
+                f"thresholds are shaped {held[0].shape}, got beta shaped "
+                f"{beta_arr.shape}"
+            )
+        for out, value in zip(held, new):
+            np.copyto(out, value)
+        self.beta = float(beta_arr) if beta_arr.ndim == 0 else beta_arr
 
     # -- state conversion --------------------------------------------------
 

@@ -18,7 +18,8 @@ The TPU-shaped design decision: **states never move.**  All
 :class:`~repro.core.ensemble.EnsembleSimulation`, and a swap only edits
 the host-side ``pairing`` (which chain currently owns which beta slot)
 and re-tempers the ensemble — a ten-entry-per-chain acceptance-table
-rebuild, no lattice traffic.  Each chain therefore keeps its own Philox
+refill in place, no lattice traffic, and the recorded sweep of the fused
+engine keeps replaying.  Each chain therefore keeps its own Philox
 stream and advances bit-reproducibly; with swaps disabled the ensemble
 is bit-identical to a plain :class:`EnsembleSimulation`.  A ladder is
 one coupled simulation, so it runs through ``repro.tempering(config)``;
@@ -152,8 +153,8 @@ class TemperingEnsemble:
         ).reshape(self.n_replicas, self.n_temps)
 
         # Under the fused engine the ensemble replays a recorded sweep;
-        # an accepted swap round re-tempers it, which drops the program
-        # and re-records on the next run (see repro.core.traced).
+        # an accepted swap round re-tempers it in place, so the program
+        # keeps replaying (see repro.core.traced).
         self.ensemble = EnsembleSimulation(
             shape,
             self._chain_temperatures(),

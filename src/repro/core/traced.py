@@ -46,9 +46,11 @@ on return every counter sits where eager sweeps leave it.
 
 A trace is bound to the identities of the state tensors and the stream
 it recorded.  Any change — checkpoint restore, ensemble roster rebuild,
-re-tempering, or a new shape/dtype/beta/field/fused configuration (all
-of which rebuild the updater and its buffers) — invalidates the trace
-and the next run re-records.
+or a new shape/dtype/field/fused configuration (all of which rebuild the
+updater and its buffers) — invalidates the trace and the next run
+re-records.  Re-tempering does not: the updater rewrites the acceptance
+entries, the gaussian ``-2 beta`` factor or the packed thresholds in
+place, and the recorded ops read those very arrays.
 """
 
 from __future__ import annotations
@@ -409,7 +411,7 @@ class TracedExecutor:
         self._fallback = False
 
     def rebind(self, updater) -> None:
-        """Point at a rebuilt or re-tempered updater, dropping any program.
+        """Point at a rebuilt updater, dropping any program.
 
         Counters carry over — invalidations are part of the story the
         ``traced_*`` gauges tell.

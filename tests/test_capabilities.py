@@ -12,15 +12,18 @@ Each cell must do one of two things:
 * be rejected up front: a :class:`ValueError` from
   ``SimulationConfig(...)``, from the factory call or from
   ``Scheduler.submit``;
-* or run two sweeps on exactly the updater, dtype, block shape and
+* or run three sweeps on exactly the updater, dtype, block shape and
   engine it names, and match its reference.  A float cell's reference
   is the same config with ``fused=False``.  A packed cell's reference is
-  ``simulate()`` of the same config.
+  ``simulate()`` of the same config.  Three sweeps are the fused
+  engine's warm-up, its recording and one replayed sweep.
 
 Nothing may raise inside ``run()``, ``sweep()`` or a scheduler batch
 build.  Finally the "What each forbids" table in ``docs/engines.md``
-must say what the walk observed, row for row.  The table's lattice
-width and allocation rows are not part of the walk and are not checked.
+must say what the walk observed, row for row; a fused cell counts as
+traced only if its executor replayed a sweep and never fell back.  The
+table's lattice width and allocation rows are not part of the walk and
+are not checked.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.sched.coalesce import compat_key
 SHAPE = (8, 128)
 BLOCK = (2, 32)
 GRID = (1, 2)
-SWEEPS = 2
+SWEEPS = 3
 #: Exact binary betas: chain 0 of the ladder runs at T = 2.0, the
 #: temperature every other driver uses, so packed tempering cells can be
 #: checked against simulate().
@@ -112,7 +115,7 @@ def _built_engine(driver, built):
 
 
 def _run(driver, built) -> np.ndarray:
-    """Two sweeps; the lattices they leave (chain 0 first)."""
+    """``SWEEPS`` sweeps; the lattices they leave (chain 0 first)."""
     if driver == "scheduler":
         scheduler, job = built
         scheduler.drain()
@@ -128,6 +131,21 @@ def _run(driver, built) -> np.ndarray:
     return built.lattices
 
 
+def _replayed(driver, built) -> bool:
+    """Whether a simulate, ensemble or tempering chain replayed a
+    recorded sweep and never fell back to eager sweeps."""
+    if driver not in ("simulate", "ensemble", "tempering"):
+        return False
+    if driver == "tempering":
+        built = built.ensemble
+    executor = built._executor
+    return (
+        executor is not None
+        and executor.sweeps_replayed > 0
+        and executor.fallbacks == 0
+    )
+
+
 def _engine(driver, dtype, fused) -> str:
     if dtype == "packed":
         return "packed"
@@ -136,8 +154,9 @@ def _engine(driver, dtype, fused) -> str:
 
 
 def _walk():
-    """Walk every cell; return (supported cells, failure messages)."""
-    supported, failures = set(), []
+    """Walk every cell; return (supported cells, failure messages,
+    cells seen replaying)."""
+    supported, failures, replayed = set(), [], set()
     packed_refs = {}
     for axes in itertools.product(UPDATERS, DTYPES, FIELDS, COUPLINGS, BLOCKS):
         updater, dtype, field, couplings, block = axes
@@ -181,7 +200,9 @@ def _walk():
                 failures.append(f"{cell}: lattice differs from its reference")
                 continue
             supported.add(cell)
-    return supported, failures
+            if _replayed(driver, built):
+                replayed.add(cell)
+    return supported, failures, replayed
 
 
 @pytest.fixture(scope="module")
@@ -190,19 +211,19 @@ def walk():
 
 
 def test_no_cell_fails_after_construction_or_substitutes(walk):
-    _, failures = walk
+    _, failures, _ = walk
     assert not failures, "\n".join(failures)
 
 
 def test_walk_sees_every_driver_and_engine(walk):
-    supported, _ = walk
+    supported, _, _ = walk
     assert {cell[0] for cell in supported} == set(DRIVERS)
     engines = {_engine(cell[0], cell[2], cell[-1]) for cell in supported}
     assert engines == {"elementwise", "fused", "packed"}
 
 
 def test_supported_packed_cells_run_through_the_scheduler(walk):
-    supported, _ = walk
+    supported, _, _ = walk
     packed = {cell[1:] for cell in supported if cell[2] == "packed"}
     scheduled = {
         cell[1:] for cell in supported
@@ -212,7 +233,7 @@ def test_supported_packed_cells_run_through_the_scheduler(walk):
 
 
 def test_scheduler_runs_exactly_the_ensemble_cells(walk):
-    supported, _ = walk
+    supported, _, _ = walk
     by_driver = {
         driver: {cell[1:] for cell in supported if cell[0] == driver}
         for driver in ("ensemble", "scheduler")
@@ -236,16 +257,18 @@ def _check_mark(updaters: set) -> str:
     return "✅ (" + ", ".join(_names(updaters, UPDATERS)) + ")"
 
 
-def _observed_rows(supported) -> dict:
+def _observed_rows(supported, replayed) -> dict:
     """The table rows the walk can observe, rendered per engine column."""
     cells_of = {engine: [] for engine in ENGINES}
     for cell in supported:
-        engine = _engine(cell[0], cell[2], cell[-1])
-        cells_of[engine].append(cell)
-        if engine == "fused" and cell[0] != "distributed":
-            # Wherever the solo and ensemble drivers run the fused
-            # engine, they replay it.
-            cells_of["traced"].append(cell)
+        cells_of[_engine(cell[0], cell[2], cell[-1])].append(cell)
+    # A scheduler job sweeps in an EnsembleSimulation batch, so it
+    # replays where the matching ensemble() cell was seen replaying.
+    cells_of["traced"] = [
+        cell for cell in cells_of["fused"]
+        if cell in replayed
+        or (cell[0] == "scheduler" and ("ensemble",) + cell[1:] in replayed)
+    ]
 
     def updaters(engine, keep=lambda cell: True):
         return {cell[1] for cell in cells_of[engine] if keep(cell)}
@@ -304,10 +327,10 @@ def _docs_table() -> tuple[list, dict]:
 
 
 def test_docs_support_table_matches_the_walk(walk):
-    supported, _ = walk
+    supported, _, replayed = walk
     columns, table = _docs_table()
     assert columns == list(ENGINES)
-    observed = _observed_rows(supported)
+    observed = _observed_rows(supported, replayed)
     assert set(table) == set(observed) | set(UNOBSERVED_ROWS)
     for name, cells in observed.items():
         assert table[name] == cells, (

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.compact import CompactUpdater
 from repro.core.lattice import CompactLattice
-from repro.rng import PhiloxStream
+from repro.rng import BatchedPhiloxStream, PhiloxStream
 
 from .conftest import count_draws, eager_sweeps, make_lattice
 
@@ -111,9 +111,10 @@ class TestMergedDraw:
     @pytest.mark.parametrize("plain_shape, block, merged", GEOMETRIES)
     @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
     def test_matches_elementwise_path(self, plain_shape, block, merged, dtype):
+        """A one-chain batched state, as every driver sweeps it."""
         from repro.backend import NumpyBackend
 
-        plain = make_lattice(plain_shape, seed=4)
+        plain = make_lattice(plain_shape, seed=4)[None]
         lattices, counters = [], []
         for fused in (True, False):
             backend = NumpyBackend(dtype)
@@ -122,38 +123,38 @@ class TestMergedDraw:
                 0.44, backend, block_shape=block, fused=fused
             )
             lat = updater.to_state(plain)
-            stream = PhiloxStream(13, 2)
+            stream = BatchedPhiloxStream(13, [2])
             for _ in range(5):
                 lat = updater.sweep(lat, stream)
             lattices.append(lat.to_plain())
-            counters.append(stream.counter)
+            counters.append(stream.counters)
             if fused:
-                grid = lat.grid_shape
+                lead, grid = lat.grid_shape[:1], lat.grid_shape[1:]
                 if merged:
-                    assert draws == [(4,) + grid] * 5
+                    assert draws == [lead + (4,) + grid] * 5
                 else:  # fallback: per-phase draws
-                    assert draws == [grid] * 20
+                    assert draws == [lat.grid_shape] * 20
         assert np.array_equal(lattices[0], lattices[1])
         assert counters[0] == counters[1]
 
     @pytest.mark.parametrize("plain_shape, block, merged", GEOMETRIES)
     def test_matches_explicit_per_phase_probs(self, backend, plain_shape, block, merged):
-        plain = make_lattice(plain_shape, seed=5)
+        plain = make_lattice(plain_shape, seed=5)[None]
         updater = CompactUpdater(0.44, backend, block_shape=block, fused=True)
         lat = updater.to_state(plain)
-        stream = PhiloxStream(21, 0)
+        stream = BatchedPhiloxStream(21, [0])
         for _ in range(3):
             lat = updater.sweep(lat, stream)
 
         replica = CompactUpdater(0.44, backend, block_shape=block, fused=True)
         ref = replica.to_state(plain)
-        replay = PhiloxStream(21, 0)
+        replay = BatchedPhiloxStream(21, [0])
         for _ in range(3):
             black = (replay.uniform(ref.grid_shape), replay.uniform(ref.grid_shape))
             white = (replay.uniform(ref.grid_shape), replay.uniform(ref.grid_shape))
             ref = replica.sweep(ref, probs_black=black, probs_white=white)
         assert np.array_equal(lat.to_plain(), ref.to_plain())
-        assert stream.counter == replay.counter
+        assert stream.counters == replay.counters
 
     @pytest.mark.parametrize("plain_shape, block, merged", GEOMETRIES)
     def test_stacked_lattice_with_solo_stream_draws_per_phase(

@@ -20,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backend.numpy_backend import NumpyBackend
+from repro.core.accept import AcceptanceTable
 from repro.core.couplings import (
     BondCouplings,
     bond_total_energy,
@@ -34,6 +36,7 @@ from repro.core.tempering import (
 from repro.observables.binder import replica_overlap, spin_glass_binder
 from repro.observables.onsager import spontaneous_magnetization
 from repro.rng.streams import PhiloxStream
+from repro.tpu.dtypes import PACKED
 
 
 class TestSwapAcceptanceProbability:
@@ -145,9 +148,10 @@ class TestSwapsDisabledBitIdentity:
 class TestSwapsReplay:
     @pytest.mark.parametrize("updater", ["compact", "masked_conv"])
     def test_replay_between_rounds_matches_elementwise(self, updater):
-        """With swaps on, the fused ladder replays between rounds and
-        re-records after each accepted one; chains, pairings and swap
-        decisions match the never-replayed elementwise ladder."""
+        """With swaps on, the fused ladder keeps replaying across rounds:
+        an accepted round re-tempers the recorded program in place.
+        Chains, pairings and swap decisions match the never-replayed
+        elementwise ladder."""
         kwargs = dict(
             shape=16, betas=np.linspace(0.40, 0.44, 4), n_replicas=2,
             swap_interval=4, seed=0, updater=updater,
@@ -159,7 +163,7 @@ class TestSwapsReplay:
         executor = replayed.ensemble._executor
         assert replayed.swap_accepts > 0
         assert executor.sweeps_replayed > 0
-        assert executor.invalidations > 0  # accepted rounds re-record
+        assert executor.invalidations == 0  # accepted rounds keep the program
         assert elementwise.ensemble._executor is None
         np.testing.assert_array_equal(replayed.lattices, elementwise.lattices)
         np.testing.assert_array_equal(replayed.pairing, elementwise.pairing)
@@ -295,6 +299,27 @@ class TestDisorderedKernels:
             runs.append(ens.lattices)
         np.testing.assert_array_equal(runs[0], runs[1])
 
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
+    @pytest.mark.parametrize("kind", ["bimodal", "gaussian"])
+    def test_replay_matches_elementwise_call_by_call(self, kind, dtype):
+        """Disordered chains record, replay and stay bit-identical."""
+        bonds = BondCouplings.generate(kind, (16, 16), 5)
+        replayed, elementwise = (
+            EnsembleSimulation(
+                16, [2.0, 2.2, 2.4], updater="masked_conv",
+                backend=NumpyBackend(dtype), couplings=bonds, seed=7,
+                fused=fused,
+            )
+            for fused in (True, False)
+        )
+        for n in (1, 1, 1, 5, 7):
+            replayed.run(n)
+            elementwise.run(n)
+            np.testing.assert_array_equal(replayed.lattices, elementwise.lattices)
+        executor = replayed._executor
+        assert executor.sweeps_replayed == 13
+        assert executor.fallbacks == 0
+
     def test_bimodal_neighbor_sums_stay_even(self):
         bonds = BondCouplings.generate("bimodal", (16, 16), 3)
         ens = EnsembleSimulation(
@@ -357,6 +382,85 @@ class TestSetTemperatures:
             ens.set_temperatures([2.0])
         with pytest.raises(ValueError):
             ens.set_temperatures([2.0, -1.0])
+
+
+#: Every float updater the ladders run, masked_conv with each bond kind.
+FLOAT_LADDERS = [
+    ("compact", "ferro"),
+    ("conv", "ferro"),
+    ("checkerboard", "ferro"),
+    ("masked_conv", "ferro"),
+    ("masked_conv", "bimodal"),
+    ("masked_conv", "gaussian"),
+]
+
+
+class TestInPlaceRetemper:
+    """Swap rounds rewrite the recorded program's arrays in place: the
+    ladder records once and replays every later sweep."""
+
+    @pytest.mark.parametrize("swap_interval", [1, 3])
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
+    @pytest.mark.parametrize("updater, couplings", FLOAT_LADDERS)
+    def test_float_ladder_matches_elementwise(
+        self, updater, couplings, dtype, swap_interval
+    ):
+        ladders = [
+            TemperingEnsemble(
+                16, np.linspace(0.40, 0.44, 4), n_replicas=2,
+                swap_interval=swap_interval, couplings=couplings,
+                disorder_seed=3, updater=updater,
+                backend=NumpyBackend(dtype), seed=2, fused=fused,
+            )
+            for fused in (True, False)
+        ]
+        for ladder in ladders:
+            ladder.run(30)
+        replayed, elementwise = ladders
+        np.testing.assert_array_equal(replayed.lattices, elementwise.lattices)
+        np.testing.assert_array_equal(replayed.pairing, elementwise.pairing)
+        assert replayed.swap_accepts == elementwise.swap_accepts > 0
+        executor = replayed.ensemble._executor
+        assert executor.invalidations == 0
+        assert executor.sweeps_eager == 2
+        assert executor.sweeps_replayed == 28
+
+    def test_packed_ladder_matches_rebuilt_twin(self):
+        """A packed ladder against a twin rebuilt from its checkpoint
+        after every sweep, which therefore never replays."""
+        kwargs = dict(
+            shape=128, betas=np.linspace(0.435, 0.445, 4), swap_interval=1,
+            seed=4,
+        )
+        ladder = TemperingEnsemble(backend=NumpyBackend(PACKED), **kwargs)
+        twin = TemperingEnsemble(backend=NumpyBackend(PACKED), **kwargs)
+        for _ in range(16):
+            ladder.run(1)
+            twin.run(1)
+            twin = TemperingEnsemble.from_state_dict(twin.state_dict())
+            np.testing.assert_array_equal(ladder.lattices, twin.lattices)
+            np.testing.assert_array_equal(ladder.pairing, twin.pairing)
+        assert ladder.swap_accepts == twin.swap_accepts > 0
+        executor = ladder.ensemble._executor
+        assert executor.sweeps_replayed == 14
+        assert executor.invalidations == 0
+
+    @pytest.mark.parametrize("field", [0.0, 0.3])
+    def test_table_refills_in_place(self, field):
+        backend = NumpyBackend("bfloat16")
+        old = np.array([0.4, 0.5, 0.6]).reshape(3, 1, 1)
+        new = np.array([0.45, 0.3, 0.7]).reshape(3, 1, 1)
+        table = AcceptanceTable(backend, old, field=field)
+        entries, offsets = table.entries, table.offsets
+        table.retemper(new)
+        fresh = AcceptanceTable(backend, new, field=field)
+        assert table.entries is entries and table.offsets is offsets
+        np.testing.assert_array_equal(table.entries, fresh.entries)
+        np.testing.assert_array_equal(table.offsets, fresh.offsets)
+        with pytest.raises(ValueError, match="shaped"):
+            table.retemper(np.full((2, 1, 1), 0.4))
+        with pytest.raises(ValueError, match="shaped"):
+            AcceptanceTable(backend, 0.4).retemper(old)
 
 
 class TestSpinGlassObservables:
