@@ -10,10 +10,12 @@ multi-spin GPU literature quotes — and **asserts** the headline factor.
 
 Correctness is asserted before any timing: the packed engine fed the
 same per-site float32 uniforms must reproduce the unpacked
-checkerboard-order multi-spin baseline bit-for-bit, and a short
-stream-mode run must land in the Onsager-ordered phase.  A benchmark
-that got faster by drifting off the float chains' trajectory contract
-would fail here, not in a physics plot three PRs later.
+checkerboard-order multi-spin baseline bit-for-bit, the timed default
+mode (16-bit Philox lanes against integer thresholds) must match the
+same baseline fed those lanes as uniforms, and a short stream-mode run
+must land in the Onsager-ordered phase.  A benchmark that got faster by
+drifting off the float chains' trajectory contract would fail here, not
+in a physics plot three PRs later.
 
 Run as a script for the CI check::
 
@@ -80,6 +82,50 @@ def check_bit_identity(side: int = 128, n_sweeps: int = 8) -> None:
             )
 
 
+def check_stream16_identity(side: int = 128, n_sweeps: int = 8) -> None:
+    """Assert the timed ``rng_bits=16`` stream mode matches an independent twin.
+
+    The probs check never runs the lane compare the timed sweeps run.
+    Here the twin is the unpacked multi-spin baseline fed ``lanes *
+    2**-16``, with the lanes split arithmetically (``w & 0xFFFF``, then
+    ``w >> 16``) from its own Philox stream in Algorithm 2's draw order.
+    ``lanes * 2**-16 < t`` holds exactly when ``lanes < ceil(t * 2**16)``,
+    so the lattices must agree after every sweep.
+    """
+    from repro.baselines.multispin import MultispinUpdater
+    from repro.rng import PhiloxStream
+
+    rng = np.random.default_rng(11)
+    plain = np.where(rng.random((side, side)) < 0.5, 1.0, -1.0).astype(
+        np.float32
+    )
+    # An explicit lattice leaves the chain's stream at counter 0.
+    sim = IsingSimulation(
+        (side, side), TEMPERATURE, backend=NumpyBackend(PACKED), seed=5,
+        initial=plain,
+    )
+    twin = MultispinUpdater(1.0 / TEMPERATURE)
+    state, stream = twin.to_state(plain), PhiloxStream(5, 0)
+    quarter = (side // 2, side // 2)
+
+    def lane_probs() -> np.ndarray:
+        words = stream.random_bits(quarter[0] * quarter[1] // 2)
+        lanes = np.stack([words & 0xFFFF, words >> 16], axis=-1)
+        return lanes.reshape(quarter).astype(np.float32) * np.float32(2.0**-16)
+
+    for _ in range(n_sweeps):
+        sim.run(1)
+        black = (lane_probs(), lane_probs())
+        white = (lane_probs(), lane_probs())
+        state = twin.sweep(state, probs_black=black, probs_white=white)
+        if not np.array_equal(sim.lattice, twin.to_plain(state)):
+            raise AssertionError(
+                "16-bit stream-mode packed chain diverged from the "
+                "multi-spin baseline fed the same Philox lanes — refusing "
+                "to time a broken engine"
+            )
+
+
 def check_physics(side: int = 128, n_sweeps: int = 300) -> None:
     """Assert a stream-mode packed chain orders at T = 1.5 (Onsager)."""
     sim = IsingSimulation(
@@ -134,6 +180,7 @@ def measure(side: int = 512, n_sweeps: int = 8, reps: int = 3) -> dict:
 def bench_payload() -> tuple[dict, dict]:
     """Machine-readable summary: packed vs elementwise checkerboard."""
     check_bit_identity()
+    check_stream16_identity()
     check_physics()
     row = measure()
     metrics = {
@@ -151,7 +198,11 @@ def bench_payload() -> tuple[dict, dict]:
         "rng_bits": 16,
         "baseline": "elementwise checkerboard (fused=False)",
         "gate_threshold_x": GATE_SPEEDUP,
-        "bit_identity": "asserted vs repro.baselines.multispin on shared uniforms",
+        "bit_identity": (
+            "asserted vs repro.baselines.multispin on shared uniforms "
+            "(probs path) and on the timed path's 16-bit Philox lanes "
+            "(stream mode, 128^2, 8 sweeps, T=2.2)"
+        ),
     }
     return metrics, meta
 
@@ -171,6 +222,8 @@ def main(argv: "list[str] | None" = None) -> None:
     gated = not raw  # the default 512 run is the CI gate
     check_bit_identity()
     print("bit-identity vs unpacked multi-spin baseline OK")
+    check_stream16_identity()
+    print("16-bit stream bit-identity vs multi-spin twin OK")
     check_physics()
     print("Onsager physics check OK")
     row = measure(side=side)

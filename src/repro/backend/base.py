@@ -670,19 +670,19 @@ class Backend:
         self,
         values: np.ndarray,
         threshold: "np.ndarray | np.number",
+        saturate: "np.ndarray | np.uint64",
         out: np.ndarray,
         cmp: np.ndarray,
-        byte_lo: np.ndarray,
-        byte_tmp: np.ndarray,
+        byte_plane: np.ndarray,
     ) -> np.ndarray:
-        """Pack the acceptance mask ``values < threshold`` into words.
+        """Pack the acceptance mask ``(values < threshold) | saturate`` into words.
 
-        See :func:`repro.backend.packed_ops.compare_pack_into` for shape
-        and aliasing contracts.  Charged as half a word-op per site lane
-        (the compare and the byte-pack passes both run at full vector
-        width over sub-word lanes).
+        See :func:`repro.backend.packed_ops.compare_pack_into` for dtype,
+        shape and aliasing contracts.  Charged as half a word-op per site
+        lane (the compare and the pack both run at full vector width over
+        sub-word lanes).
         """
-        packed_ops.compare_pack_into(values, threshold, out, cmp, byte_lo, byte_tmp)
+        packed_ops.compare_pack_into(values, threshold, saturate, out, cmp, byte_plane)
         if self.core is not None:
             self._charge(
                 "alu",

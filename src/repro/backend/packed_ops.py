@@ -16,7 +16,9 @@ Representation (shared with :mod:`repro.baselines.multispin`):
 * acceptance randomness is compared in integer space: a uniform draw of
   ``rng_bits`` bits accepts iff it is below ``ceil(t * 2**rng_bits)``
   where ``t`` is the float32 Metropolis threshold (see
-  :func:`packed_threshold`).
+  :func:`packed_threshold`); the compare runs in the lanes' own width,
+  with :func:`lane_threshold` carrying ``T == 2**rng_bits`` as a
+  saturation word.
 
 Unless a docstring says otherwise, ``out`` must not alias any input.
 All kernels operate on the trailing two axes and broadcast over leading
@@ -31,8 +33,8 @@ import sys
 import numpy as np
 
 __all__ = [
-    "pack_bool_into",
     "compare_pack_into",
+    "lane_threshold",
     "shift_cols_into",
     "full_adder_into",
     "flip_select_into",
@@ -43,6 +45,11 @@ __all__ = [
 _WORD = 64
 _ONE = np.uint64(1)
 _SIXTY_THREE = np.uint64(_WORD - 1)
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_LE_WORD = np.dtype("<u8")
+#: Byte j holds 2**(7 - j), gathering eight 0/1 bytes into bits 56..63.
+_PACK_MAGIC = np.uint64(0x0102040810204080)
+_FIFTY_SIX = np.uint64(56)
 
 
 def packed_threshold(t: "np.floating | np.ndarray", rng_bits: int) -> np.ndarray:
@@ -89,71 +96,62 @@ def site_values_u16(bits: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return lanes.reshape(shape)
 
 
-def pack_bool_into(
-    cmp: np.ndarray,
-    out: np.ndarray,
-    byte_lo: np.ndarray,
-    byte_tmp: np.ndarray,
-) -> np.ndarray:
-    """Pack a boolean site plane into uint64 words without allocating.
+def lane_threshold(
+    threshold: "np.ndarray | np.integer", lane_dtype: "np.dtype | type"
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(threshold as lane_dtype, uint64 saturation word)``, shaped alike.
 
-    The in-place analogue of :func:`repro.baselines.multispin.pack_bits`
-    (``np.packbits`` has no ``out=``): eight strided shift-OR passes
-    compose each byte LSB-first, then the byte plane is reinterpreted as
-    little-endian uint64 words — bit ``j`` of word ``w`` is site column
-    ``64*w + j``, identical to ``pack_bits``.
-
-    Parameters
-    ----------
-    cmp:
-        ``(..., rows, cols)`` bool plane, C-contiguous, ``cols`` a
-        multiple of 64.
-    out:
-        ``(..., rows, cols/64)`` uint64 destination.
-    byte_lo, byte_tmp:
-        ``(..., rows, cols/8)`` uint8 scratch.
-
-    None of the four arrays may alias another.
+    :func:`compare_pack_into` compares lanes in their own width, where
+    ``T == 2**bits`` (every lane accepts) does not fit: it is stored as
+    the lane maximum, and the saturation word, ORed into the packed
+    mask, is all-ones there and zero elsewhere.  Every ``T`` in
+    ``[0, 2**bits]`` stays exact.
     """
-    cols = cmp.shape[-1]
-    if cols % _WORD:
-        raise ValueError(f"columns ({cols}) must be a multiple of {_WORD}")
-    flat = cmp.view(np.uint8).reshape(cmp.shape[:-1] + (cols,))
-    np.copyto(byte_lo, flat[..., 0::8], casting="unsafe")
-    for k in range(1, 8):
-        np.copyto(byte_tmp, flat[..., k::8], casting="unsafe")
-        np.left_shift(byte_tmp, np.uint8(k), out=byte_tmp)
-        np.bitwise_or(byte_lo, byte_tmp, out=byte_lo)
-    # Bytes compose little-endian into words; on big-endian hosts the
-    # '<u8' view is a byte-order-aware copy into native out words.
-    np.copyto(
-        out,
-        byte_lo.reshape(out.shape[:-1] + (-1,)).view(np.dtype("<u8")),
-        casting="unsafe",
-    )
-    return out
+    top = np.iinfo(lane_dtype).max
+    wide = np.asarray(threshold, dtype=np.uint64)
+    saturate = np.where(wide > top, _ALL_ONES, np.uint64(0))
+    return np.asarray(np.minimum(wide, top), dtype=lane_dtype), saturate
 
 
 def compare_pack_into(
     values: np.ndarray,
     threshold: "np.ndarray | np.number",
+    saturate: "np.ndarray | np.uint64",
     out: np.ndarray,
     cmp: np.ndarray,
-    byte_lo: np.ndarray,
-    byte_tmp: np.ndarray,
+    byte_plane: np.ndarray,
 ) -> np.ndarray:
-    """Pack the acceptance mask ``values < threshold`` into uint64 words.
+    """Pack the acceptance mask ``(values < threshold) | saturate`` into words.
 
-    ``values`` is a ``(..., rows, cols)`` site plane — integer lanes
-    from :func:`site_values_u16` / shifted 24-bit words, or float32
-    uniforms on the explicit-``probs`` path — and ``threshold`` a scalar
-    or a ``(..., 1, 1)``-broadcastable per-chain array of the matching
-    comparison space.  ``cmp`` is bool scratch shaped like ``values``;
-    ``byte_lo``/``byte_tmp``/``out`` as in :func:`pack_bool_into`.  No
-    argument may alias another.
+    ``values`` is a ``(..., rows, cols)`` C-contiguous site plane (uint16
+    lanes, uint32 24-bit words or float32 ``probs``); ``threshold`` is a
+    scalar or ``(..., 1, 1)`` per-chain array of the *same dtype*, so the
+    compare never widens the lanes, and ``saturate`` its word from
+    :func:`lane_threshold`.  ``cmp`` is bool scratch shaped like
+    ``values``, ``byte_plane`` ``(..., rows, cols/8)`` uint8 scratch and
+    ``out`` the ``(..., rows, cols/64)`` words, laid out as
+    :func:`repro.baselines.multispin.pack_bits` lays them.  No argument
+    may alias another.
+
+    Read as little-endian uint64, the bool plane holds 8 sites (0/1
+    bytes) per word.  Times ``0x0102040810204080``, every partial
+    product lands on its own bit, site ``k`` at bit ``56 + k``, so
+    ``>> 56`` leaves the LSB-first byte ``np.packbits`` would give.
     """
     np.less(values, threshold, out=cmp)
-    return pack_bool_into(cmp, out, byte_lo, byte_tmp)
+    eights = cmp.view(_LE_WORD)
+    np.multiply(eights, _PACK_MAGIC, out=eights)
+    np.right_shift(eights, _FIFTY_SIX, out=eights)
+    np.copyto(byte_plane, eights, casting="unsafe")
+    # Bytes compose little-endian into words; on big-endian hosts the
+    # '<u8' view is a byte-order-aware copy into native out words.
+    np.copyto(
+        out,
+        byte_plane.reshape(out.shape[:-1] + (-1,)).view(_LE_WORD),
+        casting="unsafe",
+    )
+    np.bitwise_or(out, saturate, out=out)
+    return out
 
 
 def shift_cols_into(

@@ -194,18 +194,6 @@ class BondedAcceptance:
             )
         np.copyto(self.factor, factor)
 
-    @property
-    def kind(self) -> str:
-        return self.couplings.kind
-
-    @property
-    def n_entries(self) -> int:
-        return 0 if self.table is None else self.table.n_entries
-
-    @property
-    def nbytes(self) -> int:
-        return 0 if self.table is None else self.table.nbytes
-
     def flip_into(
         self,
         backend: Backend,

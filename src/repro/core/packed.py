@@ -39,7 +39,7 @@ import numpy as np
 
 from ..backend.base import Backend
 from ..backend.numpy_backend import NumpyBackend
-from ..backend.packed_ops import packed_threshold, site_values_u16
+from ..backend.packed_ops import lane_threshold, packed_threshold, site_values_u16
 from ..rng.streams import BatchedPhiloxStream, PhiloxStream
 from ..tpu.dtypes import PACKED
 from .fused import SweepWorkspace
@@ -98,15 +98,6 @@ class PackedState:
     def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.w00, self.w01, self.w10, self.w11)
 
-    def copy(self) -> "PackedState":
-        return PackedState(
-            self.w00.copy(),
-            self.w01.copy(),
-            self.w10.copy(),
-            self.w11.copy(),
-            self.quarter_shape,
-        )
-
 
 class PackedUpdater:
     """Checkerboard Metropolis on bit-packed spins via backend word kernels.
@@ -155,10 +146,13 @@ class PackedUpdater:
         self.backend = backend if backend is not None else NumpyBackend(PACKED)
         self.field = 0.0
         self.rng_bits = int(rng_bits)
-        self.batched = beta_arr.ndim == 1
-        self.threshold_k1, self.threshold_k0, self._int_k1, self._int_k0 = (
-            self._thresholds(beta_arr)
-        )
+        self._held = self._thresholds(beta_arr)
+        k1, k0, lane_k1, lane_k0, sat_k1, sat_k0 = self._held
+        # (threshold, saturation word) of the k == 1 and k == 0 cases;
+        # explicit probs compare float32 and never saturate.
+        no_sat = np.zeros_like(sat_k1)
+        self._stream_cases = ((lane_k1, sat_k1), (lane_k0, sat_k0))
+        self._probs_cases = ((k1, no_sat), (k0, no_sat))
         self.beta = float(beta_arr) if beta_arr.ndim == 0 else beta_arr
 
         self._workspace = SweepWorkspace()
@@ -173,7 +167,7 @@ class PackedUpdater:
         return self._workspace
 
     def _thresholds(self, beta_arr: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(float k1, float k0, integer k1, integer k0) thresholds.
+        """Float k1, k0 thresholds, lane k1, k0 thresholds, k1, k0 saturation words.
 
         0-d arrays for a scalar beta; ``(B, 1, 1)`` for a ``(B,)`` vector,
         to broadcast over the ``(B, rows, cols)`` planes.
@@ -185,12 +179,14 @@ class PackedUpdater:
         factor = (np.float32(-2.0) * beta_arr.astype(np.float32)).astype(np.float32)
         k1 = np.exp(factor * np.float32(2.0))  # sigma*nn = +2
         k0 = np.exp(factor * np.float32(4.0))  # sigma*nn = +4
-        # Integer comparison space for stream mode: 16-bit lanes against
-        # ceil(t * 2**16), or the top 24 bits of a word against
-        # ceil(t * 2**24) (the exact u < t twin).  uint32 because the
-        # ceiling can reach 2**rng_bits at tiny beta.
-        cmp_bits = 16 if self.rng_bits == 16 else 24
-        thresholds = (k1, k0, packed_threshold(k1, cmp_bits), packed_threshold(k0, cmp_bits))
+        # Integer comparison space for stream mode: uint16 lanes against
+        # ceil(t * 2**16), or the top 24 bits of a uint32 word against
+        # ceil(t * 2**24) (the exact u < t twin), each in the lanes' own
+        # width; a ceiling of 2**16 rides in the saturation word.
+        cmp_bits, lane_dtype = (16, np.uint16) if self.rng_bits == 16 else (24, np.uint32)
+        lane_k1, sat_k1 = lane_threshold(packed_threshold(k1, cmp_bits), lane_dtype)
+        lane_k0, sat_k0 = lane_threshold(packed_threshold(k0, cmp_bits), lane_dtype)
+        thresholds = (k1, k0, lane_k1, lane_k0, sat_k1, sat_k0)
         shape = beta_arr.shape + (1, 1) if beta_arr.ndim else ()
         return tuple(np.asarray(t).reshape(shape) for t in thresholds)
 
@@ -202,14 +198,13 @@ class PackedUpdater:
         count cannot change.
         """
         beta_arr = np.asarray(beta, dtype=np.float64)
-        held = (self.threshold_k1, self.threshold_k0, self._int_k1, self._int_k0)
         new = self._thresholds(beta_arr)
-        if new[0].shape != held[0].shape:
+        if new[0].shape != self._held[0].shape:
             raise ValueError(
-                f"thresholds are shaped {held[0].shape}, got beta shaped "
+                f"thresholds are shaped {self._held[0].shape}, got beta shaped "
                 f"{beta_arr.shape}"
             )
-        for out, value in zip(held, new):
+        for out, value in zip(self._held, new):
             np.copyto(out, value)
         self.beta = float(beta_arr) if beta_arr.ndim == 0 else beta_arr
 
@@ -313,7 +308,7 @@ class PackedUpdater:
         plane_b: np.ndarray,
         shift_b: tuple[str, int],
         values: np.ndarray,
-        int_thresholds: bool,
+        cases: tuple,
     ) -> None:
         """Update one packed quarter in place from its neighbour planes."""
         be = self.backend
@@ -327,13 +322,11 @@ class PackedUpdater:
 
         # Acceptance words for the two stochastic cases.
         cmp = ws.buffer("pcmp", site_shape, bool)
-        byte_lo = ws.buffer("pbyte_lo", site_shape[:-1] + (qc // 8,), np.uint8)
-        byte_tmp = ws.buffer("pbyte_tmp", site_shape[:-1] + (qc // 8,), np.uint8)
-        t1 = self._int_k1 if int_thresholds else self.threshold_k1
-        t0 = self._int_k0 if int_thresholds else self.threshold_k0
+        byte_plane = ws.buffer("pbytes", site_shape[:-1] + (qc // 8,), np.uint8)
+        (t1, sat1), (t0, sat0) = cases
         r1, r0 = wbuf("pr1"), wbuf("pr0")
-        be.packed_compare_pack_into(values, t1, r1, cmp, byte_lo, byte_tmp)
-        be.packed_compare_pack_into(values, t0, r0, cmp, byte_lo, byte_tmp)
+        be.packed_compare_pack_into(values, t1, sat1, r1, cmp, byte_plane)
+        be.packed_compare_pack_into(values, t0, sat0, r0, cmp, byte_plane)
 
         # Disagreement planes: d = spins ^ neighbour, with the shifted
         # neighbour plane built in the d buffer itself then XORed in place.
@@ -410,7 +403,7 @@ class PackedUpdater:
                 getattr(state, b),
                 shift_b,
                 values,
-                int_thresholds=probs is None,
+                self._stream_cases if probs is None else self._probs_cases,
             )
         return state
 
@@ -426,12 +419,6 @@ class PackedUpdater:
         state = self.update_color(state, "white", stream, probs_white)
         self.sweeps += 1
         return state
-
-    def sweep_plain(
-        self, plain: np.ndarray, stream: "PhiloxStream | BatchedPhiloxStream"
-    ) -> np.ndarray:
-        """Pack, sweep once, unpack — convenience for tests."""
-        return self.to_plain(self.sweep(self.to_state(plain), stream))
 
 
 def record_packed_metrics(registry, *updaters) -> None:

@@ -56,6 +56,16 @@ _RETRY_AFTER_MIN_S = 1e-3
 _RETRY_AFTER_MAX_S = 60.0
 _RETRY_AFTER_DEFAULT_S = 0.05
 
+#: Traced executor counters :meth:`Scheduler.stats` sums over batches.
+_TRACED_COUNTERS = ("sweeps_replayed", "sweeps_eager", "fallbacks", "replay_draws")
+
+
+def _add_traced(totals: dict, batch: "_Batch") -> None:
+    executor = batch.ensemble._executor
+    if executor is not None:  # fused=False batches sweep eagerly
+        for name in _TRACED_COUNTERS:
+            totals[name] += getattr(executor, name)
+
 
 class SchedulerSaturatedError(RuntimeError):
     """Backpressure: the admission queue is full; resubmit later.
@@ -186,6 +196,8 @@ class Scheduler:
         self.preemptions = 0
         self.batches_started = 0
         self.max_occupancy = 0
+        #: Traced executor counters of every batch that left the pool.
+        self._traced_left = dict.fromkeys(_TRACED_COUNTERS, 0)
         #: Chrome-trace spans (one per batch advance) when tracing is on.
         self.sched_log: "list[dict]" = []
         #: The checkpoint/v2 envelope of the most recent preemption
@@ -679,8 +691,13 @@ class Scheduler:
                 batch.jobs.pop(index)
                 batch.ensemble.remove_chain(index)
         if not batch.jobs:
-            self.pool.release(batch.lease)
-            self._batches.remove(batch)
+            self._leave(batch)
+
+    def _leave(self, batch: _Batch) -> None:
+        """Take ``batch`` off its device, keeping its traced counters."""
+        _add_traced(self._traced_left, batch)
+        self.pool.release(batch.lease)
+        self._batches.remove(batch)
 
     def _serve_followers(self, primary: Job) -> None:
         for follower in self._followers.pop(primary.id, []):
@@ -709,15 +726,13 @@ class Scheduler:
             job.transition(JobState.QUEUED)
             job.preemptions += 1
             self._queue.append(job)
-        self.pool.release(batch.lease)
-        self._batches.remove(batch)
+        self._leave(batch)
         self.preemptions += 1
         if self.telemetry is not None:
             self.telemetry.registry.counter("sched_preemptions").inc()
 
     def _fail(self, batch: _Batch, exc: Exception) -> None:
-        self.pool.release(batch.lease)
-        self._batches.remove(batch)
+        self._leave(batch)
         self._fail_jobs(batch.jobs, exc)
 
     def _promote_followers(self, failed: Job) -> None:
@@ -742,6 +757,9 @@ class Scheduler:
 
     def stats(self) -> dict:
         """Machine-readable scheduler counters (always available)."""
+        traced = dict(self._traced_left)
+        for batch in self._batches:
+            _add_traced(traced, batch)
         return {
             "ticks": self.ticks,
             "admitting": self._admitting,
@@ -762,6 +780,7 @@ class Scheduler:
                 "max_occupancy": self.max_occupancy,
             },
             "preemptions": self.preemptions,
+            "traced": traced,
             "tenants": dict(self._tenant_service),
             "pool": {
                 "n_devices": self.pool.n_devices,

@@ -132,10 +132,13 @@ def _run(driver, built) -> np.ndarray:
 
 
 def _replayed(driver, built) -> bool:
-    """Whether a simulate, ensemble or tempering chain replayed a
-    recorded sweep and never fell back to eager sweeps."""
-    if driver not in ("simulate", "ensemble", "tempering"):
+    """Whether a chain replayed a recorded sweep and never fell back to
+    eager sweeps; a scheduler job reads its scheduler's traced stats."""
+    if driver == "distributed":
         return False
+    if driver == "scheduler":
+        counters = built[0].stats()["traced"]
+        return counters["sweeps_replayed"] > 0 and counters["fallbacks"] == 0
     if driver == "tempering":
         built = built.ensemble
     executor = built._executor
@@ -262,13 +265,7 @@ def _observed_rows(supported, replayed) -> dict:
     cells_of = {engine: [] for engine in ENGINES}
     for cell in supported:
         cells_of[_engine(cell[0], cell[2], cell[-1])].append(cell)
-    # A scheduler job sweeps in an EnsembleSimulation batch, so it
-    # replays where the matching ensemble() cell was seen replaying.
-    cells_of["traced"] = [
-        cell for cell in cells_of["fused"]
-        if cell in replayed
-        or (cell[0] == "scheduler" and ("ensemble",) + cell[1:] in replayed)
-    ]
+    cells_of["traced"] = [cell for cell in cells_of["fused"] if cell in replayed]
 
     def updaters(engine, keep=lambda cell: True):
         return {cell[1] for cell in cells_of[engine] if keep(cell)}

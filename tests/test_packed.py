@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import SimulationConfig, distributed, simulate
 from repro.backend import NumpyBackend
-from repro.backend.packed_ops import packed_threshold, site_values_u16
+from repro.backend.packed_ops import lane_threshold, packed_threshold, site_values_u16
 from repro.backend.tpu_backend import TPUBackend
 from repro.baselines.multispin import MultispinUpdater
 from repro.core import (
@@ -32,6 +32,7 @@ from repro.core import (
     plain_to_quarters,
     grid_to_plain,
 )
+from repro.core.traced import record_traced_metrics
 from repro.rng import PhiloxStream
 from repro.rng.streams import BatchedPhiloxStream
 from repro.sched.cache import canonical_cache_key
@@ -94,6 +95,78 @@ class TestKernels:
         batched.bits_into(out)
         for b, solo in enumerate(solos):
             assert np.array_equal(out[b], solo.random_bits(64))
+
+
+class TestComparePackOracle:
+    """``packed_compare_pack_into`` against ``np.packbits`` of the compare.
+
+    Lanes hold 0, 1, T-1, T, top-1 and top at known sites; thresholds
+    come from ``packed_threshold`` through ``lane_threshold``, as the
+    engine derives them, so T == 2**bits runs through the saturation word.
+    """
+
+    @staticmethod
+    def _lanes(shape, dtype, top, thresholds, seed):
+        lanes = np.random.default_rng(seed).integers(
+            0, top + 1, size=shape, dtype=dtype
+        )
+        for chain, T in zip(lanes.reshape((-1,) + shape[-2:]), thresholds):
+            crafted = [v for v in (0, 1, T - 1, T, top - 1, top) if 0 <= v <= top]
+            for row, value in enumerate(crafted):
+                chain[row, 5 + 17 * row] = value
+        return lanes
+
+    @staticmethod
+    def _compare_pack(values, threshold, saturate):
+        out = np.empty(values.shape[:-1] + (values.shape[-1] // 64,), np.uint64)
+        cmp = np.empty(values.shape, bool)
+        byte_plane = np.empty(values.shape[:-1] + (values.shape[-1] // 8,), np.uint8)
+        packed_backend().packed_compare_pack_into(
+            values, threshold, saturate, out, cmp, byte_plane
+        )
+        return out
+
+    @staticmethod
+    def _expected(mask):
+        return np.packbits(mask, axis=-1, bitorder="little").view("<u8")
+
+    @pytest.mark.parametrize("T", [0, 1, 2**15, 0xFFFF, 2**16])
+    def test_solo_u16_thresholds(self, T):
+        t = np.float32(T / 2**16)  # exact, so packed_threshold gives T back
+        threshold, saturate = lane_threshold(packed_threshold(t, 16), np.uint16)
+        assert threshold.dtype == np.uint16 and threshold.shape == ()
+        lanes = self._lanes((8, 128), np.uint16, 0xFFFF, [T], seed=T)
+        words = self._compare_pack(lanes, threshold, saturate)
+        assert np.array_equal(words, self._expected(lanes.astype(np.int64) < T))
+
+    def test_batch_mixes_per_chain_thresholds(self):
+        Ts = np.array([0, 2**15, 2**16])
+        T_int = packed_threshold((Ts / 2**16).astype(np.float32), 16)
+        threshold, saturate = lane_threshold(T_int, np.uint16)
+        lanes = self._lanes((3, 8, 128), np.uint16, 0xFFFF, Ts, seed=3)
+        words = self._compare_pack(
+            lanes, threshold.reshape(3, 1, 1), saturate.reshape(3, 1, 1)
+        )
+        expected = self._expected(lanes.astype(np.int64) < Ts.reshape(3, 1, 1))
+        assert np.array_equal(words, expected)
+
+    @pytest.mark.parametrize("T", [0, 1, 2**23, 2**24 - 1, 2**24])
+    def test_24_bit_lanes(self, T):
+        t = np.float32(T / 2**24)
+        threshold, saturate = lane_threshold(packed_threshold(t, 24), np.uint32)
+        assert threshold.dtype == np.uint32 and not saturate
+        lanes = self._lanes((8, 128), np.uint32, 2**24 - 1, [T], seed=T)
+        words = self._compare_pack(lanes, threshold, saturate)
+        assert np.array_equal(words, self._expected(lanes.astype(np.int64) < T))
+
+    @pytest.mark.parametrize("t", [0.0, 2.0**-24, 0.5, 1.0 - 2.0**-24, 1.0])
+    def test_float32_probs(self, t):
+        t = np.float32(t)
+        probs = np.random.default_rng(1).random((8, 128), dtype=np.float32)
+        below = np.nextafter(t, np.float32(0))
+        probs[0, :4] = [0.0, below, t, np.float32(1.0 - 2.0**-24)]
+        words = self._compare_pack(probs, t, np.uint64(0))
+        assert np.array_equal(words, self._expected(probs < t))
 
 
 # -- bit-identity (the CI invariant) -----------------------------------------
@@ -199,6 +272,92 @@ class TestBitIdentity:
         eager_sweeps(sim, 5)  # replays skip the lookups under test
         assert ws.n_buffers == buffers
         assert ws.misses == misses
+
+
+class TestStream16Oracle:
+    """The default ``rng_bits=16`` mode against an independent twin.
+
+    The twin is the unpacked multi-spin baseline fed ``lanes * 2**-16``,
+    with the lanes split arithmetically from its own ``PhiloxStream`` in
+    Algorithm 2's draw order.  ``lanes * 2**-16 < t`` holds exactly when
+    ``lanes < ceil(t * 2**16)``, so the chains must agree bit for bit,
+    at the ends too: T = 3e5 puts the k == 1 threshold at 2**16, 1e6
+    both, and 0.05 puts the k == 0 threshold at 0.
+    """
+
+    TEMPERATURES = (2.269, 3e5, 1e6, 0.05)
+
+    @staticmethod
+    def _twin_sweep(twin, state, stream):
+        rows, cols = state.quarter_shape
+
+        def probs():
+            words = stream.random_bits(rows * cols // 2)
+            lanes = np.stack([words & 0xFFFF, words >> 16], axis=-1)
+            return lanes.reshape(rows, cols).astype(np.float32) * np.float32(2.0**-16)
+
+        black = (probs(), probs())
+        white = (probs(), probs())
+        return twin.sweep(state, probs_black=black, probs_white=white)
+
+    def test_temperatures_reach_both_ends(self):
+        """(lane threshold, saturated) of the k == 1 and k == 0 cases."""
+        ends = {}
+        for T in self.TEMPERATURES[1:]:
+            (t1, s1), (t0, s0) = PackedUpdater(1.0 / T)._stream_cases
+            ends[T] = ((int(t1), bool(s1)), (int(t0), bool(s0)))
+        assert ends == {
+            3e5: ((0xFFFF, True), (0xFFFF, False)),
+            1e6: ((0xFFFF, True), (0xFFFF, True)),
+            0.05: ((1, False), (0, False)),
+        }
+
+    @pytest.mark.parametrize("T", TEMPERATURES)
+    def test_solo_chain_matches_twin_every_sweep(self, T):
+        plain = make_lattice((128, 128), seed=17)
+        sim = IsingSimulation(
+            128, T, backend=packed_backend(), seed=4, initial=plain
+        )
+        twin = MultispinUpdater(1.0 / T)
+        state, stream = twin.to_state(plain), PhiloxStream(4, 0)
+        for _ in range(8):
+            sim.run(1)
+            state = self._twin_sweep(twin, state, stream)
+            assert np.array_equal(sim.lattice, twin.to_plain(state))
+        assert sim.stream.counters == [stream.counter]
+        assert sim._executor.sweeps_replayed == 6
+
+    def test_ensemble_retempers_into_and_out_of_the_ends(self):
+        plain = make_lattice((128, 128), seed=23)
+        schedule = [
+            (2.269, 3e5, 0.05),
+            (1e6, 0.05, 2.269),
+            (0.05, 1e6, 3e5),
+            (2.269, 3e5, 0.05),
+        ]
+        ens = EnsembleSimulation(
+            128, schedule[0], backend=packed_backend(), seed=9, initial=plain
+        )
+        held = [a for case in ens._updater._stream_cases for a in case]
+        assert [a.dtype for a in held] == [np.uint16, np.uint64] * 2
+        states = [MultispinUpdater.to_state(plain) for _ in range(3)]
+        streams = [PhiloxStream(9, b) for b in range(3)]
+        for step, temps in enumerate(schedule):
+            if step:  # the first round records; the rest re-temper it
+                ens.set_temperatures(temps)
+            twins = [MultispinUpdater(1.0 / T) for T in temps]
+            for _ in range(3):
+                ens.run(1)
+                for b, twin in enumerate(twins):
+                    states[b] = self._twin_sweep(twin, states[b], streams[b])
+                    assert np.array_equal(ens.lattices[b], twin.to_plain(states[b]))
+        # retemper rewrote the recorded threshold arrays in place.
+        after = [a for case in ens._updater._stream_cases for a in case]
+        assert all(x is y for x, y in zip(after, held))
+        registry = MetricsRegistry()
+        record_traced_metrics(registry, ens._executor)
+        assert registry.gauge("traced_invalidations").value == 0
+        assert registry.gauge("traced_sweeps_replayed").value == 10
 
 
 # -- physics -----------------------------------------------------------------

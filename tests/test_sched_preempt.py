@@ -113,6 +113,16 @@ class TestSchedulerPreemptionPath:
             )
         scheduler.drain()
 
+    def test_preempted_batch_keeps_its_traced_counters(self):
+        scheduler, *_ = self._preempting_scheduler()
+        before = scheduler.stats()["traced"]
+        assert before["sweeps_replayed"] > 0
+        scheduler.step()  # fires the preemption
+        assert scheduler.preemptions == 1
+        after = scheduler.stats()["traced"]
+        assert all(after[name] >= before[name] for name in before)
+        scheduler.drain()
+
     def test_magnetisation_trace_through_preemption(self):
         """The preempted job's full magnetisation trace (observed at its
         resume token and its final state) lines up with the solo run."""

@@ -333,6 +333,37 @@ class TestTelemetryAndTrace:
         )
         assert trace["otherData"]["num_sched_spans"] >= 1
 
+    def test_traced_counters_of_two_drained_scans(self):
+        """Every batch that left still counts in ``stats()["traced"]``."""
+        scheduler = Scheduler()
+        for side in (16, 32):
+            for i, temperature in enumerate(np.linspace(1.8, 2.8, 16)):
+                config = SimulationConfig(
+                    shape=side, temperature=float(temperature), seed=i
+                )
+                scheduler.submit(config, 64)
+            scheduler.drain()
+        stats = scheduler.stats()
+        assert stats["batches"] == {"started": 2, "active": 0, "max_occupancy": 16}
+        # Per 64-sweep batch: one warm-up and one recording sweep, then
+        # 62 replays whose uniforms are drawn ahead in 8 or 16 calls.
+        assert stats["traced"] == {
+            "sweeps_replayed": 124,
+            "sweeps_eager": 4,
+            "fallbacks": 0,
+            "replay_draws": 24,
+        }
+
+    def test_traced_counters_include_live_batches(self):
+        scheduler = Scheduler(quantum=8)
+        for i in range(4):
+            scheduler.submit(SimulationConfig(shape=16, seed=i), 64)
+        scheduler.step()
+        stats = scheduler.stats()
+        assert stats["batches"]["active"] == 1
+        assert stats["traced"]["sweeps_eager"] == 2
+        assert stats["traced"]["sweeps_replayed"] == 6
+
     def test_stats_always_available(self):
         scheduler = Scheduler()
         scheduler.submit(SimulationConfig(shape=8, seed=0), 5)

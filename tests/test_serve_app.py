@@ -342,6 +342,28 @@ class TestIntrospection:
 
         with_app(scenario)
 
+    def test_statsz_publishes_traced_counters_per_shard(self):
+        async def scenario(app):
+            _, _, body = await post_job(app, sweeps=30)
+            await http_request(
+                "127.0.0.1", app.port, "GET", f"/v1/jobs/{body['id']}/result"
+            )
+            _, _, stats = await http_request(
+                "127.0.0.1", app.port, "GET", "/v1/statsz"
+            )
+            return stats["router"]["shards"]
+
+        shards = with_app(scenario, router=ShardRouter(n_shards=1))
+        traced = shards["0"]["traced"]
+        # One 30-sweep job in quanta of 8: a warm-up and a recording
+        # sweep, then 28 replays drawn ahead once per quantum.
+        assert traced == {
+            "sweeps_replayed": 28,
+            "sweeps_eager": 2,
+            "fallbacks": 0,
+            "replay_draws": 4,
+        }
+
 
 class TestProtocolUnits:
     def test_config_from_wire_rejects_unknown_fields(self):
