@@ -3,10 +3,14 @@
 The packed engine (``repro.core.packed`` over the ``packed_*`` backend
 kernels) stores 64 spins per uint64 word and collapses the Metropolis
 rule to three bitwise cases, so one vector op advances 64 sites and the
-Philox generator feeds two sites per word (``rng_bits=16``).  This
-module measures the resulting flips/sec jump on a 512^2 lattice against
-the *elementwise* checkerboard updater — the same baseline the
-multi-spin GPU literature quotes — and **asserts** the headline factor.
+Philox generator feeds two sites per word (16-bit lanes).  This module
+measures the resulting flips/sec jump on a 512^2 lattice against the
+*elementwise* checkerboard updater — the same baseline the multi-spin
+GPU literature quotes — and **asserts** the headline factor.  Both
+chains are timed in the paired rounds of
+:func:`benchmarks.conftest.time_rounds`, so each round's ratio compares
+timings taken under the same host load, and the gate reads the median
+ratio over rounds.
 
 Correctness is asserted before any timing: the packed engine fed the
 same per-site float32 uniforms must reproduce the unpacked
@@ -17,10 +21,10 @@ must land in the Onsager-ordered phase.  A benchmark that got faster by
 drifting off the float chains' trajectory contract would fail here, not
 in a physics plot three PRs later.
 
-Run as a script for the CI check::
+Run as a module for the CI check::
 
-    PYTHONPATH=src python benchmarks/bench_packed.py            # 512, gated
-    PYTHONPATH=src python benchmarks/bench_packed.py 256        # quick look
+    PYTHONPATH=src python -m benchmarks.bench_packed            # 512, gated
+    PYTHONPATH=src python -m benchmarks.bench_packed 256        # quick look
 
 or emit the machine-readable snapshot::
 
@@ -37,8 +41,11 @@ from repro.backend.numpy_backend import NumpyBackend
 from repro.core.simulation import IsingSimulation
 from repro.tpu.dtypes import PACKED
 
+from .conftest import OVERHEAD_BEST_OF, OVERHEAD_REPEATS, time_rounds
+
 #: The CI assertion: packed flips/sec at least this multiple of the
-#: elementwise checkerboard updater's on the same lattice.
+#: elementwise checkerboard updater's on the same lattice, as the median
+#: of the per-round ratios.
 GATE_SPEEDUP = 8.0
 
 #: Near-critical temperature — the regime the paper simulates.
@@ -83,7 +90,7 @@ def check_bit_identity(side: int = 128, n_sweeps: int = 8) -> None:
 
 
 def check_stream16_identity(side: int = 128, n_sweeps: int = 8) -> None:
-    """Assert the timed ``rng_bits=16`` stream mode matches an independent twin.
+    """Assert the timed 16-bit stream mode matches an independent twin.
 
     The probs check never runs the lane compare the timed sweeps run.
     Here the twin is the unpacked multi-spin baseline fed ``lanes *
@@ -140,38 +147,55 @@ def check_physics(side: int = 128, n_sweeps: int = 300) -> None:
         )
 
 
-def _sweep_seconds(sim: IsingSimulation, n_sweeps: int, reps: int) -> float:
-    """Min-of-reps seconds per sweep."""
+def _sweep_timer(sim: IsingSimulation, n_sweeps: int):
+    """Warm ``sim``; return a callable timing ``n_sweeps`` sweeps, in
+    seconds per sweep."""
     sim.run(2)  # warm caches, tables and the workspace
-    best = float("inf")
-    for _ in range(reps):
+
+    def timed() -> float:
         t0 = time.perf_counter()
         sim.run(n_sweeps)
-        best = min(best, (time.perf_counter() - t0) / n_sweeps)
-    return best
+        return (time.perf_counter() - t0) / n_sweeps
+
+    return timed
 
 
-def measure(side: int = 512, n_sweeps: int = 8, reps: int = 3) -> dict:
-    """Packed vs elementwise-checkerboard timings on side^2."""
-    elementwise = _sweep_seconds(
-        IsingSimulation(
-            (side, side), TEMPERATURE, updater="checkerboard", seed=1, fused=False
+def measure(side: int = 512, n_sweeps: int = 8) -> dict:
+    """Packed vs elementwise-checkerboard seconds per sweep on side^2.
+
+    ``time_rounds`` times both chains in ``OVERHEAD_REPEATS`` rotated
+    rounds, each keeping the best of ``OVERHEAD_BEST_OF`` interleaved
+    timings, so host load that slows one side of a round slows the
+    other too.  ``speedup`` is the median of the per-round ratios and
+    ``speedup_iqr`` their interquartile range; the seconds are each
+    side's median over rounds.
+    """
+    seconds = time_rounds({
+        "elementwise": _sweep_timer(
+            IsingSimulation(
+                (side, side), TEMPERATURE, updater="checkerboard", seed=1,
+                fused=False,
+            ),
+            max(2, n_sweeps // 2),
         ),
-        max(2, n_sweeps // 2),
-        reps,
-    )
-    packed = _sweep_seconds(
-        IsingSimulation(
-            (side, side), TEMPERATURE, backend=NumpyBackend(PACKED), seed=1
+        "packed": _sweep_timer(
+            IsingSimulation(
+                (side, side), TEMPERATURE, backend=NumpyBackend(PACKED), seed=1
+            ),
+            n_sweeps,
         ),
-        n_sweeps,
-        reps,
+    })
+    q1, speedup, q3 = np.percentile(
+        seconds["elementwise"] / seconds["packed"], [25, 50, 75]
     )
+    elementwise = float(np.median(seconds["elementwise"]))
+    packed = float(np.median(seconds["packed"]))
     n_sites = side * side
     return {
         "elementwise_s": elementwise,
         "packed_s": packed,
-        "speedup": elementwise / packed,
+        "speedup": float(speedup),
+        "speedup_iqr": float(q3 - q1),
         "elementwise_flips_per_s": n_sites / elementwise,
         "packed_flips_per_s": n_sites / packed,
     }
@@ -187,6 +211,7 @@ def bench_payload() -> tuple[dict, dict]:
         "measured_elementwise_seconds": row["elementwise_s"],
         "measured_packed_seconds": row["packed_s"],
         "measured_speedup_x": row["speedup"],
+        "measured_speedup_iqr_x": row["speedup_iqr"],
         "measured_elementwise_flips_per_second": row["elementwise_flips_per_s"],
         "measured_packed_flips_per_second": row["packed_flips_per_s"],
     }
@@ -198,6 +223,10 @@ def bench_payload() -> tuple[dict, dict]:
         "rng_bits": 16,
         "baseline": "elementwise checkerboard (fused=False)",
         "gate_threshold_x": GATE_SPEEDUP,
+        "timing": (
+            f"median of {OVERHEAD_REPEATS} paired rounds, each the best of "
+            f"{OVERHEAD_BEST_OF} interleaved timings per chain"
+        ),
         "bit_identity": (
             "asserted vs repro.baselines.multispin on shared uniforms "
             "(probs path) and on the timed path's 16-bit Philox lanes "
@@ -215,7 +244,8 @@ def main(argv: "list[str] | None" = None) -> None:
         side = int(raw[0]) if raw else 512
     except ValueError:
         sys.exit(
-            f"usage: bench_packed.py [side] — side must be an integer, got {raw}"
+            "usage: python -m benchmarks.bench_packed [side] — side must be "
+            f"an integer, got {raw}"
         )
     if side % 128:
         sys.exit(f"side must be a multiple of 128 for the packed engine, got {side}")
@@ -236,14 +266,18 @@ def main(argv: "list[str] | None" = None) -> None:
         f"packed      {row['packed_s'] * 1e3:8.2f} ms/sweep "
         f"({row['packed_flips_per_s'] / 1e6:7.1f} Mflips/s)"
     )
-    print(f"speedup     {row['speedup']:8.2f}x")
+    print(
+        f"speedup     {row['speedup']:8.2f}x "
+        f"(median of {OVERHEAD_REPEATS} paired rounds, IQR "
+        f"{row['speedup_iqr']:.2f}x)"
+    )
     if gated:
         if row["speedup"] < GATE_SPEEDUP:
             sys.exit(
-                f"FAIL: packed speedup {row['speedup']:.2f}x is below the "
-                f"{GATE_SPEEDUP}x gate on the {side}^2 lattice"
+                f"FAIL: median packed speedup {row['speedup']:.2f}x is below "
+                f"the {GATE_SPEEDUP}x gate on the {side}^2 lattice"
             )
-        print(f"gate OK: packed {row['speedup']:.2f}x >= {GATE_SPEEDUP}x")
+        print(f"gate OK: median packed {row['speedup']:.2f}x >= {GATE_SPEEDUP}x")
 
 
 if __name__ == "__main__":

@@ -29,19 +29,14 @@ model spec (setting conflicting values in both places is an error), so
 every downstream consumer — factories, scheduler cache keys, coalescer
 — sees one canonical spec regardless of spelling.
 
-One loader dispatches any ``checkpoint/v2`` envelope (or legacy v1
-dict, with a :class:`DeprecationWarning`) back to the class that wrote
-it:
+One loader dispatches any ``checkpoint/v2`` envelope back to the class
+that wrote it:
 
     >>> sim2 = repro.load(sim.state_dict())
-
-Retired keyword spellings (``core_grid=``, ``T=``) fail fast with a
-:class:`TypeError` naming the replacement.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +44,6 @@ import numpy as np
 from .backend.base import Backend
 from .backend.numpy_backend import NumpyBackend
 from .core.config import (
-    CHECKPOINT_SCHEMA,
     backend_from_checkpoint,
     check_config,
     checkpoint_kind,
@@ -388,36 +382,6 @@ class SimulationConfig:
         return None
 
 
-def _removed_kwargs(**renames: str):
-    """Decorator: fail fast on kwargs whose deprecation window has closed.
-
-    Passing an old spelling raises a :class:`TypeError` that names its
-    replacement.
-    """
-
-    def decorate(func):
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            for old, new in renames.items():
-                if old in kwargs:
-                    raise TypeError(
-                        f"{func.__qualname__}() no longer accepts {old!r} "
-                        f"(removed after its deprecation release); use {new!r}"
-                    )
-            return func(*args, **kwargs)
-
-        wrapper.__removed_kwargs__ = dict(renames)
-        return wrapper
-
-    return decorate
-
-
-# The PR-4 deprecated spellings finished their warning release.
-SimulationConfig.__init__ = _removed_kwargs(
-    core_grid="grid", T="temperature"
-)(SimulationConfig.__init__)
-
-
 def _reject(config: SimulationConfig, factory: str, *field_names: str) -> None:
     for name in field_names:
         if getattr(config, name) is not None:
@@ -595,30 +559,14 @@ def load(state: dict, **kwargs):
     """Restore any checkpoint to the class that wrote it.
 
     Dispatches on the ``checkpoint/v2`` envelope's ``kind`` ("single" /
-    "ensemble" / "distributed" / "tempering"); legacy v1 dicts (no
-    ``schema`` key) are
-    classified by their distinguishing keys and decode with a
-    :class:`DeprecationWarning`.  Extra keyword arguments forward to the
-    target class's ``from_state_dict`` (e.g. ``telemetry=`` for
-    distributed restores — runtime attachments are deliberately not part
-    of the checkpoint).
+    "ensemble" / "distributed" / "tempering").  Extra keyword arguments
+    forward to the target class's ``from_state_dict`` (e.g.
+    ``telemetry=`` for distributed restores — runtime attachments are
+    deliberately not part of the checkpoint).
 
-    An envelope from an unknown schema version fails *here*, by name —
-    a checkpoint from a newer writer must never be half-decoded by kind
-    guessing.
+    Any other schema, or a dict with none (a v1 checkpoint), fails
+    *here*, by name, before any kind dispatch.
     """
-    if not isinstance(state, dict):
-        raise TypeError(
-            f"checkpoint must be a dict, got {type(state).__name__}"
-        )
-    schema = state.get("schema")
-    if schema is not None and schema != CHECKPOINT_SCHEMA:
-        raise ValueError(
-            f"unsupported checkpoint schema {schema!r}; this build reads "
-            f"{CHECKPOINT_SCHEMA!r} envelopes and legacy v1 dicts (no "
-            "'schema' key) — the checkpoint was written by an unknown "
-            "(likely newer) version and needs an explicit migration"
-        )
     kind = checkpoint_kind(state)
     loader = {
         "single": IsingSimulation.from_state_dict,

@@ -2,10 +2,9 @@
 
 The paper expresses one lattice sweep entirely in terms of a small set of
 TensorFlow/XLA operations: batched matmul (MXU), elementwise arithmetic,
-comparison and exp (VPU), stateless uniform RNG (VPU), and slicing /
-concatenation / rolling (data formatting).  Every updater in
-:mod:`repro.core` is written against this vocabulary, so the same
-algorithm code runs on:
+comparison and exp (VPU), stateless uniform RNG (VPU), and slicing and
+rolling (data formatting).  Every updater in :mod:`repro.core` is
+written against this vocabulary, so the same algorithm code runs on:
 
 * :class:`~repro.backend.numpy_backend.NumpyBackend` — plain numpy, no
   accounting (fast path, used by the physics tests);
@@ -25,8 +24,6 @@ in float32 regardless of dtype (MXU semantics).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -143,10 +140,6 @@ class Backend:
         """Elementwise a < b as 0.0/1.0 (devices keep masks in float)."""
         out = np.less(a, b).astype(np.float32)
         return self._elementwise(out, a, b)
-
-    def where(self, cond: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.where(cond != 0, a, b).astype(np.float32)
-        return self._elementwise(out, cond, a, b)
 
     def add_at_slice(self, target: np.ndarray, index: tuple, update: np.ndarray) -> np.ndarray:
         """In-place ``target[index] += update`` (boundary compensation).
@@ -283,10 +276,6 @@ class Backend:
         np.add(a, b, out=out)
         return self._elementwise_into(out, a, b)
 
-    def subtract_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.subtract(a, b, out=out)
-        return self._elementwise_into(out, a, b)
-
     def multiply_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(a, b, out=out)
         return self._elementwise_into(out, a, b)
@@ -329,20 +318,6 @@ class Backend:
                 bytes_moved=self._nbytes(out) + 4.0 * indices.size,
             )
         return out
-
-    def matmul_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """In-place twin of :meth:`matmul` (float32 accumulation)."""
-        np.matmul(a, b, out=out)
-        if self.core is not None:
-            k = a.shape[-1]
-            batch = out.size / (out.shape[-1] * out.shape[-2]) if out.ndim >= 2 else 1.0
-            self._charge(
-                "mxu",
-                flops=2.0 * out.size * k,
-                bytes_moved=self._nbytes(a, b, out),
-                batch=batch,
-            )
-        return self._quantize_into(out)
 
     def uniform_into(self, stream: PhiloxStream, out: np.ndarray) -> np.ndarray:
         """In-place twin of :meth:`random_uniform` (same counter advance)."""
@@ -488,12 +463,6 @@ class Backend:
             self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
         return out
 
-    def copy_into(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, a)
-        if self.core is not None:
-            self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
-        return out
-
     def slice_copy_into(self, a: np.ndarray, index: tuple, out: np.ndarray) -> np.ndarray:
         np.copyto(out, a[index])
         if self.core is not None:
@@ -611,20 +580,6 @@ class Backend:
         if self.core is not None:
             self._charge(
                 "alu", flops=20.0 * out.size, bytes_moved=self._raw_nbytes(out)
-            )
-        return out
-
-    def packed_rshift_into(self, a: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
-        """``out = a >> shift`` on unsigned words; ``out`` may alias ``a``.
-
-        The packed engine uses this to reduce 32-bit draws to their top
-        24 bits in place (the exact-twin mode of the float chains'
-        ``uint32 -> uniform`` mapping).
-        """
-        np.right_shift(a, a.dtype.type(shift), out=out)
-        if self.core is not None:
-            self._charge(
-                "alu", flops=float(out.size), bytes_moved=self._raw_nbytes(a, out)
             )
         return out
 
@@ -776,29 +731,9 @@ class Backend:
             self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
         return out
 
-    def concat(self, parts: Sequence[np.ndarray], axis: int) -> np.ndarray:
-        out = np.concatenate(parts, axis=axis)
-        if self.core is not None:
-            self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
-        return out
-
     def slice_copy(self, a: np.ndarray, index: tuple) -> np.ndarray:
         """Materialise a copy of ``a[index]`` (XLA slices always copy)."""
         out = np.ascontiguousarray(a[index])
         if self.core is not None:
             self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
-        return out
-
-    def reshape(self, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        out = np.reshape(a, shape)
-        if self.core is not None:
-            # Logical reshapes are free on layouts that match tiling; book
-            # the op with no bytes so reshape-heavy code stays visible.
-            self._charge("formatting", bytes_moved=0.0)
-        return out
-
-    def copy(self, a: np.ndarray) -> np.ndarray:
-        out = np.array(a, dtype=np.float32, copy=True)
-        if self.core is not None:
-            self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
         return out

@@ -123,15 +123,15 @@ def compare_pack_into(
 ) -> np.ndarray:
     """Pack the acceptance mask ``(values < threshold) | saturate`` into words.
 
-    ``values`` is a ``(..., rows, cols)`` C-contiguous site plane (uint16
-    lanes, uint32 24-bit words or float32 ``probs``); ``threshold`` is a
-    scalar or ``(..., 1, 1)`` per-chain array of the *same dtype*, so the
-    compare never widens the lanes, and ``saturate`` its word from
-    :func:`lane_threshold`.  ``cmp`` is bool scratch shaped like
-    ``values``, ``byte_plane`` ``(..., rows, cols/8)`` uint8 scratch and
-    ``out`` the ``(..., rows, cols/64)`` words, laid out as
-    :func:`repro.baselines.multispin.pack_bits` lays them.  No argument
-    may alias another.
+    ``values`` is a ``(..., rows, cols)`` C-contiguous site plane
+    (unsigned integer lanes, the engine's uint16, or float32 ``probs``);
+    ``threshold`` is a scalar or ``(..., 1, 1)`` per-chain array of the
+    *same dtype*, so the compare never widens the lanes, and
+    ``saturate`` its word from :func:`lane_threshold`.  ``cmp`` is bool
+    scratch shaped like ``values``, ``byte_plane`` ``(..., rows,
+    cols/8)`` uint8 scratch and ``out`` the ``(..., rows, cols/64)``
+    words, laid out as :func:`repro.baselines.multispin.pack_bits` lays
+    them.  No argument may alias another.
 
     Read as little-endian uint64, the bool plane holds 8 sites (0/1
     bytes) per word.  Times ``0x0102040810204080``, every partial

@@ -18,15 +18,12 @@ every driver's ``state_dict()``:
 
 ``{"schema": "checkpoint/v2", "kind": "single" | "ensemble" | "distributed", ...}``
 
-v1 checkpoints (bare dicts without a ``schema`` key, as emitted before
-the envelope existed) are still readable everywhere — they decode with a
-:class:`DeprecationWarning` pointing at the migration path.  A single
+Anything else — a v1 dict without a ``schema`` key, as emitted before
+the envelope existed, or an unknown schema — is refused.  A single
 :func:`repro.api.load` dispatches any envelope to the right class.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -274,54 +271,32 @@ def checkpoint_envelope(kind: str, payload: dict) -> dict:
 
 
 def checkpoint_kind(state: dict) -> str:
-    """The checkpoint kind of a state dict, inferring it for v1 dicts.
+    """The kind of a ``checkpoint/v2`` envelope, checking schema and kind.
 
-    v2 envelopes carry ``kind`` explicitly; legacy v1 dicts are
-    classified by their distinguishing keys ("temperatures" only ever
-    appears in ensemble checkpoints, "core_grid" only in distributed
-    ones).
-    """
-    if not isinstance(state, dict):
-        raise TypeError(f"checkpoint must be a dict, got {type(state).__name__}")
-    kind = state.get("kind")
-    if kind is not None:
-        if kind not in CHECKPOINT_KINDS:
-            raise ValueError(
-                f"unknown checkpoint kind {kind!r}; expected one of {CHECKPOINT_KINDS}"
-            )
-        return kind
-    if "temperatures" in state:
-        return "ensemble"
-    if "core_grid" in state:
-        return "distributed"
-    return "single"
-
-
-def unwrap_checkpoint(state: dict, expected_kind: str) -> dict:
-    """Validate a checkpoint envelope and return its payload.
-
-    Accepts a v2 envelope (schema + kind checked against
-    ``expected_kind``) or a legacy v1 dict (no ``schema`` key), which
-    decodes with a :class:`DeprecationWarning`.  Unknown schema strings
-    raise — a future v3 must be migrated explicitly, not guessed at.
+    Any other schema raises by name, a missing one (a v1 dict) included:
+    a checkpoint from another version must be migrated explicitly, not
+    half-decoded.
     """
     if not isinstance(state, dict):
         raise TypeError(f"checkpoint must be a dict, got {type(state).__name__}")
     schema = state.get("schema")
-    if schema is None:
-        warnings.warn(
-            "reading a legacy v1 checkpoint (no 'schema' key); re-save with "
-            f"state_dict() to migrate to {CHECKPOINT_SCHEMA!r} — v1 support "
-            "will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return state
     if schema != CHECKPOINT_SCHEMA:
         raise ValueError(
-            f"unsupported checkpoint schema {schema!r}; expected "
-            f"{CHECKPOINT_SCHEMA!r} (or a legacy v1 dict without a schema key)"
+            f"unsupported checkpoint schema {schema!r}; this build reads "
+            f"{CHECKPOINT_SCHEMA!r} envelopes only (v1 dicts, which carry no "
+            "'schema' key, are no longer read) — a checkpoint from another "
+            "version needs an explicit migration"
         )
+    kind = state.get("kind")
+    if kind not in CHECKPOINT_KINDS:
+        raise ValueError(
+            f"unknown checkpoint kind {kind!r}; expected one of {CHECKPOINT_KINDS}"
+        )
+    return kind
+
+
+def unwrap_checkpoint(state: dict, expected_kind: str) -> dict:
+    """Validate a ``checkpoint/v2`` envelope of ``expected_kind``; return it."""
     kind = checkpoint_kind(state)
     if kind != expected_kind:
         raise ValueError(

@@ -415,8 +415,7 @@ class DistributedIsing:
     ) -> "DistributedIsing":
         """Rebuild a distributed run from :meth:`state_dict` output.
 
-        Accepts the ``checkpoint/v2`` envelope (and, with a
-        :class:`DeprecationWarning`, legacy v1 dicts).  The lattice,
+        Accepts the ``checkpoint/v2`` envelope only.  The lattice,
         every core's Philox counter and the fused selection round-trip,
         so the resumed chain is bit-identical to one that never stopped.
         The simulated pod, link model and telemetry are *not* part of the

@@ -52,7 +52,7 @@ from .conv import ConvUpdater, MaskedConvUpdater
 from .couplings import BondCouplings, bond_total_energy
 from .fused import record_fused_metrics
 from .lattice import initial_lattice, validate_spins
-from .packed import PackedState, PackedUpdater, record_packed_metrics
+from .packed import RNG_BITS, PackedState, PackedUpdater, record_packed_metrics
 from .traced import TracedExecutor, record_traced_metrics
 
 __all__ = ["EnsembleSimulation", "ChainResult", "summarize_chain"]
@@ -66,18 +66,16 @@ def _make_updater(
     field: float,
     fused: bool,
     couplings=None,
-    rng_bits: int = 16,
 ):
     """The sweep updater a checked configuration runs.
 
     A packed backend gets the packed multi-spin engine (for either of
-    its updater names) drawing ``rng_bits`` per site; otherwise
-    ``updater`` names the float updater.  ``beta`` is a scalar for one
-    chain or a per-chain array shaped to broadcast against a batched
-    state.
+    its updater names); otherwise ``updater`` names the float updater.
+    ``beta`` is a scalar for one chain or a per-chain array shaped to
+    broadcast against a batched state.
     """
     if backend.dtype.name == "packed":
-        return PackedUpdater(beta, backend, field=field, rng_bits=rng_bits)
+        return PackedUpdater(beta, backend, field=field)
     if updater == "masked_conv":
         return MaskedConvUpdater(
             beta, backend, field=field, fused=fused, couplings=couplings
@@ -293,7 +291,7 @@ class EnsembleSimulation:
                 f"lattice shape {self.shape}"
             )
         self.couplings = couplings
-        self._updater = self._build_updater(rng_bits=16)
+        self._updater = self._build_updater()
         self.block_shape = getattr(self._updater, "block_shape", None)
         self._executor = TracedExecutor(self._updater) if self.fused else None
 
@@ -321,19 +319,14 @@ class EnsembleSimulation:
         self.stream = BatchedPhiloxStream.from_streams(streams)
         self._state = self._updater.to_state(plains)
 
-    def _build_updater(self, rng_bits: "int | None" = None):
+    def _build_updater(self):
         """Construct the batched updater for the current chain roster.
 
-        Called at construction, when the roster changes
+        Called at construction and when the roster changes
         (:meth:`add_chain` / :meth:`remove_chain`: a new batch width
-        needs new tables and buffers) and when a packed checkpoint
-        restores another draw width.  A rebuild keeps the packed
-        engine's draw width (``rng_bits``, 32 only after a checkpoint
-        restore) unless told otherwise.  New betas alone go through
+        needs new tables and buffers).  New betas alone go through
         :meth:`set_temperatures`, which keeps the updater.
         """
-        if rng_bits is None:
-            rng_bits = getattr(self._updater, "rng_bits", 16)
         return _make_updater(
             self.updater_name,
             self._beta_vector(),
@@ -342,7 +335,6 @@ class EnsembleSimulation:
             self.field,
             self.fused,
             couplings=self.couplings,
-            rng_bits=rng_bits,
         )
 
     def _beta_vector(self) -> "float | np.ndarray":
@@ -371,44 +363,6 @@ class EnsembleSimulation:
     @property
     def n_sites(self) -> int:
         return self.shape[0] * self.shape[1]
-
-    def to_single(self, index: int) -> "IsingSimulation":
-        """Split chain ``index`` out as an equivalent solo simulation.
-
-        The returned :class:`~repro.core.simulation.IsingSimulation`
-        shares the ensemble's backend and engine (``fused``, the packed
-        draw width) and continues the chain bit-identically from the
-        current lattice and Philox counter.
-        """
-        from .simulation import IsingSimulation  # the solo subclasses this one
-
-        if not 0 <= index < self.n_chains:
-            raise IndexError(
-                f"chain index {index} out of range for {self.n_chains} chains"
-            )
-        if self.couplings is not None:
-            raise ValueError(
-                "disordered-coupling chains cannot split out: "
-                "IsingSimulation runs the clean ferromagnet only; keep "
-                "them batched in the ensemble"
-            )
-        solo = IsingSimulation(
-            self.shape,
-            float(self.temperatures[index]),
-            updater=self.updater_name,
-            backend=self.backend,
-            seed=self.stream.seeds[index],
-            stream_id=self.stream.stream_ids[index],
-            initial=self.lattices[index],
-            block_shape=self.block_shape,
-            field=self.field,
-            fused=self.fused_config,
-        )
-        return solo._resume(
-            self._packed_payload(index) if self.packed else None,
-            BatchedPhiloxStream.from_streams([self.stream.chain(index)]),
-            self.sweeps_done,
-        )
 
     # -- continuous batching (join/leave at sweep boundaries) ----------------
 
@@ -729,9 +683,9 @@ class EnsembleSimulation:
         counters, backend kind, dtype and block decomposition.  Packed
         ensembles additionally store their word planes with the
         bit-order contract (``packed``: little-endian 64-bit words plus
-        the stream mode's ``rng_bits``), so resume is bit-identical at
-        the word level; a packed checkpoint refuses to load on an
-        unpacked backend, and vice versa.
+        ``rng_bits``, the 16 bits a site draws), so resume is
+        bit-identical at the word level; a packed checkpoint refuses to
+        load on an unpacked backend, and vice versa.
         """
         payload = {
             **self._layout(),
@@ -755,8 +709,7 @@ class EnsembleSimulation:
     ) -> "EnsembleSimulation":
         """Rebuild an ensemble from :meth:`state_dict` output.
 
-        Accepts the ``checkpoint/v2`` envelope or (with a
-        :class:`DeprecationWarning`) a legacy v1 dict.  Pass ``backend``
+        Accepts the ``checkpoint/v2`` envelope only.  Pass ``backend``
         to resume on an explicit (pre-built) backend instead of the
         checkpoint's own kind and dtype.
         """
@@ -794,7 +747,7 @@ class EnsembleSimulation:
         return {
             "word_bits": 64,
             "bit_order": "little",
-            "rng_bits": self._updater.rng_bits,
+            "rng_bits": RNG_BITS,
             "quarter_shape": self._state.quarter_shape,
             "words": {
                 name: getattr(self._state, name)[chains].copy()
@@ -805,8 +758,8 @@ class EnsembleSimulation:
     def _resume(
         self, packed: "dict | None", stream: BatchedPhiloxStream, sweeps_done: int
     ) -> "EnsembleSimulation":
-        """Continue chains mid-run: their packed word planes and draw
-        width, Philox counters and sweep count."""
+        """Continue chains mid-run: their packed word planes, Philox
+        counters and sweep count."""
         if self.packed:
             self._restore_packed(packed)
         self.stream = stream
@@ -829,10 +782,12 @@ class EnsembleSimulation:
                 f"/ {packed.get('bit_order')!r}; this build packs 64-spin "
                 "little-endian words"
             )
-        rng_bits = int(packed.get("rng_bits", 16))
-        if rng_bits != self._updater.rng_bits:
-            self._updater = self._build_updater(rng_bits)
-            self._executor.rebind(self._updater)
+        if packed.get("rng_bits", RNG_BITS) != RNG_BITS:
+            raise ValueError(
+                f"packed checkpoint draws {packed['rng_bits']!r} bits per "
+                f"site; this build's packed engine draws {RNG_BITS}-bit lanes "
+                "only, so the chain cannot continue on its stream"
+            )
         planes = self._state.w00.shape
         self._state = PackedState(
             *(

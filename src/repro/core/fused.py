@@ -56,7 +56,6 @@ class SweepWorkspace:
 
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
-        self._constants: dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0
         self.table_hits = 0
@@ -78,14 +77,6 @@ class SweepWorkspace:
         else:
             self.hits += 1
         return buf
-
-    def constant(self, key: tuple, builder) -> object:
-        """Get-or-create a cached immutable value (kernels, masks, tables)."""
-        value = self._constants.get(key)
-        if value is None:
-            value = builder()
-            self._constants[key] = value
-        return value
 
     @property
     def n_buffers(self) -> int:

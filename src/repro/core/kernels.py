@@ -134,10 +134,11 @@ def neighbor_sum_grid_into(grid: np.ndarray, backend: Backend, workspace) -> np.
     """Allocation-free twin of :func:`neighbor_sum_grid`.
 
     Same blocked-matmul-plus-compensation structure, same op-for-op
-    quantization, but every intermediate (the two matmul products, the
-    four boundary slabs) lives in ``workspace`` scratch buffers and the
-    kernels are cached as workspace constants.  Returns the workspace's
-    ``nn`` buffer — valid until the next call.
+    quantization, but the two ``K`` band matmuls and their add run as
+    one band primitive (:meth:`~repro.backend.base.Backend.band_cross_matmul_into`),
+    so no kernel matrix is built, and the sum and the four boundary
+    slabs live in ``workspace`` scratch buffers.  Returns the
+    workspace's ``nn`` buffer — valid until the next call.
     """
     if grid.ndim < 4:
         raise ValueError(
@@ -388,11 +389,14 @@ def compact_neighbor_sums_into(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Allocation-free twin of :func:`compact_neighbor_sums`.
 
-    Same op sequence and quantization (bit-identical sums), but the two
-    in-block products, both neighbour-sum outputs and all four boundary
-    slabs come from ``workspace`` buffers; the K_hat kernels are cached
-    as workspace constants.  Returns the workspace's ``(nn0, nn1)``
-    buffers — valid until the next call.
+    Same op sequence and quantization (bit-identical sums), but each
+    ``K_hat`` band matmul runs as a band primitive
+    (:meth:`~repro.backend.base.Backend.band_pair_matmul_into`, or
+    ``shifted_pair_sum_into`` for ``method="conv"``), so no kernel
+    matrix is built, and the in-block products, both neighbour-sum
+    outputs and all four boundary slabs come from ``workspace``
+    buffers.  Returns the workspace's ``(nn0, nn1)`` buffers — valid
+    until the next call.
     """
     if color not in ("black", "white"):
         raise ValueError(f"color must be 'black' or 'white', got {color!r}")
@@ -408,9 +412,9 @@ def compact_neighbor_sums_into(
 
     if method == "matmul":
         # Each K_hat band matmul, as a shifted pair sum: bit-identical
-        # values and the same modeled MXU charge as the matmul_into twin
-        # (see Backend.band_pair_matmul_into), but host execution is
-        # slice adds.
+        # values and the same modeled MXU charge as the matmul (see
+        # Backend.band_pair_matmul_into), but host execution is slice
+        # adds.
         prev_col = lambda x, out: backend.band_pair_matmul_into(x, -1, -1, out)  # noqa: E731
         prev_row = lambda x, out: backend.band_pair_matmul_into(x, -2, -1, out)  # noqa: E731
         next_row = lambda x, out: backend.band_pair_matmul_into(x, -2, 1, out)  # noqa: E731

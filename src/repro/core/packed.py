@@ -12,20 +12,15 @@ through the backend's ``packed_*`` ``*_into`` kernels with a
 allocate nothing (the fused-engine contract) and replay under the
 traced executor.
 
-Randomness comes in three interchangeable forms (``docs/packed_engine.md``
-has the full contract):
+Randomness comes in two forms (``docs/packed_engine.md`` has the full
+contract):
 
-* **stream mode, ``rng_bits=16`` (default)** — each site consumes a
-  16-bit Philox lane (two sites per generated word), compared against
-  the integer threshold ``ceil(t * 2**16)``.  Acceptance probabilities
-  are quantized to 1/65536 steps (|error| < 2**-16 — invisible to any
-  observable this repo measures) and the generator does *half* the work
-  of the float chains; this mode is what clears the flips/sec gate.
-* **stream mode, ``rng_bits=32``** — each site consumes a full word
-  whose top 24 bits are compared against ``ceil(t * 2**24)``; exactly
-  the ``u < t`` test of the float chains on the same words, so a packed
-  chain is *same-stream bit-identical* to the unpacked compact float32
-  chain (same seed, same counter schedule, same trajectories).
+* **stream mode** — each site consumes a 16-bit Philox lane (two sites
+  per generated word), compared against the integer threshold
+  ``ceil(t * 2**16)``.  Acceptance probabilities are quantized to
+  1/65536 steps (|error| < 2**-16 — invisible to any observable this
+  repo measures) and the generator does *half* the work of the float
+  chains; this mode is what clears the flips/sec gate.
 * **explicit ``probs``** — caller-supplied per-site float32 uniforms,
   compared against the same float32 thresholds as
   :class:`~repro.baselines.multispin.MultispinUpdater`; the CI-gated
@@ -48,6 +43,10 @@ from .lattice import plain_to_quarters, quarters_to_plain
 __all__ = ["PackedState", "PackedUpdater", "record_packed_metrics"]
 
 _WORD = 64
+
+#: Bits of Philox randomness a stream-mode site consumes: one 16-bit
+#: lane of a 32-bit word.  Packed checkpoints record it as ``rng_bits``.
+RNG_BITS = 16
 
 #: (active quarter, passive plane a, a-shift, passive plane b, b-shift)
 #: per colour, in Algorithm 2's draw order.  Shifts are ("col", +1) for
@@ -116,10 +115,6 @@ class PackedUpdater:
         Must be ``0.0`` — the three-case collapse assumes ``h = 0``
         (with a field the acceptance ratio depends on ``sigma``, not
         just on the disagreement count).
-    rng_bits:
-        Bits of randomness consumed per site in stream mode: 16
-        (default, the fast path) or 32 (the float chains' exact twin).
-        Ignored when explicit ``probs`` are supplied.
 
     The plain-lattice width must be a multiple of 128 so each quarter
     packs into whole 64-bit words.
@@ -130,7 +125,6 @@ class PackedUpdater:
         beta: "float | np.ndarray",
         backend: Backend | None = None,
         field: float = 0.0,
-        rng_bits: int = 16,
     ) -> None:
         beta_arr = np.asarray(beta, dtype=np.float64)
         if beta_arr.ndim > 1:
@@ -141,11 +135,8 @@ class PackedUpdater:
                 f"Metropolis collapse assumes h = 0 (got field={field!r}); "
                 "use dtype='float32' for h != 0"
             )
-        if rng_bits not in (16, 32):
-            raise ValueError(f"rng_bits must be 16 or 32, got {rng_bits}")
         self.backend = backend if backend is not None else NumpyBackend(PACKED)
         self.field = 0.0
-        self.rng_bits = int(rng_bits)
         self._held = self._thresholds(beta_arr)
         k1, k0, lane_k1, lane_k0, sat_k1, sat_k0 = self._held
         # (threshold, saturation word) of the k == 1 and k == 0 cases;
@@ -180,12 +171,10 @@ class PackedUpdater:
         k1 = np.exp(factor * np.float32(2.0))  # sigma*nn = +2
         k0 = np.exp(factor * np.float32(4.0))  # sigma*nn = +4
         # Integer comparison space for stream mode: uint16 lanes against
-        # ceil(t * 2**16), or the top 24 bits of a uint32 word against
-        # ceil(t * 2**24) (the exact u < t twin), each in the lanes' own
-        # width; a ceiling of 2**16 rides in the saturation word.
-        cmp_bits, lane_dtype = (16, np.uint16) if self.rng_bits == 16 else (24, np.uint32)
-        lane_k1, sat_k1 = lane_threshold(packed_threshold(k1, cmp_bits), lane_dtype)
-        lane_k0, sat_k0 = lane_threshold(packed_threshold(k0, cmp_bits), lane_dtype)
+        # ceil(t * 2**16) in the lanes' own width; a ceiling of 2**16
+        # rides in the saturation word.
+        lane_k1, sat_k1 = lane_threshold(packed_threshold(k1, RNG_BITS), np.uint16)
+        lane_k0, sat_k0 = lane_threshold(packed_threshold(k0, RNG_BITS), np.uint16)
         thresholds = (k1, k0, lane_k1, lane_k0, sat_k1, sat_k0)
         shape = beta_arr.shape + (1, 1) if beta_arr.ndim else ()
         return tuple(np.asarray(t).reshape(shape) for t in thresholds)
@@ -274,22 +263,15 @@ class PackedUpdater:
     ) -> np.ndarray:
         """Draw one quarter's worth of acceptance lanes, allocation-free.
 
-        Returns the site-shaped integer comparison values — 16-bit lanes
-        (``rng_bits=16``) or top-24-bit words (``rng_bits=32``) — backed
-        by a workspace buffer.  Each call advances the stream exactly
-        like one quarter draw of the corresponding mode.
+        Returns the site-shaped 16-bit lanes, a view of a workspace
+        buffer of ``sites / 2`` Philox words.
         """
         qr, qc = state.quarter_shape
         site_shape = state.batch_shape + (qr, qc)
-        n_sites = qr * qc
-        n_draw = n_sites if self.rng_bits == 32 else n_sites // 2
         bits = self._workspace.buffer(
-            "pbits", state.batch_shape + (n_draw,), np.uint32
+            "pbits", state.batch_shape + (qr * qc // 2,), np.uint32
         )
         self.backend.packed_bits_into(stream, bits)
-        if self.rng_bits == 32:
-            self.backend.packed_rshift_into(bits, 8, bits)
-            return bits.reshape(site_shape)
         key = (bits.shape, site_shape)
         view = self._views.get(key)
         if view is None:
@@ -373,9 +355,9 @@ class PackedUpdater:
         ``probs``, when given, are the two active quarters' float32
         uniforms ((q00, q11) for black, (q01, q10) for white) in
         Algorithm 2's order, shaped ``batch_shape + quarter_shape``;
-        otherwise ``stream`` supplies integer lanes per the ``rng_bits``
-        mode.  Mutates and returns ``state`` (the packed engine is
-        in-place only, like the fused float kernels).
+        otherwise ``stream`` supplies 16-bit lanes.  Mutates and
+        returns ``state`` (the packed engine is in-place only, like the
+        fused float kernels).
         """
         if color not in _PHASES:
             raise ValueError(f"color must be 'black' or 'white', got {color!r}")
@@ -432,7 +414,6 @@ def record_packed_metrics(registry, *updaters) -> None:
     words = 0
     ws_bytes = 0
     ws_buffers = 0
-    rng_bits = 0
     for updater in updaters:
         if not isinstance(updater, PackedUpdater):
             continue
@@ -440,10 +421,8 @@ def record_packed_metrics(registry, *updaters) -> None:
         words += updater.words_updated
         ws_bytes += updater.workspace.nbytes
         ws_buffers += updater.workspace.n_buffers
-        rng_bits = max(rng_bits, updater.rng_bits)
     registry.gauge("packed_sweeps").set(sweeps)
     registry.gauge("packed_words_updated").set(words)
     registry.gauge("packed_workspace_bytes").set(ws_bytes)
     registry.gauge("packed_workspace_buffers").set(ws_buffers)
-    registry.gauge("packed_rng_bits").set(rng_bits)
     registry.gauge("packed_word_bits").set(_WORD if sweeps else 0)

@@ -175,13 +175,12 @@ class IsingSimulation(EnsembleSimulation):
     ) -> "IsingSimulation":
         """Rebuild a simulation from :meth:`state_dict` output.
 
-        Accepts the ``checkpoint/v2`` envelope (and, with a
-        :class:`DeprecationWarning`, legacy v1 dicts without a ``schema``
-        key).  The checkpoint's backend kind, dtype and ``block_shape``
-        round-trip, so a chain checkpointed from a bfloat16 TPU backend
-        or a non-default block decomposition resumes with the same
-        numerics and tensor layout.  Pass ``backend`` to resume on an
-        explicit (pre-built) backend instead.
+        Accepts the ``checkpoint/v2`` envelope only.  The checkpoint's
+        backend kind, dtype and ``block_shape`` round-trip, so a chain
+        checkpointed from a bfloat16 TPU backend or a non-default block
+        decomposition resumes with the same numerics and tensor layout.
+        Pass ``backend`` to resume on an explicit (pre-built) backend
+        instead.
         """
         state, backend, block_shape = _open_checkpoint(state, "single", backend)
         sim = cls(

@@ -323,10 +323,6 @@ class TemperingEnsemble:
         """
         return self.ensemble.magnetizations()[self.pairing]
 
-    def slot_energies_per_spin(self) -> np.ndarray:
-        """Energy per site by ladder slot, ``(n_replicas, n_temps)``."""
-        return self.ensemble.energies_per_spin()[self.pairing]
-
     def replica_overlaps(self) -> np.ndarray:
         """Site overlap q between replica pairs, ``(n_pairs, n_temps)``.
 

@@ -70,68 +70,23 @@ __all__ = [
     "record_traced_metrics",
 ]
 
-#: The in-place backend vocabulary a steady-state fused sweep uses.
-#: Calls to these are recorded verbatim: same bound method, same buffer
-#: arguments, replayed in order.
-REPLAYABLE_OPS = frozenset(
-    {
-        "add_into",
-        "subtract_into",
-        "multiply_into",
-        "exp_into",
-        "less_into",
-        "take_into",
-        "matmul_into",
-        "uniform_into",
-        "band_cross_matmul_into",
-        "band_pair_matmul_into",
-        "acceptance_index_into",
-        "roll_into",
-        "copy_into",
-        "slice_copy_into",
-        "add_at_slice_into",
-        "assign_at_slice_into",
-        "shifted_pair_sum_into",
-        "conv2d_neighbors_into",
-        # Packed (multi-spin) word kernels — in-place, workspace-backed,
-        # same replay contract as the float *_into vocabulary.
-        "packed_bits_into",
-        "packed_rshift_into",
-        "packed_xor_into",
-        "packed_shift_cols_into",
-        "packed_compare_pack_into",
-        "packed_full_adder_into",
-        "packed_flip_select_into",
-    }
+#: The public backend ops, split by one naming rule.
+_PUBLIC_OPS = frozenset(
+    name
+    for name, op in vars(Backend).items()
+    if callable(op) and not name.startswith("_")
 )
 
-#: Backend ops that allocate fresh arrays.  Seeing one during a
-#: recording sweep means the sweep was not in its steady state (a cold
-#: cache, an elementwise code path) — the resulting trace could not be
-#: replayed faithfully, so it is marked unsound.
-ALLOCATING_OPS = frozenset(
-    {
-        "array",
-        "matmul",
-        "add",
-        "subtract",
-        "multiply",
-        "exp",
-        "less",
-        "where",
-        "add_at_slice",
-        "shifted_pair_sum",
-        "conv2d_neighbors",
-        "random_uniform",
-        "roll",
-        "concat",
-        "slice_copy",
-        "reshape",
-        "copy",
-        "packed_pack",
-        "packed_unpack",
-    }
-)
+#: The in-place ``*_into`` vocabulary a steady-state fused sweep uses.
+#: Calls to these are recorded verbatim: same bound method, same buffer
+#: arguments, replayed in order.
+REPLAYABLE_OPS = frozenset(name for name in _PUBLIC_OPS if name.endswith("_into"))
+
+#: Every other public backend op allocates fresh arrays.  Seeing one
+#: during a recording sweep means the sweep was not in its steady state
+#: (a cold cache, an elementwise code path) — the resulting trace could
+#: not be replayed faithfully, so it is marked unsound.
+ALLOCATING_OPS = _PUBLIC_OPS - REPLAYABLE_OPS
 
 #: Python-side counters a sweep bumps outside the backend ops, as
 #: (attribute holding the counting object or None for the updater

@@ -200,19 +200,25 @@ class TestLoadDispatch:
             advance(restored)
             assert np.array_equal(final(restored), final(sim)), type(sim).__name__
 
-    def test_v1_dicts_dispatch_with_warning(self):
-        solo = simulate(SimulationConfig(shape=16, seed=4))
-        ens = ensemble(SimulationConfig(shape=16, seed=4), n_chains=2)
-        dist = distributed(SimulationConfig(shape=16, seed=4, grid=(2, 2)))
-        for sim in (solo, ens, dist):
+    def test_dicts_without_schema_are_refused(self):
+        # A v1 checkpoint (no schema key) names no version this build
+        # reads: load() and every driver refuse it by name.
+        cfg = SimulationConfig(shape=16, seed=4)
+        ladder = LadderSpec(betas=(0.4, 0.5))
+        for sim in (
+            simulate(cfg),
+            ensemble(cfg, n_chains=2),
+            distributed(cfg.evolve(grid=(2, 2))),
+            tempering(SimulationConfig(shape=16, seed=4, ladder=ladder)),
+        ):
             v1 = {
                 k: v
                 for k, v in sim.state_dict().items()
                 if k not in ("schema", "kind")
             }
-            with pytest.warns(DeprecationWarning, match="legacy v1"):
-                restored = load(v1)
-            assert type(restored) is type(sim)
+            for restore in (load, type(sim).from_state_dict):
+                with pytest.raises(ValueError, match="checkpoint/v2"):
+                    restore(v1)
 
     def test_wrong_kind_is_an_error(self):
         solo = simulate(SimulationConfig(shape=16))
@@ -225,20 +231,21 @@ class TestLoadDispatch:
 
 
 class TestDeprecatedKwargs:
+    """The retired ``core_grid=`` and ``T=`` spellings are not fields:
+    passing one is Python's own TypeError for an unknown keyword."""
+
     def test_core_grid_spelling_removed(self):
-        """PR-4's ``core_grid=`` finished its deprecation window: it now
-        fails fast with a TypeError that names the replacement."""
-        with pytest.raises(TypeError, match="'grid'"):
+        with pytest.raises(TypeError, match="'core_grid'"):
             SimulationConfig(shape=32, core_grid=(2, 2))
 
     def test_T_spelling_removed(self):
-        with pytest.raises(TypeError, match="'temperature'"):
+        with pytest.raises(TypeError, match="'T'"):
             SimulationConfig(T=2.5)
 
     def test_removed_spellings_do_not_warn_they_raise(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(TypeError, match="no longer accepts"):
+            with pytest.raises(TypeError, match="unexpected keyword"):
                 SimulationConfig(T=2.5)
 
 
@@ -410,7 +417,7 @@ class TestLoadSchemaVersioning:
         message = str(excinfo.value)
         assert "checkpoint/v9" in message  # the version it found
         assert "checkpoint/v2" in message  # the version it supports
-        assert "v1" in message  # and the legacy fallback
+        assert "v1" in message  # and that v1 dicts are no longer read
 
     def test_unknown_schema_beats_kind_guessing(self):
         # Even a recognisable kind must not be dispatched under an
@@ -422,15 +429,6 @@ class TestLoadSchemaVersioning:
         with pytest.raises(TypeError, match="dict"):
             load("not-a-checkpoint")
 
-    def test_v2_and_legacy_v1_still_load(self):
-        sim = simulate(SimulationConfig(shape=8, seed=1))
-        sim.run(2)
-        state = sim.state_dict()
-        np.testing.assert_array_equal(load(state).lattice, sim.lattice)
-        legacy = {k: v for k, v in state.items() if k not in ("schema", "kind")}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            np.testing.assert_array_equal(load(legacy).lattice, sim.lattice)
 
 
 class TestUpdaterWhitelist:

@@ -27,11 +27,6 @@ class TestNumpyBackendOps:
         assert np.array_equal(backend.less(x, y), [1.0, 1.0])
         assert np.array_equal(backend.less(y, x), [0.0, 0.0])
 
-    def test_where(self, backend):
-        cond = np.array([1.0, 0.0], dtype=np.float32)
-        out = backend.where(cond, np.float32(5.0) * np.ones(2, dtype=np.float32), np.zeros(2, dtype=np.float32))
-        assert np.array_equal(out, [5.0, 0.0])
-
     def test_exp(self, backend):
         out = backend.exp(np.array([0.0, 1.0], dtype=np.float32))
         assert out[0] == 1.0
@@ -44,14 +39,7 @@ class TestNumpyBackendOps:
     def test_formatting_ops(self, backend):
         x = np.arange(12, dtype=np.float32).reshape(3, 4)
         assert np.array_equal(backend.roll(x, 1, 0), np.roll(x, 1, 0))
-        assert np.array_equal(
-            backend.concat([x, x], axis=0), np.concatenate([x, x], axis=0)
-        )
         assert np.array_equal(backend.slice_copy(x, (slice(None), 0)), x[:, 0])
-        assert backend.reshape(x, (4, 3)).shape == (4, 3)
-        copied = backend.copy(x)
-        copied[0, 0] = 99
-        assert x[0, 0] == 0.0
 
     def test_add_at_slice(self, backend):
         x = np.zeros((3, 4), dtype=np.float32)
@@ -151,18 +139,9 @@ class TestInPlaceTwins:
         y = b.array(rng.normal(size=(6, 6)))
         out = np.empty_like(x)
         np.testing.assert_array_equal(b.add_into(x, y, out), b.add(x, y))
-        np.testing.assert_array_equal(b.subtract_into(x, y, out), b.subtract(x, y))
         np.testing.assert_array_equal(b.multiply_into(x, y, out), b.multiply(x, y))
         np.testing.assert_array_equal(b.less_into(x, y, out), b.less(x, y))
         np.testing.assert_array_equal(b.exp_into(x, out), b.exp(x))
-
-    def test_matmul_into_twin(self, any_backend):
-        b = any_backend
-        rng = np.random.default_rng(4)
-        x = b.array(rng.normal(size=(8, 8)))
-        y = b.array(rng.normal(size=(8, 8)))
-        out = np.empty_like(x)
-        np.testing.assert_array_equal(b.matmul_into(x, y, out), b.matmul(x, y))
 
     def test_uniform_into_twin(self, any_backend):
         from repro.rng import PhiloxStream
@@ -260,8 +239,8 @@ class TestBandMatmulPrimitives:
         np.testing.assert_array_equal(out, expected)
 
     def test_band_charges_match_matmul_sequence(self):
-        """TPU accounting: the band primitives charge what the matmul_into
-        op sequence they replace would have charged."""
+        """TPU accounting: the band primitives charge what the matmul op
+        sequence they replace would have charged."""
         grid = np.sign(np.random.default_rng(7).normal(size=(1, 1, 8, 8)))
 
         core_band = TensorCore(core_id=0)
@@ -274,11 +253,9 @@ class TestBandMatmulPrimitives:
         g2 = seq_backend.array(grid)
         k = 8
         left = seq_backend.array(np.eye(k, k=-1) + np.eye(k, k=1))
-        tmp = np.empty_like(g2)
-        out = np.empty_like(g2)
-        seq_backend.matmul_into(g2, left, out)
-        seq_backend.matmul_into(left, g2, tmp)
-        seq_backend.add_into(out, tmp, out)
+        seq_backend.add(
+            seq_backend.matmul(g2, left), seq_backend.matmul(left, g2)
+        )
         for cat in ("mxu", "vpu"):
             assert core_band.profiler.flops[cat] == pytest.approx(
                 core_seq.profiler.flops[cat]
@@ -299,7 +276,7 @@ class TestBandMatmulPrimitives:
         seq_backend = TPUBackend(core_seq)
         x2 = seq_backend.array(a)
         band = seq_backend.array(np.eye(8) + np.eye(8, k=-1))
-        seq_backend.matmul_into(band, x2, np.empty_like(x2))
+        seq_backend.matmul(band, x2)
         assert core_band.profiler.flops["mxu"] == pytest.approx(
             core_seq.profiler.flops["mxu"]
         )

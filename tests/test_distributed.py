@@ -146,15 +146,3 @@ class TestDistributedCheckpoint:
         resumed.sweep(4)
         assert resumed.sweeps_done == sim.sweeps_done
         assert np.array_equal(resumed.gather_lattice(), sim.gather_lattice())
-
-    def test_v1_checkpoint_reads_with_deprecation_warning(self):
-        sim = DistributedIsing(16, 2.0, core_grid=(2, 2), seed=7)
-        sim.sweep(2)
-        v1 = {
-            k: v
-            for k, v in sim.state_dict().items()
-            if k not in ("schema", "kind")
-        }
-        with pytest.warns(DeprecationWarning, match="legacy v1"):
-            resumed = DistributedIsing.from_state_dict(v1)
-        assert np.array_equal(resumed.gather_lattice(), sim.gather_lattice())

@@ -159,25 +159,6 @@ class TestEnsembleLifecycle:
         resumed.run(5)
         assert np.array_equal(ensemble.lattices, resumed.lattices)
 
-    def test_to_single_continues_bit_identically(self):
-        ensemble = EnsembleSimulation(8, TEMPS, seed=8)
-        ensemble.run(3)
-        solo = ensemble.to_single(2)
-        assert solo.temperature == pytest.approx(float(TEMPS[2]))
-        ensemble.run(4)
-        solo.run(4)
-        assert np.array_equal(ensemble.lattices[2], solo.lattice)
-
-    def test_to_single_keeps_the_elementwise_engine(self):
-        ensemble = EnsembleSimulation(8, TEMPS, seed=8, fused=False)
-        ensemble.run(2)
-        solo = ensemble.to_single(1)
-        assert solo.fused is False
-        assert solo._executor is None
-        ensemble.run(3)
-        solo.run(3)
-        assert np.array_equal(ensemble.lattices[1], solo.lattice)
-
     def test_replica_ensemble_distinct_chains(self):
         # Same temperature, distinct stream ids: chains must decorrelate.
         ensemble = EnsembleSimulation(16, np.full(4, 2.3), seed=1)

@@ -216,14 +216,6 @@ class TestWorkspaceReuse:
         assert ws.n_buffers == 2
         assert ws.nbytes == a.nbytes + c.nbytes
 
-    def test_constant_cached(self):
-        ws = SweepWorkspace()
-        calls = []
-        first = ws.constant(("k",), lambda: calls.append(1) or np.ones(3))
-        second = ws.constant(("k",), lambda: calls.append(1) or np.ones(3))
-        assert first is second
-        assert calls == [1]
-
     @pytest.mark.parametrize("updater", UPDATERS)
     def test_zero_steady_state_allocations(self, updater):
         sim = IsingSimulation(

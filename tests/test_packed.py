@@ -3,11 +3,12 @@
 ``dtype="packed"`` promotes the bit-packed baseline to a first-class
 engine (``repro.core.packed``).  The contracts asserted here are the
 ones ``docs/packed_engine.md`` documents: bit-identity against the
-unpacked chains on shared uniforms (the CI invariant), the
-``rng_bits=32`` same-stream twin property, Onsager-validated physics,
+unpacked chains on shared uniforms (the CI invariant), the 16-bit
+stream against an independent twin, Onsager-validated physics,
 word-level checkpoint round trips that refuse to cross-load with
-unpacked checkpoints, traced replay, "alu" cost-model charging, the
-``packed_*`` telemetry gauges, and honest scheduler keys.
+unpacked checkpoints or another draw width, traced replay, "alu"
+cost-model charging, the ``packed_*`` telemetry gauges, and honest
+scheduler keys.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import SimulationConfig, distributed, simulate
+from repro.api import SimulationConfig, distributed, load, simulate
 from repro.backend import NumpyBackend
 from repro.backend.packed_ops import lane_threshold, packed_threshold, site_values_u16
 from repro.backend.tpu_backend import TPUBackend
@@ -222,19 +223,6 @@ class TestBitIdentity:
                 baseline.to_plain(b_state), packed.to_plain(p_state)
             )
 
-    def test_rng32_is_same_stream_twin_of_compact_float32(self):
-        """rng_bits=32 consumes the float chains' exact Philox schedule."""
-        plain = make_lattice((16, 128), seed=5)
-        packed = PackedUpdater(0.5, rng_bits=32)
-        compact = CompactUpdater(0.5, NumpyBackend(), block_shape=(8, 64))
-        p_state, c_state = packed.to_state(plain), compact.to_state(plain)
-        s_packed, s_compact = PhiloxStream(7, 1), PhiloxStream(7, 1)
-        for _ in range(10):
-            p_state = packed.sweep(p_state, s_packed)
-            c_state = compact.sweep(c_state, s_compact)
-        assert np.array_equal(packed.to_plain(p_state), compact.to_plain(c_state))
-        assert s_packed.counter == s_compact.counter
-
     def test_ensemble_chains_match_solo_runs(self):
         ens = EnsembleSimulation(
             128, [1.8, 2.6], backend=packed_backend(), seed=13
@@ -275,7 +263,7 @@ class TestBitIdentity:
 
 
 class TestStream16Oracle:
-    """The default ``rng_bits=16`` mode against an independent twin.
+    """The 16-bit stream mode against an independent twin.
 
     The twin is the unpacked multi-spin baseline fed ``lanes * 2**-16``,
     with the lanes split arithmetically from its own ``PhiloxStream`` in
@@ -413,47 +401,19 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="cannot resume on an unpacked"):
             IsingSimulation.from_state_dict(state, backend=NumpyBackend())
 
-    def test_rng_bits_round_trips(self):
-        sim = IsingSimulation(128, 2.2, backend=packed_backend(), seed=1)
-        state = sim.state_dict()
-        state["packed"]["rng_bits"] = 32
-        resumed = IsingSimulation.from_state_dict(state)
-        assert resumed._updater.rng_bits == 32
-
-    @staticmethod
-    def _rng32_ensemble() -> EnsembleSimulation:
+    @pytest.mark.parametrize("rng_bits", [32, 8])
+    def test_foreign_rng_bits_are_refused(self, rng_bits):
+        """A checkpoint naming another draw width is refused, not
+        resumed on a stream it was not drawn from."""
+        solo = IsingSimulation(128, 2.2, backend=packed_backend(), seed=1)
         ens = EnsembleSimulation(128, [2.0, 2.4], backend=packed_backend(), seed=6)
-        state = ens.state_dict()
-        state["packed"]["rng_bits"] = 32
-        return EnsembleSimulation.from_state_dict(state)
-
-    def test_rng_bits_survive_set_temperatures(self):
-        ens, twin = self._rng32_ensemble(), self._rng32_ensemble()
-        ens.set_temperatures([2.0, 2.4])
-        assert ens._updater.rng_bits == 32
-        ens.run(3)
-        twin.run(3)
-        assert np.array_equal(ens.lattices, twin.lattices)
-        assert ens.stream.counters == twin.stream.counters
-
-    def test_rng_bits_survive_remove_and_add_chain(self):
-        ens, twin = self._rng32_ensemble(), self._rng32_ensemble()
-        lattice, stream = ens.remove_chain(0)
-        assert ens._updater.rng_bits == 32
-        ens.add_chain(2.0, stream, lattice)  # rejoins as chain 1
-        ens.run(3)
-        twin.run(3)
-        assert np.array_equal(ens.lattices[::-1], twin.lattices)
-        assert ens.stream.counters[::-1] == twin.stream.counters
-
-    def test_rng_bits_survive_to_single(self):
-        ens, twin = self._rng32_ensemble(), self._rng32_ensemble()
-        solo = ens.to_single(1)
-        assert solo._updater.rng_bits == 32
-        solo.run(3)
-        twin.run(3)
-        assert np.array_equal(solo.lattice, twin.lattices[1])
-        assert solo.stream.counters == twin.stream.counters[1:]
+        for sim in (solo, ens):
+            state = sim.state_dict()
+            state["packed"]["rng_bits"] = rng_bits
+            with pytest.raises(ValueError, match=f"draws {rng_bits} bits"):
+                type(sim).from_state_dict(state)
+            with pytest.raises(ValueError, match=f"draws {rng_bits} bits"):
+                load(state)
 
     def test_foreign_word_layout_rejected(self):
         sim = IsingSimulation(128, 2.2, backend=packed_backend(), seed=1)
@@ -527,8 +487,6 @@ class TestRejections:
     def test_updater_field_validation(self):
         with pytest.raises(ValueError, match="no field support"):
             PackedUpdater(0.44, field=0.1)
-        with pytest.raises(ValueError, match="rng_bits"):
-            PackedUpdater(0.44, rng_bits=24)
         with pytest.raises(ValueError, match="beta"):
             PackedUpdater(-1.0)
 
@@ -581,7 +539,6 @@ class TestTelemetry:
         assert registry.gauge("packed_sweeps").value == 5
         assert registry.gauge("packed_words_updated").value > 0
         assert registry.gauge("packed_workspace_bytes").value > 0
-        assert registry.gauge("packed_rng_bits").value == 16
         assert registry.gauge("packed_word_bits").value == 64
 
     def test_float_chain_reports_zero_packed_gauges(self):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.backend import NumpyBackend
-from repro.core.config import checkpoint_kind
 from repro.core.simulation import IsingSimulation, run_temperature_scan
 from repro.telemetry import RunTelemetry
 
@@ -239,10 +238,6 @@ class TestSoloFormats:
         assert set(state["stream"]) == {"seed", "stream_id", "counter"}
         assert state["stream"]["seed"] == 3
         assert state["stream"]["stream_id"] == 2
-        # A v1 dict (no schema or kind) is classified by its keys: only
-        # ensembles carry "temperatures".
-        legacy = {k: v for k, v in state.items() if k not in ("schema", "kind")}
-        assert checkpoint_kind(legacy) == "single"
 
     def test_report_keys(self):
         sim = IsingSimulation(16, 2.3, seed=3, stream_id=2, telemetry=RunTelemetry())

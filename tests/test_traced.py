@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.api import SimulationConfig, load, simulate
+from repro.backend.base import Backend
 from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.tpu_backend import TPUBackend
 from repro.core.config import default_block_shape
@@ -86,6 +87,32 @@ class TestResolve:
 
     def test_op_sets_are_disjoint(self):
         assert not (REPLAYABLE_OPS & ALLOCATING_OPS)
+
+    def test_op_classes_follow_the_into_naming(self):
+        # Every public backend op is replayable (its name ends in _into)
+        # or allocating, never both and never neither.
+        public = {
+            name
+            for name, op in vars(Backend).items()
+            if callable(op) and not name.startswith("_")
+        }
+        assert REPLAYABLE_OPS == {
+            "add_into", "multiply_into", "exp_into", "less_into",
+            "take_into", "uniform_into", "band_cross_matmul_into",
+            "band_pair_matmul_into", "acceptance_index_into", "roll_into",
+            "slice_copy_into", "add_at_slice_into", "assign_at_slice_into",
+            "shifted_pair_sum_into", "conv2d_neighbors_into",
+            "packed_bits_into", "packed_xor_into", "packed_shift_cols_into",
+            "packed_compare_pack_into", "packed_full_adder_into",
+            "packed_flip_select_into",
+        }
+        assert ALLOCATING_OPS == {
+            "array", "matmul", "add", "subtract", "multiply", "exp", "less",
+            "add_at_slice", "shifted_pair_sum", "conv2d_neighbors",
+            "random_uniform", "roll", "slice_copy", "packed_pack",
+            "packed_unpack",
+        }
+        assert REPLAYABLE_OPS | ALLOCATING_OPS == public
 
 
 class TestSoloBitIdentity:
