@@ -45,6 +45,7 @@ from .backend.base import Backend
 from .backend.numpy_backend import NumpyBackend
 from .core.config import (
     backend_from_checkpoint,
+    backend_kind,
     check_config,
     checkpoint_kind,
 )
@@ -93,27 +94,19 @@ class ModelSpec:
     field:
         External magnetic field h.  ``SimulationConfig(field=...)`` is
         shorthand for setting it here (see ``resolved_model``).
-    lattice:
-        Lattice geometry; "square" is the only kind wired up today —
-        the field exists so triangular/3D variants extend the spec
-        instead of growing new flat kwargs.
+
+    The lattice is always the square torus.
     """
 
     couplings: str = "ferro"
     disorder_seed: int = 0
     field: float = 0.0
-    lattice: str = "square"
 
     def __post_init__(self) -> None:
         if self.couplings not in COUPLING_KINDS:
             raise ValueError(
                 f"couplings must be one of {COUPLING_KINDS}, "
                 f"got {self.couplings!r}"
-            )
-        if self.lattice != "square":
-            raise ValueError(
-                f"lattice must be 'square' (the only wired-up geometry), "
-                f"got {self.lattice!r}"
             )
         object.__setattr__(self, "disorder_seed", int(self.disorder_seed))
         object.__setattr__(self, "field", float(self.field))
@@ -127,8 +120,7 @@ class LadderSpec:
     *order defines swap adjacency* — replica exchange proposes swaps
     between adjacent entries as given, so the order is part of the
     trajectory, and the two spellings of the same ladder canonicalise
-    to the same :attr:`resolved_betas` (and the same scheduler cache
-    key).
+    to the same :attr:`resolved_betas`.
 
     Fields
     ------
@@ -203,9 +195,9 @@ class SimulationConfig:
         ``model=ModelSpec(field=...)``; :attr:`resolved_model` folds it
         in, and setting conflicting values in both places is an error.
     model:
-        Optional :class:`ModelSpec` (couplings, disorder seed, field,
-        lattice).  None means the clean zero-field ferromagnet (plus
-        the flat ``field``).
+        Optional :class:`ModelSpec` (couplings, disorder seed, field).
+        None means the clean zero-field ferromagnet (plus the flat
+        ``field``).
     ladder:
         Optional :class:`LadderSpec`; required by :func:`tempering`,
         rejected by the other factories.
@@ -222,11 +214,14 @@ class SimulationConfig:
         "numpy" (host arithmetic), "tpu" (single simulated TensorCore
         cost model), a pre-built :class:`~repro.backend.base.Backend`,
         or None — the driver's default.  :func:`distributed` builds its
-        own per-core TPU backends and only accepts None / "tpu".
+        own per-core TPU backends and only accepts None / "tpu".  The
+        packed dtype runs on numpy backends only.
     fused:
         Fused sweep engine: "auto" (default), True or False.  Solo and
         ensemble chains on the fused engine record one sweep and replay
         it for every further sweep (:mod:`repro.core.traced`).
+        :func:`distributed` runs the elementwise engine and refuses
+        ``True``.
     seed:
         Global Philox seed.
     telemetry:
@@ -300,6 +295,11 @@ class SimulationConfig:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.beta is not None and self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        if isinstance(self.backend, str) and self.backend not in ("numpy", "tpu"):
+            raise ValueError(
+                f"backend must be 'numpy', 'tpu', a Backend or None, "
+                f"got {self.backend!r}"
+            )
         model = self.model
         check_config(
             self.shape,
@@ -310,12 +310,12 @@ class SimulationConfig:
             block_shape=self.block_shape,
             fused=self.fused,
             distributed=self.grid is not None,
+            backend=(
+                backend_kind(self.backend)
+                if isinstance(self.backend, Backend)
+                else self.backend or "numpy"
+            ),
         )
-        if isinstance(self.backend, str) and self.backend not in ("numpy", "tpu"):
-            raise ValueError(
-                f"backend must be 'numpy', 'tpu', a Backend or None, "
-                f"got {self.backend!r}"
-            )
         if self.grid is not None:
             rows, cols = self.grid
             if rows < 1 or cols < 1:
@@ -523,9 +523,10 @@ def distributed(config: SimulationConfig) -> DistributedIsing:
     """Build the SPMD pod-slice simulation a config describes.
 
     Requires ``grid`` (a config with ``grid`` set already holds the pod
-    rules: updater "compact" or "conv", no packed dtype); the per-core
-    backends are always simulated-TPU cost models, so ``backend`` must
-    be None or "tpu".
+    rules: updater "compact" or "conv", no packed dtype, no
+    ``fused=True``); the per-core backends are always simulated-TPU cost
+    models running the elementwise engine, so ``backend`` must be None
+    or "tpu".
     """
     if config.grid is None:
         raise ValueError(
@@ -550,7 +551,6 @@ def distributed(config: SimulationConfig) -> DistributedIsing:
         record_trace=config.record_trace,
         updater=config.updater,
         field=config.resolved_model.field,
-        fused=config.fused,
         telemetry=config._resolved_telemetry(),
     )
 

@@ -490,24 +490,6 @@ class Backend:
             )
         return target
 
-    def assign_at_slice_into(
-        self, target: np.ndarray, index: tuple, value: np.ndarray
-    ) -> np.ndarray:
-        """Overwrite ``target[index]`` with ``value`` in place.
-
-        The halo splice of the distributed neighbour sums: after a
-        boundary slab rolls, the entry that wrapped around the local edge
-        is replaced by the remote core's slab.  The store is bookkeeping
-        the device fuses into the roll it just performed (the same bytes
-        were already charged there), so this op books no additional cost
-        — but routing it through the backend instead of a raw indexed
-        store keeps it visible to the traced executor's recording proxy.
-        ``value`` must already hold quantized device values (it always
-        does: halos are slices of device tensors).
-        """
-        np.copyto(target[index], value)
-        return target
-
     def shifted_pair_sum_into(
         self, a: np.ndarray, axis: int, offset: int, out: np.ndarray
     ) -> np.ndarray:
@@ -556,31 +538,18 @@ class Backend:
     #
     # Word kernels of the ``packed`` dtype: 64 spins per uint64 word,
     # little-endian bit order (see repro.backend.packed_ops for the
-    # representation contract).  These ops charge the "alu" cost-model
-    # category — integer word work on the vector unit's elementwise
-    # pipe, NOT matmul parity — and account *actual* buffer bytes
-    # (planes mix uint64 words, uint32 draws and uint8/bool scratch, so
-    # the dtype-itemsize accounting of ``_nbytes`` would be wrong).
-
-    @staticmethod
-    def _raw_nbytes(*arrays: np.ndarray) -> float:
-        """Actual HBM bytes of mixed-width packed buffers."""
-        return float(sum(a.nbytes for a in arrays))
+    # representation contract).  The packed engine runs on numpy
+    # backends only (check_config refuses it on the TPU cost model), so
+    # these ops book no modeled cost.
 
     def packed_bits_into(self, stream: PhiloxStream, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (C-contiguous uint32) with raw Philox words.
 
         Same draw and counter advance as ``stream.bits_into(out)`` —
-        ``ceil(out.size / 4)`` blocks — with the generator cost charged
-        at the backend's RNG rate (20 flops per 32-bit word, matching
-        :meth:`uniform_into` per word drawn).  The words are raw: the
-        caller owns the lane split and threshold comparison.
+        ``ceil(out.size / 4)`` blocks.  The words are raw: the caller
+        owns the lane split and threshold comparison.
         """
         stream.bits_into(out)
-        if self.core is not None:
-            self._charge(
-                "alu", flops=20.0 * out.size, bytes_moved=self._raw_nbytes(out)
-            )
         return out
 
     def packed_xor_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -593,10 +562,6 @@ class Backend:
         packed vocabulary.
         """
         np.bitwise_xor(a, b, out=out)
-        if self.core is not None:
-            self._charge(
-                "alu", flops=float(out.size), bytes_moved=self._raw_nbytes(a, b, out)
-            )
         return out
 
     def packed_shift_cols_into(
@@ -613,12 +578,6 @@ class Backend:
         if out is words or tmp is words or tmp is out:
             raise ValueError("words, out and tmp must be distinct buffers")
         packed_ops.shift_cols_into(words, direction, out, tmp)
-        if self.core is not None:
-            self._charge(
-                "alu",
-                flops=3.0 * out.size,
-                bytes_moved=self._raw_nbytes(words, out),
-            )
         return out
 
     def packed_compare_pack_into(
@@ -633,17 +592,9 @@ class Backend:
         """Pack the acceptance mask ``(values < threshold) | saturate`` into words.
 
         See :func:`repro.backend.packed_ops.compare_pack_into` for dtype,
-        shape and aliasing contracts.  Charged as half a word-op per site
-        lane (the compare and the pack both run at full vector width over
-        sub-word lanes).
+        shape and aliasing contracts.
         """
         packed_ops.compare_pack_into(values, threshold, saturate, out, cmp, byte_plane)
-        if self.core is not None:
-            self._charge(
-                "alu",
-                flops=0.5 * values.size,
-                bytes_moved=self._raw_nbytes(values, out),
-            )
         return out
 
     def packed_full_adder_into(
@@ -666,12 +617,6 @@ class Backend:
         aliasing contract.
         """
         packed_ops.full_adder_into(d1, d2, d3, d4, low, bit1, bit2, s1, s2)
-        if self.core is not None:
-            self._charge(
-                "alu",
-                flops=12.0 * low.size,
-                bytes_moved=self._raw_nbytes(d1, d2, d3, d4, low, bit1, bit2),
-            )
 
     def packed_flip_select_into(
         self,
@@ -692,36 +637,24 @@ class Backend:
         if out is tmp:
             raise ValueError("out and tmp must be distinct buffers")
         packed_ops.flip_select_into(low, bit1, bit2, r1, r0, out, tmp)
-        if self.core is not None:
-            self._charge(
-                "alu",
-                flops=9.0 * out.size,
-                bytes_moved=self._raw_nbytes(low, bit1, bit2, r1, r0, out),
-            )
         return out
 
     def packed_pack(self, bits: np.ndarray) -> np.ndarray:
         """Pack a 0/1 site plane into uint64 words (allocating; boundary only).
 
-        Wraps :func:`repro.baselines.multispin.pack_bits` with a
-        formatting charge — state import/export, never the sweep hot
-        path (steady-state packed sweeps call only ``*_into`` ops).
+        Wraps :func:`repro.baselines.multispin.pack_bits` — state
+        import/export, never the sweep hot path (steady-state packed
+        sweeps call only ``*_into`` ops).
         """
         from ..baselines.multispin import pack_bits
 
-        out = pack_bits(bits)
-        if self.core is not None:
-            self._charge("formatting", bytes_moved=2.0 * self._raw_nbytes(out))
-        return out
+        return pack_bits(bits)
 
     def packed_unpack(self, words: np.ndarray, cols: int) -> np.ndarray:
         """Unpack uint64 words to a 0/1 site plane (allocating; boundary only)."""
         from ..baselines.multispin import unpack_bits
 
-        out = unpack_bits(words, cols)
-        if self.core is not None:
-            self._charge("formatting", bytes_moved=2.0 * self._raw_nbytes(words))
-        return out
+        return unpack_bits(words, cols)
 
     # -- data formatting -------------------------------------------------------
 

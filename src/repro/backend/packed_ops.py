@@ -13,12 +13,11 @@ Representation (shared with :mod:`repro.baselines.multispin`):
 * bit ``j`` of word ``w`` holds lattice column ``64*w + j`` (LSB-first,
   little-endian bit order), so shifting words left by one moves every
   spin one column higher; word *values* are host-independent;
-* acceptance randomness is compared in integer space: a uniform draw of
-  ``rng_bits`` bits accepts iff it is below ``ceil(t * 2**rng_bits)``
-  where ``t`` is the float32 Metropolis threshold (see
-  :func:`packed_threshold`); the compare runs in the lanes' own width,
-  with :func:`lane_threshold` carrying ``T == 2**rng_bits`` as a
-  saturation word.
+* acceptance randomness is compared in integer space: a uniform 16-bit
+  lane accepts iff it is below ``ceil(t * 2**16)`` where ``t`` is the
+  float32 Metropolis threshold; the compare runs in the lanes' own
+  width, with ``T == 2**16`` carried as a saturation word (see
+  :func:`packed_threshold`).
 
 Unless a docstring says otherwise, ``out`` must not alias any input.
 All kernels operate on the trailing two axes and broadcast over leading
@@ -34,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "compare_pack_into",
-    "lane_threshold",
     "shift_cols_into",
     "full_adder_into",
     "flip_select_into",
@@ -46,32 +44,35 @@ _WORD = 64
 _ONE = np.uint64(1)
 _SIXTY_THREE = np.uint64(_WORD - 1)
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_LANE_MAX = 0xFFFF
 _LE_WORD = np.dtype("<u8")
 #: Byte j holds 2**(7 - j), gathering eight 0/1 bytes into bits 56..63.
 _PACK_MAGIC = np.uint64(0x0102040810204080)
 _FIFTY_SIX = np.uint64(56)
 
 
-def packed_threshold(t: "np.floating | np.ndarray", rng_bits: int) -> np.ndarray:
-    """Integer acceptance threshold ``T = ceil(t * 2**rng_bits)`` as uint32.
+def packed_threshold(t: "np.floating | np.ndarray") -> tuple[np.ndarray, np.ndarray]:
+    """``(uint16 lane threshold, uint64 saturation word)`` of float32 ``t``.
 
-    For an integer draw ``m`` uniform on ``[0, 2**rng_bits)``,
-    ``m < T  <=>  m < t * 2**rng_bits  <=>  m / 2**rng_bits < t`` —
-    exactly, because ``T`` is computed in float64 where the product of a
-    float32 ``t`` with a power of two is representable without rounding.
-    ``t`` in (0, 1] gives ``T <= 2**rng_bits``, which can exceed the
-    ``rng_bits``-bit lane range — hence the uint32 return even for
-    16-bit draws (a uint16 would overflow at ``T == 2**16``).
+    For a 16-bit lane ``m`` uniform on ``[0, 2**16)``,
+    ``m < T  <=>  m < t * 2**16  <=>  m / 2**16 < t`` with
+    ``T = ceil(t * 2**16)`` — exactly, because ``T`` is computed in
+    float64 where the product of a float32 ``t`` with a power of two is
+    representable without rounding.  ``t`` in [0, 1] gives ``T`` in
+    ``[0, 2**16]``, and :func:`compare_pack_into` compares the lanes in
+    their own width, where ``T == 2**16`` (every lane accepts) does not
+    fit: it is stored as ``0xFFFF``, and the saturation word, ORed into
+    the packed mask, is all-ones there and zero elsewhere.  Every ``T``
+    stays exact.
 
-    Accepts a scalar or an array of per-chain thresholds; the result has
-    the same shape.
+    Accepts a scalar or an array of per-chain thresholds; both results
+    have its shape.
     """
-    if not 1 <= rng_bits <= 31:
-        raise ValueError(f"rng_bits must be in [1, 31], got {rng_bits}")
-    scaled = np.ceil(np.asarray(t, dtype=np.float64) * float(2**rng_bits))
-    if np.any(scaled < 0) or np.any(scaled > 2**rng_bits):
+    scaled = np.ceil(np.asarray(t, dtype=np.float64) * float(2**16))
+    if np.any(scaled < 0) or np.any(scaled > 2**16):
         raise ValueError(f"threshold {t!r} outside [0, 1]")
-    return scaled.astype(np.uint32)
+    saturate = np.where(scaled > _LANE_MAX, _ALL_ONES, np.uint64(0))
+    return np.asarray(np.minimum(scaled, _LANE_MAX), dtype=np.uint16), saturate
 
 
 def site_values_u16(bits: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -96,23 +97,6 @@ def site_values_u16(bits: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return lanes.reshape(shape)
 
 
-def lane_threshold(
-    threshold: "np.ndarray | np.integer", lane_dtype: "np.dtype | type"
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(threshold as lane_dtype, uint64 saturation word)``, shaped alike.
-
-    :func:`compare_pack_into` compares lanes in their own width, where
-    ``T == 2**bits`` (every lane accepts) does not fit: it is stored as
-    the lane maximum, and the saturation word, ORed into the packed
-    mask, is all-ones there and zero elsewhere.  Every ``T`` in
-    ``[0, 2**bits]`` stays exact.
-    """
-    top = np.iinfo(lane_dtype).max
-    wide = np.asarray(threshold, dtype=np.uint64)
-    saturate = np.where(wide > top, _ALL_ONES, np.uint64(0))
-    return np.asarray(np.minimum(wide, top), dtype=lane_dtype), saturate
-
-
 def compare_pack_into(
     values: np.ndarray,
     threshold: "np.ndarray | np.number",
@@ -123,11 +107,12 @@ def compare_pack_into(
 ) -> np.ndarray:
     """Pack the acceptance mask ``(values < threshold) | saturate`` into words.
 
-    ``values`` is a ``(..., rows, cols)`` C-contiguous site plane
-    (unsigned integer lanes, the engine's uint16, or float32 ``probs``);
-    ``threshold`` is a scalar or ``(..., 1, 1)`` per-chain array of the
-    *same dtype*, so the compare never widens the lanes, and
-    ``saturate`` its word from :func:`lane_threshold`.  ``cmp`` is bool
+    ``values`` is a ``(..., rows, cols)`` C-contiguous site plane:
+    uint16 lanes, with ``threshold`` and ``saturate`` from
+    :func:`packed_threshold`, or float32 ``probs``, with a float32
+    ``threshold`` and a zero ``saturate``.  ``threshold`` is a scalar
+    or ``(..., 1, 1)`` per-chain array of the *same dtype* as
+    ``values``, so the compare never widens the lanes.  ``cmp`` is bool
     scratch shaped like ``values``, ``byte_plane`` ``(..., rows,
     cols/8)`` uint8 scratch and ``out`` the ``(..., rows, cols/64)``
     words, laid out as :func:`repro.baselines.multispin.pack_bits` lays

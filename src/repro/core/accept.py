@@ -240,11 +240,4 @@ class BondedAcceptance:
         backend.multiply_into(flips, neg_two, flips)
         backend.add_into(flips, one, flips)
         backend.multiply_into(sigma, flips, sigma)
-        # Allocation savings only — the exp still runs, so no table_hits.
-        n_temps = 5
-        if mask is not None:
-            n_temps += 1
-        if self.field != 0.0:
-            n_temps += 1
-        workspace.bytes_saved += n_temps * sigma.size * backend.dtype.itemsize
         return sigma

@@ -8,7 +8,7 @@ masking, the wasted RNG and the wasted matmuls of Algorithm 1.  The paper
 measures this at about 3x faster with a smaller HBM footprint.
 
 The updater also exposes the per-phase halo hook used by the distributed
-pod simulation: :meth:`update_color` takes a
+pod simulation: on the elementwise engine, :meth:`update_color` takes a
 :class:`~repro.core.kernels.PhaseHalos` that replaces the local torus
 wrap with boundary rows/columns received from neighbouring cores.
 """
@@ -82,18 +82,25 @@ class CompactUpdater(FloatUpdater):
             Explicit (probs0, probs1) overriding the stream, for
             deterministic cross-implementation tests.
         halos:
-            Optional inter-core boundary values (distributed mode).
+            Optional inter-core boundary values (distributed mode,
+            which runs the elementwise engine; the fused engine refuses
+            them).
 
         Returns a new CompactLattice; the two passive tensors are shared
         with the input (they are unchanged by construction).  In fused
         mode the two *active* tensors are updated in place and the input
         lattice itself is returned.
         """
+        if self.fused and halos is not None:
+            raise ValueError(
+                "the fused engine sums on the local torus only; halos "
+                "(distributed mode) need a fused=False updater"
+            )
         probs = self._uniforms(lat.grid_shape, stream, probs, ("probs0", "probs1"))
         if self.fused:
             table, ws = self._fused_ctx()
             nns = compact_neighbor_sums_into(
-                lat, color, self.backend, ws, halos=halos, method=self.nn_method
+                lat, color, self.backend, ws, method=self.nn_method
             )
             for name, nn, p in zip(_ACTIVE[color], nns, probs):
                 fused_metropolis_flip(self.backend, getattr(lat, name), nn, p, table, ws)

@@ -5,13 +5,14 @@ This module sits below every driver (:mod:`repro.core.simulation`,
 scheduler, and it is the one place that says which configurations are
 supported: :data:`UPDATERS` names the updaters, :func:`check_config`
 holds every rule about which updater, dtype, field, couplings, block
-shape, ``fused`` value and driver combine, :func:`resolve_fused` turns
-a ``fused`` selection into the engine a chain runs, and
-:func:`default_block_shape` picks the block decomposition an unset
-``block_shape`` means.  :class:`~repro.api.SimulationConfig` calls
-:func:`check_config` when it is built, the drivers call it from their
-public constructors, and the scheduler's batching and cache keys use
-the same resolvers, so a rule cannot drift between copies.
+shape, ``fused`` value, backend kind and driver combine,
+:func:`resolve_fused` turns a ``fused`` selection into the engine a
+chain runs, and :func:`default_block_shape` picks the block
+decomposition an unset ``block_shape`` means.
+:class:`~repro.api.SimulationConfig` calls :func:`check_config` when it
+is built, the drivers call it from their public constructors, and the
+scheduler's batching and cache keys use the same resolvers, so a rule
+cannot drift between copies.
 
 This module also owns the versioned **checkpoint/v2** envelope shared by
 every driver's ``state_dict()``:
@@ -67,11 +68,14 @@ def check_config(
     block_shape: "tuple[int, int] | None" = None,
     fused: "bool | str" = "auto",
     distributed: bool = False,
+    backend: str = "numpy",
 ) -> None:
     """Raise :class:`ValueError` unless the configuration is supported.
 
-    ``dtype`` is a dtype name and ``couplings`` a coupling kind;
-    ``distributed`` adds the pod driver's rules.  This is the one place
+    ``dtype`` is a dtype name, ``couplings`` a coupling kind and
+    ``backend`` a backend kind ("numpy" or "tpu", see
+    :func:`backend_kind`); ``distributed`` adds the pod driver's rules.
+    This is the one place
     the supported-configuration rules are written: ``SimulationConfig``
     and every driver constructor call it.  Rules that depend on which
     factory is called (disorder on ``simulate()``, a ladder outside
@@ -90,6 +94,12 @@ def check_config(
             f"updater must be 'compact' or 'conv' for distributed runs "
             f"(every core runs the compact layout), got {updater!r}"
         )
+    if distributed and fused != "auto" and fused:
+        raise ValueError(
+            "distributed() does not support fused=True: every core runs "
+            "the elementwise op sequence the calibrated TPU cost tables "
+            "describe; drop fused= (or pass 'auto' / False)"
+        )
     if dtype == "packed":
         if distributed:
             raise ValueError(
@@ -97,6 +107,13 @@ def check_config(
                 "exchange moves float spin planes, not 64-spin words; run "
                 "packed chains through simulate() / ensemble(), or use "
                 "dtype='float32'/'bfloat16' for pod runs"
+            )
+        if backend == "tpu":
+            raise ValueError(
+                "dtype='packed' does not support backend='tpu': the TPU "
+                "cost model has no pricing for 64-spin word kernels; run "
+                "packed chains on the numpy backend, or use "
+                "dtype='float32'/'bfloat16' on the TPU cost model"
             )
         if updater not in ("compact", "checkerboard"):
             raise ValueError(

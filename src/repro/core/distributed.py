@@ -47,10 +47,8 @@ from .config import (
     check_config,
     checkpoint_envelope,
     default_block_shape,
-    resolve_fused,
     unwrap_checkpoint,
 )
-from .fused import record_fused_metrics
 from .kernels import PhaseHalos
 from .lattice import (
     CompactLattice,
@@ -115,17 +113,6 @@ class DistributedIsing:
     record_trace:
         Keep per-op trace events in every core's profiler; export them
         with :func:`repro.telemetry.write_chrome_trace` (Fig. 6 view).
-    fused:
-        Fused sweep engine selection: ``"auto"`` (default), True or
-        False.  The per-core backends are TPU cost-model backends, so
-        "auto" resolves to False — the elementwise op sequence is what
-        the calibrated cost tables describe.  Pass ``fused=True`` to run
-        every core through the fused engine (table-gathered acceptance,
-        in-place kernels); the chain stays bit-identical and the halo
-        exchange is unaffected because boundary slabs are copied before
-        the in-place phase update runs.  Either way every colour phase
-        is one eager ``update_color`` call per core; distributed sweeps
-        are never replayed.
     telemetry:
         Optional :class:`~repro.telemetry.report.RunTelemetry` recorder.
         Absent by default (zero-cost, bit-identical chains); when
@@ -133,7 +120,15 @@ class DistributedIsing:
         its registry and :meth:`report` emits a distributed
         :class:`~repro.telemetry.report.RunReport` with the per-core
         compute-vs-communication split.
+
+    Every core runs the elementwise engine: the op sequence the
+    calibrated cost tables describe, one eager ``update_color`` call
+    per colour phase and core.
     """
+
+    #: The pod always runs the elementwise engine; the run report
+    #: carries the flag like every other driver's.
+    fused = False
 
     def __init__(
         self,
@@ -149,7 +144,6 @@ class DistributedIsing:
         record_trace: bool = False,
         updater: str = "compact",
         field: float = 0.0,
-        fused: "bool | str" = "auto",
         telemetry: RunTelemetry | None = None,
     ) -> None:
         if isinstance(global_shape, (int, np.integer)):
@@ -161,8 +155,8 @@ class DistributedIsing:
             dtype.name,
             field=field,
             block_shape=block_shape,
-            fused=fused,
             distributed=True,
+            backend="tpu",
         )
         rows, cols = global_shape
         p_rows, p_cols = core_grid
@@ -189,10 +183,6 @@ class DistributedIsing:
         self.dtype = dtype
         self.seed = int(seed)
         self.sweeps_done = 0
-        self.fused_config = fused
-        # Per-core backends are TPU cost models: "auto" keeps the
-        # elementwise op sequence the calibrated tables were fit to.
-        self.fused = resolve_fused(fused, "tpu", dtype.name)
         self.telemetry = telemetry
         self.updater_name = updater
         # Checkpoints carry the user's block_shape (None re-derives the
@@ -227,7 +217,6 @@ class DistributedIsing:
                 else default_block_shape("compact", self.local_shape),
                 nn_method="conv" if updater == "conv" else "matmul",
                 field=self.field,
-                fused=self.fused,
             )
             for backend in self._backends
         ]
@@ -381,10 +370,10 @@ class DistributedIsing:
     def state_dict(self) -> dict:
         """Serializable ``checkpoint/v2`` snapshot of the whole pod run.
 
-        Carries the assembled global lattice, every core's Philox stream
-        state (counters included) and the fused-engine selection —
-        everything :meth:`from_state_dict` needs for a bit-identical
-        resume on the same core grid.
+        Carries the assembled global lattice and every core's Philox
+        stream state (counters included) — everything
+        :meth:`from_state_dict` needs for a bit-identical resume on the
+        same core grid.
         """
         return checkpoint_envelope(
             "distributed",
@@ -397,7 +386,6 @@ class DistributedIsing:
                 "dtype": self.dtype.name,
                 "block_shape": self._block_shape_arg,
                 "seed": self.seed,
-                "fused": self.fused_config,
                 "sweeps_done": self.sweeps_done,
                 "lattice": self.gather_lattice(),
                 "streams": [stream.state() for stream in self._streams],
@@ -415,12 +403,15 @@ class DistributedIsing:
     ) -> "DistributedIsing":
         """Rebuild a distributed run from :meth:`state_dict` output.
 
-        Accepts the ``checkpoint/v2`` envelope only.  The lattice,
-        every core's Philox counter and the fused selection round-trip,
-        so the resumed chain is bit-identical to one that never stopped.
-        The simulated pod, link model and telemetry are *not* part of the
-        checkpoint — pass them again if the resumed run should carry
-        them.  Keys this build no longer writes are ignored.
+        Accepts the ``checkpoint/v2`` envelope only.  The lattice and
+        every core's Philox counter round-trip, so the resumed chain is
+        bit-identical to one that never stopped.  The simulated pod,
+        link model and telemetry are *not* part of the checkpoint — pass
+        them again if the resumed run should carry them.  Keys this
+        build no longer writes are ignored: ``fused`` (fused and
+        elementwise sweeps are bit-identical, so a pod checkpoint
+        written with ``"fused": true`` resumes on the elementwise
+        engine) and ``traced``.
         """
         state = unwrap_checkpoint(state, "distributed")
         block_shape = state.get("block_shape")
@@ -437,7 +428,6 @@ class DistributedIsing:
             record_trace=record_trace,
             updater=state["updater"],
             field=state["field"],
-            fused=state.get("fused", "auto"),
             telemetry=telemetry,
         )
         streams = state["streams"]
@@ -514,7 +504,6 @@ class DistributedIsing:
         registry.gauge("collectives_executed").set(
             self.runtime.collectives_executed
         )
-        record_fused_metrics(registry, *self._updaters)
         return self.telemetry.build_report(
             kind="distributed",
             run={

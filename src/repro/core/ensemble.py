@@ -252,6 +252,7 @@ class EnsembleSimulation:
             couplings=couplings.kind if couplings is not None else "ferro",
             block_shape=block_shape,
             fused=fused,
+            backend=backend_kind(self.backend),
         )
         temps = np.asarray(temperatures, dtype=np.float64)
         if temps.ndim != 1 or temps.size == 0:

@@ -44,22 +44,12 @@ class SweepWorkspace:
 
     ``buffer(name, shape, dtype)`` returns the same array on every call
     with the same key, so the first sweep allocates and every later sweep
-    runs allocation-free.  ``hits`` / ``misses`` count lookups (a steady
-    state shows a constant miss count), and the workspace also tracks the
-    fused engine's savings telemetry:
-
-    * ``table_hits`` — sites whose acceptance probability came from a
-      table gather instead of an elementwise ``exp``;
-    * ``bytes_saved`` — lattice-temporary bytes the elementwise path
-      would have allocated for those sites.
+    runs allocation-free: a steady state shows a constant
+    :attr:`n_buffers`.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
-        self.table_hits = 0
-        self.bytes_saved = 0
 
     def buffer(
         self,
@@ -73,9 +63,6 @@ class SweepWorkspace:
         if buf is None:
             buf = np.empty(key[1], dtype=dtype)
             self._buffers[key] = buf
-            self.misses += 1
-        else:
-            self.hits += 1
         return buf
 
     @property
@@ -266,41 +253,24 @@ def fused_metropolis_flip(
     backend.multiply_into(flips, neg_two, flips)
     backend.add_into(flips, one, flips)
     backend.multiply_into(sigma, flips, sigma)
-
-    workspace.table_hits += sigma.size
-    # Temporaries the elementwise path materialises per flip call:
-    # sigma*nn, factor*local, exp, less, flips*sigma, 2*(...), subtract
-    # (+ the mask product, + the field-shifted nn when h != 0).
-    n_temps = 7
-    if mask is not None:
-        n_temps += 1
-    if table.field != 0.0:
-        n_temps += 1
-    workspace.bytes_saved += n_temps * sigma.size * backend.dtype.itemsize
     return sigma
 
 
 def record_fused_metrics(registry, *updaters) -> None:
-    """Publish the fused engine's savings gauges from updater workspaces.
+    """Publish the scratch memory the fused engine holds.
 
-    Sums over every updater that exposes a warmed ``workspace`` (solo,
-    batched, or one per distributed core); updaters running the
-    elementwise path contribute zeros, so the gauges are always present
-    and comparable across runs.
+    Sums over every updater that exposes a warmed ``workspace`` (solo
+    or batched); updaters running the elementwise path contribute
+    zeros, so the gauges are always present and comparable across
+    runs.
     """
-    table_hits = 0
-    bytes_saved = 0
     ws_bytes = 0
     ws_buffers = 0
     for updater in updaters:
         ws = getattr(updater, "workspace", None)
         if ws is None:
             continue
-        table_hits += ws.table_hits
-        bytes_saved += ws.bytes_saved
         ws_bytes += ws.nbytes
         ws_buffers += ws.n_buffers
-    registry.gauge("fused_table_hits").set(table_hits)
-    registry.gauge("fused_bytes_saved").set(bytes_saved)
     registry.gauge("fused_workspace_bytes").set(ws_bytes)
     registry.gauge("fused_workspace_buffers").set(ws_buffers)

@@ -14,10 +14,12 @@ compute it, all reproduced here:
   phase only the two opposite-colour tensors are read, and only the two
   active tensors get neighbour sums — no masking, no wasted work.
 
-The compact phase functions accept optional *halos*: in the distributed
+``compact_neighbor_sums`` accepts optional *halos*: in the distributed
 pod simulation, the slabs that would wrap around the local torus edge are
 replaced by boundary values received from neighbouring cores via
-``collective_permute`` (see :mod:`repro.core.distributed`).
+``collective_permute`` (see :mod:`repro.core.distributed`).  Its
+allocation-free twin, which the fused engine runs, sums on the local
+torus only.
 """
 
 from __future__ import annotations
@@ -353,38 +355,11 @@ def compact_neighbor_sums(
     return nn0, nn1
 
 
-def _shifted_slab_into(
-    backend: Backend,
-    slab: np.ndarray,
-    shift: int,
-    axis: int,
-    replacement: np.ndarray | None,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Allocation-free twin of :func:`_shifted_slab` (rolls into ``out``)."""
-    if axis not in (-3, -2):
-        raise ValueError(f"axis must be -3 (grid row) or -2 (grid col), got {axis}")
-    backend.roll_into(slab, shift, axis, out)
-    if replacement is not None:
-        edge = 0 if shift > 0 else -1
-        index = (Ellipsis, edge) + (_ALL,) * (-axis - 1)
-        expected = out[index].shape
-        if replacement.shape != expected:
-            raise ValueError(
-                f"halo shape {replacement.shape} != boundary shape {expected}"
-            )
-        # Through the backend (not a raw indexed store) so the halo
-        # splice lands in a recorded sweep trace like every other op.
-        backend.assign_at_slice_into(out, index, replacement)
-    return out
-
-
 def compact_neighbor_sums_into(
     lat: CompactLattice,
     color: str,
     backend: Backend,
     workspace,
-    halos: PhaseHalos | None = None,
     method: str = "matmul",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Allocation-free twin of :func:`compact_neighbor_sums`.
@@ -396,13 +371,13 @@ def compact_neighbor_sums_into(
     matrix is built, and the in-block products, both neighbour-sum
     outputs and all four boundary slabs come from ``workspace``
     buffers.  Returns the workspace's ``(nn0, nn1)`` buffers — valid
-    until the next call.
+    until the next call.  It sums on the local torus only: the pod's
+    halos splice into the elementwise :func:`compact_neighbor_sums`.
     """
     if color not in ("black", "white"):
         raise ValueError(f"color must be 'black' or 'white', got {color!r}")
     if method not in ("matmul", "conv"):
         raise ValueError(f"method must be 'matmul' or 'conv', got {method!r}")
-    halos = halos or PhaseHalos()
     shape = lat.grid_shape
     r, c = shape[-2:]
 
@@ -438,20 +413,20 @@ def compact_neighbor_sums_into(
         prev_row(s10, tmp)
         backend.add_into(nn0, tmp, nn0)
         backend.slice_copy_into(s10, (..., -1, _ALL), ra)
-        _shifted_slab_into(backend, ra, 1, -3, halos.north, rb)
+        backend.roll_into(ra, 1, -3, rb)
         backend.add_at_slice_into(nn0, (..., 0, _ALL), rb, ra)
         backend.slice_copy_into(s01, (..., _ALL, -1), ca)
-        _shifted_slab_into(backend, ca, 1, -2, halos.west, cb)
+        backend.roll_into(ca, 1, -2, cb)
         backend.add_at_slice_into(nn0, (..., _ALL, 0), cb, ca)
 
         next_row(s01, nn1)
         next_col(s10, tmp)
         backend.add_into(nn1, tmp, nn1)
         backend.slice_copy_into(s01, (..., 0, _ALL), ra)
-        _shifted_slab_into(backend, ra, -1, -3, halos.south, rb)
+        backend.roll_into(ra, -1, -3, rb)
         backend.add_at_slice_into(nn1, (..., -1, _ALL), rb, ra)
         backend.slice_copy_into(s10, (..., _ALL, 0), ca)
-        _shifted_slab_into(backend, ca, -1, -2, halos.east, cb)
+        backend.roll_into(ca, -1, -2, cb)
         backend.add_at_slice_into(nn1, (..., _ALL, -1), cb, ca)
         return nn0, nn1
 
@@ -460,19 +435,19 @@ def compact_neighbor_sums_into(
     prev_row(s11, tmp)
     backend.add_into(nn0, tmp, nn0)
     backend.slice_copy_into(s11, (..., -1, _ALL), ra)
-    _shifted_slab_into(backend, ra, 1, -3, halos.north, rb)
+    backend.roll_into(ra, 1, -3, rb)
     backend.add_at_slice_into(nn0, (..., 0, _ALL), rb, ra)
     backend.slice_copy_into(s00, (..., _ALL, 0), ca)
-    _shifted_slab_into(backend, ca, -1, -2, halos.east, cb)
+    backend.roll_into(ca, -1, -2, cb)
     backend.add_at_slice_into(nn0, (..., _ALL, -1), cb, ca)
 
     next_row(s00, nn1)
     prev_col(s11, tmp)
     backend.add_into(nn1, tmp, nn1)
     backend.slice_copy_into(s00, (..., 0, _ALL), ra)
-    _shifted_slab_into(backend, ra, -1, -3, halos.south, rb)
+    backend.roll_into(ra, -1, -3, rb)
     backend.add_at_slice_into(nn1, (..., -1, _ALL), rb, ra)
     backend.slice_copy_into(s11, (..., _ALL, -1), ca)
-    _shifted_slab_into(backend, ca, 1, -2, halos.west, cb)
+    backend.roll_into(ca, 1, -2, cb)
     backend.add_at_slice_into(nn1, (..., _ALL, 0), cb, ca)
     return nn0, nn1

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..backend.base import Backend
 from ..backend.numpy_backend import NumpyBackend
-from ..backend.packed_ops import lane_threshold, packed_threshold, site_values_u16
+from ..backend.packed_ops import packed_threshold, site_values_u16
 from ..rng.streams import BatchedPhiloxStream, PhiloxStream
 from ..tpu.dtypes import PACKED
 from .fused import SweepWorkspace
@@ -107,10 +107,10 @@ class PackedUpdater:
         Inverse temperature — a positive scalar, or a ``(B,)`` vector for
         batched ensembles (chain ``b`` uses ``beta[b]``).
     backend:
-        Any :class:`~repro.backend.base.Backend`; defaults to a numpy
-        backend with the ``packed`` dtype.  The packed kernels charge the
-        "alu" cost category, so a TPU backend prices them as integer
-        vector work, not matmul parity.
+        A numpy :class:`~repro.backend.base.Backend`; defaults to one
+        with the ``packed`` dtype.  The packed kernels book no modeled
+        cost, and :func:`~repro.core.config.check_config` refuses the
+        packed dtype on the TPU cost model.
     field:
         Must be ``0.0`` — the three-case collapse assumes ``h = 0``
         (with a field the acceptance ratio depends on ``sigma``, not
@@ -148,9 +148,6 @@ class PackedUpdater:
 
         self._workspace = SweepWorkspace()
         self._views: dict[tuple, np.ndarray] = {}
-        # Telemetry counters (read by record_packed_metrics).
-        self.sweeps = 0
-        self.words_updated = 0
 
     @property
     def workspace(self) -> SweepWorkspace:
@@ -173,8 +170,8 @@ class PackedUpdater:
         # Integer comparison space for stream mode: uint16 lanes against
         # ceil(t * 2**16) in the lanes' own width; a ceiling of 2**16
         # rides in the saturation word.
-        lane_k1, sat_k1 = lane_threshold(packed_threshold(k1, RNG_BITS), np.uint16)
-        lane_k0, sat_k0 = lane_threshold(packed_threshold(k0, RNG_BITS), np.uint16)
+        lane_k1, sat_k1 = packed_threshold(k1)
+        lane_k0, sat_k0 = packed_threshold(k0)
         thresholds = (k1, k0, lane_k1, lane_k0, sat_k1, sat_k0)
         shape = beta_arr.shape + (1, 1) if beta_arr.ndim else ()
         return tuple(np.asarray(t).reshape(shape) for t in thresholds)
@@ -328,7 +325,6 @@ class PackedUpdater:
         flips = wbuf("pflips")
         be.packed_flip_select_into(low, bit1, bit2, r1, r0, flips, tmp)
         be.packed_xor_into(spins, flips, spins)
-        self.words_updated += int(spins.size)
 
     def _shift_into(
         self,
@@ -398,31 +394,22 @@ class PackedUpdater:
     ) -> PackedState:
         """One full lattice sweep (black then white), in place."""
         state = self.update_color(state, "black", stream, probs_black)
-        state = self.update_color(state, "white", stream, probs_white)
-        self.sweeps += 1
-        return state
+        return self.update_color(state, "white", stream, probs_white)
 
 
 def record_packed_metrics(registry, *updaters) -> None:
-    """Publish the packed engine's gauges from updater counters.
+    """Publish the scratch memory the packed engine holds.
 
-    Sums over every updater that exposes packed counters; float-chain
-    updaters contribute zeros, so the gauges are always present and
-    comparable across runs (the ``fused_*`` gauge convention).
+    Sums over every packed updater; float-chain updaters contribute
+    zeros, so the gauges are always present and comparable across runs
+    (the ``fused_*`` gauge convention).
     """
-    sweeps = 0
-    words = 0
     ws_bytes = 0
     ws_buffers = 0
     for updater in updaters:
         if not isinstance(updater, PackedUpdater):
             continue
-        sweeps += updater.sweeps
-        words += updater.words_updated
         ws_bytes += updater.workspace.nbytes
         ws_buffers += updater.workspace.n_buffers
-    registry.gauge("packed_sweeps").set(sweeps)
-    registry.gauge("packed_words_updated").set(words)
     registry.gauge("packed_workspace_bytes").set(ws_bytes)
     registry.gauge("packed_workspace_buffers").set(ws_buffers)
-    registry.gauge("packed_word_bits").set(_WORD if sweeps else 0)

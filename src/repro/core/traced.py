@@ -29,10 +29,9 @@ eager sweep would.  Soundness is
 checked, not assumed: if the recording sweep calls any *allocating*
 backend op (a cold cache, an updater outside the fused steady state),
 the trace is marked unsound and the executor falls back to eager sweeps
-permanently for that binding.  The updater's Python-side counters (the
-fused table-hit and packed word gauges) are the one thing a replay does
-not touch; the executor adds the recording sweep's increments once per
-replayed batch, so the gauges read as if every sweep had run eagerly.
+permanently for that binding.  A replay runs backend ops only: nothing
+the updater's Python code would do outside them happens, so an updater
+keeps no per-sweep tallies of its own.
 
 Draw-ahead: Philox is counter-based, so the counter alone fixes every
 word, and one draw of ``k`` sweeps' words is the ``k`` per-sweep draws
@@ -87,15 +86,6 @@ REPLAYABLE_OPS = frozenset(name for name in _PUBLIC_OPS if name.endswith("_into"
 #: (a cold cache, an elementwise code path) — the resulting trace could
 #: not be replayed faithfully, so it is marked unsound.
 ALLOCATING_OPS = _PUBLIC_OPS - REPLAYABLE_OPS
-
-#: Python-side counters a sweep bumps outside the backend ops, as
-#: (attribute holding the counting object or None for the updater
-#: itself, counter names).  Replays skip them, so the executor adds
-#: the recording sweep's increments per replayed sweep.
-_SWEEP_COUNTERS = (
-    (None, ("sweeps", "words_updated")),
-    ("workspace", ("hits", "table_hits", "bytes_saved")),
-)
 
 #: Ops that advance the stream they are given: each call is one Philox draw.
 _STREAM_OPS = frozenset({"uniform_into", "packed_bits_into"})
@@ -281,16 +271,6 @@ class _RecordingBackend:
         return attr
 
 
-def _counter_slots(updater) -> list:
-    """The (object, name) pairs of ``updater``'s sweep counters."""
-    slots = []
-    for holder, names in _SWEEP_COUNTERS:
-        obj = updater if holder is None else getattr(updater, holder, None)
-        if obj is not None:
-            slots.extend((obj, name) for name in names if hasattr(obj, name))
-    return slots
-
-
 class TracedExecutor:
     """Whole-sweep traced execution for the solo and ensemble drivers.
 
@@ -314,9 +294,6 @@ class TracedExecutor:
         self.replay_draws = 0
         self.trace: SweepTrace | None = None
         self._ahead: _DrawAhead | None = None
-        #: (object, counter name, increment per sweep) of the recording
-        #: sweep, re-applied ``n`` times per batch of ``n`` replays.
-        self._increments: list[tuple[object, str, int]] = []
         self._bound: tuple | None = None
         self._warmed = False
         self._fallback = False
@@ -361,7 +338,6 @@ class TracedExecutor:
             self.invalidations += 1
         self.trace = None
         self._ahead = None
-        self._increments = []
         self._warmed = False
         self._fallback = False
 
@@ -386,8 +362,6 @@ class TracedExecutor:
         trace = SweepTrace()
         updater = self.updater
         real = updater.backend
-        slots = _counter_slots(updater)
-        before = [getattr(obj, name) for obj, name in slots]
         updater.backend = _RecordingBackend(real, trace)
         try:
             state = updater.sweep(state, stream)
@@ -398,11 +372,6 @@ class TracedExecutor:
             self.trace = trace.compile()
             self._ahead = trace.draw_ahead(stream, real)
             self.traces_recorded += 1
-            self._increments = [
-                (obj, name, getattr(obj, name) - start)
-                for (obj, name), start in zip(slots, before)
-                if getattr(obj, name) != start
-            ]
         else:
             # Not a steady-state fused sweep (cold cache or elementwise
             # path): replay would be unfaithful, stay eager from now on.
@@ -439,8 +408,6 @@ class TracedExecutor:
                 replay()
             self.replay_draws += n * trace.n_draws
         self.sweeps_replayed += n
-        for obj, name, step in self._increments:
-            setattr(obj, name, getattr(obj, name) + n * step)
         return state
 
 

@@ -10,6 +10,7 @@ from .correlation import correlation_function, correlation_length, susceptibilit
 from .energy import energy_per_spin, specific_heat, total_energy
 from .exact import (
     boltzmann_distribution,
+    bond_energies,
     checkerboard_phase_matrix,
     checkerboard_sweep_matrix,
     enumerate_states,
@@ -43,6 +44,7 @@ __all__ = [
     "specific_heat",
     "total_energy",
     "boltzmann_distribution",
+    "bond_energies",
     "checkerboard_phase_matrix",
     "checkerboard_sweep_matrix",
     "enumerate_states",

@@ -12,13 +12,14 @@ normalises every trajectory-determining field of a frozen
   unset ``block_shape`` resolves to the updater's default decomposition
   (so spelling the default explicitly still hits);
 * an explicit initial lattice hashes by content (shape + bytes);
-* the nested specs serialise deterministically (fields in sorted-key
+* the model spec serialises deterministically (fields in sorted-key
   order, floats by bit pattern): ``field=0.1`` and
   ``model=ModelSpec(field=0.1)`` hash via one
-  :attr:`~repro.api.SimulationConfig.resolved_model`, and a
-  :class:`~repro.api.LadderSpec` hashes by its
-  :attr:`~repro.api.LadderSpec.resolved_betas` — ``betas=`` and
-  ``temperatures=`` spellings of the same ladder dedup to one entry.
+  :attr:`~repro.api.SimulationConfig.resolved_model`.
+
+Scheduler jobs never carry a :class:`~repro.api.LadderSpec` (a ladder
+is one coupled simulation, and :class:`~repro.sched.job.JobSpec`
+refuses it), so no ladder enters a key.
 
 Fields that provably do **not** change the trajectory are excluded, so
 equivalent requests share cache entries across them: the backend kind
@@ -49,7 +50,9 @@ __all__ = ["CACHE_KEY_SCHEMA", "canonical_cache_key", "ResultCache"]
 #: (a stale persisted key can then never alias a new-scheme entry).
 #: v2: the flat ``field`` part became a full model token (couplings kind,
 #: disorder seed, field bits, lattice) and a ladder token was added.
-CACHE_KEY_SCHEMA = "repro.sched/cache-key/v2"
+#: v3: the model token lost the lattice geometry (always the square
+#: torus) and the ladder token went (jobs never carry a ladder).
+CACHE_KEY_SCHEMA = "repro.sched/cache-key/v3"
 
 
 def _normalized_shape(shape) -> tuple[int, int]:
@@ -82,58 +85,25 @@ def _initial_token(initial) -> str:
     return f"array:{plain.shape}:{digest}"
 
 
-def _spec_token(name: str, fields: dict) -> str:
-    """Deterministic serialisation of one nested spec: sorted-key pairs.
-
-    Floats render by exact bit pattern (``float.hex``) so tokens are
-    spelling-invariant; sequences render element-wise in given order
-    (ladder order is adjacency order — trajectory-relevant).
-    """
-    def render(value):
-        if isinstance(value, float):
-            return value.hex()
-        if isinstance(value, tuple):
-            return "(" + ",".join(render(v) for v in value) + ")"
-        return str(value)
-
-    pairs = ",".join(f"{k}={render(fields[k])}" for k in sorted(fields))
-    return f"{name}({pairs})"
-
-
 def _model_token(config) -> str:
-    """Canonical token of the resolved model spec (flat-kwarg invariant)."""
+    """Canonical token of the resolved model spec (flat-kwarg invariant).
+
+    Fields in sorted-key order, the field by its exact bit pattern
+    (``float.hex``), so the token is spelling-invariant.
+    """
     model = config.resolved_model
-    return _spec_token(
-        "model",
-        {
-            "couplings": model.couplings,
-            "disorder_seed": int(model.disorder_seed),
-            "field": float(model.field),
-            "lattice": model.lattice,
-        },
-    )
-
-
-def _ladder_token(config) -> str:
-    """Canonical token of the ladder spec (betas/temperatures invariant)."""
-    ladder = getattr(config, "ladder", None)
-    if ladder is None:
-        return "none"
-    return _spec_token(
-        "ladder",
-        {
-            "betas": tuple(float(b) for b in ladder.resolved_betas),
-            "n_replicas": int(ladder.n_replicas),
-            "swap_interval": int(ladder.swap_interval),
-        },
+    return (
+        f"model(couplings={model.couplings},"
+        f"disorder_seed={int(model.disorder_seed)},"
+        f"field={float(model.field).hex()})"
     )
 
 
 def canonical_cache_key(config, sweeps: int) -> str:
     """The content address of (config, seed, sweep count) as a sha256 hex.
 
-    Includes every trajectory-determining field (shape, temperature,
-    model spec — couplings/disorder seed/field/lattice — ladder spec,
+    Includes every trajectory-determining field of a scheduler job
+    (shape, temperature, model spec — couplings/disorder seed/field —
     updater, dtype, block decomposition, initial state, seed, sweep
     count); excludes execution details that are bit-identical by
     contract (backend kind, fused selection, telemetry).
@@ -145,7 +115,6 @@ def canonical_cache_key(config, sweeps: int) -> str:
         f"shape={shape}",
         f"temperature={float(config.resolved_temperature).hex()}",
         f"model={_model_token(config)}",
-        f"ladder={_ladder_token(config)}",
         f"updater={config.updater}",
         f"dtype={dtype}",
         f"block_shape={_resolved_block_shape(config, shape, dtype)}",

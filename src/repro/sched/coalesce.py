@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ..core.config import resolve_fused
 from ..tpu.dtypes import resolve_dtype
-from .cache import _ladder_token, _model_token, _normalized_shape, _resolved_block_shape
+from .cache import _model_token, _normalized_shape, _resolved_block_shape
 from .job import Job
 
 __all__ = ["compat_key", "BatchPlan", "Coalescer"]
@@ -30,9 +30,9 @@ def compat_key(config) -> tuple:
     """The batching-compatibility key of a config.
 
     Two jobs coalesce into one ensemble iff their keys are equal:
-    (shape, updater, dtype, backend kind, (model token, ladder token),
-    resolved block decomposition, resolved fused flag).  The model token
-    folds couplings kind, disorder seed, field bits and lattice through
+    (shape, updater, dtype, backend kind, model token, resolved block
+    decomposition, resolved fused flag).  The model token folds
+    couplings kind, disorder seed and field bits through
     :attr:`~repro.api.SimulationConfig.resolved_model`, so a flat
     ``field=`` and its ``ModelSpec`` spelling coalesce; distinct
     disorder realisations never share a batch (chains of one ensemble
@@ -49,7 +49,7 @@ def compat_key(config) -> tuple:
         config.updater,
         dtype,
         backend,
-        (_model_token(config), _ladder_token(config)),
+        _model_token(config),
         _resolved_block_shape(config, shape, dtype),
         resolve_fused(config.fused, backend, dtype),
     )

@@ -64,7 +64,7 @@ _CONFIG_FIELDS = frozenset(
         "backend", "seed", "block_shape", "initial", "fused",
     }
 )
-_MODEL_FIELDS = frozenset({"couplings", "disorder_seed", "field", "lattice"})
+_MODEL_FIELDS = frozenset({"couplings", "disorder_seed", "field"})
 
 _STATUS_TEXT = {
     200: "OK",
@@ -96,7 +96,7 @@ def config_from_wire(payload: object) -> "object":
     """Build a :class:`~repro.api.SimulationConfig` from a JSON object.
 
     Accepts exactly the whitelisted scalar fields plus an optional
-    ``model`` sub-object (couplings / disorder_seed / field / lattice).
+    ``model`` sub-object (couplings / disorder_seed / field).
     JSON lists become tuples (``shape``/``block_shape``) or a float32
     spin array (``initial``); anything else is passed through to the
     config's own validation.  Unknown keys raise :class:`ProtocolError`.

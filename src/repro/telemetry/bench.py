@@ -43,6 +43,10 @@ BENCH_REPORT_SCHEMA = "repro.telemetry/bench-report/v1"
 #: Environment variable overriding the default output directory.
 BENCH_OUT_ENV = "BENCH_OUT_DIR"
 
+#: BLAS / OpenMP thread-count variables: a float sweep's matmuls run on
+#: as many cores as these allow, so a timing means little without them.
+_THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def bench_filename(name: str) -> str:
     """The canonical artifact filename for a bench name."""
@@ -50,7 +54,8 @@ def bench_filename(name: str) -> str:
 
 
 def host_environment() -> dict:
-    """The host a measurement ran on: CPU model, nproc, Python, numpy, platform."""
+    """The host a measurement ran on: CPU model, nproc, Python, numpy,
+    platform, and the BLAS thread variables (``None`` when unset)."""
     cpu = platform.processor() or "unknown"
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -70,6 +75,7 @@ def host_environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
+        **{var: os.environ.get(var) for var in _THREAD_ENV_VARS},
     }
 
 

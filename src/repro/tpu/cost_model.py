@@ -78,19 +78,6 @@ class TPUCostModel:
             main = self.mxu.conv_time(flops)
         elif category == "vpu":
             main = self.vpu.elementwise_time(flops)
-        elif category == "alu":
-            # Integer word ops of the packed (multi-spin) representation.
-            # They ride the vector unit's elementwise pipe — one lane-op
-            # per 64-spin uint64 word — so callers charge flops *per
-            # word*, not per site.  That is the whole packed story in the
-            # model: integer-ALU throughput, no matmul parity, and a
-            # 64-fold drop in charged work per site versus the float
-            # chains.  Booked under the "vpu" profiler lane because the
-            # TPU profiler attributes elementwise integer work there.
-            return {
-                "vpu": self.vpu.elementwise_time(flops) + self.op_overhead,
-                **({"formatting": relayout} if relayout > 0.0 else {}),
-            }
         elif category == "formatting":
             # Pure data-movement ops pay full HBM traffic, no relayout split.
             return {"formatting": bytes_moved / self.hbm.bandwidth + self.op_overhead}

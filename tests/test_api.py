@@ -3,7 +3,7 @@
 SimulationConfig validation, the three factories, kind-dispatching
 ``load()``, removed-kwarg rejections, and the checkpoint-resume
 bit-identity matrix across solo / ensemble / distributed with the fused
-engine on and off.
+engine on and off (the pod always runs the elementwise engine).
 """
 
 from __future__ import annotations
@@ -141,6 +141,17 @@ class TestFactories:
         with pytest.raises(ValueError, match="'compact' or 'conv'"):
             SimulationConfig(shape=32, grid=(2, 2), updater=updater)
 
+    def test_grid_config_rejects_fused_true(self):
+        # The pod runs the elementwise engine only; "auto" and False
+        # both resolve to it.
+        with pytest.raises(ValueError, match="fused=True"):
+            SimulationConfig(grid=(2, 2), fused=True)
+        with pytest.raises(TypeError, match="fused"):
+            DistributedIsing(16, 2.0, core_grid=(2, 2), fused=True)
+        for fused in ("auto", False):
+            cfg = SimulationConfig(shape=16, grid=(2, 2), fused=fused)
+            assert distributed(cfg).fused is False
+
     @pytest.mark.parametrize("updater", ["compact", "conv"])
     def test_distributed_runs_the_updater_it_was_given(self, updater):
         sim = distributed(SimulationConfig(shape=32, grid=(2, 2), updater=updater))
@@ -166,6 +177,10 @@ class TestLoadDispatch:
             # Checkpoints written before the traced= knob was removed
             # carry its setting; the key is ignored on load.
             pytest.param(True, {"traced": True}, id="legacy-traced-key"),
+            # Pod checkpoints written while the pod could run the fused
+            # engine carry "fused": true; the key is ignored on load,
+            # and fused and elementwise sweeps are bit-identical.
+            pytest.param(True, {"fused": True}, id="legacy-pod-fused-key"),
             # Distributed checkpoints written before the multi-pod tier
             # and elastic degrade were removed carry their mesh keys, with
             # the values a flat run wrote; the keys are ignored on load.
@@ -185,7 +200,8 @@ class TestLoadDispatch:
         cfg = SimulationConfig(shape=16, temperature=2.1, seed=4, fused=fused)
         solo = simulate(cfg)
         ens = ensemble(cfg, n_chains=3)
-        dist = distributed(cfg.evolve(grid=(2, 2)))
+        # The pod runs the elementwise engine whatever the chains run.
+        dist = distributed(cfg.evolve(grid=(2, 2), fused="auto"))
         solo.run(3)
         ens.run(3)
         dist.sweep(3)
@@ -255,7 +271,6 @@ class TestModelSpec:
         assert spec.couplings == "ferro"
         assert spec.field == 0.0
         assert spec.disorder_seed == 0
-        assert spec.lattice == "square"
 
     def test_frozen_and_hashable(self):
         spec = ModelSpec(couplings="bimodal", disorder_seed=3)
@@ -267,7 +282,8 @@ class TestModelSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="couplings"):
             ModelSpec(couplings="antiferro")
-        with pytest.raises(ValueError, match="lattice"):
+        # The lattice is always the square torus: no geometry field.
+        with pytest.raises(TypeError, match="lattice"):
             ModelSpec(lattice="triangular")
 
     def test_resolved_model_folds_flat_field(self):

@@ -3,9 +3,9 @@
 The walk crosses the five drivers (``simulate``, ``ensemble``,
 ``tempering``, ``distributed`` and the ``Scheduler``) with every
 updater, dtype, field, coupling kind, block shape and ``fused``
-selection.  ``fused=True`` rides along with ``"auto"`` and ``False`` so
-the fused engine is also seen on ``distributed()``, whose per-core TPU
-backends resolve ``"auto"`` to the elementwise engine.
+selection.  ``fused=True`` rides along with ``"auto"`` and ``False``;
+``distributed()`` refuses it, and its per-core TPU backends resolve
+``"auto"`` to the elementwise engine.
 
 Each cell must do one of two things:
 
@@ -296,13 +296,9 @@ def _observed_rows(supported, replayed) -> dict:
         rows.setdefault("dtypes", []).append(
             ", ".join(_names({cell[2] for cell in cells_of[engine]}, DTYPES))
         )
-        if engine == "traced":
-            # The pod driver never replays: its fused cells run eagerly.
-            fused_on_pod = updaters("fused", lambda cell: cell[0] == "distributed")
-            pod = "eager (phases never replay)" if fused_on_pod else "❌"
-        else:
-            pod = ", ".join(_names(on_pod, UPDATERS)) or "❌"
-        rows.setdefault("`distributed()` updaters", []).append(pod)
+        rows.setdefault("`distributed()` updaters", []).append(
+            ", ".join(_names(on_pod, UPDATERS)) or "❌"
+        )
         rows.setdefault("scheduler / `repro.serve`", []).append(
             "✅" if scheduled and scheduled == ensembled else "❌"
         )

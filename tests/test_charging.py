@@ -23,7 +23,7 @@ TEMPERATURES = [1.8, 2.269, 3.0]
 @pytest.fixture
 def charge_calls(monkeypatch) -> dict:
     """Count every call of the charging helpers, at class level."""
-    calls = {"_charge": 0, "_nbytes": 0, "_raw_nbytes": 0}
+    calls = {"_charge": 0, "_nbytes": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -59,12 +59,12 @@ class TestPlainBackendBooksNothing:
         sim.run(4)  # eager warm-up, recording sweep, two replays
         eager_sweeps(sim, 2)
         assert sim._executor.sweeps_replayed == 2
-        assert charge_calls == {"_charge": 0, "_nbytes": 0, "_raw_nbytes": 0}
+        assert charge_calls == {"_charge": 0, "_nbytes": 0}
 
 
 # Per-category (ops, flops, bytes) of one 32^2 sweep on a TPUBackend.
 # The paper harness runs fused=False, so nothing else pins the modeled
-# clock of the fused, batched and packed paths.  "first" is a fresh
+# clock of the fused and batched paths.  "first" is a fresh
 # chain's first sweep (it also builds the acceptance table); "steady" is
 # every later sweep, eager, recording or replayed.
 PINNED = {
@@ -116,10 +116,6 @@ PINNED = {
             "vpu": (36, 35840, 90144),
         },
     },
-    "packed": {
-        "first": {"alu": (44, 46912, 40960), "formatting": (8, 0, 2048)},
-        "steady": {"alu": (44, 46912, 40960), "formatting": (4, 0, 1024)},
-    },
 }
 
 
@@ -136,12 +132,8 @@ def _pinned_sim(kind: str, core: TensorCore):
         return EnsembleSimulation(
             SHAPE, TEMPERATURES, backend=TPUBackend(core, "float32"), seed=1, fused=True
         )
-    if kind == "elementwise":
-        return IsingSimulation(
-            SHAPE, TEMPERATURE, backend=TPUBackend(core, "float32"), seed=1, fused=False
-        )
     return IsingSimulation(
-        (32, 128), TEMPERATURE, backend=TPUBackend(core, "packed"), seed=1
+        SHAPE, TEMPERATURE, backend=TPUBackend(core, "float32"), seed=1, fused=False
     )
 
 
@@ -194,21 +186,6 @@ PINNED_POD = {
         },
         {"mxu": 16, "conv": 0, "vpu": 72, "formatting": 152, "communication": 16},
     ),
-    "fused": (
-        {
-            **_POD_COMMON_SECONDS,
-            "vpu": 1.1800447544910179e-04,
-            "formatting": 1.440312464888887e-04,
-        },
-        {
-            "mxu": 12288.0,
-            "conv": 0.0,
-            "vpu": 35164.0,
-            "formatting": 8192.0,
-            "communication": 512.0,
-        },
-        {"mxu": 16, "conv": 0, "vpu": 59, "formatting": 147, "communication": 16},
-    ),
 }
 
 
@@ -216,9 +193,7 @@ class TestDistributedClockPinned:
     @pytest.mark.parametrize("kind", sorted(PINNED_POD))
     def test_every_core_matches_pinned_profile(self, kind):
         seconds, bytes_moved, op_counts = PINNED_POD[kind]
-        sim = DistributedIsing(
-            (32, 32), 2.0, core_grid=(2, 2), seed=1, fused=kind == "fused"
-        )
+        sim = DistributedIsing((32, 32), 2.0, core_grid=(2, 2), seed=1)
         sim.sweep(2)
         for core in sim.pod.cores:
             profiler = core.profiler

@@ -255,10 +255,10 @@ class TestMergedDraw:
         traced.run(3)
         snapshot = traced.state_dict()
         traced.run(1)
-        misses = traced._updater.workspace.misses
+        buffers = traced._updater.workspace.n_buffers
         traced.run(4)
         assert traced._executor.sweeps_replayed == 6
-        assert traced._updater.workspace.misses == misses
+        assert traced._updater.workspace.n_buffers == buffers
         assert np.array_equal(eager.lattices, traced.lattices)
         assert eager.stream.counters == traced.stream.counters
 

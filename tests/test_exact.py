@@ -1,18 +1,28 @@
-"""Brute-force enumeration oracle tests, including kernel stationarity."""
+"""Brute-force enumeration oracle tests, including kernel stationarity
+and the disordered chains' energy distribution."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.api import ModelSpec, SimulationConfig, ensemble
+from repro.core.couplings import BondCouplings
 from repro.observables.exact import (
     boltzmann_distribution,
+    bond_energies,
     checkerboard_phase_matrix,
     checkerboard_sweep_matrix,
     enumerate_states,
     exact_observables,
 )
 from repro.observables.onsager import internal_energy
+
+
+def _chi2_critical(dof: int, z: float) -> float:
+    """Wilson-Hilferty upper quantile of chi-square at normal deviate z."""
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + z * np.sqrt(a)) ** 3
 
 
 class TestEnumeration:
@@ -164,3 +174,72 @@ class TestCheckerboardKernel:
     def test_bad_color_rejected(self):
         with pytest.raises(ValueError, match="color"):
             checkerboard_phase_matrix((2, 2), 0.5, "blue")
+
+
+class TestDisorderedChains:
+    """Masked-conv chains on a +/-J realisation against exact enumeration.
+
+    The energy of every 4x4 configuration comes from an explicit bond
+    sum over the ``right`` / ``down`` planes (``bond_energies``), which
+    shares no code with the weighted neighbour sums the chains sweep
+    with, so a bond-plane orientation error common to both engines
+    shows up as a wrong energy distribution.
+    """
+
+    SIDE = 4
+    TEMPERATURE = 2.0
+    N_CHAINS = 256
+    #: The energy's integrated autocorrelation time is about one sweep
+    #: here, so samples this far apart are close to independent.
+    THIN = 4
+    N_SAMPLES = 100
+
+    def test_bond_energies_of_ferro_planes_are_the_clean_model(self):
+        ferro = BondCouplings.generate("ferro", (4, 4))
+        spins = enumerate_states((4, 4))
+        clean = -np.sum(
+            spins * (np.roll(spins, 1, 1) + np.roll(spins, 1, 2)), axis=(1, 2)
+        )
+        np.testing.assert_array_equal(bond_energies(ferro), clean)
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["elementwise", "fused"])
+    def test_bimodal_energy_histogram_is_boltzmann(self, fused):
+        model = ModelSpec(couplings="bimodal", disorder_seed=3)
+        config = SimulationConfig(
+            shape=self.SIDE, temperature=self.TEMPERATURE,
+            updater="masked_conv", model=model, seed=11, fused=fused,
+        )
+        chains = ensemble(config, n_chains=self.N_CHAINS)
+        assert chains.backend.dtype.name == "float32"
+        assert chains.fused is fused
+        energies = bond_energies(
+            BondCouplings.generate("bimodal", self.SIDE, model.disorder_seed)
+        )
+        levels, level_of_state = np.unique(energies, return_inverse=True)
+        weights = np.exp(-(energies - energies.min()) / self.TEMPERATURE)
+        exact = np.bincount(level_of_state, weights=weights) / weights.sum()
+
+        # State s of enumerate_states has spin +1 where bit i of s is set.
+        bit = 1 << np.arange(self.SIDE * self.SIDE)
+        chains.run(20)
+        states = []
+        for _ in range(self.N_SAMPLES):
+            chains.run(self.THIN)
+            up = chains.lattices.reshape(self.N_CHAINS, -1) > 0
+            states.append(up @ bit)
+        states = np.concatenate(states)
+        observed = np.bincount(level_of_state[states], minlength=levels.size)
+        expected = exact * states.size
+
+        # Pool the improbable high-energy levels into one bin that
+        # expects at least 5 counts.
+        tail = np.cumsum(expected[::-1])[::-1]
+        cut = int(np.nonzero(tail >= 5.0)[0].max())
+        observed = np.append(observed[:cut], observed[cut:].sum())
+        expected = np.append(expected[:cut], expected[cut:].sum())
+        assert expected.min() >= 5.0 and expected.size >= 6
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        # p = 1e-4 upper tail.
+        assert chi2 < _chi2_critical(expected.size - 1, 3.719), (
+            chi2, observed, expected.round(1)
+        )

@@ -1,4 +1,4 @@
-"""Fused sweep engine: bit-identity, workspace reuse, savings telemetry."""
+"""Fused sweep engine: bit-identity, workspace reuse, workspace telemetry."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.backend import NumpyBackend
 from repro.backend.tpu_backend import TPUBackend
 from repro.core.accept import NN_VALUES, AcceptanceTable
 from repro.core.config import check_config, resolve_fused
-from repro.core.distributed import DistributedIsing
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.fused import SweepWorkspace, record_fused_metrics
 from repro.core.simulation import IsingSimulation
@@ -181,27 +180,6 @@ class TestBitIdentity:
             solo.run(4)
             np.testing.assert_array_equal(ens.lattices[chain], solo.lattice)
 
-    @pytest.mark.parametrize("updater", ["compact", "conv"])
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_distributed_fused_matches_elementwise(self, updater, dtype):
-        sims = [
-            DistributedIsing(
-                (16, 16),
-                temperature=2.2,
-                core_grid=(2, 2),
-                dtype=dtype,
-                seed=5,
-                updater=updater,
-                fused=fused,
-            )
-            for fused in (False, True)
-        ]
-        for sim in sims:
-            sim.sweep(4)
-        np.testing.assert_array_equal(
-            sims[0].gather_lattice(), sims[1].gather_lattice()
-        )
-
 
 class TestWorkspaceReuse:
     def test_buffer_identity_and_counters(self):
@@ -209,10 +187,9 @@ class TestWorkspaceReuse:
         a = ws.buffer("x", (4, 4))
         b = ws.buffer("x", (4, 4))
         assert a is b
-        assert (ws.hits, ws.misses) == (1, 1)
+        assert ws.n_buffers == 1
         c = ws.buffer("x", (8, 8))
         assert c is not a
-        assert ws.misses == 2
         assert ws.n_buffers == 2
         assert ws.nbytes == a.nbytes + c.nbytes
 
@@ -224,18 +201,14 @@ class TestWorkspaceReuse:
         sim.run(2)  # warm the workspace
         ws = sim._updater.workspace
         assert ws is not None
-        warm_misses = ws.misses
         warm_buffers = ws.n_buffers
         warm_bytes = ws.nbytes
-        hits_before = ws.hits
         # The updater's own sweeps: a replay performs no workspace
         # lookups, so only eager sweeps show the allocation contract.
         eager_sweeps(sim, 5)
         # Steady state: every lookup hits, nothing new is allocated.
-        assert ws.misses == warm_misses
         assert ws.n_buffers == warm_buffers
         assert ws.nbytes == warm_bytes
-        assert ws.hits > hits_before
 
 
 class TestFusedTelemetry:
@@ -248,11 +221,9 @@ class TestFusedTelemetry:
         report = sim.report()
         assert report.run["fused"] is True
         metrics = report.metrics
-        # Checkerboard updates every site in each of the two phases.
-        assert metrics["fused_table_hits"]["value"] == 16 * 16 * 2 * 3
-        assert metrics["fused_bytes_saved"]["value"] > 0
-        assert metrics["fused_workspace_bytes"]["value"] > 0
-        assert metrics["fused_workspace_buffers"]["value"] > 0
+        ws = sim._updater.workspace
+        assert metrics["fused_workspace_bytes"]["value"] == ws.nbytes > 0
+        assert metrics["fused_workspace_buffers"]["value"] == ws.n_buffers > 0
 
     def test_elementwise_run_reports_zero_savings(self):
         sim = IsingSimulation(
@@ -262,8 +233,8 @@ class TestFusedTelemetry:
         sim.run(2)
         report = sim.report()
         assert report.run["fused"] is False
-        assert report.metrics["fused_table_hits"]["value"] == 0
         assert report.metrics["fused_workspace_bytes"]["value"] == 0
+        assert report.metrics["fused_workspace_buffers"]["value"] == 0
 
     def test_record_fused_metrics_sums_updaters(self):
         registry = MetricsRegistry()
@@ -273,8 +244,8 @@ class TestFusedTelemetry:
         for sim in sims:
             sim.run(2)
         record_fused_metrics(registry, *(s._updater for s in sims))
-        total = sum(s._updater.workspace.table_hits for s in sims)
-        assert registry.gauge("fused_table_hits").value == total
+        total = sum(s._updater.workspace.nbytes for s in sims)
+        assert registry.gauge("fused_workspace_bytes").value == total
 
 
 class TestFusedConfig:

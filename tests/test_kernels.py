@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import NumpyBackend
+from repro.core.compact import CompactUpdater
 from repro.core.kernels import (
     PhaseHalos,
     compact_neighbor_sums,
@@ -205,6 +206,17 @@ class TestHalos:
         assert not diff[1:].any()
         assert not diff[0, :, 1:, :].any()
         assert diff[0, :, 0, :].any()
+
+    def test_fused_updater_refuses_halos(self, backend):
+        # Halos splice into the elementwise sums only; the pod runs the
+        # elementwise engine.
+        lat = CompactLattice.from_plain(make_lattice((8, 8)), (2, 2))
+        halos = PhaseHalos(north=lat.s10[-1, :, -1, :].copy())
+        fused = CompactUpdater(0.44, backend, block_shape=(2, 2), fused=True)
+        with pytest.raises(ValueError, match="halos"):
+            fused.update_color(lat, "black", PhiloxStream(1, 0), halos=halos)
+        elementwise = CompactUpdater(0.44, backend, block_shape=(2, 2))
+        elementwise.update_color(lat, "black", PhiloxStream(1, 0), halos=halos)
 
     def test_halo_shape_validated(self, backend):
         lat = CompactLattice.from_plain(make_lattice((8, 8)), (2, 2))

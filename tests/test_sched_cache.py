@@ -106,22 +106,6 @@ class TestCanonicalKey:
         }
         assert len(keys) == 3
 
-    def test_ladder_spellings_collide_but_order_matters(self):
-        from repro.api import LadderSpec
-
-        by_beta = SimulationConfig(
-            shape=16, ladder=LadderSpec(betas=(0.4, 0.5))
-        )
-        by_temp = SimulationConfig(
-            shape=16, ladder=LadderSpec(temperatures=(2.5, 2.0))
-        )
-        reordered = SimulationConfig(
-            shape=16, ladder=LadderSpec(betas=(0.5, 0.4))
-        )
-        assert canonical_cache_key(by_beta, 5) == canonical_cache_key(by_temp, 5)
-        # Adjacency order is part of the trajectory, not a spelling.
-        assert canonical_cache_key(by_beta, 5) != canonical_cache_key(reordered, 5)
-
     def test_explicit_initial_hashed_by_content(self):
         lattice = np.ones((8, 8), dtype=np.float32)
         a = SimulationConfig(shape=8, initial=lattice)

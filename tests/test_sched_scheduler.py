@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import SimulationConfig, simulate
 from repro.core.ensemble import EnsembleSimulation
-from repro.sched import Scheduler, SchedulerSaturatedError
+from repro.sched import Client, Scheduler, SchedulerSaturatedError
 from repro.telemetry import RunTelemetry
 
 UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
@@ -50,15 +50,14 @@ class TestBitIdentity:
             )
 
     @pytest.mark.parametrize("updater", ["compact", "checkerboard"])
-    @pytest.mark.parametrize("backend", ["numpy", "tpu"])
-    def test_packed_jobs_match_solo(self, updater, backend):
+    def test_packed_jobs_match_solo(self, updater):
         """Packed jobs finish: their batch gets the packed engine's
-        unblocked layout and its always-fused engine on both backends."""
+        unblocked layout and its always-fused engine."""
         scheduler = Scheduler(n_devices=1, max_batch=4)
         configs = [
             SimulationConfig(
                 shape=128, temperature=2.1 + 0.2 * i, updater=updater,
-                dtype="packed", backend=backend, seed=3 + i,
+                dtype="packed", seed=3 + i,
             )
             for i in range(2)
         ]
@@ -69,6 +68,17 @@ class TestBitIdentity:
             np.testing.assert_array_equal(
                 job.result.lattice, _solo_lattice(config, 4)
             )
+
+    def test_packed_jobs_on_tpu_backend_refused(self):
+        """The TPU cost model does not run the packed engine: a packed
+        job naming it never reaches the queue."""
+        client = Client(Scheduler(n_devices=1, max_batch=4))
+        with pytest.raises(ValueError, match="backend='tpu'"):
+            client.submit(
+                shape=128, temperature=2.1, dtype="packed", backend="tpu",
+                sweeps=4,
+            )
+        assert client.scheduler.stats()["jobs"]["submitted"] == 0
 
     def test_numpy_backend_matches_solo(self):
         scheduler = Scheduler(n_devices=1, max_batch=4)

@@ -156,6 +156,11 @@ class TestErrors:
             ({"shape": 33}, "lattice sides must be even"),
             ({"shape": [64, 64], "dtype": "packed"}, "multiple of 128"),
             (
+                {"shape": [128, 128], "dtype": "packed", "backend": "tpu"},
+                "does not support backend='tpu'",
+            ),
+            ({"model": {"lattice": "square"}}, "unknown model field"),
+            (
                 {"updater": "masked_conv", "block_shape": [4, 4]},
                 "masked_conv does not take a block_shape",
             ),
@@ -164,7 +169,10 @@ class TestErrors:
                 "block_shape (4, 4) does not tile",
             ),
         ],
-        ids=["odd-side", "narrow-packed", "masked-conv-block", "untiled-block"],
+        ids=[
+            "odd-side", "narrow-packed", "tpu-packed", "model-lattice",
+            "masked-conv-block", "untiled-block",
+        ],
     )
     def test_unsupported_config_is_400_at_post(self, overrides, rule):
         async def scenario(app):
@@ -193,11 +201,8 @@ class TestErrors:
 
 class TestPackedJobs:
     @pytest.mark.parametrize("updater", ["compact", "checkerboard"])
-    @pytest.mark.parametrize("backend", ["numpy", "tpu"])
-    def test_packed_job_over_http_matches_simulate(self, updater, backend):
-        config = wire_config(
-            shape=[128, 128], dtype="packed", updater=updater, backend=backend
-        )
+    def test_packed_job_over_http_matches_simulate(self, updater):
+        config = wire_config(shape=[128, 128], dtype="packed", updater=updater)
 
         async def scenario(app):
             status, _, body = await post_job(app, config=config, sweeps=4)

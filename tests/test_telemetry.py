@@ -417,12 +417,20 @@ class TestBenchReport:
         with pytest.raises(ValueError, match="metrics"):
             bench_report("bad", {})
 
-    def test_env_stamped_into_meta(self, tmp_path):
+    def test_env_stamped_into_meta(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         write_bench_report("unit", {"x_seconds": 1.0}, meta={"side": 8}, out_dir=str(tmp_path))
         payload = json.loads((tmp_path / "BENCH_unit.json").read_text())
         validate_bench_report(payload)
         env = payload["meta"]["env"]
-        assert set(env) == {"cpu", "nproc", "python", "numpy", "platform"}
+        assert set(env) == {
+            "cpu", "nproc", "python", "numpy", "platform",
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+        }
+        # The BLAS thread variables are recorded, unset ones as null.
+        assert env["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["MKL_NUM_THREADS"] is None
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         assert isinstance(env["nproc"], int) and env["nproc"] >= 1

@@ -7,10 +7,9 @@ bit-identical to the elementwise path), across all four updaters, both
 dtypes, field on and off; traces invalidate on any binding change
 (restored checkpoints, roster rebuilds, new streams); checkpoints taken
 mid-replay round-trip, including ones that still carry the removed
-``traced`` setting; the ``traced_*``, fused and packed gauges count
-replayed sweeps like eager ones; and replay that draws Philox several
-sweeps ahead leaves lattices, counters and the modeled op log where
-eager sweeps leave them after every call.
+``traced`` setting; the ``traced_*`` gauges count replayed sweeps; and
+replay that draws Philox several sweeps ahead leaves lattices, counters
+and the modeled op log where eager sweeps leave them after every call.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from repro.backend.tpu_backend import TPUBackend
 from repro.core.config import default_block_shape
 from repro.core.distributed import DistributedIsing
 from repro.core.ensemble import EnsembleSimulation
-from repro.core.fused import record_fused_metrics
-from repro.core.packed import record_packed_metrics
 from repro.core.simulation import IsingSimulation
 from repro.core.tempering import TemperingEnsemble
 from repro.rng.philox import BLOCK_COUNTERS
@@ -42,7 +39,7 @@ from repro.core.traced import (
 )
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.report import RunTelemetry
-from repro.tpu.dtypes import BFLOAT16, PACKED
+from repro.tpu.dtypes import BFLOAT16
 from repro.tpu.tensorcore import TensorCore
 
 from .conftest import eager_sweeps
@@ -69,8 +66,9 @@ class TestResolve:
         sim = IsingSimulation(16, 2.2, backend=TPUBackend(TensorCore(core_id=0)))
         assert sim.fused is False
         assert sim._executor is None
-        dist = DistributedIsing(16, 2.2, core_grid=(1, 1), fused=True)
-        assert not hasattr(dist, "_executors")
+        dist = DistributedIsing(16, 2.2, core_grid=(1, 1))
+        assert dist.fused is False
+        assert not hasattr(dist, "_executor")
 
     def test_rejects_junk(self):
         # Replay is how the fused engine runs, not an option.
@@ -100,8 +98,7 @@ class TestResolve:
             "add_into", "multiply_into", "exp_into", "less_into",
             "take_into", "uniform_into", "band_cross_matmul_into",
             "band_pair_matmul_into", "acceptance_index_into", "roll_into",
-            "slice_copy_into", "add_at_slice_into", "assign_at_slice_into",
-            "shifted_pair_sum_into", "conv2d_neighbors_into",
+            "slice_copy_into", "add_at_slice_into", "shifted_pair_sum_into", "conv2d_neighbors_into",
             "packed_bits_into", "packed_xor_into", "packed_shift_cols_into",
             "packed_compare_pack_into", "packed_full_adder_into",
             "packed_flip_select_into",
@@ -270,7 +267,7 @@ class TestCheckpointRoundTrip:
     def test_distributed_checkpoint_mid_replay(self):
         # A fused distributed run used to replay per colour phase; its
         # checkpoints carry "traced": True and resume on eager phases.
-        sim = DistributedIsing(16, 2.2, core_grid=(2, 2), seed=3, fused=True)
+        sim = DistributedIsing(16, 2.2, core_grid=(2, 2), seed=3)
         sim.sweep(5)
         state = {**sim.state_dict(), "traced": True}
         resumed = load(state)
@@ -278,19 +275,6 @@ class TestCheckpointRoundTrip:
         sim.sweep(5)
         resumed.sweep(5)
         assert np.array_equal(sim.gather_lattice(), resumed.gather_lattice())
-
-
-class TestDistributed:
-    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
-    def test_matches_eager_fused_and_elementwise(self, dtype):
-        kw = dict(core_grid=(2, 2), seed=7, dtype=dtype)
-        fused = DistributedIsing(16, 2.2, fused=True, **kw)
-        elementwise = DistributedIsing(16, 2.2, fused=False, **kw)
-        fused.sweep(6)
-        elementwise.sweep(6)
-        assert np.array_equal(
-            fused.gather_lattice(), elementwise.gather_lattice()
-        )
 
 
 class TestTelemetryAndApi:
@@ -340,32 +324,6 @@ class TestTelemetryAndApi:
         cfg = SimulationConfig(shape=16, temperature=2.2, fused=False)
         assert simulate(cfg)._executor is None
         assert simulate(cfg.evolve(fused="auto"))._executor is not None
-
-    @pytest.mark.parametrize(
-        "side, dtype, counts",
-        [
-            # 16^2 sites gather a table entry each per sweep.
-            (16, None, {"fused_table_hits": 2560, "fused_bytes_saved": None}),
-            # A 128^2 packed lattice is 256 words per sweep.
-            (128, PACKED, {"packed_sweeps": 10, "packed_words_updated": 2560}),
-        ],
-        ids=["float32", "packed"],
-    )
-    def test_replayed_sweeps_count_in_engine_gauges(self, side, dtype, counts):
-        sim = _solo(dtype=dtype, side=side)
-        sim.telemetry = RunTelemetry(physics_interval=0)
-        sim.run(10)
-        assert sim._executor.sweeps_replayed == 8
-        eager = _solo(dtype=dtype, side=side)
-        eager_sweeps(eager, 10)
-        expected = MetricsRegistry()
-        record_fused_metrics(expected, eager._updater)
-        record_packed_metrics(expected, eager._updater)
-        metrics = sim.report().metrics
-        for name, count in counts.items():
-            assert metrics[name]["value"] == expected.gauge(name).value, name
-            if count is not None:
-                assert metrics[name]["value"] == count, name
 
 
 class TestDefaultBlockShape:
