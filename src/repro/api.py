@@ -215,13 +215,14 @@ class SimulationConfig:
         cost model), a pre-built :class:`~repro.backend.base.Backend`,
         or None — the driver's default.  :func:`distributed` builds its
         own per-core TPU backends and only accepts None / "tpu".  The
-        packed dtype runs on numpy backends only.
+        TPU cost model runs the elementwise engine only; the fused and
+        packed engines run on numpy backends.
     fused:
         Fused sweep engine: "auto" (default), True or False.  Solo and
         ensemble chains on the fused engine record one sweep and replay
-        it for every further sweep (:mod:`repro.core.traced`).
-        :func:`distributed` runs the elementwise engine and refuses
-        ``True``.
+        it for every further sweep (:mod:`repro.core.traced`).  On the
+        "tpu" backend, and so on :func:`distributed`, "auto" resolves
+        to the elementwise engine and ``True`` is refused.
     seed:
         Global Philox seed.
     telemetry:

@@ -13,10 +13,14 @@ written against this vocabulary, so the same algorithm code runs on:
   optional bfloat16 storage rounding (used by the performance harness and
   the bf16 study).
 
-Both run the op bodies defined here.  An op books its modeled cost only
+Both run the op bodies defined here.  The allocating ops are the
+elementwise engine's vocabulary, and each books its modeled cost only
 when the backend has a :attr:`Backend.core`; without one it does not
 even compute the flops and byte counts, so a plain backend pays nothing
-for accounting it would discard.
+for accounting it would discard.  The in-place ``*_into`` ops are the
+fused and packed engines' vocabulary, which run on numpy backends only
+(:func:`~repro.core.config.check_config` refuses both on the TPU cost
+model), so they book nothing.
 
 Every op quantizes its *result* with the backend dtype, which emulates a
 device that stores all intermediates in that format.  Matmuls accumulate
@@ -39,7 +43,8 @@ class Backend:
 
     ``core`` is ``None`` here, which makes ``Backend`` a pure numpy
     executor; an accounting subclass binds a simulated TensorCore, and
-    every op then books its (category, flops, bytes, batch) there.
+    every allocating op then books its (category, flops, bytes, batch)
+    there.
     """
 
     def __init__(self, dtype: DType | str = FLOAT32) -> None:
@@ -55,8 +60,8 @@ class Backend:
 
     # -- charging ----------------------------------------------------------
     #
-    # Ops call _charge only under ``if self.core is not None``, and build
-    # its flops and byte arguments inside that branch.
+    # Allocating ops call _charge only under ``if self.core is not None``,
+    # and build its flops and byte arguments inside that branch.
 
     def _charge(
         self,
@@ -234,13 +239,9 @@ class Backend:
     # -- in-place (fused) vocabulary ---------------------------------------
     #
     # Every ``*_into`` op is bit-identical to its allocating twin — same
-    # numpy computation, same result quantization, same charge — but
-    # writes into caller-provided buffers so steady-state sweeps make
-    # zero heap allocations.  On accounting backends the modeled cost is
-    # unchanged per op.  The one exception is the op count: a fused,
-    # stream-driven compact sweep books one ``uniform_into`` for all four
-    # sub-lattices instead of four, so it models the same flops and three
-    # fewer ``op_overhead``s.
+    # numpy computation, same result quantization — but writes into
+    # caller-provided buffers so steady-state sweeps make zero heap
+    # allocations.  Only numpy backends run them, so none books a charge.
 
     def _quantize_into(self, out: np.ndarray) -> np.ndarray:
         """Apply the dtype's store rounding to ``out`` in place."""
@@ -261,39 +262,24 @@ class Backend:
             self._qscratch[out.shape] = scratch
         return rounder(out, scratch[0], scratch[1])
 
-    def _elementwise_into(
-        self, out: np.ndarray, *operands: np.ndarray, flops_per_elem: float = 1.0
-    ) -> np.ndarray:
-        if self.core is not None:
-            self._charge(
-                "vpu",
-                flops=flops_per_elem * out.size,
-                bytes_moved=self._nbytes(*operands, out),
-            )
-        return self._quantize_into(out)
-
     def add_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.add(a, b, out=out)
-        return self._elementwise_into(out, a, b)
+        return self._quantize_into(out)
 
     def multiply_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(a, b, out=out)
-        return self._elementwise_into(out, a, b)
+        return self._quantize_into(out)
 
     def exp_into(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             np.exp(a, out=out)
-        return self._elementwise_into(out, a, flops_per_elem=8.0)
+        return self._quantize_into(out)
 
     def less_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Elementwise a < b into a float32 buffer as 0.0/1.0."""
         np.less(a, b, out=out, casting="unsafe")
         # 0.0/1.0 are exact in every dtype, so the store rounding the
         # allocating twin applies is the identity here — skip the pass.
-        if self.core is not None:
-            self._charge(
-                "vpu", flops=float(out.size), bytes_moved=self._nbytes(a, b, out)
-            )
         return out
 
     def take_into(self, table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -307,23 +293,14 @@ class Backend:
         skips the bounds check; on in-range intp indices it measured as
         fast as ``"clip"`` and faster than ``"raise"``.  The table
         entries are already quantized device values, so no store rounding
-        is needed.  Charged as a memory-bound gather: one lookup per
-        element, a 4-byte index and the result per element.
+        is needed.
         """
         table.take(indices, out=out, mode="wrap")
-        if self.core is not None:
-            self._charge(
-                "formatting",
-                flops=float(out.size),
-                bytes_moved=self._nbytes(out) + 4.0 * indices.size,
-            )
         return out
 
     def uniform_into(self, stream: PhiloxStream, out: np.ndarray) -> np.ndarray:
         """In-place twin of :meth:`random_uniform` (same counter advance)."""
         stream.uniform_into(out)
-        if self.core is not None:
-            self._charge("vpu", flops=20.0 * out.size, bytes_moved=self._nbytes(out))
         return self._quantize_into(out)
 
     def band_cross_matmul_into(self, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -333,14 +310,11 @@ class Backend:
         MXU products are exactly the within-block left+right and up+down
         neighbour sums — sums of at most two ±1 values, exact in every
         supported dtype, hence bit-identical to the matmul formulation no
-        matter how they are computed.  The host executes the cheap slice
-        adds; the cost model is charged for the op sequence the device
-        would run (two band matmuls plus the add), keeping modeled
-        numbers independent of the fused engine.
+        matter how they are computed; the host executes the cheap slice
+        adds.
         """
         if out is grid:
             raise ValueError("out must not alias the input")
-        r, c = grid.shape[-2:]
         # Left neighbours (block column j-1), zero at the block edge.
         out[..., :, 1:] = grid[..., :, :-1]
         out[..., :, :1] = 0.0
@@ -348,23 +322,6 @@ class Backend:
         np.add(out[..., :, :-1], grid[..., :, 1:], out=out[..., :, :-1])
         np.add(out[..., 1:, :], grid[..., :-1, :], out=out[..., 1:, :])
         np.add(out[..., :-1, :], grid[..., 1:, :], out=out[..., :-1, :])
-        if self.core is not None:
-            batch = out.size / (r * c)
-            self._charge(
-                "mxu",
-                flops=2.0 * out.size * c,
-                bytes_moved=self._nbytes(grid, out) + c * c * self.dtype.itemsize,
-                batch=batch,
-            )
-            self._charge(
-                "mxu",
-                flops=2.0 * out.size * r,
-                bytes_moved=self._nbytes(grid, out) + r * r * self.dtype.itemsize,
-                batch=batch,
-            )
-            self._charge(
-                "vpu", flops=float(out.size), bytes_moved=3.0 * self._nbytes(out)
-            )
         return self._quantize_into(out)
 
     def band_pair_matmul_into(
@@ -375,8 +332,8 @@ class Backend:
         ``(a @ K_hat)``, ``(K_hat^T @ a)`` and their transposes gather
         ``a[i] + a[i +/- 1]`` along one block axis with no wrap — sums of
         two ±1 values, exact in every dtype, so the slice formulation is
-        bit-identical to the MXU product.  Charged as the band matmul the
-        device would run (see :meth:`band_cross_matmul_into`).
+        bit-identical to the MXU product, and to the 2-tap convolution
+        :meth:`shifted_pair_sum` with the same ``axis`` and ``offset``.
         """
         if axis not in (-1, -2):
             raise ValueError(f"axis must be -1 or -2 (block axes), got {axis}")
@@ -391,14 +348,6 @@ class Backend:
             np.add(out[..., dst], a[..., src], out=out[..., dst])
         else:
             np.add(out[..., dst, :], a[..., src, :], out=out[..., dst, :])
-        if self.core is not None:
-            k = out.shape[axis]
-            self._charge(
-                "mxu",
-                flops=2.0 * out.size * k,
-                bytes_moved=self._nbytes(a, out) + k * k * self.dtype.itemsize,
-                batch=out.size / (out.shape[-1] * out.shape[-2]),
-            )
         return self._quantize_into(out)
 
     def acceptance_index_into(
@@ -421,20 +370,11 @@ class Backend:
         rounding — because table offsets for large ensembles exceed
         bfloat16's integer range; every value involved is an exact
         float32 integer below 2**24, so the final int cast is exact.
-        Charged as a short VPU chain with a 4-byte index per site: 4
-        flops per site for a 0-d offset, which the device folds into the
-        gather's base address, 5 for per-chain offsets.
         """
         np.multiply(sigma, np.float32(5.0), out=fscratch)
         np.add(fscratch, nn, out=fscratch)
         np.add(fscratch, offsets, out=fscratch)
         np.copyto(idx_out, fscratch, casting="unsafe")
-        if self.core is not None:
-            self._charge(
-                "vpu",
-                flops=(4.0 if offsets.ndim == 0 else 5.0) * idx_out.size,
-                bytes_moved=self._nbytes(sigma, nn) + 4.0 * idx_out.size,
-            )
         return idx_out
 
     @staticmethod
@@ -458,15 +398,10 @@ class Backend:
         return out
 
     def roll_into(self, a: np.ndarray, shift: int, axis: int, out: np.ndarray) -> np.ndarray:
-        self._roll_raw(a, shift, axis, out)
-        if self.core is not None:
-            self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
-        return out
+        return self._roll_raw(a, shift, axis, out)
 
     def slice_copy_into(self, a: np.ndarray, index: tuple, out: np.ndarray) -> np.ndarray:
         np.copyto(out, a[index])
-        if self.core is not None:
-            self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
         return out
 
     def add_at_slice_into(
@@ -482,36 +417,7 @@ class Backend:
         np.add(view, update, out=slab)
         self._quantize_into(slab)
         np.copyto(view, slab)
-        if self.core is not None:
-            self._charge(
-                "formatting",
-                flops=float(update.size),
-                bytes_moved=2.0 * self._nbytes(update),
-            )
         return target
-
-    def shifted_pair_sum_into(
-        self, a: np.ndarray, axis: int, offset: int, out: np.ndarray
-    ) -> np.ndarray:
-        """In-place twin of :meth:`shifted_pair_sum` (``out`` must not alias ``a``)."""
-        if axis not in (-1, -2):
-            raise ValueError(f"axis must be -1 or -2 (block axes), got {axis}")
-        if offset not in (-1, 1):
-            raise ValueError(f"offset must be +1 or -1, got {offset}")
-        if out is a:
-            raise ValueError("out must not alias the input")
-        np.copyto(out, a)
-        src = slice(None, -1) if offset == -1 else slice(1, None)
-        dst = slice(1, None) if offset == -1 else slice(None, -1)
-        if axis == -1:
-            np.add(out[..., dst], a[..., src], out=out[..., dst])
-        else:
-            np.add(out[..., dst, :], a[..., src, :], out=out[..., dst, :])
-        if self.core is not None:
-            self._charge(
-                "conv", flops=4.0 * out.size, bytes_moved=self._nbytes(a, out)
-            )
-        return self._quantize_into(out)
 
     def conv2d_neighbors_into(
         self, a: np.ndarray, out: np.ndarray, tmp: np.ndarray
@@ -528,19 +434,13 @@ class Backend:
         np.add(out, tmp, out=out)
         self._roll_raw(a, -1, -1, tmp)
         np.add(out, tmp, out=out)
-        if self.core is not None:
-            self._charge(
-                "conv", flops=2.0 * 9.0 * out.size, bytes_moved=self._nbytes(a, out)
-            )
         return self._quantize_into(out)
 
     # -- packed (multi-spin) vocabulary ------------------------------------
     #
     # Word kernels of the ``packed`` dtype: 64 spins per uint64 word,
     # little-endian bit order (see repro.backend.packed_ops for the
-    # representation contract).  The packed engine runs on numpy
-    # backends only (check_config refuses it on the TPU cost model), so
-    # these ops book no modeled cost.
+    # representation contract).
 
     def packed_bits_into(self, stream: PhiloxStream, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (C-contiguous uint32) with raw Philox words.
@@ -638,23 +538,6 @@ class Backend:
             raise ValueError("out and tmp must be distinct buffers")
         packed_ops.flip_select_into(low, bit1, bit2, r1, r0, out, tmp)
         return out
-
-    def packed_pack(self, bits: np.ndarray) -> np.ndarray:
-        """Pack a 0/1 site plane into uint64 words (allocating; boundary only).
-
-        Wraps :func:`repro.baselines.multispin.pack_bits` — state
-        import/export, never the sweep hot path (steady-state packed
-        sweeps call only ``*_into`` ops).
-        """
-        from ..baselines.multispin import pack_bits
-
-        return pack_bits(bits)
-
-    def packed_unpack(self, words: np.ndarray, cols: int) -> np.ndarray:
-        """Unpack uint64 words to a 0/1 site plane (allocating; boundary only)."""
-        from ..baselines.multispin import unpack_bits
-
-        return unpack_bits(words, cols)
 
     # -- data formatting -------------------------------------------------------
 

@@ -3,9 +3,12 @@
 This is the accounting twin of :class:`NumpyBackend`: numerics are
 bit-identical for the same dtype (the equivalence tests rely on it).  It
 only binds :attr:`~repro.backend.base.Backend.core`; the shared op bodies
-then book every op's modeled time into that core's profiler through the
-calibrated cost model — which is how the performance tables of the paper
-are regenerated without TPU hardware.
+of the elementwise engine then book every op's modeled time into that
+core's profiler through the calibrated cost model — which is how the
+performance tables of the paper are regenerated without TPU hardware.
+Chains on it run the elementwise engine only: the fused and packed
+engines' ``*_into`` ops book nothing, and
+:func:`~repro.core.config.check_config` refuses both engines here.
 """
 
 from __future__ import annotations

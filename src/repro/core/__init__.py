@@ -42,7 +42,7 @@ from .lattice import (
 from .couplings import BondCouplings
 from .ensemble import EnsembleSimulation
 from .tempering import TemperingEnsemble, swap_acceptance_probability
-from .packed import PackedState, PackedUpdater, record_packed_metrics
+from .packed import PackedState, PackedUpdater
 from .wolff import WolffUpdater
 from .simulation import ChainResult, IsingSimulation, run_temperature_scan, summarize_chain
 from .update import acceptance_ratio, metropolis_flip
@@ -70,7 +70,6 @@ __all__ = [
     "validate_spins",
     "PackedState",
     "PackedUpdater",
-    "record_packed_metrics",
     "WolffUpdater",
     "BondCouplings",
     "ChainResult",

@@ -99,9 +99,7 @@ class CompactUpdater(FloatUpdater):
         probs = self._uniforms(lat.grid_shape, stream, probs, ("probs0", "probs1"))
         if self.fused:
             table, ws = self._fused_ctx()
-            nns = compact_neighbor_sums_into(
-                lat, color, self.backend, ws, method=self.nn_method
-            )
+            nns = compact_neighbor_sums_into(lat, color, self.backend, ws)
             for name, nn, p in zip(_ACTIVE[color], nns, probs):
                 fused_metropolis_flip(self.backend, getattr(lat, name), nn, p, table, ws)
             return lat

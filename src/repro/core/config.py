@@ -74,7 +74,8 @@ def check_config(
 
     ``dtype`` is a dtype name, ``couplings`` a coupling kind and
     ``backend`` a backend kind ("numpy" or "tpu", see
-    :func:`backend_kind`); ``distributed`` adds the pod driver's rules.
+    :func:`backend_kind`); ``distributed`` adds the pod driver's rules,
+    and its cores are TPU cost models, so it implies ``backend="tpu"``.
     This is the one place
     the supported-configuration rules are written: ``SimulationConfig``
     and every driver constructor call it.  Rules that depend on which
@@ -89,30 +90,29 @@ def check_config(
         raise ValueError(f"unknown updater {updater!r}; expected one of {UPDATERS}")
     if fused != "auto" and not isinstance(fused, (bool, np.bool_)):
         raise ValueError(f"fused must be 'auto', True or False, got {fused!r}")
-    if distributed and updater not in ("compact", "conv"):
+    if distributed:
+        backend = "tpu"
+        if updater not in ("compact", "conv"):
+            raise ValueError(
+                f"updater must be 'compact' or 'conv' for distributed runs "
+                f"(every core runs the compact layout), got {updater!r}"
+            )
+    if backend == "tpu" and fused != "auto" and fused:
         raise ValueError(
-            f"updater must be 'compact' or 'conv' for distributed runs "
-            f"(every core runs the compact layout), got {updater!r}"
-        )
-    if distributed and fused != "auto" and fused:
-        raise ValueError(
-            "distributed() does not support fused=True: every core runs "
-            "the elementwise op sequence the calibrated TPU cost tables "
-            "describe; drop fused= (or pass 'auto' / False)"
+            "fused=True does not support backend='tpu': the TPU cost "
+            "model, which every distributed() core runs, prices the "
+            "elementwise op sequence its calibrated cost tables describe; "
+            "drop fused= ('auto' resolves to the elementwise engine there) "
+            "or run fused chains on the numpy backend"
         )
     if dtype == "packed":
-        if distributed:
-            raise ValueError(
-                "distributed() does not support dtype='packed': the halo "
-                "exchange moves float spin planes, not 64-spin words; run "
-                "packed chains through simulate() / ensemble(), or use "
-                "dtype='float32'/'bfloat16' for pod runs"
-            )
         if backend == "tpu":
             raise ValueError(
-                "dtype='packed' does not support backend='tpu': the TPU "
-                "cost model has no pricing for 64-spin word kernels; run "
-                "packed chains on the numpy backend, or use "
+                "dtype='packed' does not support backend='tpu', so "
+                "distributed(), whose cores are TPU cost models, does not "
+                "support dtype='packed' either: the TPU cost model has no "
+                "pricing for 64-spin word kernels; run packed chains on the "
+                "numpy backend through simulate() / ensemble(), or use "
                 "dtype='float32'/'bfloat16' on the TPU cost model"
             )
         if updater not in ("compact", "checkerboard"):
@@ -182,9 +182,10 @@ def resolve_fused(fused: "bool | str", backend: str, dtype: str) -> bool:
     """Whether a chain on a ``backend`` kind and ``dtype`` name runs fused.
 
     ``"auto"`` enables the fused engine on plain numpy backends (pure
-    host speedup) and disables it on accounting ("tpu") backends, so
-    the calibrated TPU cost tables keep their historical op sequence.
-    The packed engine exists only in workspace-backed form, so packed
+    host speedup) and resolves to the elementwise engine on accounting
+    ("tpu") backends, the op sequence the calibrated TPU cost tables
+    describe (:func:`check_config` refuses ``fused=True`` there).  The
+    packed engine exists only in workspace-backed form, so packed
     chains always run fused (:func:`check_config` rejects
     ``fused=False`` for them).
     """

@@ -11,7 +11,8 @@ Two variants are provided:
   :class:`~repro.core.compact.CompactUpdater` (compact layout, halo
   hooks, no wasted RNG) but with the in-block neighbour sums computed by
   fused 2-tap convolutions.  Bit-identical chains to the matmul path;
-  only the modeled device cost differs.
+  only the modeled device cost of the elementwise engine differs (the
+  fused engine runs one program for both).
 * :class:`MaskedConvUpdater` — the textbook formulation: one full-lattice
   cross-kernel convolution plus the colour mask ``M``.  Simple and
   correct but wasteful (full-lattice RNG and arithmetic per phase) — kept

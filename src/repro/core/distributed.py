@@ -156,7 +156,6 @@ class DistributedIsing:
             field=field,
             block_shape=block_shape,
             distributed=True,
-            backend="tpu",
         )
         rows, cols = global_shape
         p_rows, p_cols = core_grid

@@ -52,7 +52,7 @@ from .conv import ConvUpdater, MaskedConvUpdater
 from .couplings import BondCouplings, bond_total_energy
 from .fused import record_fused_metrics
 from .lattice import initial_lattice, validate_spins
-from .packed import RNG_BITS, PackedState, PackedUpdater, record_packed_metrics
+from .packed import RNG_BITS, PackedState, PackedUpdater
 from .traced import TracedExecutor, record_traced_metrics
 
 __all__ = ["EnsembleSimulation", "ChainResult", "summarize_chain"]
@@ -200,8 +200,9 @@ class EnsembleSimulation:
         External magnetic field h, shared by every chain.
     fused:
         Fused sweep engine selection: ``"auto"`` (default — on for numpy
-        backends, off for TPU cost-model backends), or an explicit
-        bool.  The fused ensemble builds one per-chain
+        backends, off for TPU cost-model backends), or an explicit bool
+        (``True`` is refused on TPU cost-model backends, which run the
+        elementwise engine only).  The fused ensemble builds one per-chain
         :class:`~repro.core.accept.AcceptanceTable` (10 entries per
         chain) and keeps chains bit-identical to the elementwise path.
         Under the fused engine one recorded sweep is replayed for all
@@ -657,7 +658,6 @@ class EnsembleSimulation:
             registry.gauge(name).set(value)
         record_fused_metrics(registry, self._updater)
         record_traced_metrics(registry, self._executor)
-        record_packed_metrics(registry, self._updater)
         return self.telemetry.build_report(
             kind=kind, run=run, rng={"streams": streams}
         )

@@ -146,12 +146,12 @@ def neighbor_sum_grid_into(grid: np.ndarray, backend: Backend, workspace) -> np.
         raise ValueError(
             f"expected a rank-4 (or batched rank-5) grid, got shape {grid.shape}"
         )
-    r, c = grid.shape[-2:]
+    c = grid.shape[-1]
 
     nn = workspace.buffer("nn_grid", grid.shape)
     # The two K band matmuls plus their add, as one in-block shifted-sum
-    # primitive: bit-identical values (exact small-integer sums) and the
-    # same modeled MXU/VPU charges, but host execution is slice adds.
+    # primitive: bit-identical values (exact small-integer sums), but
+    # host execution is slice adds.
     backend.band_cross_matmul_into(grid, nn)
 
     # Boundary compensation, staged through two slab buffers per
@@ -360,45 +360,33 @@ def compact_neighbor_sums_into(
     color: str,
     backend: Backend,
     workspace,
-    method: str = "matmul",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Allocation-free twin of :func:`compact_neighbor_sums`.
 
     Same op sequence and quantization (bit-identical sums), but each
-    ``K_hat`` band matmul runs as a band primitive
-    (:meth:`~repro.backend.base.Backend.band_pair_matmul_into`, or
-    ``shifted_pair_sum_into`` for ``method="conv"``), so no kernel
-    matrix is built, and the in-block products, both neighbour-sum
-    outputs and all four boundary slabs come from ``workspace``
-    buffers.  Returns the workspace's ``(nn0, nn1)`` buffers — valid
-    until the next call.  It sums on the local torus only: the pod's
-    halos splice into the elementwise :func:`compact_neighbor_sums`.
+    ``K_hat`` band matmul — or 2-tap convolution: the two compute the
+    same exact small-integer sums — runs as one shifted pair sum
+    (:meth:`~repro.backend.base.Backend.band_pair_matmul_into`), so no
+    kernel matrix is built, and the in-block products, both
+    neighbour-sum outputs and all four boundary slabs come from
+    ``workspace`` buffers.  Returns the workspace's ``(nn0, nn1)``
+    buffers — valid until the next call.  It sums on the local torus
+    only: the pod's halos splice into the elementwise
+    :func:`compact_neighbor_sums`.
     """
     if color not in ("black", "white"):
         raise ValueError(f"color must be 'black' or 'white', got {color!r}")
-    if method not in ("matmul", "conv"):
-        raise ValueError(f"method must be 'matmul' or 'conv', got {method!r}")
     shape = lat.grid_shape
-    r, c = shape[-2:]
+    c = shape[-1]
 
     nn0 = workspace.buffer("compact_nn0", shape)
     nn1 = workspace.buffer("compact_nn1", shape)
     tmp = workspace.buffer("compact_nn_tmp", shape)
 
-    if method == "matmul":
-        # Each K_hat band matmul, as a shifted pair sum: bit-identical
-        # values and the same modeled MXU charge as the matmul (see
-        # Backend.band_pair_matmul_into), but host execution is slice
-        # adds.
-        prev_col = lambda x, out: backend.band_pair_matmul_into(x, -1, -1, out)  # noqa: E731
-        prev_row = lambda x, out: backend.band_pair_matmul_into(x, -2, -1, out)  # noqa: E731
-        next_row = lambda x, out: backend.band_pair_matmul_into(x, -2, 1, out)  # noqa: E731
-        next_col = lambda x, out: backend.band_pair_matmul_into(x, -1, 1, out)  # noqa: E731
-    else:
-        prev_col = lambda x, out: backend.shifted_pair_sum_into(x, -1, -1, out)  # noqa: E731
-        prev_row = lambda x, out: backend.shifted_pair_sum_into(x, -2, -1, out)  # noqa: E731
-        next_row = lambda x, out: backend.shifted_pair_sum_into(x, -2, 1, out)  # noqa: E731
-        next_col = lambda x, out: backend.shifted_pair_sum_into(x, -1, 1, out)  # noqa: E731
+    prev_col = lambda x, out: backend.band_pair_matmul_into(x, -1, -1, out)  # noqa: E731
+    prev_row = lambda x, out: backend.band_pair_matmul_into(x, -2, -1, out)  # noqa: E731
+    next_row = lambda x, out: backend.band_pair_matmul_into(x, -2, 1, out)  # noqa: E731
+    next_col = lambda x, out: backend.band_pair_matmul_into(x, -1, 1, out)  # noqa: E731
 
     row_shape = shape[:-2] + (c,)
     col_shape = shape[:-1]

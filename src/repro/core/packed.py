@@ -40,7 +40,7 @@ from ..tpu.dtypes import PACKED
 from .fused import SweepWorkspace
 from .lattice import plain_to_quarters, quarters_to_plain
 
-__all__ = ["PackedState", "PackedUpdater", "record_packed_metrics"]
+__all__ = ["PackedState", "PackedUpdater"]
 
 _WORD = 64
 
@@ -199,9 +199,12 @@ class PackedUpdater:
     def to_state(self, plain: np.ndarray) -> PackedState:
         """Pack a plain ±1 lattice — ``(rows, cols)`` or ``(B, rows, cols)``.
 
-        Boundary op: allocates (via the backend's ``packed_pack``), so
-        it never appears in the sweep hot path.
+        Boundary op: allocates (via
+        :func:`~repro.baselines.multispin.pack_bits`), so it never
+        appears in the sweep hot path.
         """
+        from ..baselines.multispin import pack_bits
+
         plain = np.asarray(plain, dtype=np.float32)
         if plain.ndim not in (2, 3):
             raise ValueError(f"plain lattice must be 2-D or (B, rows, cols), got shape {plain.shape}")
@@ -213,10 +216,7 @@ class PackedUpdater:
             )
         if plain.ndim == 2:
             quarters = plain_to_quarters(plain)
-            planes = [
-                self.backend.packed_pack((q > 0).astype(np.uint8))
-                for q in quarters
-            ]
+            planes = [pack_bits((q > 0).astype(np.uint8)) for q in quarters]
             return PackedState(*planes, quarter_shape=quarters[0].shape)
         per_chain = [self.to_state(chain) for chain in plain]
         return PackedState(
@@ -245,8 +245,10 @@ class PackedUpdater:
                     for b in range(state.w00.shape[0])
                 ]
             )
+        from ..baselines.multispin import unpack_bits
+
         quarters = [
-            (2.0 * self.backend.packed_unpack(w, cols).astype(np.float32)) - 1.0
+            (2.0 * unpack_bits(w, cols).astype(np.float32)) - 1.0
             for w in state.planes
         ]
         return quarters_to_plain(*quarters)
@@ -396,20 +398,3 @@ class PackedUpdater:
         state = self.update_color(state, "black", stream, probs_black)
         return self.update_color(state, "white", stream, probs_white)
 
-
-def record_packed_metrics(registry, *updaters) -> None:
-    """Publish the scratch memory the packed engine holds.
-
-    Sums over every packed updater; float-chain updaters contribute
-    zeros, so the gauges are always present and comparable across runs
-    (the ``fused_*`` gauge convention).
-    """
-    ws_bytes = 0
-    ws_buffers = 0
-    for updater in updaters:
-        if not isinstance(updater, PackedUpdater):
-            continue
-        ws_bytes += updater.workspace.nbytes
-        ws_buffers += updater.workspace.n_buffers
-    registry.gauge("packed_workspace_bytes").set(ws_bytes)
-    registry.gauge("packed_workspace_buffers").set(ws_buffers)

@@ -37,11 +37,11 @@ Draw-ahead: Philox is counter-based, so the counter alone fixes every
 word, and one draw of ``k`` sweeps' words is the ``k`` per-sweep draws
 laid end to end.  When a recorded sweep's only stream ops are
 ``uniform_into`` calls on the bound stream, each drawing whole Philox
-counters per chain, and the backend books no modeled time, replay draws
-up to ``k = 4 * BLOCK_COUNTERS // (chains * words per sweep)`` sweeps'
-uniforms with one call and each replayed sweep copies its slice into the
-buffers its draws wrote.  A call never draws past the sweeps it runs, so
-on return every counter sits where eager sweeps leave it.
+counters per chain, replay draws up to ``k = 4 * BLOCK_COUNTERS //
+(chains * words per sweep)`` sweeps' uniforms with one call and each
+replayed sweep copies its slice into the buffers its draws wrote.  A
+call never draws past the sweeps it runs, so on return every counter
+sits where eager sweeps leave it.
 
 A trace is bound to the identities of the state tensors and the stream
 it recorded.  Any change — checkpoint restore, ensemble roster rebuild,
@@ -137,17 +137,15 @@ class SweepTrace:
         for step in self._steps:
             step()
 
-    def draw_ahead(self, stream, backend: Backend) -> "_DrawAhead | None":
+    def draw_ahead(self, stream) -> "_DrawAhead | None":
         """This program with its uniforms drawn ahead, or ``None``.
 
-        Engages when ``backend`` books no modeled time, every stream op
-        is a ``uniform_into`` on ``stream`` that draws whole Philox
-        counters (a multiple of 4 words) per chain, and at least two
-        sweeps' words fit in ``4 * BLOCK_COUNTERS``.  Each draw step
-        becomes a copy of its words from a :class:`_Cursor`.
+        Engages when every stream op is a ``uniform_into`` on ``stream``
+        that draws whole Philox counters (a multiple of 4 words) per
+        chain, and at least two sweeps' words fit in
+        ``4 * BLOCK_COUNTERS``.  Each draw step becomes a copy of its
+        words from a :class:`_Cursor`.
         """
-        if backend.core is not None:
-            return None
         rows = getattr(stream, "n_chains", 1)
         cursor = _Cursor()
         steps = list(self._steps)
@@ -370,7 +368,7 @@ class TracedExecutor:
         self.sweeps_eager += 1  # the recording sweep advanced the chain
         if trace.sound and trace.n_ops > 0:
             self.trace = trace.compile()
-            self._ahead = trace.draw_ahead(stream, real)
+            self._ahead = trace.draw_ahead(stream)
             self.traces_recorded += 1
         else:
             # Not a steady-state fused sweep (cold cache or elementwise

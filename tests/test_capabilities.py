@@ -2,10 +2,10 @@
 
 The walk crosses the five drivers (``simulate``, ``ensemble``,
 ``tempering``, ``distributed`` and the ``Scheduler``) with every
-updater, dtype, field, coupling kind, block shape and ``fused``
-selection.  ``fused=True`` rides along with ``"auto"`` and ``False``;
-``distributed()`` refuses it, and its per-core TPU backends resolve
-``"auto"`` to the elementwise engine.
+updater, dtype, field, coupling kind, block shape, backend kind and
+``fused`` selection.  ``fused=True`` rides along with ``"auto"`` and
+``False``; the ``"tpu"`` backend refuses it and resolves ``"auto"`` to
+the elementwise engine, and ``distributed()`` runs on that backend only.
 
 Each cell must do one of two things:
 
@@ -61,6 +61,7 @@ DTYPES = ("float32", "bfloat16", "packed")
 FIELDS = (0.0, 0.25)
 COUPLINGS = ("ferro", "bimodal")
 BLOCKS = (None, BLOCK)
+BACKENDS = ("numpy", "tpu")
 #: False first: it is the reference of the float cells that follow it.
 FUSED = (False, "auto", True)
 
@@ -68,13 +69,14 @@ ENGINES = ("elementwise", "fused", "traced", "packed")
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "engines.md"
 
 
-def _config(driver, updater, dtype, field, couplings, block, fused):
+def _config(driver, updater, dtype, field, couplings, block, backend, fused):
     kwargs = dict(
         shape=SHAPE,
         updater=updater,
         dtype=dtype,
         field=field,
         block_shape=block,
+        backend=backend,
         fused=fused,
         seed=5,
     )
@@ -149,10 +151,9 @@ def _replayed(driver, built) -> bool:
     )
 
 
-def _engine(driver, dtype, fused) -> str:
+def _engine(backend, dtype, fused) -> str:
     if dtype == "packed":
         return "packed"
-    backend = "tpu" if driver == "distributed" else "numpy"
     return "fused" if resolve_fused(fused, backend, dtype) else "elementwise"
 
 
@@ -161,8 +162,10 @@ def _walk():
     cells seen replaying)."""
     supported, failures, replayed = set(), [], set()
     packed_refs = {}
-    for axes in itertools.product(UPDATERS, DTYPES, FIELDS, COUPLINGS, BLOCKS):
-        updater, dtype, field, couplings, block = axes
+    for axes in itertools.product(
+        UPDATERS, DTYPES, FIELDS, COUPLINGS, BLOCKS, BACKENDS
+    ):
+        updater, dtype, field, couplings, block, backend = axes
         float_refs = {}
         for driver, fused in itertools.product(DRIVERS, FUSED):
             cell = (driver,) + axes + (fused,)
@@ -173,7 +176,7 @@ def _walk():
             except Exception as exc:  # noqa: BLE001 — reported below
                 failures.append(f"{cell}: construction raised {exc!r}")
                 continue
-            runs_fused = _engine(driver, dtype, fused) != "elementwise"
+            runs_fused = _engine(backend, dtype, fused) != "elementwise"
             want = (updater, dtype, block, runs_fused)
             got = _built_engine(driver, built)
             if block is None:
@@ -221,7 +224,7 @@ def test_no_cell_fails_after_construction_or_substitutes(walk):
 def test_walk_sees_every_driver_and_engine(walk):
     supported, _, _ = walk
     assert {cell[0] for cell in supported} == set(DRIVERS)
-    engines = {_engine(cell[0], cell[2], cell[-1]) for cell in supported}
+    engines = {_engine(cell[6], cell[2], cell[-1]) for cell in supported}
     assert engines == {"elementwise", "fused", "packed"}
 
 
@@ -264,7 +267,7 @@ def _observed_rows(supported, replayed) -> dict:
     """The table rows the walk can observe, rendered per engine column."""
     cells_of = {engine: [] for engine in ENGINES}
     for cell in supported:
-        cells_of[_engine(cell[0], cell[2], cell[-1])].append(cell)
+        cells_of[_engine(cell[6], cell[2], cell[-1])].append(cell)
     cells_of["traced"] = [cell for cell in cells_of["fused"] if cell in replayed]
 
     def updaters(engine, keep=lambda cell: True):
@@ -295,6 +298,9 @@ def _observed_rows(supported, replayed) -> dict:
         )
         rows.setdefault("dtypes", []).append(
             ", ".join(_names({cell[2] for cell in cells_of[engine]}, DTYPES))
+        )
+        rows.setdefault('`backend="tpu"`', []).append(
+            _check_mark(updaters(engine, lambda cell: cell[6] == "tpu"))
         )
         rows.setdefault("`distributed()` updaters", []).append(
             ", ".join(_names(on_pod, UPDATERS)) or "❌"

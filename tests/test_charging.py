@@ -1,16 +1,20 @@
-"""Cost accounting: plain backends build no charges, TPU op logs and the
-distributed modeled clock are pinned."""
+"""Cost accounting: plain backends build no charges, the ``*_into`` ops
+book nothing on a core, TPU op logs and the distributed modeled clock
+are pinned."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.backend import NumpyBackend
 from repro.backend.base import Backend
 from repro.backend.tpu_backend import TPUBackend
+from repro.core.config import default_block_shape
 from repro.core.distributed import DistributedIsing
-from repro.core.ensemble import EnsembleSimulation
+from repro.core.ensemble import EnsembleSimulation, _make_updater
 from repro.core.simulation import IsingSimulation
+from repro.rng import PhiloxStream
 from repro.tpu.tensorcore import TensorCore
 
 from .conftest import eager_sweeps
@@ -62,46 +66,50 @@ class TestPlainBackendBooksNothing:
         assert charge_calls == {"_charge": 0, "_nbytes": 0}
 
 
+class TestIntoOpsBookNothing:
+    @pytest.mark.parametrize(
+        "updater, dtype",
+        [
+            ("compact", "float32"),
+            ("conv", "float32"),
+            ("checkerboard", "float32"),
+            ("masked_conv", "float32"),
+            ("compact", "packed"),
+        ],
+    )
+    def test_steady_fused_sweep_on_a_core_books_nothing(self, updater, dtype):
+        # check_config keeps the fused and packed engines off the TPU
+        # cost model; their *_into vocabulary books nothing even when an
+        # updater is handed a core directly.
+        core = TensorCore(core_id=0, op_log=[])
+        shape = (32, 128) if dtype == "packed" else SHAPE
+        chain = _make_updater(
+            updater, 1 / TEMPERATURE, TPUBackend(core, dtype),
+            default_block_shape(updater, shape, dtype), 0.0, fused=True,
+        )
+        state = chain.to_state(np.ones(shape, dtype=np.float32))
+        stream = PhiloxStream(1, 0)
+        state = chain.sweep(state, stream)  # builds the acceptance table
+        core.op_log.clear()
+        chain.sweep(state, stream)
+        assert core.op_log == []
+
+
 # Per-category (ops, flops, bytes) of one 32^2 sweep on a TPUBackend.
-# The paper harness runs fused=False, so nothing else pins the modeled
-# clock of the fused and batched paths.  "first" is a fresh
-# chain's first sweep (it also builds the acceptance table); "steady" is
-# every later sweep, eager, recording or replayed.
+# The TPU cost model runs the elementwise engine only; the paper harness
+# drives it solo, and nothing else pins the batched op stream.  "first"
+# is a fresh chain's first sweep, "steady" every later one.
 PINNED = {
-    "fused-float32": {
+    "batched-elementwise": {
         "first": {
-            "formatting": (28, 1152, 11264),
-            "mxu": (8, 65536, 24576),
-            "vpu": (28, 29796, 69948),
-        },
-        "steady": {
-            "formatting": (28, 1152, 11264),
-            "mxu": (8, 65536, 24576),
-            "vpu": (25, 29696, 69664),
-        },
-    },
-    "fused-bfloat16": {
-        "first": {
-            "formatting": (28, 1152, 7680),
-            "mxu": (8, 65536, 12288),
-            "vpu": (28, 29796, 37022),
-        },
-        "steady": {
-            "formatting": (28, 1152, 7680),
-            "mxu": (8, 65536, 12288),
-            "vpu": (25, 29696, 36880),
-        },
-    },
-    "batched-per-chain-beta": {
-        "first": {
-            "formatting": (28, 3456, 33792),
+            "formatting": (24, 384, 9216),
             "mxu": (8, 196608, 57344),
-            "vpu": (28, 92440, 209460),
+            "vpu": (36, 107520, 270400),
         },
         "steady": {
-            "formatting": (28, 3456, 33792),
+            "formatting": (24, 384, 9216),
             "mxu": (8, 196608, 57344),
-            "vpu": (25, 92160, 208928),
+            "vpu": (36, 107520, 270400),
         },
     },
     "elementwise": {
@@ -120,17 +128,9 @@ PINNED = {
 
 
 def _pinned_sim(kind: str, core: TensorCore):
-    if kind == "fused-float32":
-        return IsingSimulation(
-            SHAPE, TEMPERATURE, backend=TPUBackend(core, "float32"), seed=1, fused=True
-        )
-    if kind == "fused-bfloat16":
-        return IsingSimulation(
-            SHAPE, TEMPERATURE, backend=TPUBackend(core, "bfloat16"), seed=1, fused=True
-        )
-    if kind == "batched-per-chain-beta":
+    if kind == "batched-elementwise":
         return EnsembleSimulation(
-            SHAPE, TEMPERATURES, backend=TPUBackend(core, "float32"), seed=1, fused=True
+            SHAPE, TEMPERATURES, backend=TPUBackend(core, "float32"), seed=1, fused=False
         )
     return IsingSimulation(
         SHAPE, TEMPERATURE, backend=TPUBackend(core, "float32"), seed=1, fused=False
@@ -150,14 +150,11 @@ class TestModeledClockPinned:
     def test_op_log_matches_pinned_totals(self, kind):
         core = TensorCore(core_id=0, op_log=[])
         sim = _pinned_sim(kind, core)
-        # run(1) three times: eager warm-up, then the recording sweep and
-        # a replay wherever the fused engine runs.
         for phase in ("first", "steady", "steady"):
             sim.run(1)
             assert _category_totals(core.op_log) == PINNED[kind][phase]
             core.op_log.clear()
-        if sim._executor is not None:
-            assert sim._executor.sweeps_replayed == 1
+        assert sim._executor is None
 
 
 # Every core's profiler after two sweeps of a 32^2 lattice on a 2x2 pod:

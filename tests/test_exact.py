@@ -176,14 +176,27 @@ class TestCheckerboardKernel:
             checkerboard_phase_matrix((2, 2), 0.5, "blue")
 
 
+def _equal_probability_bins(energies: np.ndarray, prob: np.ndarray, n_bins: int):
+    """Bin index of every state: states sorted by energy, cut into
+    ``n_bins`` runs of (nearly) equal exact probability."""
+    order = np.argsort(energies, kind="stable")
+    before = np.cumsum(prob[order]) - prob[order]
+    bins = np.empty(energies.size, dtype=np.intp)
+    bins[order] = np.minimum((before * n_bins).astype(np.intp), n_bins - 1)
+    return bins
+
+
 class TestDisorderedChains:
-    """Masked-conv chains on a +/-J realisation against exact enumeration.
+    """Masked-conv chains on a disorder realisation against exact enumeration.
 
     The energy of every 4x4 configuration comes from an explicit bond
     sum over the ``right`` / ``down`` planes (``bond_energies``), which
     shares no code with the weighted neighbour sums the chains sweep
     with, so a bond-plane orientation error common to both engines
-    shows up as a wrong energy distribution.
+    shows up as a wrong energy distribution.  A +/-J realisation has a
+    few dozen energy levels, binned one per level; gaussian bonds give
+    every state its own energy, so the 65,536 states are binned by
+    energy into 16 bins of equal exact probability.
     """
 
     SIDE = 4
@@ -193,6 +206,7 @@ class TestDisorderedChains:
     #: here, so samples this far apart are close to independent.
     THIN = 4
     N_SAMPLES = 100
+    GAUSSIAN_BINS = 16
 
     def test_bond_energies_of_ferro_planes_are_the_clean_model(self):
         ferro = BondCouplings.generate("ferro", (4, 4))
@@ -204,7 +218,14 @@ class TestDisorderedChains:
 
     @pytest.mark.parametrize("fused", [False, True], ids=["elementwise", "fused"])
     def test_bimodal_energy_histogram_is_boltzmann(self, fused):
-        model = ModelSpec(couplings="bimodal", disorder_seed=3)
+        self._check_energy_histogram("bimodal", fused)
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["elementwise", "fused"])
+    def test_gaussian_energy_histogram_is_boltzmann(self, fused):
+        self._check_energy_histogram("gaussian", fused)
+
+    def _check_energy_histogram(self, couplings: str, fused: bool) -> None:
+        model = ModelSpec(couplings=couplings, disorder_seed=3)
         config = SimulationConfig(
             shape=self.SIDE, temperature=self.TEMPERATURE,
             updater="masked_conv", model=model, seed=11, fused=fused,
@@ -213,11 +234,17 @@ class TestDisorderedChains:
         assert chains.backend.dtype.name == "float32"
         assert chains.fused is fused
         energies = bond_energies(
-            BondCouplings.generate("bimodal", self.SIDE, model.disorder_seed)
+            BondCouplings.generate(couplings, self.SIDE, model.disorder_seed)
         )
-        levels, level_of_state = np.unique(energies, return_inverse=True)
         weights = np.exp(-(energies - energies.min()) / self.TEMPERATURE)
-        exact = np.bincount(level_of_state, weights=weights) / weights.sum()
+        prob = weights / weights.sum()
+        if couplings == "bimodal":
+            bin_of_state = np.unique(energies, return_inverse=True)[1]
+        else:
+            bin_of_state = _equal_probability_bins(
+                energies, prob, self.GAUSSIAN_BINS
+            )
+        exact = np.bincount(bin_of_state, weights=prob)
 
         # State s of enumerate_states has spin +1 where bit i of s is set.
         bit = 1 << np.arange(self.SIDE * self.SIDE)
@@ -228,10 +255,10 @@ class TestDisorderedChains:
             up = chains.lattices.reshape(self.N_CHAINS, -1) > 0
             states.append(up @ bit)
         states = np.concatenate(states)
-        observed = np.bincount(level_of_state[states], minlength=levels.size)
+        observed = np.bincount(bin_of_state[states], minlength=exact.size)
         expected = exact * states.size
 
-        # Pool the improbable high-energy levels into one bin that
+        # Pool the improbable high-energy bins into one bin that
         # expects at least 5 counts.
         tail = np.cumsum(expected[::-1])[::-1]
         cut = int(np.nonzero(tail >= 5.0)[0].max())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import SimulationConfig, load
 from repro.backend import NumpyBackend
 from repro.backend.tpu_backend import TPUBackend
 from repro.core.accept import NN_VALUES, AcceptanceTable
@@ -12,6 +13,7 @@ from repro.core.config import check_config, resolve_fused
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.fused import SweepWorkspace, record_fused_metrics
 from repro.core.simulation import IsingSimulation
+from repro.core.tempering import TemperingEnsemble
 from repro.core.update import acceptance_ratio
 from repro.telemetry import MetricsRegistry, RunTelemetry
 from repro.tpu.tensorcore import TensorCore
@@ -265,18 +267,33 @@ class TestFusedConfig:
             (8, 8), 2.2, backend=TPUBackend(TensorCore(0)), seed=1
         )
         assert tpu_sim.fused is False
+        assert tpu_sim._executor is None
 
-    def test_tpu_fused_true_is_bit_identical(self):
-        sims = [
-            IsingSimulation(
-                (12, 12), 2.2, backend=TPUBackend(TensorCore(i)), seed=4,
-                fused=fused,
-            )
-            for i, fused in enumerate((False, True))
+    def test_tpu_refuses_fused_true(self):
+        # The TPU cost model runs the elementwise engine only: one
+        # check_config rule refuses fused=True wherever a config is built.
+        tpu = lambda: TPUBackend(TensorCore(0), "float32")  # noqa: E731
+        builds = [
+            lambda: SimulationConfig(backend="tpu", fused=True),
+            lambda: SimulationConfig(backend=tpu(), fused=True),
+            lambda: SimulationConfig(grid=(2, 2), fused=True),
+            lambda: IsingSimulation(8, 2.2, backend=tpu(), fused=True),
+            lambda: EnsembleSimulation(8, [2.0, 2.4], backend=tpu(), fused=True),
+            lambda: TemperingEnsemble(8, [0.4, 0.5], backend=tpu(), fused=True),
         ]
-        for sim in sims:
-            sim.run(4)
-        np.testing.assert_array_equal(sims[0].lattice, sims[1].lattice)
+        for build in builds:
+            with pytest.raises(ValueError, match="fused=True does not support backend='tpu'"):
+                build()
+        # A checkpoint that carries "fused": true is refused on load.
+        for chain in (
+            IsingSimulation(8, 2.2, backend=tpu(), seed=1),
+            EnsembleSimulation(8, [2.0, 2.4], backend=tpu(), seed=1),
+        ):
+            state = chain.state_dict()
+            assert state["backend"] == "tpu" and state["fused"] == "auto"
+            state["fused"] = True
+            with pytest.raises(ValueError, match="fused=True does not support backend='tpu'"):
+                load(state)
 
     def test_checkpoint_roundtrip_preserves_fused(self):
         sim = IsingSimulation((12, 12), 2.2, seed=6, fused=True)

@@ -23,12 +23,10 @@ from repro.backend.tpu_backend import TPUBackend
 from repro.baselines.multispin import MultispinUpdater
 from repro.core import (
     CheckerboardUpdater,
-    CompactUpdater,
     EnsembleSimulation,
     IsingSimulation,
     PackedState,
     PackedUpdater,
-    record_packed_metrics,
     plain_to_grid,
     plain_to_quarters,
     grid_to_plain,
@@ -511,23 +509,18 @@ class TestRejections:
 
 class TestTelemetry:
     def test_report_carries_packed_gauges(self):
+        # The packed workspace is reported by the fused engine's one
+        # workspace gauge pair, like every other engine's scratch.
         telemetry = RunTelemetry()
         sim = IsingSimulation(
             128, 2.2, backend=packed_backend(), seed=1, telemetry=telemetry,
         )
         sim.run(5)
-        sim.report()
-        registry = telemetry.registry
+        metrics = sim.report().metrics
         workspace = sim._updater.workspace
-        assert registry.gauge("packed_workspace_bytes").value == workspace.nbytes > 0
-        assert registry.gauge("packed_workspace_buffers").value == workspace.n_buffers > 0
-
-    def test_float_chain_reports_zero_packed_gauges(self):
-        registry = MetricsRegistry()
-        updater = CompactUpdater(0.44, NumpyBackend(), block_shape=(8, 64))
-        record_packed_metrics(registry, updater)
-        assert registry.gauge("packed_workspace_bytes").value == 0
-        assert registry.gauge("packed_workspace_buffers").value == 0
+        assert metrics["fused_workspace_bytes"]["value"] == workspace.nbytes > 0
+        assert metrics["fused_workspace_buffers"]["value"] == workspace.n_buffers > 0
+        assert not [name for name in metrics if name.startswith("packed_")]
 
 
 # -- scheduler key honesty ---------------------------------------------------

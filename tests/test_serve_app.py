@@ -159,6 +159,10 @@ class TestErrors:
                 {"shape": [128, 128], "dtype": "packed", "backend": "tpu"},
                 "does not support backend='tpu'",
             ),
+            (
+                {"backend": "tpu", "fused": True},
+                "fused=True does not support backend='tpu'",
+            ),
             ({"model": {"lattice": "square"}}, "unknown model field"),
             (
                 {"updater": "masked_conv", "block_shape": [4, 4]},
@@ -170,7 +174,7 @@ class TestErrors:
             ),
         ],
         ids=[
-            "odd-side", "narrow-packed", "tpu-packed", "model-lattice",
+            "odd-side", "narrow-packed", "tpu-packed", "tpu-fused", "model-lattice",
             "masked-conv-block", "untiled-block",
         ],
     )

@@ -8,8 +8,8 @@ dtypes, field on and off; traces invalidate on any binding change
 (restored checkpoints, roster rebuilds, new streams); checkpoints taken
 mid-replay round-trip, including ones that still carry the removed
 ``traced`` setting; the ``traced_*`` gauges count replayed sweeps; and
-replay that draws Philox several sweeps ahead leaves lattices, counters
-and the modeled op log where eager sweeps leave them after every call.
+replay that draws Philox several sweeps ahead leaves lattices and
+counters where eager sweeps leave them after every call.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class TestResolve:
             "add_into", "multiply_into", "exp_into", "less_into",
             "take_into", "uniform_into", "band_cross_matmul_into",
             "band_pair_matmul_into", "acceptance_index_into", "roll_into",
-            "slice_copy_into", "add_at_slice_into", "shifted_pair_sum_into", "conv2d_neighbors_into",
+            "slice_copy_into", "add_at_slice_into", "conv2d_neighbors_into",
             "packed_bits_into", "packed_xor_into", "packed_shift_cols_into",
             "packed_compare_pack_into", "packed_full_adder_into",
             "packed_flip_select_into",
@@ -106,8 +106,7 @@ class TestResolve:
         assert ALLOCATING_OPS == {
             "array", "matmul", "add", "subtract", "multiply", "exp", "less",
             "add_at_slice", "shifted_pair_sum", "conv2d_neighbors",
-            "random_uniform", "roll", "slice_copy", "packed_pack",
-            "packed_unpack",
+            "random_uniform", "roll", "slice_copy",
         }
         assert REPLAYABLE_OPS | ALLOCATING_OPS == public
 
@@ -301,18 +300,12 @@ class TestTelemetryAndApi:
 
     @pytest.mark.parametrize(
         "chain, n, replayed, draws",
-        [("solo-32", 30, 28, 1), ("solo-512", 5, 3, 3), ("tpu-16", 8, 6, 6)],
+        [("solo-32", 30, 28, 1), ("solo-512", 5, 3, 3)],
     )
     def test_replay_draws_gauge(self, chain, n, replayed, draws):
         # sweeps replayed / replay draws reads as sweeps per Philox call:
         # 28 for a drawn-ahead 32^2 chain, 1 where draw-ahead is off.
-        if chain == "tpu-16":
-            sim = IsingSimulation(
-                16, 2.2, backend=TPUBackend(TensorCore(core_id=0)), seed=1,
-                fused=True,
-            )
-        else:
-            sim = IsingSimulation(int(chain[5:]), 2.2, seed=1)
+        sim = IsingSimulation(int(chain[5:]), 2.2, seed=1)
         sim.run(n)  # without telemetry, so run(n) is one call
         registry = MetricsRegistry()
         record_traced_metrics(registry, sim._executor)
@@ -427,19 +420,6 @@ class TestDrawAhead:
             _check(sim, ref, n)
         # One per roster change; re-tempering keeps the program.
         assert sim._executor.invalidations == 2
-
-    def test_modeled_op_log_is_unchanged(self):
-        def op_log(calls):
-            core = TensorCore(core_id=0, op_log=[])
-            sim = IsingSimulation(
-                16, 2.2, backend=TPUBackend(core), seed=1, fused=True
-            )
-            for n in calls:
-                sim.run(n)
-            assert sim._executor._ahead is None
-            return [entry[:3] for entry in core.op_log]
-
-        assert op_log([8]) == op_log([1] * 8)
 
     def test_memory_is_bounded_and_dropped(self):
         sim = _solo(side=32)
