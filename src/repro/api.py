@@ -233,7 +233,8 @@ class SimulationConfig:
         Compact-grid block size override.
     grid:
         Core grid (rows, cols) — required by :func:`distributed`,
-        rejected elsewhere.  The old ``core_grid=`` spelling raises.
+        rejected elsewhere; ``backend`` must then be None or "tpu".  The
+        old ``core_grid=`` spelling raises.
     initial:
         "hot", "cold", or an explicit spin array.
     record_trace:
@@ -321,6 +322,12 @@ class SimulationConfig:
             rows, cols = self.grid
             if rows < 1 or cols < 1:
                 raise ValueError(f"grid must be positive, got {self.grid}")
+            if self.backend is not None and self.backend != "tpu":
+                raise ValueError(
+                    "a grid config always runs on simulated-TPU per-core "
+                    "backends; backend must be None or 'tpu', got "
+                    f"{self.backend!r}"
+                )
 
     @property
     def resolved_temperature(self) -> float:
@@ -525,9 +532,8 @@ def distributed(config: SimulationConfig) -> DistributedIsing:
 
     Requires ``grid`` (a config with ``grid`` set already holds the pod
     rules: updater "compact" or "conv", no packed dtype, no
-    ``fused=True``); the per-core backends are always simulated-TPU cost
-    models running the elementwise engine, so ``backend`` must be None
-    or "tpu".
+    ``fused=True``, ``backend`` None or "tpu"); the per-core backends
+    are always simulated-TPU cost models running the elementwise engine.
     """
     if config.grid is None:
         raise ValueError(
@@ -536,11 +542,6 @@ def distributed(config: SimulationConfig) -> DistributedIsing:
         )
     _reject(config, "distributed", "ladder")
     _reject_disorder(config, "distributed")
-    if config.backend is not None and config.backend != "tpu":
-        raise ValueError(
-            "distributed() always runs on simulated-TPU per-core backends; "
-            f"config.backend must be None or 'tpu', got {config.backend!r}"
-        )
     return DistributedIsing(
         config.shape,
         config.resolved_temperature,

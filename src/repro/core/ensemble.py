@@ -658,6 +658,7 @@ class EnsembleSimulation:
             registry.gauge(name).set(value)
         record_fused_metrics(registry, self._updater)
         record_traced_metrics(registry, self._executor)
+        registry.gauge("rng_split_draws").set(self.stream.split_draws)
         return self.telemetry.build_report(
             kind=kind, run=run, rng={"streams": streams}
         )

@@ -17,11 +17,26 @@ advance its own counter.
 :func:`philox4x32` and the ``philox_uniform_bits*`` functions allocate
 and serve as the oracle.  :func:`philox_bits_into` and
 :func:`philox_uniform_into` are the allocation-free generator the
-streams use: a pair-stacked uint64 round network evaluated in blocks of
-at most :data:`BLOCK_COUNTERS` counters, bit-identical to the oracle.
+streams use: a pair-stacked uint64 round network, bit-identical to the
+oracle.
+
+A draw of fewer than ``2 * BLOCK_COUNTERS`` counters (summed over
+streams) runs on the calling thread in blocks of at most
+:data:`BLOCK_COUNTERS` counters.  A larger draw is cut at a counter
+column into two contiguous halves, each run in blocks of at most
+``2 * BLOCK_COUNTERS`` counters: the process's one peer thread draws
+the upper half into its slice of ``out`` while the caller draws the
+lower half.  numpy's uint64 ufuncs release the GIL, so the halves run
+on two cores, and the counter alone fixes every word, so the words do
+not depend on which thread drew them.  The caller draws the whole range
+alone when another draw holds the peer or the process may run on one
+CPU only.  The peer starts on the first split draw, never at import.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -214,8 +229,12 @@ def philox_uniform_bits_batched(
 
 
 #: Most counters the in-place generator evaluates at once, summed over
-#: streams.  16384 counters is the largest per-phase float draw (a 512²
-#: compact lattice), so its scratch stays bounded however large a draw is.
+#: streams, in a draw that runs on the calling thread alone.  16384
+#: counters is the largest per-phase float draw (a 512² compact lattice),
+#: so scratch memory stays bounded however large a draw is.  A draw of at
+#: least ``2 * BLOCK_COUNTERS`` counters splits across two threads, each
+#: running blocks of up to ``2 * BLOCK_COUNTERS`` counters, so a stream
+#: holds at most two scratches, each of at most that many counters.
 BLOCK_COUNTERS = 16384
 
 # ``x = [c0, c2]`` is multiplied plane-wise by ``[M0, M1]``.
@@ -226,9 +245,35 @@ _SHIFT8 = np.uint64(8)
 _UNIFORM_SCALE = np.float32(2.0**-24)
 
 
+def _splits(n_streams: int, n_counters: int) -> bool:
+    """Whether a draw of ``n_counters`` per stream is cut into two halves."""
+    return n_counters > 1 and n_streams * n_counters >= 2 * BLOCK_COUNTERS
+
+
 def _block_for(n_streams: int, n_counters: int) -> int:
-    """Counters per stream in one block of an ``n_counters`` draw."""
+    """Counters per stream in one block of an ``n_counters`` draw.
+
+    Each half of a split draw runs in blocks of up to twice the unsplit
+    bound, so a 512² sweep's 65,536 counters run as one block per half:
+    halving the blocks doubles the GIL hand-offs between the threads.
+    """
+    if _splits(n_streams, n_counters):
+        upper_half = n_counters - n_counters // 2
+        return max(1, min(upper_half, 2 * BLOCK_COUNTERS // n_streams))
     return max(1, min(n_counters, BLOCK_COUNTERS // n_streams))
+
+
+def _block_buffers(n_streams: int, block: int) -> dict:
+    """The buffers one thread's blocks write: counter limbs and state pairs."""
+    pair = (2, n_streams, block)
+    return {
+        "base_lo": np.empty((n_streams, 1), dtype=np.uint64),
+        "base_hi": np.empty((n_streams, 1), dtype=np.uint64),
+        "carry": np.empty((n_streams, block), dtype=bool),
+        # The pair-stacked state (see _fill_blocks).
+        "x": np.empty(pair, dtype=np.uint64),
+        "y": np.empty(pair, dtype=np.uint64),
+    }
 
 
 def make_philox_scratch(n_streams: int, n_words: int) -> dict:
@@ -237,8 +282,12 @@ def make_philox_scratch(n_streams: int, n_words: int) -> dict:
     The returned dict is an opaque workspace for ``n_streams``
     independent streams drawing ``n_words`` words each; reusing it across
     calls is what makes the in-place generator allocation-free.  Its
-    arrays hold one block of at most :data:`BLOCK_COUNTERS` counters
-    (summed over streams), not the whole draw, so
+    arrays hold one block, not the whole draw: at most
+    :data:`BLOCK_COUNTERS` counters (summed over streams), or
+    ``2 * BLOCK_COUNTERS`` for a draw large enough to split across two
+    threads.  The first draw that splits adds the peer thread's buffers
+    (the same block, sharing the read-only counter ramp ``idx``) inside
+    the same dict, so a scratch holds at most two blocks.
     :func:`fit_philox_scratch` can aim it at any draw of at most
     ``n_words`` words per stream.
     """
@@ -248,21 +297,19 @@ def make_philox_scratch(n_streams: int, n_words: int) -> dict:
         raise ValueError(f"n_words must be >= 1, got {n_words}")
     n_counters = -(-n_words // 4)
     block = _block_for(n_streams, n_counters)
-    pair = (2, n_streams, block)
     return {
         "n_streams": n_streams,
         "n_words": n_words,
         "n_counters": n_counters,
         "block": block,
         "idx": np.arange(block, dtype=np.uint64),
-        "base_lo": np.empty((n_streams, 1), dtype=np.uint64),
-        "base_hi": np.empty((n_streams, 1), dtype=np.uint64),
-        "carry": np.empty((n_streams, block), dtype=bool),
-        # The pair-stacked state (see _philox_blocks).
-        "x": np.empty(pair, dtype=np.uint64),
-        "y": np.empty(pair, dtype=np.uint64),
+        **_block_buffers(n_streams, block),
         "schedule_for": None,
         "schedule": None,
+        # The peer thread's buffers, built by the first draw that splits.
+        "upper": None,
+        # Whether the last draw split (the streams count split draws).
+        "split": False,
     }
 
 
@@ -273,8 +320,8 @@ def fit_philox_scratch(scratch: "dict | None", n_streams: int, n_words: int) -> 
     then aimed at ``n_words`` in place and returned.  Only a missing
     scratch, another stream count or a draw that needs a bigger block
     builds a new one.  A stream that keeps the result holds one scratch
-    whatever sizes it draws, never larger than one block of
-    :data:`BLOCK_COUNTERS` counters.
+    whatever sizes it draws: at most two blocks (its own and the peer
+    thread's), each of at most ``2 * BLOCK_COUNTERS`` counters.
     """
     n_counters = -(-n_words // 4)
     if (
@@ -301,14 +348,16 @@ def _key_schedule(keys: np.ndarray, rounds: int, scratch: dict) -> list:
     return scratch["schedule"]
 
 
-def _philox_blocks(start_counters, keys, out, scratch, rounds):
-    """Run the round network block by block; yield each block's output.
+def _fill_blocks(out, starts, schedule, idx, buffers, lo, hi, emit) -> None:
+    """Draw counters ``[lo, hi)`` of every stream into ``out``, block by block.
 
-    Validates the call, then for every block of consecutive counters
-    yields ``(first, count, x, y)``: the block's first counter index, its
-    counter count, and its output pairs ``x = [c0, c2]``, ``y = [c1, c3]``
-    (uint64 views of the scratch, each word in the low 32 bits).  The
-    pairs are overwritten by the next block.
+    ``buffers`` (from :func:`_block_buffers`) sets the block size.  Each
+    block's output pairs ``x = [c0, c2]``, ``y = [c1, c3]`` (uint64 views
+    of the buffers, each word in the low 32 bits) go to
+    ``emit(x, y, out, first, count)``, ``first`` being the block's first
+    counter index.  This is all the peer thread runs; the two threads
+    read ``starts``, ``schedule`` and ``idx`` and write only their own
+    counter columns of ``out``.
 
     Inside the round network ``y`` is held shifted into the high 32 bits,
     so that one round is five whole-pair calls on two buffers::
@@ -320,6 +369,119 @@ def _philox_blocks(start_counters, keys, out, scratch, rounds):
         x = y >> 32              # x = [c0', c2']
         y <<= 32                 # y = [c1', c3'] << 32
     """
+    block = buffers["x"].shape[-1]
+    base_lo = buffers["base_lo"]
+    base_hi = buffers["base_hi"]
+    for first in range(lo, hi, block):
+        count = min(block, hi - first)
+        for b, start in enumerate(starts):
+            counter = (start + first) % (1 << 128)
+            base_lo[b, 0] = counter & ((1 << 64) - 1)
+            base_hi[b, 0] = counter >> 64
+        x = buffers["x"][..., :count]
+        y = buffers["y"][..., :count]
+        x_swapped = x[::-1]
+        with np.errstate(over="ignore"):
+            # Counter limbs: x = [lo, hi] with lo = base + j (mod 2**64)
+            # carrying into hi; then y takes their high and x their low
+            # 32 bits: x = [c0, c2], y = [c1, c3] << 32.
+            carry = buffers["carry"][:, :count]
+            np.add(base_lo, idx[:count], out=x[0])
+            np.less(x[0], base_lo, out=carry)
+            np.add(base_hi, carry, out=x[1])
+            np.bitwise_and(x, _HIGH32, out=y)
+            np.bitwise_and(x, _MASK32, out=x)
+            for key in schedule:
+                np.multiply(x, _PAIR_MULTIPLIERS, out=x)
+                np.bitwise_xor(y, x_swapped, out=y)
+                np.bitwise_xor(y, key, out=y)
+                np.right_shift(y, _SHIFT32, out=x)
+                np.left_shift(y, _SHIFT32, out=y)
+            np.right_shift(y, _SHIFT32, out=y)
+        emit(x, y, out, first, count)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Peer:
+    """The helper thread that draws the upper half of split draws.
+
+    A bare daemon thread, lent to one draw at a time: the draw that has
+    the peer holds ``lent``, ``_go`` hands the peer its half and
+    ``_done`` hands control (and any error) back.  It runs nothing but
+    :func:`_fill_blocks`: never a stream or backend method, which
+    profilers may wrap with single-threaded span stacks.
+    """
+
+    def __init__(self) -> None:
+        self.lent = threading.Lock()
+        self._go = threading.Lock()
+        self._done = threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._args: "tuple | None" = None
+        self._error: "BaseException | None" = None
+        threading.Thread(target=self._serve, name="philox-peer", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            try:
+                _fill_blocks(*self._args)
+            except BaseException as exc:  # finish() re-raises it in the caller
+                self._error = exc
+            self._args = None
+            self._done.release()
+
+    def start(self, *args) -> None:
+        """Run ``_fill_blocks(*args)`` on the peer thread."""
+        self._args = args
+        self._go.release()
+
+    def finish(self) -> None:
+        """Wait for the started half, return the peer, re-raise its error."""
+        self._done.acquire()
+        error, self._error = self._error, None
+        self.lent.release()
+        if error is not None:
+            raise error
+
+
+# One peer per process, not one per stream: a scheduler holding many
+# chains still starts a single thread.  ``_peer_made`` guards building it.
+_peer: "_Peer | None" = None
+_peer_made = threading.Lock()
+
+
+def _lend_peer() -> "_Peer | None":
+    """The peer, lent to the caller (built on first use); None if busy."""
+    global _peer
+    with _peer_made:
+        if _peer is None:
+            _peer = _Peer()
+        peer = _peer
+    return peer if peer.lent.acquire(blocking=False) else None
+
+
+def _drop_peer() -> None:
+    """Forget the peer in a forked child, which has no copy of its thread."""
+    global _peer, _peer_made
+    _peer = None
+    _peer_made = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_peer)
+
+
+def _draw(start_counters, keys, out, scratch, rounds, emit) -> None:
+    """Validate a draw, then run it alone or split with the peer thread."""
     n_streams = scratch["n_streams"]
     n_words = scratch["n_words"]
     keys = np.asarray(keys, dtype=np.uint32)
@@ -340,38 +502,24 @@ def _philox_blocks(start_counters, keys, out, scratch, rounds):
         raise ValueError(f"rounds must be >= 1, got {rounds}")
 
     schedule = _key_schedule(keys, rounds, scratch)
-    starts = [int(s) for s in start_counters]
+    shared = (out, [int(s) for s in start_counters], schedule, scratch["idx"])
     n_counters = scratch["n_counters"]
-    block = scratch["block"]
-    base_lo = scratch["base_lo"]
-    base_hi = scratch["base_hi"]
-    for first in range(0, n_counters, block):
-        count = min(block, n_counters - first)
-        for b, start in enumerate(starts):
-            counter = (start + first) % (1 << 128)
-            base_lo[b, 0] = counter & ((1 << 64) - 1)
-            base_hi[b, 0] = counter >> 64
-        x = scratch["x"][..., :count]
-        y = scratch["y"][..., :count]
-        x_swapped = x[::-1]
-        with np.errstate(over="ignore"):
-            # Counter limbs: x = [lo, hi] with lo = base + j (mod 2**64)
-            # carrying into hi; then y takes their high and x their low
-            # 32 bits: x = [c0, c2], y = [c1, c3] << 32.
-            carry = scratch["carry"][:, :count]
-            np.add(base_lo, scratch["idx"][:count], out=x[0])
-            np.less(x[0], base_lo, out=carry)
-            np.add(base_hi, carry, out=x[1])
-            np.bitwise_and(x, _HIGH32, out=y)
-            np.bitwise_and(x, _MASK32, out=x)
-            for key in schedule:
-                np.multiply(x, _PAIR_MULTIPLIERS, out=x)
-                np.bitwise_xor(y, x_swapped, out=y)
-                np.bitwise_xor(y, key, out=y)
-                np.right_shift(y, _SHIFT32, out=x)
-                np.left_shift(y, _SHIFT32, out=y)
-            np.right_shift(y, _SHIFT32, out=y)
-        yield first, count, x, y
+    split = _splits(n_streams, n_counters) and _cpus() > 1
+    if split and scratch["upper"] is None:
+        scratch["upper"] = _block_buffers(n_streams, scratch["block"])
+    peer = _lend_peer() if split else None
+    scratch["split"] = peer is not None
+    if peer is None:
+        _fill_blocks(*shared, scratch, 0, n_counters, emit)
+        return
+    # The cut falls on a counter column: every stream's counters
+    # [0, mid) are drawn here and [mid, n_counters) on the peer.
+    mid = n_counters // 2
+    peer.start(*shared, scratch["upper"], mid, n_counters, emit)
+    try:
+        _fill_blocks(*shared, scratch, 0, mid, emit)
+    finally:
+        peer.finish()
 
 
 def _scatter_lanes(x, y, out: np.ndarray, first: int, count: int) -> None:
@@ -395,6 +543,16 @@ def _scatter_lanes(x, y, out: np.ndarray, first: int, count: int) -> None:
             np.copyto(out[:, tail + i], lanes[i][:, full], casting="unsafe")
 
 
+def _scatter_uniforms(x, y, out: np.ndarray, first: int, count: int) -> None:
+    """Write one block into float32 ``out`` as uniforms in [0, 1)."""
+    # Top 24 bits, exact in float32, scaled into [0, 1).
+    np.right_shift(x, _SHIFT8, out=x)
+    np.right_shift(y, _SHIFT8, out=y)
+    _scatter_lanes(x, y, out, first, count)
+    words = out[:, 4 * first : min(4 * (first + count), out.shape[1])]
+    np.multiply(words, _UNIFORM_SCALE, out=words)
+
+
 def philox_bits_into(
     start_counters: "list[int] | tuple[int, ...]",
     keys: np.ndarray,
@@ -410,13 +568,12 @@ def philox_bits_into(
     ``scratch`` (from :func:`make_philox_scratch` or
     :func:`fit_philox_scratch` with matching ``n_streams``/``n_words``);
     ``out`` must be a C-contiguous ``(n_streams, n_words)`` uint32 array.
+    A draw of at least ``2 * BLOCK_COUNTERS`` counters runs on two
+    threads (see the module docstring) and writes the same words.
     """
     if out.dtype != np.uint32:
         raise ValueError(f"out must be uint32, got {out.dtype} {out.shape}")
-    for first, count, x, y in _philox_blocks(
-        start_counters, keys, out, scratch, rounds
-    ):
-        _scatter_lanes(x, y, out, first, count)
+    _draw(start_counters, keys, out, scratch, rounds, _scatter_lanes)
     return out
 
 
@@ -432,20 +589,12 @@ def philox_uniform_into(
     Bit-identical to ``uint32_to_uniform`` of :func:`philox_bits_into`'s
     words, but each block is converted straight into ``out``, so no
     draw-sized word buffer exists.  ``out`` must be a C-contiguous
-    ``(n_streams, n_words)`` float32 array.
+    ``(n_streams, n_words)`` float32 array; a large draw splits across
+    two threads as :func:`philox_bits_into`'s does.
     """
     if out.dtype != np.float32:
         raise ValueError(f"out must be float32, got {out.dtype} {out.shape}")
-    n_words = out.shape[-1]
-    for first, count, x, y in _philox_blocks(
-        start_counters, keys, out, scratch, rounds
-    ):
-        # Top 24 bits, exact in float32, scaled into [0, 1).
-        np.right_shift(x, _SHIFT8, out=x)
-        np.right_shift(y, _SHIFT8, out=y)
-        _scatter_lanes(x, y, out, first, count)
-        words = out[:, 4 * first : min(4 * (first + count), n_words)]
-        np.multiply(words, _UNIFORM_SCALE, out=words)
+    _draw(start_counters, keys, out, scratch, rounds, _scatter_uniforms)
     return out
 
 

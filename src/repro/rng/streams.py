@@ -67,6 +67,9 @@ class PhiloxStream:
         # (fit_philox_scratch); purely a performance cache, deliberately
         # excluded from state().
         self._scratch: dict | None = None
+        # In-place draws split across two threads (see repro.rng.philox);
+        # a performance count, not part of state().
+        self.split_draws = 0
 
     def __repr__(self) -> str:
         return (
@@ -130,6 +133,7 @@ class PhiloxStream:
         self._scratch = fit_philox_scratch(self._scratch, 1, size)
         fill([self._counter], self._keys, out.reshape(1, size), self._scratch)
         self._counter += -(-size // 4)
+        self.split_draws += self._scratch["split"]
         return out
 
     def bits_into(self, out: np.ndarray) -> np.ndarray:
@@ -202,6 +206,9 @@ class BatchedPhiloxStream:
         # The one workspace every in-place draw shares (perf cache only;
         # never serialized).
         self._scratch: dict | None = None
+        # In-place draws split across two threads (see
+        # PhiloxStream.split_draws); not part of state().
+        self.split_draws = 0
 
     @classmethod
     def from_streams(cls, streams: "Sequence[PhiloxStream]") -> "BatchedPhiloxStream":
@@ -292,6 +299,7 @@ class BatchedPhiloxStream:
         )
         n_counters = -(-per_chain // 4)
         self._counters = [c + n_counters for c in self._counters]
+        self.split_draws += self._scratch["split"]
         return out
 
     def bits_into(self, out: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,13 @@ from repro.rng import PhiloxStream
 def stream() -> PhiloxStream:
     """A fresh reproducible uniform stream."""
     return PhiloxStream(seed=20190317, stream_id=0)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch) -> None:
+    """Report two usable CPUs, so every draw large enough to split does
+    (``repro.rng.philox``) whatever the host's core count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture

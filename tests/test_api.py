@@ -135,6 +135,13 @@ class TestFactories:
         with pytest.raises(ValueError, match="backend"):
             distributed(SimulationConfig(shape=32, grid=(2, 2), backend="numpy"))
 
+    def test_grid_config_rejects_host_backend_at_build(self):
+        with pytest.raises(ValueError, match="backend must be None or 'tpu'"):
+            SimulationConfig(shape=16, grid=(2, 2), backend="numpy")
+        for backend in (None, "tpu"):
+            cfg = SimulationConfig(shape=16, grid=(2, 2), backend=backend)
+            assert distributed(cfg).num_cores == 4
+
     @pytest.mark.parametrize("updater", ["checkerboard", "masked_conv"])
     def test_grid_config_rejects_updaters_the_pod_cannot_run(self, updater):
         # Regression: distributed() used to run these as "compact".

@@ -229,15 +229,20 @@ class TestBitsInto:
     def test_several_blocks_with_partial_last_block(self):
         from repro.rng.philox import BLOCK_COUNTERS
 
-        n_words = 4 * (2 * BLOCK_COUNTERS + 37)
-        scratch = self._check([11], n_words, [[3, 9]])
+        # Below the split size: blocks of BLOCK_COUNTERS, the last partial.
+        scratch = self._check([11], 4 * (BLOCK_COUNTERS + 37), [[3, 9]])
         assert scratch["block"] == BLOCK_COUNTERS
+        assert scratch["n_counters"] > scratch["block"]
+        # A split draw: each half runs blocks of twice the bound, the
+        # last one partial.
+        scratch = self._check([11], 4 * (4 * BLOCK_COUNTERS + 37), [[3, 9]])
+        assert scratch["block"] == 2 * BLOCK_COUNTERS
         assert scratch["n_counters"] > 2 * scratch["block"]
 
     def test_counter_carry_inside_and_at_block_boundary(self):
         from repro.rng.philox import BLOCK_COUNTERS
 
-        n_words = 4 * (2 * BLOCK_COUNTERS + 8)
+        n_words = 4 * (BLOCK_COUNTERS + 8)  # two blocks, below the split size
         # The low limb wraps mid-block ...
         self._check([(1 << 64) - 100], n_words, [[1, 2]])
         # ... exactly where the second block starts ...
@@ -250,8 +255,12 @@ class TestBitsInto:
 
         keys = [[7, 0], [7, 1], [9, 2]]
         starts = [0, (1 << 64) - 6000, (1 << 128) - 3]
-        scratch = self._check(starts, 4 * 12000, keys)
+        scratch = self._check(starts, 4 * 8000, keys)
         assert scratch["block"] * 3 <= BLOCK_COUNTERS
+        assert scratch["n_counters"] > scratch["block"]
+        # Split draws bound each half's blocks at twice that.
+        scratch = self._check(starts, 4 * 24000, keys)
+        assert scratch["block"] * 3 <= 2 * BLOCK_COUNTERS
         assert scratch["n_counters"] > 2 * scratch["block"]
 
     @pytest.mark.parametrize("tail", [1, 2, 3])
@@ -320,7 +329,11 @@ class TestBitsInto:
             return sum(v.nbytes for v in scratch.values() if isinstance(v, np.ndarray))
 
         assert nbytes(large) == nbytes(small)
-        assert small["block"] * 4 == BLOCK_COUNTERS
+        # Both draws split, so each half's block is twice the bound ...
+        assert small["block"] * 4 == 2 * BLOCK_COUNTERS
+        # ... while the largest draw below the split size keeps the bound.
+        unsplit = make_philox_scratch(4, 2 * BLOCK_COUNTERS - 4)
+        assert unsplit["block"] * 4 == BLOCK_COUNTERS
 
     def test_uniform_into_validates_dtype(self):
         from repro.rng.philox import make_philox_scratch, philox_uniform_into
@@ -331,3 +344,52 @@ class TestBitsInto:
             philox_uniform_into([0], keys, np.empty((1, 8), np.uint32), scratch)
         with pytest.raises(ValueError, match="out must be float32"):
             philox_uniform_into([0], keys, np.empty((1, 4), np.float32), scratch)
+
+
+class TestSplitDraw:
+    """Draws of at least 2 * BLOCK_COUNTERS counters, summed over streams,
+    are cut at a counter column and drawn on two threads."""
+
+    B = 16384  # BLOCK_COUNTERS, pinned so the sizes below read as counters
+
+    @pytest.mark.parametrize(
+        "n_streams, n_words, split",
+        [
+            (1, 8 * B - 4, False),  # one counter short of the split size
+            (1, 8 * B, True),  # exactly 2 * B counters: one block per half
+            (1, 8 * B + 6, True),  # odd counter count, ragged tail
+            (1, 16 * B + 3, True),  # the upper half runs two blocks
+            (3, 4 * 10923 - 1, True),  # the split size summed over streams
+            (3, 8 * B + 6, True),  # halves of two blocks each, ragged
+        ],
+    )
+    def test_matches_oracle_with_carries_at_the_cut(
+        self, two_cpus, n_streams, n_words, split
+    ):
+        from repro.rng.philox import (
+            BLOCK_COUNTERS,
+            make_philox_scratch,
+            philox_bits_into,
+            philox_uniform_bits_batched,
+            philox_uniform_into,
+        )
+
+        assert BLOCK_COUNTERS == self.B
+        mid = -(-n_words // 4) // 2
+        # Stream 0's low limb carries exactly at the cut, stream 1's whole
+        # 128-bit counter wraps there.
+        starts = [(1 << 64) - mid, (1 << 128) - mid, 12345][:n_streams]
+        keys = np.array([[7, 0], [7, 1], [9, 2]][:n_streams], dtype=np.uint32)
+        expected = philox_uniform_bits_batched(starts, n_words, keys)
+        scratch = make_philox_scratch(n_streams, n_words)
+        out = np.empty((n_streams, n_words), dtype=np.uint32)
+        philox_bits_into(starts, keys, out, scratch)
+        np.testing.assert_array_equal(out, expected)
+        assert scratch["split"] is split
+        uniforms = np.empty((n_streams, n_words), dtype=np.float32)
+        philox_uniform_into(starts, keys, uniforms, scratch)
+        np.testing.assert_array_equal(uniforms, uint32_to_uniform(expected))
+        assert scratch["split"] is split
+        if split:
+            # The peer's buffers match the caller's block.
+            assert scratch["upper"]["x"].shape == scratch["x"].shape

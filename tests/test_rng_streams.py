@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.rng import BatchedPhiloxStream, PhiloxStream, split_key
+from repro.rng import philox
+from repro.rng.philox import (
+    BLOCK_COUNTERS,
+    philox_uniform_bits,
+    philox_uniform_bits_batched,
+    uint32_to_uniform,
+)
 
 
 class TestSplitKey:
@@ -198,3 +211,144 @@ class TestOneScratchPerStream:
         # The largest draw set the block; nothing else is held.
         assert scratch["block"] == min(1250, BLOCK_COUNTERS // rows)
         assert [k for k in vars(stream) if "scratch" in k] == ["_scratch"]
+
+
+#: Words per chain of a draw that splits, with a ragged tail.
+SPLIT_WORDS = 8 * BLOCK_COUNTERS + 6
+SPLIT_COUNTERS = -(-SPLIT_WORDS // 4)
+
+
+def _draw_and_check(stream, bits: bool = False) -> "str | None":
+    """Draw ``SPLIT_WORDS`` per chain; describe any mismatch with the oracle."""
+    solo = isinstance(stream, PhiloxStream)
+    counters = [stream.counter] if solo else stream.counters
+    if solo:
+        words = philox_uniform_bits(counters[0], SPLIT_WORDS, stream._key)[None]
+    else:
+        words = philox_uniform_bits_batched(counters, SPLIT_WORDS, stream._keys)
+    expected = words if bits else uint32_to_uniform(words)
+    out = np.empty(expected.shape, dtype=expected.dtype)
+    (stream.bits_into if bits else stream.uniform_into)(out)
+    if not np.array_equal(out, expected):
+        return f"{stream!r}: words differ from the oracle"
+    after = [stream.counter] if solo else stream.counters
+    if after != [c + SPLIT_COUNTERS for c in counters]:
+        return f"{stream!r}: counters {after} after {counters}"
+    return None
+
+
+class TestPeerThread:
+    """The process's one peer thread, shared by every split draw."""
+
+    def test_more_threads_than_cores_share_the_peer(self, two_cpus):
+        mid = SPLIT_COUNTERS // 2
+        streams = [
+            PhiloxStream(3, 0),
+            # The low limb carries exactly at the cut of the first draw.
+            PhiloxStream.from_state(
+                {"seed": 3, "stream_id": 1, "counter": (1 << 64) - mid}
+            ),
+            BatchedPhiloxStream(5, [0, 1, 2]),
+            BatchedPhiloxStream.from_state(
+                {
+                    "seeds": [6, 6],
+                    "stream_ids": [0, 1],
+                    "counters": [(1 << 64) - mid, (1 << 128) - mid],
+                }
+            ),
+        ]
+        rounds = 6
+        errors = []
+
+        def work(stream):
+            try:
+                for r in range(rounds):
+                    error = _draw_and_check(stream, bits=bool(r % 2))
+                    if error:
+                        errors.append(error)
+            except Exception as exc:  # reported by the main thread
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in streams]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        # The first draw to ask found the peer free.
+        assert sum(s.split_draws for s in streams) >= 1
+
+    def test_one_cpu_draws_alone_and_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(philox, "_peer", None)
+        threads = threading.active_count()
+        stream = BatchedPhiloxStream(8, [0, 1])
+        assert _draw_and_check(stream) is None
+        assert _draw_and_check(stream, bits=True) is None
+        assert threading.active_count() == threads
+        assert philox._peer is None
+        assert stream.split_draws == 0
+
+    def test_held_peer_leaves_the_draw_to_the_caller(self, two_cpus):
+        stream = PhiloxStream(8, 3)
+        peer = philox._lend_peer()
+        assert peer is not None
+        try:
+            assert _draw_and_check(stream) is None
+            assert stream.split_draws == 0
+        finally:
+            peer.lent.release()
+        assert _draw_and_check(stream) is None
+        assert stream.split_draws == 1
+
+    def test_peer_error_reraises_and_the_next_draw_splits(
+        self, two_cpus, monkeypatch
+    ):
+        fill = philox._fill_blocks
+
+        def fail_upper_half(out, starts, schedule, idx, buffers, lo, hi, emit):
+            if lo > 0:
+                raise RuntimeError("upper half failed")
+            fill(out, starts, schedule, idx, buffers, lo, hi, emit)
+
+        stream = PhiloxStream(8, 4)
+        with monkeypatch.context() as patch:
+            patch.setattr(philox, "_fill_blocks", fail_upper_half)
+            with pytest.raises(RuntimeError, match="upper half failed"):
+                stream.uniform_into(np.empty(SPLIT_WORDS, dtype=np.float32))
+        assert stream.counter == 0
+        assert stream.split_draws == 0
+        assert _draw_and_check(stream) is None
+        assert stream.split_draws == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_forked_child_draws_with_its_own_peer(self, two_cpus):
+        stream = PhiloxStream(8, 5)
+        assert _draw_and_check(stream) is None
+        assert stream.split_draws == 1  # the parent's peer has run
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if its split draw matches
+            code = 1
+            try:
+                if _draw_and_check(stream) is None and stream.split_draws == 2:
+                    code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's split draw did not finish")
+            time.sleep(0.01)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0

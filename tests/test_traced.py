@@ -312,6 +312,27 @@ class TestTelemetryAndApi:
         assert registry.gauge("traced_sweeps_replayed").value == replayed
         assert registry.gauge("traced_replay_draws").value == draws
 
+    @pytest.mark.parametrize(
+        "side, n_chains, warm, added",
+        [(512, 1, 3, 5), (32, 1, 0, 0), (32, 16, 0, 0)],
+        ids=["solo-512", "solo-32", "16x32"],
+    )
+    def test_split_draws_gauge(self, two_cpus, side, n_chains, warm, added):
+        # One split draw per 512^2 sweep; 32^2 draws never split, drawn
+        # ahead or batched.
+        telemetry = RunTelemetry(physics_interval=0)
+        if n_chains == 1:
+            sim = IsingSimulation(side, 2.2, seed=1, telemetry=telemetry)
+        else:
+            sim = EnsembleSimulation(
+                side, [2.2] * n_chains, seed=1, telemetry=telemetry
+            )
+        sim.run(3)
+        assert sim.stream.split_draws == warm
+        sim.run(5)
+        metrics = sim.report().metrics
+        assert metrics["rng_split_draws"]["value"] == warm + added
+
     def test_config_passes_traced_through(self):
         # Replay follows the config's engine choice through the factory.
         cfg = SimulationConfig(shape=16, temperature=2.2, fused=False)
