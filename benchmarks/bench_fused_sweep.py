@@ -16,6 +16,13 @@ only half the sites per phase, which pushes them toward the Philox
 throughput floor; their speedups are recorded in the payload but not
 gated.
 
+Both sides are timed on one CPU: the process pins itself to one of its
+CPUs (``os.sched_setaffinity``) for the timing and restores its CPU set
+afterwards.  A fused 512^2 sweep's Philox draw would otherwise split
+across two host cores (``repro.rng.philox``) while the elementwise
+reference draws on one, tying the ratio to the host's core count.  CI
+also runs it on one BLAS thread, as the packed gate does.
+
 Run as a script for the CI check::
 
     PYTHONPATH=src python benchmarks/bench_fused_sweep.py            # 512, gated
@@ -28,6 +35,8 @@ or emit the machine-readable snapshot::
 
 from __future__ import annotations
 
+import contextlib
+import os
 import time
 
 from repro.core.simulation import IsingSimulation
@@ -56,20 +65,40 @@ def _sweep_seconds(
         t0 = time.perf_counter()
         sim.run(n_sweeps)
         best = min(best, (time.perf_counter() - t0) / n_sweeps)
+    if sim.stream.split_draws:
+        raise AssertionError(f"{updater}: a timed Philox draw split across two cores")
     return best
 
 
+@contextlib.contextmanager
+def _one_cpu():
+    """Pin this process to one of its CPUs, then restore its CPU set.
+
+    A Philox draw splits only when the process may run on two CPUs, so
+    inside this block no draw splits.
+    """
+    pid = os.getpid()
+    cpus = os.sched_getaffinity(pid)
+    os.sched_setaffinity(pid, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(pid, cpus)
+
+
 def measure(side: int = 512, n_sweeps: int = 4, reps: int = 3) -> dict:
-    """``{updater: {"elementwise_s", "fused_s", "speedup"}}`` on side^2."""
+    """``{updater: {"elementwise_s", "fused_s", "speedup"}}`` on side^2,
+    both sides timed on one CPU."""
     results = {}
-    for updater in UPDATERS:
-        elementwise = _sweep_seconds(updater, False, side, n_sweeps, reps)
-        fused = _sweep_seconds(updater, True, side, n_sweeps, reps)
-        results[updater] = {
-            "elementwise_s": elementwise,
-            "fused_s": fused,
-            "speedup": elementwise / fused,
-        }
+    with _one_cpu():
+        for updater in UPDATERS:
+            elementwise = _sweep_seconds(updater, False, side, n_sweeps, reps)
+            fused = _sweep_seconds(updater, True, side, n_sweeps, reps)
+            results[updater] = {
+                "elementwise_s": elementwise,
+                "fused_s": fused,
+                "speedup": elementwise / fused,
+            }
     return results
 
 
@@ -87,6 +116,7 @@ def bench_payload() -> tuple[dict, dict]:
         "temperature": TEMPERATURE,
         "backend": "numpy",
         "dtype": "float32",
+        "timed_cpus": 1,
         "gate_updater": GATE_UPDATER,
         "gate_threshold_x": GATE_SPEEDUP,
     }
@@ -102,7 +132,7 @@ def main(argv: "list[str] | None" = None) -> None:
     except ValueError:
         sys.exit(f"usage: bench_fused_sweep.py [side] — side must be an integer, got {raw}")
     gated = not raw  # the default 512 run is the CI gate
-    print(f"fused vs elementwise sweep, {side}^2 lattice (numpy float32)")
+    print(f"fused vs elementwise sweep, {side}^2 lattice (numpy float32, one CPU)")
     print(f"{'updater':>12} {'elementwise [ms]':>17} {'fused [ms]':>11} {'speedup':>9}")
     results = measure(side=side)
     for updater, row in results.items():

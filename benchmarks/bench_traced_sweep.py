@@ -73,7 +73,6 @@ SLICE_CORES = 32
 
 #: Ops whose result buffer is not the last positional argument.
 _RETURN_ARG = {
-    "add_at_slice_into": 0,
     "acceptance_index_into": 2,
     "conv2d_neighbors_into": 1,
 }

@@ -37,6 +37,9 @@ from ..tpu.dtypes import DType, FLOAT32, resolve_dtype
 
 __all__ = ["Backend"]
 
+#: The bit view of a float32 tensor (a dtype instance views fastest).
+_UINT32 = np.dtype(np.uint32)
+
 
 class Backend:
     """Executes the op vocabulary in numpy, charging a core when bound.
@@ -238,10 +241,12 @@ class Backend:
 
     # -- in-place (fused) vocabulary ---------------------------------------
     #
-    # Every ``*_into`` op is bit-identical to its allocating twin — same
-    # numpy computation, same result quantization — but writes into
-    # caller-provided buffers so steady-state sweeps make zero heap
-    # allocations.  Only numpy backends run them, so none books a charge.
+    # Every ``*_into`` op writes into caller-provided buffers so
+    # steady-state sweeps make zero heap allocations.  One with an
+    # allocating twin is bit-identical to it — same numpy computation,
+    # same result quantization; ``add_exact_into`` and ``flip_below_into``
+    # equal a sequence of allocating ops on values every dtype holds
+    # exactly.  Only numpy backends run them, so none books a charge.
 
     def _quantize_into(self, out: np.ndarray) -> np.ndarray:
         """Apply the dtype's store rounding to ``out`` in place."""
@@ -275,12 +280,43 @@ class Backend:
             np.exp(a, out=out)
         return self._quantize_into(out)
 
-    def less_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Elementwise a < b into a float32 buffer as 0.0/1.0."""
-        np.less(a, b, out=out, casting="unsafe")
-        # 0.0/1.0 are exact in every dtype, so the store rounding the
-        # allocating twin applies is the identity here — skip the pass.
+    def add_exact_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = a + b`` for sums every dtype holds exactly.
+
+        The fused neighbour sums add spins and partial sums of spins:
+        small integers, exact in float32 and bfloat16, so the dtype's
+        store rounding would be the identity and is skipped.  Without
+        it, ``out`` may be any view, a strided torus edge included, and
+        may be ``a`` itself (an in-place add).
+        """
+        np.add(a, b, out=out)
         return out
+
+    def flip_below_into(
+        self,
+        probs: np.ndarray,
+        ratio: np.ndarray,
+        sign_mask: np.ndarray,
+        sigma: np.ndarray,
+    ) -> np.ndarray:
+        """Negate the spins ``sigma`` where ``probs < ratio``, in place.
+
+        The Metropolis flip as bit operations: the sign bit of ``probs -
+        ratio`` is set exactly where ``probs < ratio``, a ``+inf`` ratio
+        included (``probs == ratio`` gives ``+0.0``); ``sign_mask`` keeps
+        it where a site may flip (a 0-d ``0x80000000`` for every site,
+        or a uint32 array broadcasting against ``sigma``), and it
+        is XORed into the sign of each ±1 spin.  The result equals the
+        elementwise ``sigma - 2 * mask * (probs < ratio) * sigma`` in
+        every dtype.  ``ratio`` is scratch: it is left holding the
+        masked sign bits.
+        """
+        np.subtract(probs, ratio, out=ratio)
+        below = ratio.view(_UINT32)
+        np.bitwise_and(below, sign_mask, out=below)
+        bits = sigma.view(_UINT32)
+        np.bitwise_xor(bits, below, out=bits)
+        return sigma
 
     def take_into(self, table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gather ``table[indices]`` into ``out`` (acceptance-table lookup).
@@ -301,53 +337,6 @@ class Backend:
     def uniform_into(self, stream: PhiloxStream, out: np.ndarray) -> np.ndarray:
         """In-place twin of :meth:`random_uniform` (same counter advance)."""
         stream.uniform_into(out)
-        return self._quantize_into(out)
-
-    def band_cross_matmul_into(self, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``matmul(grid, K_c) + matmul(K_r, grid)`` via in-block shifted adds.
-
-        The Algorithm 1 kernels are shift-by-one band matrices, so the two
-        MXU products are exactly the within-block left+right and up+down
-        neighbour sums — sums of at most two ±1 values, exact in every
-        supported dtype, hence bit-identical to the matmul formulation no
-        matter how they are computed; the host executes the cheap slice
-        adds.
-        """
-        if out is grid:
-            raise ValueError("out must not alias the input")
-        # Left neighbours (block column j-1), zero at the block edge.
-        out[..., :, 1:] = grid[..., :, :-1]
-        out[..., :, :1] = 0.0
-        # Right, up, down neighbours accumulate in place.
-        np.add(out[..., :, :-1], grid[..., :, 1:], out=out[..., :, :-1])
-        np.add(out[..., 1:, :], grid[..., :-1, :], out=out[..., 1:, :])
-        np.add(out[..., :-1, :], grid[..., 1:, :], out=out[..., :-1, :])
-        return self._quantize_into(out)
-
-    def band_pair_matmul_into(
-        self, a: np.ndarray, axis: int, offset: int, out: np.ndarray
-    ) -> np.ndarray:
-        """One ``K_hat`` band matmul via a shifted pair sum.
-
-        ``(a @ K_hat)``, ``(K_hat^T @ a)`` and their transposes gather
-        ``a[i] + a[i +/- 1]`` along one block axis with no wrap — sums of
-        two ±1 values, exact in every dtype, so the slice formulation is
-        bit-identical to the MXU product, and to the 2-tap convolution
-        :meth:`shifted_pair_sum` with the same ``axis`` and ``offset``.
-        """
-        if axis not in (-1, -2):
-            raise ValueError(f"axis must be -1 or -2 (block axes), got {axis}")
-        if offset not in (-1, 1):
-            raise ValueError(f"offset must be +1 or -1, got {offset}")
-        if out is a:
-            raise ValueError("out must not alias the input")
-        np.copyto(out, a)
-        src = slice(None, -1) if offset == -1 else slice(1, None)
-        dst = slice(1, None) if offset == -1 else slice(None, -1)
-        if axis == -1:
-            np.add(out[..., dst], a[..., src], out=out[..., dst])
-        else:
-            np.add(out[..., dst, :], a[..., src, :], out=out[..., dst, :])
         return self._quantize_into(out)
 
     def acceptance_index_into(
@@ -399,25 +388,6 @@ class Backend:
 
     def roll_into(self, a: np.ndarray, shift: int, axis: int, out: np.ndarray) -> np.ndarray:
         return self._roll_raw(a, shift, axis, out)
-
-    def slice_copy_into(self, a: np.ndarray, index: tuple, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, a[index])
-        return out
-
-    def add_at_slice_into(
-        self, target: np.ndarray, index: tuple, update: np.ndarray, slab: np.ndarray
-    ) -> np.ndarray:
-        """In-place twin of :meth:`add_at_slice`.
-
-        ``slab`` is a contiguous scratch buffer shaped like the boundary
-        slice; it stages the quantized sum because the target slice itself
-        may be a strided view the in-place rounder cannot address.
-        """
-        view = target[index]
-        np.add(view, update, out=slab)
-        self._quantize_into(slab)
-        np.copyto(view, slab)
-        return target
 
     def conv2d_neighbors_into(
         self, a: np.ndarray, out: np.ndarray, tmp: np.ndarray

@@ -152,11 +152,12 @@ class BondedAcceptance:
     exists; :meth:`flip_into` then evaluates the elementwise
     ``exp(-2 beta sigma (nn + h))`` through the ``*_into`` vocabulary —
     allocation-free in steady state and fully replayable by the traced
-    executor, mirroring :func:`~repro.core.update.acceptance_ratio` and
-    :func:`~repro.core.update.metropolis_flip` op for op, with the same
-    ``-2 * beta`` values, so fused and elementwise disordered sweeps stay
-    bit-identical.  The gaussian case owns its ``-2 * beta`` array, so
-    :meth:`retemper` can refill it in place.
+    executor, mirroring :func:`~repro.core.update.acceptance_ratio` op
+    for op, with the same ``-2 * beta`` values, and then flipping with
+    the sign-bit op every fused float flip ends in, so fused and
+    elementwise disordered sweeps stay bit-identical.  The gaussian case
+    owns its ``-2 * beta`` array, so :meth:`retemper` can refill it in
+    place.
     """
 
     def __init__(
@@ -201,21 +202,22 @@ class BondedAcceptance:
         nn: np.ndarray,
         probs: np.ndarray,
         workspace,
-        mask: np.ndarray | None = None,
+        sign_mask: np.ndarray | None = None,
     ) -> np.ndarray:
         """In-place Metropolis step on weighted neighbour sums.
 
         Runs its ops on ``backend``, the updater's, so a recording sweep
         sees them.  Mutates ``sigma`` (and, when ``field != 0``, shifts
         ``nn`` in place — callers recompute ``nn`` every phase from a
-        workspace buffer) and returns ``sigma``.
+        workspace buffer) and returns ``sigma``.  ``sign_mask`` is the
+        uint32 sign mask of a colour mask, or ``None`` for every site.
         """
-        if self.table is not None:
-            # Local import: fused.py imports this module for the table type.
-            from .fused import fused_metropolis_flip
+        # Local import: fused.py imports this module for the table type.
+        from .fused import SIGN_BIT, fused_metropolis_flip
 
+        if self.table is not None:
             return fused_metropolis_flip(
-                backend, sigma, nn, probs, self.table, workspace, mask=mask
+                backend, sigma, nn, probs, self.table, workspace, sign_mask
             )
         if sigma.shape != nn.shape or sigma.shape != probs.shape:
             raise ValueError(
@@ -231,13 +233,6 @@ class BondedAcceptance:
         backend.multiply_into(sigma, nn, local)
         backend.multiply_into(self.factor, local, local)
         backend.exp_into(local, local)
-        flips = workspace.buffer("flip_flips", sigma.shape)
-        backend.less_into(probs, local, flips)
-        if mask is not None:
-            backend.multiply_into(flips, mask, flips)
-        neg_two = _cached_device_scalar(backend, ("const", -2.0), -2.0)
-        one = _cached_device_scalar(backend, ("const", 1.0), 1.0)
-        backend.multiply_into(flips, neg_two, flips)
-        backend.add_into(flips, one, flips)
-        backend.multiply_into(sigma, flips, sigma)
-        return sigma
+        return backend.flip_below_into(
+            probs, local, SIGN_BIT if sign_mask is None else sign_mask, sigma
+        )

@@ -47,27 +47,20 @@ class CheckerboardUpdater(FloatUpdater):
         # broadcast array when driving a batched ensemble.
         super().__init__(beta, backend, field=field, fused=fused)
         self.block_shape = tuple(block_shape)
-        self._mask_cache: dict[tuple[int, int, int, int], dict[str, np.ndarray]] = {}
 
-    def _masks(self, grid_shape: tuple[int, ...]) -> dict[str, np.ndarray]:
+    def _masks(self, grid_shape: tuple[int, ...]) -> dict[str, tuple]:
         """Colour masks ``M`` / ``1 - M`` in grid form, cached per shape.
 
         Masks depend only on the trailing ``(m, n, r, c)`` geometry; a
-        batched grid broadcasts the rank-4 mask over its chain axis.
+        batched grid broadcasts the rank-4 masks over its chain axis.
         """
-        key = tuple(grid_shape[-4:])
-        masks = self._mask_cache.get(key)
-        if masks is None:
-            m, n, r, c = key
-            plain_shape = (m * r, n * c)
-            masks = {
-                color: self.backend.array(
-                    plain_to_grid(checkerboard_mask(plain_shape, color), (r, c))
-                )
-                for color in ("black", "white")
-            }
-            self._mask_cache[key] = masks
-        return masks
+        m, n, r, c = key = tuple(grid_shape[-4:])
+        return self._colour_masks(
+            key,
+            lambda color: plain_to_grid(
+                checkerboard_mask((m * r, n * c), color), (r, c)
+            ),
+        )
 
     def update_color(
         self,
@@ -85,15 +78,14 @@ class CheckerboardUpdater(FloatUpdater):
         In fused mode the grid is updated *in place* and returned.
         """
         probs = self._uniforms(grid.shape, stream, probs, "probs")
+        mask, signs = self._masks(grid.shape)[color]
         if self.fused:
             table, ws = self._fused_ctx()
             nn = neighbor_sum_grid_into(grid, self.backend, ws)
-            mask = self._masks(grid.shape)[color]
             return fused_metropolis_flip(
-                self.backend, grid, nn, probs, table, ws, mask=mask
+                self.backend, grid, nn, probs, table, ws, signs
             )
         nn = neighbor_sum_grid(grid, self.backend)
-        mask = self._masks(grid.shape)[color]
         return metropolis_flip(
             self.backend, grid, nn, probs, self.beta, mask=mask, field=self.field
         )

@@ -88,7 +88,6 @@ class MaskedConvUpdater(FloatUpdater):
         if couplings is not None and couplings.kind == "ferro":
             couplings = None
         self.couplings = couplings
-        self._mask_cache: dict[tuple[int, int], dict[str, np.ndarray]] = {}
 
     def _make_table(self):
         if self.couplings is None:
@@ -97,18 +96,11 @@ class MaskedConvUpdater(FloatUpdater):
             self.backend, self.beta, self.couplings, field=self.field
         )
 
-    def _masks(self, shape: tuple[int, ...]) -> dict[str, np.ndarray]:
+    def _masks(self, shape: tuple[int, ...]) -> dict[str, tuple]:
         # Masks depend only on the trailing (rows, cols); a batched plain
-        # lattice broadcasts the 2D mask over its chain axis.
+        # lattice broadcasts the 2D masks over its chain axis.
         key = tuple(shape[-2:])
-        masks = self._mask_cache.get(key)
-        if masks is None:
-            masks = {
-                color: self.backend.array(checkerboard_mask(key, color))
-                for color in ("black", "white")
-            }
-            self._mask_cache[key] = masks
-        return masks
+        return self._colour_masks(key, lambda color: checkerboard_mask(key, color))
 
     def update_color(
         self,
@@ -122,27 +114,24 @@ class MaskedConvUpdater(FloatUpdater):
         In fused mode the lattice is updated *in place* and returned.
         """
         probs = self._uniforms(plain.shape, stream, probs, "probs")
+        mask, signs = self._masks(plain.shape)[color]
         if self.fused:
             table, ws = self._fused_ctx()
-            mask = self._masks(plain.shape)[color]
             if self.couplings is not None:
                 nn = weighted_neighbor_sum_into(
                     self.backend, plain, self.couplings, ws
                 )
-                return table.flip_into(
-                    self.backend, plain, nn, probs, ws, mask=mask
-                )
+                return table.flip_into(self.backend, plain, nn, probs, ws, signs)
             nn = ws.buffer("conv_nn", plain.shape)
             tmp = ws.buffer("conv_roll_tmp", plain.shape)
             self.backend.conv2d_neighbors_into(plain, nn, tmp)
             return fused_metropolis_flip(
-                self.backend, plain, nn, probs, table, ws, mask=mask
+                self.backend, plain, nn, probs, table, ws, signs
             )
         if self.couplings is not None:
             nn = weighted_neighbor_sum(self.backend, plain, self.couplings)
         else:
             nn = self.backend.conv2d_neighbors(plain)
-        mask = self._masks(plain.shape)[color]
         return metropolis_flip(
             self.backend, plain, nn, probs, self.beta, mask=mask, field=self.field
         )

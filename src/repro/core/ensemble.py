@@ -504,14 +504,27 @@ class EnsembleSimulation:
         recorded sweep keeps replaying.
         """
         temps = np.asarray(temperatures, dtype=np.float64)
-        if temps.shape != (self.n_chains,):
-            raise ValueError(
-                f"expected {self.n_chains} temperatures, got shape {temps.shape}"
-            )
         if np.any(temps <= 0):
             raise ValueError(f"temperatures must be positive, got {temps}")
+        self.set_betas(1.0 / temps)
         self.temperatures = temps
-        self.betas = 1.0 / temps
+
+    def set_betas(self, betas: "Sequence[float] | np.ndarray") -> None:
+        """:meth:`set_temperatures` by inverse temperature, used as given.
+
+        A replica-exchange ladder passes its own betas here, so each
+        chain sweeps at exactly the beta its swap test uses (``1 / (1 /
+        beta)`` can differ from ``beta`` in the last bit).
+        """
+        betas = np.asarray(betas, dtype=np.float64)
+        if betas.shape != (self.n_chains,):
+            raise ValueError(
+                f"expected {self.n_chains} betas, got shape {betas.shape}"
+            )
+        if np.any(betas <= 0):
+            raise ValueError(f"betas must be positive, got {betas}")
+        self.betas = betas
+        self.temperatures = 1.0 / betas
         self._updater.retemper(self._beta_vector())
 
     # -- evolution -----------------------------------------------------------

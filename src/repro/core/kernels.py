@@ -132,49 +132,91 @@ def neighbor_sum_grid(grid: np.ndarray, backend: Backend) -> np.ndarray:
     return nn
 
 
+def _shift_pieces(
+    shape: tuple[int, ...], inner: int, step: int, outer: "int | None" = None
+) -> list[tuple[tuple, tuple]]:
+    """``(target, source)`` view indices of one torus shift of a blocked tensor.
+
+    Site ``t`` along the in-block axis ``inner`` (-1 columns, -2 rows)
+    reads site ``t + step`` (``step`` = +-1) of the whole torus.  The
+    first piece is the in-block part; the block edge reads the far edge
+    of the neighbouring block along the grid axis ``outer`` (default
+    ``inner - 2``): one piece when the grid is one block wide along it,
+    else two, the neighbouring blocks and then the wrap around the torus.
+    """
+    outer = inner - 2 if outer is None else outer
+    head, tail = slice(1, None), slice(None, -1)
+    dst, src = (head, tail) if step < 0 else (tail, head)
+    near, far = (0, -1) if step < 0 else (-1, 0)
+    parts = [(_ALL, dst, _ALL, src)]
+    if shape[outer] == 1:
+        parts.append((_ALL, near, _ALL, far))
+    else:
+        parts += [(dst, near, src, far), (near, near, far, far)]
+    return [
+        (
+            _index(outer, inner, to_block, to_site),
+            _index(outer, inner, from_block, from_site),
+        )
+        for to_block, to_site, from_block, from_site in parts
+    ]
+
+
+def _index(outer: int, inner: int, at_outer, at_inner) -> tuple:
+    """An index into the trailing ``(m, n, r, c)`` axes of a blocked tensor."""
+    index = [_ALL] * 4
+    index[outer] = at_outer
+    index[inner] = at_inner
+    return (Ellipsis, *index)
+
+
+def _add_shifted_into(
+    backend: Backend, nn: np.ndarray, x: np.ndarray, inner: int, step: int
+) -> None:
+    """``nn += x`` shifted by ``step`` along ``inner`` on the blocked torus."""
+    for dst, src in _shift_pieces(x.shape, inner, step):
+        view = nn[dst]
+        backend.add_exact_into(view, x[src], view)
+
+
 def neighbor_sum_grid_into(grid: np.ndarray, backend: Backend, workspace) -> np.ndarray:
     """Allocation-free twin of :func:`neighbor_sum_grid`.
 
-    Same blocked-matmul-plus-compensation structure, same op-for-op
-    quantization, but the two ``K`` band matmuls and their add run as
-    one band primitive (:meth:`~repro.backend.base.Backend.band_cross_matmul_into`),
-    so no kernel matrix is built, and the sum and the four boundary
-    slabs live in ``workspace`` scratch buffers.  Returns the
+    The same torus sum as the band matmuls plus boundary compensation,
+    as adds of views of ``grid`` (:meth:`~repro.backend.base.Backend.add_exact_into`):
+    the left and right neighbours are written first, inside the blocks
+    and then at each block edge, and the up and down shifts are added
+    to them.  Every value is an exact small integer, so the sums are
+    bit-identical to the matmul formulation in every dtype.  The eager
+    sweep builds the views, so a recorded sweep holds them.  Returns the
     workspace's ``nn`` buffer — valid until the next call.
     """
     if grid.ndim < 4:
         raise ValueError(
             f"expected a rank-4 (or batched rank-5) grid, got shape {grid.shape}"
         )
-    c = grid.shape[-1]
-
     nn = workspace.buffer("nn_grid", grid.shape)
-    # The two K band matmuls plus their add, as one in-block shifted-sum
-    # primitive: bit-identical values (exact small-integer sums), but
-    # host execution is slice adds.
-    backend.band_cross_matmul_into(grid, nn)
-
-    # Boundary compensation, staged through two slab buffers per
-    # orientation: slab_a holds the copied edge, slab_b the rolled edge,
-    # then slab_a is reused as the add_at_slice staging buffer.
-    row_shape = grid.shape[:-2] + (c,)
-    col_shape = grid.shape[:-1]
-    ra = workspace.buffer("nn_row_slab_a", row_shape)
-    rb = workspace.buffer("nn_row_slab_b", row_shape)
-    backend.slice_copy_into(grid, (..., -1, _ALL), ra)
-    backend.roll_into(ra, 1, -3, rb)
-    backend.add_at_slice_into(nn, (..., 0, _ALL), rb, ra)
-    backend.slice_copy_into(grid, (..., 0, _ALL), ra)
-    backend.roll_into(ra, -1, -3, rb)
-    backend.add_at_slice_into(nn, (..., -1, _ALL), rb, ra)
-    ca = workspace.buffer("nn_col_slab_a", col_shape)
-    cb = workspace.buffer("nn_col_slab_b", col_shape)
-    backend.slice_copy_into(grid, (..., _ALL, -1), ca)
-    backend.roll_into(ca, 1, -2, cb)
-    backend.add_at_slice_into(nn, (..., _ALL, 0), cb, ca)
-    backend.slice_copy_into(grid, (..., _ALL, 0), ca)
-    backend.roll_into(ca, -1, -2, cb)
-    backend.add_at_slice_into(nn, (..., _ALL, -1), cb, ca)
+    # Left + right.  One-column blocks have no in-block neighbour, so
+    # the grid axis then plays the in-block axis (the lattice is at
+    # least two columns wide, so it has at least two blocks).
+    inner, outer = (-1, -3) if grid.shape[-1] > 1 else (-3, -1)
+    if grid.shape[inner] > 2:
+        backend.add_exact_into(
+            grid[_index(outer, inner, _ALL, slice(None, -2))],
+            grid[_index(outer, inner, _ALL, slice(2, None))],
+            nn[_index(outer, inner, _ALL, slice(1, -1))],
+        )
+    # A block's first and last site: one neighbour across the block
+    # edge (the edge pieces of that shift), the other (site 1 or site
+    # -2) in the same block.
+    for step, partner in ((-1, 1), (1, -2)):
+        for dst, src in _shift_pieces(grid.shape, inner, step, outer)[1:]:
+            block = dst[outer]
+            backend.add_exact_into(
+                grid[src], grid[_index(outer, inner, block, partner)], nn[dst]
+            )
+    _add_shifted_into(backend, nn, grid, -2, -1)
+    _add_shifted_into(backend, nn, grid, -2, 1)
     return nn
 
 
@@ -355,6 +397,25 @@ def compact_neighbor_sums(
     return nn0, nn1
 
 
+#: Per colour phase: the two passive tensors, then for each active
+#: tensor the two torus shifts its neighbour sum adds to their sum,
+#: as (passive tensor, in-block axis, step).
+_COMPACT_SHIFTS = {
+    # nn(s00)[i, j] = s01[i, j] + s10[i, j] + s01[i, j-1] + s10[i-1, j]
+    # nn(s11)[i, j] = s01[i, j] + s10[i, j] + s01[i+1, j] + s10[i, j+1]
+    "black": (
+        ("s01", "s10"),
+        ((("s01", -1, -1), ("s10", -2, -1)), (("s01", -2, 1), ("s10", -1, 1))),
+    ),
+    # nn(s01)[i, j] = s00[i, j] + s11[i, j] + s00[i, j+1] + s11[i-1, j]
+    # nn(s10)[i, j] = s00[i, j] + s11[i, j] + s00[i+1, j] + s11[i, j-1]
+    "white": (
+        ("s00", "s11"),
+        ((("s00", -1, 1), ("s11", -2, -1)), (("s00", -2, 1), ("s11", -1, -1))),
+    ),
+}
+
+
 def compact_neighbor_sums_into(
     lat: CompactLattice,
     color: str,
@@ -363,79 +424,26 @@ def compact_neighbor_sums_into(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Allocation-free twin of :func:`compact_neighbor_sums`.
 
-    Same op sequence and quantization (bit-identical sums), but each
-    ``K_hat`` band matmul — or 2-tap convolution: the two compute the
-    same exact small-integer sums — runs as one shifted pair sum
-    (:meth:`~repro.backend.base.Backend.band_pair_matmul_into`), so no
-    kernel matrix is built, and the in-block products, both
-    neighbour-sum outputs and all four boundary slabs come from
-    ``workspace`` buffers.  Returns the workspace's ``(nn0, nn1)``
-    buffers — valid until the next call.  It sums on the local torus
-    only: the pod's halos splice into the elementwise
-    :func:`compact_neighbor_sums`.
+    The same sums as adds of views of the passive tensors
+    (:meth:`~repro.backend.base.Backend.add_exact_into`): each active
+    tensor's sum is its two in-site partners, then two torus shifts,
+    each one in-block view add plus its block-edge adds.  Every value is
+    an exact small integer, so the sums are bit-identical to the
+    ``K_hat`` band matmuls (or 2-tap convolutions) plus compensation in
+    every dtype.  The eager sweep builds the views, so a recorded sweep
+    holds them.  Returns the workspace's ``(nn0, nn1)`` buffers — valid
+    until the next call.  It sums on the local torus only: the pod's
+    halos splice into the elementwise :func:`compact_neighbor_sums`.
     """
     if color not in ("black", "white"):
         raise ValueError(f"color must be 'black' or 'white', got {color!r}")
-    shape = lat.grid_shape
-    c = shape[-1]
-
-    nn0 = workspace.buffer("compact_nn0", shape)
-    nn1 = workspace.buffer("compact_nn1", shape)
-    tmp = workspace.buffer("compact_nn_tmp", shape)
-
-    prev_col = lambda x, out: backend.band_pair_matmul_into(x, -1, -1, out)  # noqa: E731
-    prev_row = lambda x, out: backend.band_pair_matmul_into(x, -2, -1, out)  # noqa: E731
-    next_row = lambda x, out: backend.band_pair_matmul_into(x, -2, 1, out)  # noqa: E731
-    next_col = lambda x, out: backend.band_pair_matmul_into(x, -1, 1, out)  # noqa: E731
-
-    row_shape = shape[:-2] + (c,)
-    col_shape = shape[:-1]
-    ra = workspace.buffer("compact_row_slab_a", row_shape)
-    rb = workspace.buffer("compact_row_slab_b", row_shape)
-    ca = workspace.buffer("compact_col_slab_a", col_shape)
-    cb = workspace.buffer("compact_col_slab_b", col_shape)
-
-    if color == "black":
-        s01, s10 = lat.s01, lat.s10
-        prev_col(s01, nn0)
-        prev_row(s10, tmp)
-        backend.add_into(nn0, tmp, nn0)
-        backend.slice_copy_into(s10, (..., -1, _ALL), ra)
-        backend.roll_into(ra, 1, -3, rb)
-        backend.add_at_slice_into(nn0, (..., 0, _ALL), rb, ra)
-        backend.slice_copy_into(s01, (..., _ALL, -1), ca)
-        backend.roll_into(ca, 1, -2, cb)
-        backend.add_at_slice_into(nn0, (..., _ALL, 0), cb, ca)
-
-        next_row(s01, nn1)
-        next_col(s10, tmp)
-        backend.add_into(nn1, tmp, nn1)
-        backend.slice_copy_into(s01, (..., 0, _ALL), ra)
-        backend.roll_into(ra, -1, -3, rb)
-        backend.add_at_slice_into(nn1, (..., -1, _ALL), rb, ra)
-        backend.slice_copy_into(s10, (..., _ALL, 0), ca)
-        backend.roll_into(ca, -1, -2, cb)
-        backend.add_at_slice_into(nn1, (..., _ALL, -1), cb, ca)
-        return nn0, nn1
-
-    s00, s11 = lat.s00, lat.s11
-    next_col(s00, nn0)
-    prev_row(s11, tmp)
-    backend.add_into(nn0, tmp, nn0)
-    backend.slice_copy_into(s11, (..., -1, _ALL), ra)
-    backend.roll_into(ra, 1, -3, rb)
-    backend.add_at_slice_into(nn0, (..., 0, _ALL), rb, ra)
-    backend.slice_copy_into(s00, (..., _ALL, 0), ca)
-    backend.roll_into(ca, -1, -2, cb)
-    backend.add_at_slice_into(nn0, (..., _ALL, -1), cb, ca)
-
-    next_row(s00, nn1)
-    prev_col(s11, tmp)
-    backend.add_into(nn1, tmp, nn1)
-    backend.slice_copy_into(s00, (..., 0, _ALL), ra)
-    backend.roll_into(ra, -1, -3, rb)
-    backend.add_at_slice_into(nn1, (..., -1, _ALL), rb, ra)
-    backend.slice_copy_into(s11, (..., _ALL, -1), ca)
-    backend.roll_into(ca, 1, -2, cb)
-    backend.add_at_slice_into(nn1, (..., _ALL, 0), cb, ca)
-    return nn0, nn1
+    partners, shifts = _COMPACT_SHIFTS[color]
+    a, b = (getattr(lat, name) for name in partners)
+    sums = []
+    for name, active in zip(("compact_nn0", "compact_nn1"), shifts):
+        nn = workspace.buffer(name, lat.grid_shape)
+        backend.add_exact_into(a, b, nn)
+        for source, inner, step in active:
+            _add_shifted_into(backend, nn, getattr(lat, source), inner, step)
+        sums.append(nn)
+    return sums[0], sums[1]

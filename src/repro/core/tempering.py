@@ -155,9 +155,10 @@ class TemperingEnsemble:
         # Under the fused engine the ensemble replays a recorded sweep;
         # an accepted swap round re-tempers it in place, so the program
         # keeps replaying (see repro.core.traced).
+        chain_betas = self._chain_betas()
         self.ensemble = EnsembleSimulation(
             shape,
-            self._chain_temperatures(),
+            1.0 / chain_betas,
             updater=updater,
             backend=backend,
             seed=seed,
@@ -168,6 +169,7 @@ class TemperingEnsemble:
             telemetry=telemetry,
             couplings=bonds,
         )
+        self.ensemble.set_betas(chain_betas)
         self._swap_stream = PhiloxStream(int(seed), SWAP_STREAM_ID)
         self.swap_rounds = 0
         self.swap_attempts = 0
@@ -179,13 +181,11 @@ class TemperingEnsemble:
 
     # -- layout helpers ------------------------------------------------------
 
-    def _chain_temperatures(self) -> np.ndarray:
-        """Per-chain temperature vector implied by the current pairing."""
-        temps = np.empty(self.n_replicas * self.n_temps, dtype=np.float64)
-        for r in range(self.n_replicas):
-            for t in range(self.n_temps):
-                temps[self.pairing[r, t]] = 1.0 / self.betas[t]
-        return temps
+    def _chain_betas(self) -> np.ndarray:
+        """Per-chain ladder betas implied by the current pairing."""
+        betas = np.empty(self.n_replicas * self.n_temps, dtype=np.float64)
+        betas[self.pairing] = self.betas
+        return betas
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -295,7 +295,7 @@ class TemperingEnsemble:
         self.swap_attempts += self.n_replicas * len(pairs)
         self.swap_accepts += accepted
         if accepted:
-            self.ensemble.set_temperatures(self._chain_temperatures())
+            self.ensemble.set_betas(self._chain_betas())
         duration = perf_counter() - start
         self.swap_log.append(
             {
@@ -443,6 +443,8 @@ class TemperingEnsemble:
         obj.ensemble = EnsembleSimulation.from_state_dict(
             state["ensemble"], backend=backend
         )
+        # The ensemble checkpoint keeps temperatures; sweep at the ladder.
+        obj.ensemble.set_betas(obj._chain_betas())
         obj._swap_stream = PhiloxStream.from_state(state["swap_stream"])
         obj.swap_rounds = int(state["swap_rounds"])
         obj.swap_attempts = int(state["swap_attempts"])

@@ -7,9 +7,15 @@ import pytest
 
 from repro.backend import NumpyBackend
 from repro.backend.tpu_backend import TPUBackend
+from repro.core.fused import SIGN_BIT, sign_mask_of
 from repro.rng import PhiloxStream
 from repro.tpu.dtypes import BFLOAT16
 from repro.tpu.tensorcore import TensorCore
+
+
+@pytest.fixture(params=["float32", "bfloat16"])
+def any_dtype_backend(request):
+    return NumpyBackend(request.param)
 
 
 class TestNumpyBackendOps:
@@ -140,7 +146,6 @@ class TestInPlaceTwins:
         out = np.empty_like(x)
         np.testing.assert_array_equal(b.add_into(x, y, out), b.add(x, y))
         np.testing.assert_array_equal(b.multiply_into(x, y, out), b.multiply(x, y))
-        np.testing.assert_array_equal(b.less_into(x, y, out), b.less(x, y))
         np.testing.assert_array_equal(b.exp_into(x, out), b.exp(x))
 
     def test_uniform_into_twin(self, any_backend):
@@ -199,29 +204,13 @@ class TestInPlaceTwins:
 
 
 class TestBandMatmulPrimitives:
-    """The shift-band products are exact sums of <= 2 spins, so the
-    slice-add implementations must match the explicit band matmuls."""
+    """The shift-band products are exact sums of <= 2 spins, so the 2-tap
+    convolution of the elementwise conv path must match the explicit band
+    matmuls (the fused engine's view adds are checked in test_kernels)."""
 
     @staticmethod
     def _band(k: int, offset: int) -> np.ndarray:
         return np.eye(k, k=offset, dtype=np.float32)
-
-    def test_band_cross_matmul_matches_explicit(self, backend):
-        rng = np.random.default_rng(5)
-        grid = np.sign(rng.normal(size=(2, 2, 6, 6))).astype(np.float32)
-        k = 6
-        left = self._band(k, -1) + self._band(k, 1)
-        expected = backend.add(
-            backend.matmul(grid, left), backend.matmul(left, grid)
-        )
-        out = np.empty_like(grid)
-        backend.band_cross_matmul_into(grid, out)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_band_cross_matmul_rejects_aliasing(self, backend):
-        grid = np.ones((4, 4), dtype=np.float32)
-        with pytest.raises(ValueError, match="alias"):
-            backend.band_cross_matmul_into(grid, grid)
 
     @pytest.mark.parametrize("axis", [-1, -2])
     @pytest.mark.parametrize("offset", [-1, 1])
@@ -234,20 +223,77 @@ class TestBandMatmulPrimitives:
             expected = backend.matmul(a, band.T)
         else:
             expected = backend.matmul(band, a)
-        out = np.empty_like(a)
-        backend.band_pair_matmul_into(a, axis, offset, out)
-        np.testing.assert_array_equal(out, expected)
-        # The conv updater's 2-tap convolution sums the same pairs.
         np.testing.assert_array_equal(
-            out, backend.shifted_pair_sum(a, axis, offset)
+            backend.shifted_pair_sum(a, axis, offset), expected
         )
 
     def test_band_pair_validates_arguments(self, backend):
         a = np.ones((4, 4), dtype=np.float32)
-        out = np.empty_like(a)
         with pytest.raises(ValueError):
-            backend.band_pair_matmul_into(a, 0, -1, out)
+            backend.shifted_pair_sum(a, 0, -1)
         with pytest.raises(ValueError):
-            backend.band_pair_matmul_into(a, -1, 2, out)
-        with pytest.raises(ValueError):
-            backend.band_pair_matmul_into(a, -1, -1, a)
+            backend.shifted_pair_sum(a, -1, 2)
+
+
+class TestExactAdd:
+    def test_adds_into_strided_views_in_every_dtype(self, any_dtype_backend):
+        # A torus edge: column views, which the bf16 store rounder refuses.
+        b = any_dtype_backend
+        rng = np.random.default_rng(8)
+        x = np.sign(rng.normal(size=(2, 5, 6))).astype(np.float32)
+        nn = b.array(rng.integers(-3, 4, size=(2, 5, 6)))
+        expected = nn.copy()
+        expected[..., 0] += x[..., -1]
+        view = nn[..., 0]
+        assert not view.flags["C_CONTIGUOUS"]
+        assert b.add_exact_into(view, x[..., -1], view) is view
+        np.testing.assert_array_equal(nn, expected)
+        np.testing.assert_array_equal(nn, b.array(expected))
+
+
+class TestFlipBelow:
+    """``flip_below_into`` negates exactly the spins the elementwise
+    ``probs < ratio`` flip (then the colour mask) negates."""
+
+    #: Uniforms and ratios at the edges of the comparison: a +inf ratio
+    #: (an exp overflow), a 0 ratio, a 0 uniform, equality, a bfloat16
+    #: uniform rounded up to 1.0, and tiny gaps either way.
+    PROBS = [0.3, 0.0, 0.0, 0.0, 0.25, 0.5, 0.999, 0.999, 0.999, 0.5, 0.5, 1e-45]
+    RATIO = [np.inf, np.inf, 0.0, 0.25, 0.25, 0.25, 1.0, np.inf, 1.5, 0.5000001, 0.4999999, 3e-45]
+
+    @staticmethod
+    def _elementwise(b, probs, ratio, mask, sigma):
+        flips = b.multiply(b.less(probs, ratio), mask)
+        return b.subtract(sigma, b.multiply(b.array(2.0), b.multiply(flips, sigma)))
+
+    def _operands(self, b, chains=1):
+        size = len(self.PROBS)
+        probs = b.array(np.tile(self.PROBS, (chains, 2)))
+        ratio = b.array(np.tile(self.RATIO, (chains, 2)))
+        sigma = b.array(np.where(np.arange(2 * size) % 3 == 0, -1.0, 1.0))
+        sigma = np.ascontiguousarray(np.broadcast_to(sigma, probs.shape))
+        mask = b.array(np.arange(2 * size) % 2)
+        return probs, ratio, sigma, mask
+
+    def test_matches_elementwise_on_edge_values(self, any_dtype_backend):
+        b = any_dtype_backend
+        probs, ratio, sigma, mask = self._operands(b)
+        if b.dtype is BFLOAT16:
+            assert probs[0, 6] == 1.0  # 0.999 rounds to 1.0
+        for sign_mask, float_mask in (
+            (SIGN_BIT, np.ones_like(mask)),
+            (sign_mask_of(mask), mask),
+        ):
+            expected = self._elementwise(b, probs, ratio, float_mask, sigma)
+            spins = sigma.copy()
+            out = b.flip_below_into(probs, ratio.copy(), sign_mask, spins)
+            assert out is spins
+            np.testing.assert_array_equal(spins, expected)
+            # The spins stay exact ±1 (no -0.0 or NaN from the bit ops).
+            assert set(np.unique(spins)) <= {-1.0, 1.0}
+
+    def test_sign_mask_broadcasts_over_chains(self, backend):
+        probs, ratio, sigma, mask = self._operands(backend, chains=3)
+        expected = self._elementwise(backend, probs, ratio, mask, sigma)
+        backend.flip_below_into(probs, ratio.copy(), sign_mask_of(mask), sigma)
+        np.testing.assert_array_equal(sigma, expected)

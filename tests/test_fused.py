@@ -135,6 +135,36 @@ class TestBitIdentity:
         np.testing.assert_array_equal(sims[0].lattice, sims[1].lattice)
         assert sims[0].stream.state() == sims[1].stream.state()
 
+    @pytest.mark.parametrize("field", [0.0, 0.3])
+    @pytest.mark.parametrize("temperature", [0.05, 2.269])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("updater", UPDATERS)
+    def test_sign_bit_flip_matches_elementwise(
+        self, updater, dtype, temperature, field
+    ):
+        # The replayed fused chain flips by sign bits; the elementwise one
+        # by probs < ratio and float arithmetic.  At T = 0.05 the table
+        # holds +inf entries (exp overflows), which must read as "always
+        # flip", and bf16 uniforms can round up to 1.0.
+        sims = [
+            IsingSimulation(
+                (16, 16),
+                temperature,
+                updater=updater,
+                backend=NumpyBackend(dtype),
+                seed=13,
+                field=field,
+                fused=fused,
+            )
+            for fused in (False, True)
+        ]
+        for sim in sims:
+            sim.run(8)
+        np.testing.assert_array_equal(sims[0].lattice, sims[1].lattice)
+        assert sims[1]._executor.sweeps_replayed == 6
+        if temperature < 1:
+            assert np.isinf(sims[1]._updater._table.entries).sum() >= 2
+
     @pytest.mark.parametrize("updater", ["checkerboard", "compact"])
     def test_solo_fused_with_field(self, updater):
         sims = [

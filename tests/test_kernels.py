@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backend import NumpyBackend
 from repro.core.compact import CompactUpdater
+from repro.core.fused import SweepWorkspace
 from repro.core.kernels import (
     PhaseHalos,
     compact_neighbor_sums,
+    compact_neighbor_sums_into,
     kernel_K,
     kernel_K_hat,
     neighbor_sum_grid,
+    neighbor_sum_grid_into,
     neighbor_sum_roll,
 )
 from repro.core.lattice import (
@@ -173,6 +176,66 @@ class TestCompactNeighborSums:
         nn0, nn1 = compact_neighbor_sums(lat, "black", be)
         assert np.array_equal(grid_to_plain(nn0), truth[0])
         assert np.array_equal(grid_to_plain(nn1), truth[3])
+
+
+class TestViewAddSums:
+    """The fused engine's view-add sums equal the band-matmul sums.
+
+    Blocks of one row or column have no in-block neighbour, and grids of
+    several blocks split each edge add in two; a leading chain axis
+    broadcasts through; bfloat16 sums are exact, as in float32.
+    """
+
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
+    @pytest.mark.parametrize(
+        "block",
+        [(1, 1), (1, 4), (4, 1), (2, 2), (3, 3), (6, 6), (6, 2), (2, 6), (12, 12), (1, 12), (12, 1)],
+        ids=lambda block: f"{block[0]}x{block[1]}",
+    )
+    def test_grid_sum_matches_band_matmuls(self, block, dtype):
+        backend = NumpyBackend(dtype)
+        plains = np.stack([make_lattice((12, 12), seed=s) for s in range(3)])
+        grid = plain_to_grid(plains, block)
+        nn = neighbor_sum_grid_into(grid, backend, SweepWorkspace())
+        np.testing.assert_array_equal(nn, neighbor_sum_grid(grid, backend))
+        for plain, chain in zip(plains, grid_to_plain(nn)):
+            np.testing.assert_array_equal(chain, neighbor_sum_roll(plain))
+
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
+    @pytest.mark.parametrize(
+        "block",
+        [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (6, 6), (1, 6), (6, 1)],
+        ids=lambda block: f"{block[0]}x{block[1]}",
+    )
+    def test_compact_sums_match_band_matmuls(self, block, dtype):
+        backend = NumpyBackend(dtype)
+        plains = np.stack([make_lattice((12, 12), seed=s) for s in range(3)])
+        lat = CompactLattice.from_plain(plains, block)
+        ws = SweepWorkspace()
+        for color in ("black", "white"):
+            fused = compact_neighbor_sums_into(lat, color, backend, ws)
+            expected = compact_neighbor_sums(lat, color, backend)
+            np.testing.assert_array_equal(fused[0], expected[0])
+            np.testing.assert_array_equal(fused[1], expected[1])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 3),
+        r=st.integers(1, 4),
+        c=st.integers(1, 4),
+        seed=st.integers(0, 500),
+    )
+    def test_property_matches_roll(self, m, n, r, c, seed):
+        be = NumpyBackend()
+        plain = random_lattice((2 * m * r, 2 * n * c), PhiloxStream(seed, 5))
+        nn = neighbor_sum_grid_into(plain_to_grid(plain, (2 * r, c)), be, SweepWorkspace())
+        assert np.array_equal(grid_to_plain(nn), neighbor_sum_roll(plain))
+        truth = plain_to_quarters(neighbor_sum_roll(plain))
+        lat = CompactLattice.from_plain(plain, (r, c))
+        nn0, nn1 = compact_neighbor_sums_into(lat, "white", be, SweepWorkspace())
+        assert np.array_equal(grid_to_plain(nn0), truth[1])
+        assert np.array_equal(grid_to_plain(nn1), truth[2])
 
 
 class TestHalos:

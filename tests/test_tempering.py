@@ -382,6 +382,37 @@ class TestSetTemperatures:
             ens.set_temperatures([2.0])
         with pytest.raises(ValueError):
             ens.set_temperatures([2.0, -1.0])
+        with pytest.raises(ValueError):
+            ens.set_betas([0.5])
+        with pytest.raises(ValueError):
+            ens.set_betas([0.5, 0.0])
+
+    def test_set_betas_keeps_betas_exact(self):
+        # 1 / (1 / beta) != beta for some betas; set_betas stores them as given.
+        betas = np.linspace(0.40, 0.46, 16)[[4, 5]]
+        assert 1.0 / (1.0 / betas[1]) != betas[1]
+        ens = EnsembleSimulation(16, 1.0 / betas, seed=0)
+        ens.set_betas(betas[::-1])
+        np.testing.assert_array_equal(ens.betas, betas[::-1])
+        np.testing.assert_array_equal(ens.temperatures, 1.0 / betas[::-1])
+
+    def test_ladder_chains_sweep_at_the_swap_test_betas(self):
+        # Slots 5, 10 and 14 of this ladder are not 1 / (1 / beta): each
+        # chain must sweep at exactly the beta its slot's swap test reads,
+        # at build, after swap rounds and after a checkpoint round trip.
+        betas = np.linspace(0.40, 0.46, 16)
+        assert [t for t in range(16) if 1.0 / (1.0 / betas[t]) != betas[t]] == [5, 10, 14]
+        ladder = TemperingEnsemble(16, betas, n_replicas=2, swap_interval=1, seed=3)
+
+        def check(sim):
+            for r, t in np.ndindex(sim.pairing.shape):
+                assert sim.ensemble.betas[sim.pairing[r, t]] == betas[t]
+
+        check(ladder)
+        ladder.run(6)
+        assert ladder.swap_accepts > 0
+        check(ladder)
+        check(TemperingEnsemble.from_state_dict(ladder.state_dict()))
 
 
 #: Every float updater the ladders run, masked_conv with each bond kind.

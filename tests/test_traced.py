@@ -95,10 +95,9 @@ class TestResolve:
             if callable(op) and not name.startswith("_")
         }
         assert REPLAYABLE_OPS == {
-            "add_into", "multiply_into", "exp_into", "less_into",
-            "take_into", "uniform_into", "band_cross_matmul_into",
-            "band_pair_matmul_into", "acceptance_index_into", "roll_into",
-            "slice_copy_into", "add_at_slice_into", "conv2d_neighbors_into",
+            "add_into", "multiply_into", "exp_into", "add_exact_into",
+            "flip_below_into", "take_into", "uniform_into",
+            "acceptance_index_into", "roll_into", "conv2d_neighbors_into",
             "packed_bits_into", "packed_xor_into", "packed_shift_cols_into",
             "packed_compare_pack_into", "packed_full_adder_into",
             "packed_flip_select_into",
@@ -109,6 +108,56 @@ class TestResolve:
             "random_uniform", "roll", "slice_copy",
         }
         assert REPLAYABLE_OPS | ALLOCATING_OPS == public
+
+
+class TestProgramOps:
+    """The recorded sweep programs, pinned op for op.
+
+    Per colour phase, a compact sweep makes two neighbour sums of five
+    view adds each (the in-site partners, then two torus shifts of one
+    in-block add and one edge add on a one-block grid) and two flips of
+    three ops; one draw feeds the whole sweep.  A change that inflates
+    a program fails here.
+    """
+
+    #: updater -> (ops per sweep, op counts), for a 32^2 solo chain and a
+    #: 16-chain 32^2 batch alike (one block per axis on both).
+    PROGRAMS = {
+        "compact": (33, {"uniform_into": 1, "add_exact_into": 20,
+                         "acceptance_index_into": 4, "take_into": 4,
+                         "flip_below_into": 4}),
+        "conv": (33, {"uniform_into": 1, "add_exact_into": 20,
+                      "acceptance_index_into": 4, "take_into": 4,
+                      "flip_below_into": 4}),
+        "checkerboard": (22, {"uniform_into": 2, "add_exact_into": 14,
+                              "acceptance_index_into": 2, "take_into": 2,
+                              "flip_below_into": 2}),
+        "masked_conv": (10, {"uniform_into": 2, "conv2d_neighbors_into": 2,
+                             "acceptance_index_into": 2, "take_into": 2,
+                             "flip_below_into": 2}),
+    }
+
+    @pytest.mark.parametrize("chains", [1, 16])
+    @pytest.mark.parametrize("updater", UPDATERS)
+    def test_program_is_pinned(self, updater, chains):
+        temperatures = np.linspace(2.0, 2.6, chains)
+        if chains == 1:
+            sim = IsingSimulation(32, 2.2, updater=updater, seed=3)
+        else:
+            sim = EnsembleSimulation(32, temperatures, updater=updater, seed=3)
+        sim.run(3)
+        n_ops, counts = self.PROGRAMS[updater]
+        names = [entry[0] for entry in sim._executor.trace._entries]
+        assert sim._executor.program_ops == len(names) == n_ops
+        assert {name: names.count(name) for name in set(names)} == counts
+
+    def test_multi_block_grids_add_one_edge_piece_per_shift(self):
+        # Two blocks along each axis: every edge add becomes two (the
+        # neighbouring block, then the torus wrap), one more per shift
+        # and eight more per sweep.
+        sim = IsingSimulation(32, 2.2, updater="compact", block_shape=(8, 8), seed=3)
+        sim.run(3)
+        assert sim._executor.program_ops == 33 + 8
 
 
 class TestSoloBitIdentity:
