@@ -88,21 +88,27 @@ class CompactUpdater(FloatUpdater):
 
         Returns a new CompactLattice; the two passive tensors are shared
         with the input (they are unchanged by construction).  In fused
-        mode the two *active* tensors are updated in place and the input
-        lattice itself is returned.
+        mode the phase's two *active* tensors, one ``(2, *grid)`` slice
+        of the lattice's phase-ordered stack, are updated in place by one
+        Metropolis step and the input lattice itself is returned; a
+        lattice without the stack is refused.  ``probs`` may then also
+        be one ``(2, *grid)`` array.
         """
-        if self.fused and halos is not None:
-            raise ValueError(
-                "the fused engine sums on the local torus only; halos "
-                "(distributed mode) need a fused=False updater"
-            )
-        probs = self._uniforms(lat.grid_shape, stream, probs, ("probs0", "probs1"))
         if self.fused:
+            if halos is not None:
+                raise ValueError(
+                    "the fused engine sums on the local torus only; halos "
+                    "(distributed mode) need a fused=False updater"
+                )
+            spins, _ = lat.phase(color)
+            probs = self._uniforms(lat.grid_shape, stream, probs, "phase_probs", 2)
+            if not isinstance(probs, np.ndarray):  # explicit (probs0, probs1)
+                probs = np.stack(probs)
             table, ws = self._fused_ctx()
-            nns = compact_neighbor_sums_into(lat, color, self.backend, ws)
-            for name, nn, p in zip(_ACTIVE[color], nns, probs):
-                fused_metropolis_flip(self.backend, getattr(lat, name), nn, p, table, ws)
+            nn = compact_neighbor_sums_into(lat, color, self.backend, ws)
+            fused_metropolis_flip(self.backend, spins, nn, probs, table, ws)
             return lat
+        probs = self._uniforms(lat.grid_shape, stream, probs, "phase_probs", 2)
         nns = compact_neighbor_sums(
             lat, color, self.backend, halos=halos, method=self.nn_method
         )
@@ -125,13 +131,15 @@ class CompactUpdater(FloatUpdater):
         A fused sweep driven by a :class:`BatchedPhiloxStream` draws the
         uniforms of all four sub-lattices with one ``uniform_into``, each
         chain black (probs0, probs1) then white (probs0, probs1), the
-        per-phase draw order.  Uniforms do not depend on the state, and a
-        draw of ``k * n`` words with ``n % 4 == 0`` consumes exactly the
-        counter blocks of ``k`` consecutive ``n``-word draws, so the
-        words, and the counter advance, are those of four per-phase
-        draws.  When a sub-lattice's word count is not a multiple of 4,
-        the stream is a solo :class:`PhiloxStream` or explicit probs are
-        given, each phase draws for itself.
+        per-phase draw order and the phase order of the lattice's stack,
+        so each phase's uniforms are one swapped-axes slice of the draw.
+        Uniforms do not depend on the state, and a draw of ``k * n``
+        words with ``n % 4 == 0`` consumes exactly the counter blocks of
+        ``k`` consecutive ``n``-word draws, so the words, and the counter
+        advance, are those of four per-phase draws.  When a sub-lattice's
+        word count is not a multiple of 4, the stream is a solo
+        :class:`PhiloxStream` or explicit probs are given, each phase
+        draws for itself, into the two halves of one buffer.
         """
         lead = lat.grid_shape[:-4]
         grid = lat.grid_shape[-4:]
@@ -145,8 +153,8 @@ class CompactUpdater(FloatUpdater):
             _, ws = self._fused_ctx()
             probs = ws.buffer("probs", lead + (4,) + grid)
             self.backend.uniform_into(stream, probs)
-            probs_black = (probs[..., 0, :, :, :, :], probs[..., 1, :, :, :, :])
-            probs_white = (probs[..., 2, :, :, :, :], probs[..., 3, :, :, :, :])
+            phases = probs.swapaxes(0, len(lead))
+            probs_black, probs_white = phases[:2], phases[2:]
         return super().sweep(lat, stream, probs_black, probs_white)
 
     # -- plain-lattice conveniences ---------------------------------------
@@ -156,15 +164,12 @@ class CompactUpdater(FloatUpdater):
 
         A 2D lattice yields the rank-4 grid form; a ``(batch, rows,
         cols)`` stack of independent chains yields the batched rank-5
-        form (one shared geometry, one chain per leading index).
+        form (one shared geometry, one chain per leading index).  The
+        four tensors are views of one phase-ordered stack, quantized
+        as a whole.
         """
         lat = CompactLattice.from_plain(plain, self._block_for(plain.shape))
-        return CompactLattice(
-            s00=self.backend.array(lat.s00),
-            s01=self.backend.array(lat.s01),
-            s10=self.backend.array(lat.s10),
-            s11=self.backend.array(lat.s11),
-        )
+        return CompactLattice.from_stack(self.backend.array(lat.stack))
 
     def _block_for(self, plain_shape: tuple[int, ...]) -> tuple[int, int]:
         if self.block_shape is not None:

@@ -209,7 +209,8 @@ def default_block_shape(
     * ``masked_conv`` and ``dtype="packed"`` run unblocked (and reject
       an explicit block);
     * ``checkerboard`` defaults to one block covering the whole lattice;
-    * ``compact`` / ``conv`` default to a 2x2 grid of half-lattice blocks.
+    * ``compact`` / ``conv`` default to one block per compact
+      sub-lattice: a ``(rows/2, cols/2)`` block covering each quarter.
     """
     if updater == "masked_conv" or dtype == "packed":
         return None

@@ -177,36 +177,40 @@ class FloatUpdater:
         shape: tuple[int, ...],
         stream: PhiloxStream | None,
         probs,
-        name: "str | tuple[str, ...]",
+        name: str,
+        count: "int | None" = None,
     ):
         """A colour phase's uniforms: ``probs`` checked, or drawn.
 
-        ``name`` names the fused engine's workspace buffer; a tuple of
-        names draws one ``shape`` tensor per name, in order, and
-        ``probs`` is then the matching tuple.  The fused engine's
-        workspace and table are built first, as every fused phase needs.
+        ``name`` names the fused engine's workspace buffer.  With
+        ``count`` the phase draws ``count`` tensors of ``shape``, in
+        order, and ``probs`` is a sequence of that many: the fused
+        engine draws them into the rows of one ``(count, *shape)``
+        buffer and returns it, the elementwise engine returns a tuple.
+        The fused engine's workspace and table are built first, as every
+        fused phase needs.
         """
         if self.fused:
             _, ws = self._fused_ctx()
-        many = isinstance(name, tuple)
         if probs is not None:
-            given = probs if many else (probs,)
+            given = probs if count else (probs,)
             if any(p.shape != shape for p in given):
                 raise ValueError(
-                    f"probs shape{'s' if many else ''} "
+                    f"probs shape{'s' if count else ''} "
                     f"{', '.join(str(p.shape) for p in given)} != state shape {shape}"
                 )
             return probs
         if stream is None:
             raise ValueError("either stream or probs must be provided")
-        names = name if many else (name,)
         if self.fused:
-            drawn = tuple(ws.buffer(n, shape) for n in names)
-            for out in drawn:
-                self.backend.uniform_into(stream, out)
-        else:
-            drawn = tuple(self.backend.random_uniform(shape, stream) for _ in names)
-        return drawn if many else drawn[0]
+            out = ws.buffer(name, shape if count is None else (count,) + shape)
+            for rows in out if count else (out,):
+                self.backend.uniform_into(stream, rows)
+            return out
+        drawn = tuple(
+            self.backend.random_uniform(shape, stream) for _ in range(count or 1)
+        )
+        return drawn if count else drawn[0]
 
     def sweep(
         self,

@@ -170,6 +170,20 @@ def _index(outer: int, inner: int, at_outer, at_inner) -> tuple:
     return (Ellipsis, *index)
 
 
+def _flat(x: np.ndarray) -> np.ndarray:
+    """``x`` as one flat view of its buffer.
+
+    Never a copy: a recorded sweep would keep reading the copy's stale
+    values, so a tensor that is not C-contiguous is refused.
+    """
+    if not x.flags.c_contiguous:
+        raise ValueError(
+            f"the fused neighbour sums need C-contiguous tensors, got shape "
+            f"{x.shape} with strides {x.strides}"
+        )
+    return x.reshape(-1)
+
+
 def _add_shifted_into(
     backend: Backend, nn: np.ndarray, x: np.ndarray, inner: int, step: int
 ) -> None:
@@ -185,11 +199,12 @@ def neighbor_sum_grid_into(grid: np.ndarray, backend: Backend, workspace) -> np.
     The same torus sum as the band matmuls plus boundary compensation,
     as adds of views of ``grid`` (:meth:`~repro.backend.base.Backend.add_exact_into`):
     the left and right neighbours are written first, inside the blocks
-    and then at each block edge, and the up and down shifts are added
-    to them.  Every value is an exact small integer, so the sums are
-    bit-identical to the matmul formulation in every dtype.  The eager
-    sweep builds the views, so a recorded sweep holds them.  Returns the
-    workspace's ``nn`` buffer — valid until the next call.
+    (one flat add over the buffer) and then at each block edge, and the
+    up and down shifts are added to them.  Every value is an exact
+    small integer, so the sums are bit-identical to the matmul
+    formulation in every dtype.  The eager sweep builds the views, so a
+    recorded sweep holds them.  Returns the workspace's ``nn`` buffer —
+    valid until the next call.
     """
     if grid.ndim < 4:
         raise ValueError(
@@ -200,7 +215,14 @@ def neighbor_sum_grid_into(grid: np.ndarray, backend: Backend, workspace) -> np.
     # the grid axis then plays the in-block axis (the lattice is at
     # least two columns wide, so it has at least two blocks).
     inner, outer = (-1, -3) if grid.shape[-1] > 1 else (-3, -1)
-    if grid.shape[inner] > 2:
+    if inner == -1 and grid.shape[-1] > 2:
+        # In memory order a site's left and right neighbours are the
+        # elements before and after it: one flat add, wrong only at each
+        # block's first and last column, which the edge writes below
+        # overwrite.
+        flat_grid = _flat(grid)
+        backend.add_exact_into(flat_grid[:-2], flat_grid[2:], _flat(nn)[1:-1])
+    elif grid.shape[inner] > 2:
         backend.add_exact_into(
             grid[_index(outer, inner, _ALL, slice(None, -2))],
             grid[_index(outer, inner, _ALL, slice(2, None))],
@@ -397,23 +419,37 @@ def compact_neighbor_sums(
     return nn0, nn1
 
 
-#: Per colour phase: the two passive tensors, then for each active
-#: tensor the two torus shifts its neighbour sum adds to their sum,
-#: as (passive tensor, in-block axis, step).
-_COMPACT_SHIFTS = {
-    # nn(s00)[i, j] = s01[i, j] + s10[i, j] + s01[i, j-1] + s10[i-1, j]
-    # nn(s11)[i, j] = s01[i, j] + s10[i, j] + s01[i+1, j] + s10[i, j+1]
-    "black": (
-        ("s01", "s10"),
-        ((("s01", -1, -1), ("s10", -2, -1)), (("s01", -2, 1), ("s10", -1, 1))),
-    ),
-    # nn(s01)[i, j] = s00[i, j] + s11[i, j] + s00[i, j+1] + s11[i-1, j]
-    # nn(s10)[i, j] = s00[i, j] + s11[i, j] + s00[i+1, j] + s11[i, j-1]
-    "white": (
-        ("s00", "s11"),
-        ((("s00", -1, 1), ("s11", -2, -1)), (("s00", -2, 1), ("s11", -1, -1))),
-    ),
+#: Per colour phase, each active tensor's (column step, row step).
+#: Active tensor k of the phase-ordered stack reads passive tensor k
+#: at its own site and one column over, and the other passive tensor
+#: at its own site and one row over.
+_COMPACT_STEPS = {
+    # nn(s00)[i, j] = s01[i, j] + s01[i, j-1] + s10[i, j] + s10[i-1, j]
+    # nn(s11)[i, j] = s10[i, j] + s10[i, j+1] + s01[i, j] + s01[i+1, j]
+    "black": ((-1, -1), (1, 1)),
+    # nn(s01)[i, j] = s00[i, j] + s00[i, j+1] + s11[i, j] + s11[i-1, j]
+    # nn(s10)[i, j] = s11[i, j] + s11[i, j-1] + s00[i, j] + s00[i+1, j]
+    "white": ((1, -1), (-1, 1)),
 }
+
+
+def _write_column_pair(
+    backend: Backend, nn: np.ndarray, x: np.ndarray, step: int
+) -> None:
+    """``nn = x + x`` shifted by ``step`` along the columns of the blocked torus.
+
+    One flat add over the contiguous buffers writes every site whose
+    partner is the next (or previous) element in memory; the sites
+    where it read across a row (each block's first column for ``step
+    = -1``, its last for ``+1``) are then written by the block-edge
+    pieces of the shift.
+    """
+    flat_nn, flat_x = _flat(nn), _flat(x)
+    head, tail = slice(1, None), slice(None, -1)
+    here, there = (head, tail) if step < 0 else (tail, head)
+    backend.add_exact_into(flat_x[here], flat_x[there], flat_nn[here])
+    for dst, src in _shift_pieces(x.shape, -1, step)[1:]:
+        backend.add_exact_into(x[dst], x[src], nn[dst])
 
 
 def compact_neighbor_sums_into(
@@ -421,29 +457,31 @@ def compact_neighbor_sums_into(
     color: str,
     backend: Backend,
     workspace,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Allocation-free twin of :func:`compact_neighbor_sums`.
 
     The same sums as adds of views of the passive tensors
-    (:meth:`~repro.backend.base.Backend.add_exact_into`): each active
-    tensor's sum is its two in-site partners, then two torus shifts,
-    each one in-block view add plus its block-edge adds.  Every value is
-    an exact small integer, so the sums are bit-identical to the
-    ``K_hat`` band matmuls (or 2-tap convolutions) plus compensation in
-    every dtype.  The eager sweep builds the views, so a recorded sweep
-    holds them.  Returns the workspace's ``(nn0, nn1)`` buffers — valid
-    until the next call.  It sums on the local torus only: the pod's
-    halos splice into the elementwise :func:`compact_neighbor_sums`.
+    (:meth:`~repro.backend.base.Backend.add_exact_into`), for both
+    active tensors of the phase at once: each active tensor's column
+    part (its column-source partner plus that partner one column over)
+    is one flat add plus its block-edge writes, both cross partners
+    are one add of the reversed passive pair, and each row shift is one
+    in-block view add plus its block-edge adds.  Every value is an exact
+    small integer, so the sums are bit-identical to the ``K_hat`` band
+    matmuls (or 2-tap convolutions) plus compensation in every dtype.
+    The eager sweep builds the views, so a recorded sweep holds them.
+
+    ``lat`` must hold the phase-ordered stack
+    (:meth:`~repro.core.lattice.CompactLattice.phase`).  Returns the
+    workspace's ``(2, *grid)`` sums, in the order of the phase's active
+    tensors — valid until the next call.  It sums on the local torus
+    only: the pod's halos splice into the elementwise
+    :func:`compact_neighbor_sums`.
     """
-    if color not in ("black", "white"):
-        raise ValueError(f"color must be 'black' or 'white', got {color!r}")
-    partners, shifts = _COMPACT_SHIFTS[color]
-    a, b = (getattr(lat, name) for name in partners)
-    sums = []
-    for name, active in zip(("compact_nn0", "compact_nn1"), shifts):
-        nn = workspace.buffer(name, lat.grid_shape)
-        backend.add_exact_into(a, b, nn)
-        for source, inner, step in active:
-            _add_shifted_into(backend, nn, getattr(lat, source), inner, step)
-        sums.append(nn)
-    return sums[0], sums[1]
+    active, passive = lat.phase(color)
+    nn = workspace.buffer("compact_nn", active.shape)
+    for k, (col_step, row_step) in enumerate(_COMPACT_STEPS[color]):
+        _write_column_pair(backend, nn[k], passive[k], col_step)
+        _add_shifted_into(backend, nn[k], passive[1 - k], -2, row_step)
+    backend.add_exact_into(nn, passive[::-1], nn)
+    return nn

@@ -20,7 +20,7 @@ tests verify on random lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,12 +182,20 @@ class CompactLattice:
     (see :class:`~repro.core.ensemble.EnsembleSimulation`), and every
     kernel addresses the grid axes from the right so the chain axis
     broadcasts through untouched.
+
+    :meth:`from_plain`, :meth:`from_stack` and :meth:`copy` build the
+    four tensors as views of one ``stack`` of shape ``(4, *grid)`` in
+    phase order s00, s11, s01, s10, so each colour phase's two active
+    (and two passive) tensors are one ``(2, *grid)`` slice of it
+    (:meth:`phase`), which the fused engine updates in one op sequence.
+    A lattice built from four separate tensors has ``stack = None``.
     """
 
     s00: np.ndarray
     s01: np.ndarray
     s10: np.ndarray
     s11: np.ndarray
+    stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = self.s00.shape
@@ -215,6 +223,23 @@ class CompactLattice:
         return rows * cols
 
     @classmethod
+    def from_stack(cls, stack: np.ndarray) -> "CompactLattice":
+        """The lattice whose four tensors are views of ``stack``.
+
+        ``stack`` is a C-contiguous ``(4, *grid)`` array in phase order
+        s00, s11, s01, s10 (the fused sums read its tensors flat).
+        """
+        if stack.ndim not in (5, 6) or stack.shape[0] != 4:
+            raise ValueError(
+                f"expected a (4, *grid) phase-ordered stack, got shape {stack.shape}"
+            )
+        if not stack.flags.c_contiguous:
+            raise ValueError("the phase-ordered stack must be C-contiguous")
+        lat = cls(s00=stack[0], s01=stack[2], s10=stack[3], s11=stack[1])
+        lat.stack = stack
+        return lat
+
+    @classmethod
     def from_plain(
         cls, plain: np.ndarray, block_shape: tuple[int, int] | None = None
     ) -> "CompactLattice":
@@ -223,17 +248,32 @@ class CompactLattice:
         ``block_shape`` is the (r, c) of each compact block; the default is
         one block spanning the whole quarter (fine off-TPU, where there is
         no 128-alignment constraint).  A ``(batch, rows, cols)`` stack of
-        chains yields the batched rank-5 form.
+        chains yields the batched rank-5 form.  The four tensors are
+        views of one phase-ordered stack (:meth:`from_stack`).
         """
         q00, q01, q10, q11 = plain_to_quarters(plain)
         if block_shape is None:
             block_shape = q00.shape[-2:]
-        return cls(
-            s00=plain_to_grid(q00, block_shape),
-            s01=plain_to_grid(q01, block_shape),
-            s10=plain_to_grid(q10, block_shape),
-            s11=plain_to_grid(q11, block_shape),
+        return cls.from_stack(
+            np.stack([plain_to_grid(q, block_shape) for q in (q00, q11, q01, q10)])
         )
+
+    def phase(self, color: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(active, passive)``: the ``(2, *grid)`` stack slices of a phase.
+
+        Black updates (s00, s11) from (s01, s10); white updates (s01,
+        s10) from (s00, s11).  Raises on a lattice without the stack.
+        """
+        if color not in ("black", "white"):
+            raise ValueError(f"color must be 'black' or 'white', got {color!r}")
+        if self.stack is None:
+            raise ValueError(
+                "this CompactLattice holds four separate tensors, not the "
+                "phase-ordered stack the fused engine updates; build it with "
+                "CompactUpdater.to_state (or CompactLattice.from_plain)"
+            )
+        first, second = self.stack[:2], self.stack[2:]
+        return (first, second) if color == "black" else (second, first)
 
     def to_plain(self) -> np.ndarray:
         """Reassemble the plain lattice (exact inverse).
@@ -248,7 +288,17 @@ class CompactLattice:
             grid_to_plain(self.s11),
         )
 
+    def __reduce__(self):
+        # Pickle and copy.deepcopy would copy the stack and its four views
+        # one by one, parting them; rebuild the views of one stack instead.
+        if self.stack is None:
+            return CompactLattice, (self.s00, self.s01, self.s10, self.s11)
+        return CompactLattice.from_stack, (self.stack,)
+
     def copy(self) -> "CompactLattice":
+        """A deep copy; a stacked lattice copies its stack."""
+        if self.stack is not None:
+            return CompactLattice.from_stack(self.stack.copy())
         return CompactLattice(
             self.s00.copy(), self.s01.copy(), self.s10.copy(), self.s11.copy()
         )

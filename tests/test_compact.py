@@ -219,3 +219,221 @@ class TestMergedDraw:
         assert np.array_equal(resumed.lattice, chain.lattice)
         assert np.array_equal(resumed.lattice, eager.lattice)
         assert resumed.stream.counters == eager.stream.counters
+
+
+class TestPhaseOrderedStack:
+    """The four sub-lattices are views of one (4, *grid) stack, s00, s11,
+    s01, s10, so each colour phase is one (2, *grid) slice of it."""
+
+    @staticmethod
+    def _assert_stacked(lat):
+        stack = lat.stack
+        assert stack.shape == (4,) + lat.grid_shape
+        assert stack.flags.c_contiguous
+        for k, name in enumerate(("s00", "s11", "s01", "s10")):
+            view = getattr(lat, name)
+            assert view.base is stack
+            assert view.__array_interface__["data"] == stack[k].__array_interface__["data"]
+        black, white = lat.phase("black"), lat.phase("white")
+        np.testing.assert_array_equal(black[0], np.stack([lat.s00, lat.s11]))
+        np.testing.assert_array_equal(black[1], np.stack([lat.s01, lat.s10]))
+        np.testing.assert_array_equal(white[0], black[1])
+        np.testing.assert_array_equal(white[1], black[0])
+
+    @pytest.mark.parametrize("chains", [None, 3])
+    def test_from_plain_and_copy(self, chains):
+        plain = make_lattice((8, 12))
+        if chains:
+            plain = np.stack([make_lattice((8, 12), seed=s) for s in range(chains)])
+        lat = CompactLattice.from_plain(plain, (2, 3))
+        self._assert_stacked(lat)
+        assert np.array_equal(lat.to_plain(), plain)
+        dup = lat.copy()
+        self._assert_stacked(dup)
+        assert not np.shares_memory(dup.stack, lat.stack)
+        dup.s11[...] = -dup.s11
+        assert np.array_equal(lat.to_plain(), plain)
+
+    def test_deepcopy_and_pickle_keep_the_views(self):
+        import copy
+        import pickle
+
+        lat = CompactLattice.from_plain(make_lattice((8, 8)), (2, 2))
+        for dup in (copy.deepcopy(lat), pickle.loads(pickle.dumps(lat))):
+            self._assert_stacked(dup)
+            assert not np.shares_memory(dup.stack, lat.stack)
+            assert np.array_equal(dup.to_plain(), lat.to_plain())
+        shallow = copy.copy(lat)
+        self._assert_stacked(shallow)
+        assert shallow.stack is lat.stack
+        loose = CompactLattice(lat.s00.copy(), lat.s01, lat.s10, lat.s11)
+        dup = copy.deepcopy(loose)
+        assert dup.stack is None and np.array_equal(dup.to_plain(), lat.to_plain())
+
+    @pytest.mark.parametrize("chains", [None, 3])
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_to_state_keeps_the_stack(self, dtype, chains, fused):
+        from repro.backend import NumpyBackend
+
+        plain = make_lattice((8, 8))
+        if chains:
+            plain = np.stack([make_lattice((8, 8), seed=s) for s in range(chains)])
+        updater = CompactUpdater(0.44, NumpyBackend(dtype), block_shape=(2, 2), fused=fused)
+        lat = updater.to_state(plain)
+        self._assert_stacked(lat)
+        assert lat.stack.dtype == np.float32
+        assert np.array_equal(lat.to_plain(), plain)
+        self._assert_stacked(lat.copy())
+
+    def test_fused_sweeps_keep_the_views(self, backend, stream):
+        updater = CompactUpdater(0.44, backend, block_shape=(2, 2), fused=True)
+        lat = updater.to_state(make_lattice((8, 8)))
+        tensors = (lat.stack, lat.s00, lat.s01, lat.s10, lat.s11)
+        for _ in range(3):
+            out = updater.sweep(lat, stream)
+            assert out is lat
+        assert all(a is b for a, b in zip(tensors, (lat.stack, lat.s00, lat.s01, lat.s10, lat.s11)))
+        self._assert_stacked(lat)
+
+    def test_elementwise_phases_leave_the_stack(self, backend, stream):
+        # The elementwise engine returns new active tensors beside the
+        # shared passive ones: a lattice of separate tensors.
+        updater = CompactUpdater(0.44, backend, block_shape=(2, 2))
+        lat = updater.to_state(make_lattice((8, 8)))
+        out = updater.update_color(lat, "black", stream)
+        assert out.stack is None
+        assert out.s01 is lat.s01 and out.s10 is lat.s10
+
+    def test_fused_updater_refuses_an_unstacked_lattice(self, backend):
+        from repro.core.fused import SweepWorkspace
+        from repro.core.kernels import compact_neighbor_sums_into
+
+        stacked = CompactLattice.from_plain(make_lattice((8, 8)), (2, 2))
+        lat = CompactLattice(*(t.copy() for t in (stacked.s00, stacked.s01, stacked.s10, stacked.s11)))
+        assert lat.stack is None
+        assert lat.copy().stack is None
+        updater = CompactUpdater(0.44, backend, block_shape=(2, 2), fused=True)
+        stream = PhiloxStream(5, 0)
+        with pytest.raises(ValueError, match="to_state"):
+            updater.update_color(lat, "black", stream)
+        with pytest.raises(ValueError, match="to_state"):
+            updater.sweep(lat, stream)
+        assert stream.counter == PhiloxStream(5, 0).counter  # nothing drawn
+        with pytest.raises(ValueError, match="to_state"):
+            compact_neighbor_sums_into(lat, "white", backend, SweepWorkspace())
+        # The elementwise engine takes it as before.
+        CompactUpdater(0.44, backend, block_shape=(2, 2)).sweep(lat, stream)
+
+    def test_phase_and_stack_validation(self):
+        lat = CompactLattice.from_plain(make_lattice((8, 8)), (2, 2))
+        with pytest.raises(ValueError, match="color"):
+            lat.phase("green")
+        with pytest.raises(ValueError, match=r"\(4, \*grid\)"):
+            CompactLattice.from_stack(lat.stack[:3])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            CompactLattice.from_stack(lat.stack[..., ::-1])
+
+    def test_explicit_pair_probs_match_tuple(self, backend):
+        plain = make_lattice((8, 8), seed=2)
+        out = []
+        for as_array in (False, True):
+            updater = CompactUpdater(0.44, backend, block_shape=(2, 2), fused=True)
+            lat = updater.to_state(plain)
+            replay = PhiloxStream(4, 0)
+            for color in ("black", "white"):
+                pair = (replay.uniform(lat.grid_shape), replay.uniform(lat.grid_shape))
+                probs = np.stack(pair) if as_array else pair
+                lat = updater.update_color(lat, color, probs=probs)
+            out.append(lat.to_plain())
+        assert np.array_equal(out[0], out[1])
+
+    @pytest.mark.parametrize("chains", [1, 3])
+    def test_further_runs_keep_one_trace(self, chains):
+        from repro.core.ensemble import EnsembleSimulation
+        from repro.core.simulation import IsingSimulation
+
+        if chains == 1:
+            sim = IsingSimulation(16, 2.269, seed=8, fused=True)
+        else:
+            sim = EnsembleSimulation(16, [2.0, 2.269, 2.6], seed=8, fused=True)
+        sim.run(3)
+        for _ in range(5):
+            sim.run(2)
+        ex = sim._executor
+        assert ex.traces_recorded == 1
+        assert ex.invalidations == 0
+        assert ex.sweeps_replayed == 1 + 5 * 2
+
+
+#: Block shapes on a 16^2 lattice (8 x 8 quarters): one-site blocks,
+#: one-row and one-column blocks, one square block, a 2 x 2 grid.
+BLOCKS = [(1, 1), (1, 8), (8, 1), (8, 8), (4, 4)]
+
+
+class TestOneStepPhases:
+    """A fused phase updates both active tensors with one Metropolis step;
+    it equals the elementwise engine in every cell."""
+
+    @pytest.mark.parametrize("block", BLOCKS, ids=lambda b: f"{b[0]}x{b[1]}")
+    @pytest.mark.parametrize("chains", [1, 3])
+    @pytest.mark.parametrize("field", [0.0, 0.3])
+    @pytest.mark.parametrize("temperature", [0.05, 2.269])
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
+    @pytest.mark.parametrize("updater", ["compact", "conv"])
+    def test_fused_matches_elementwise(
+        self, updater, dtype, temperature, field, chains, block
+    ):
+        from repro.backend import NumpyBackend
+        from repro.core.ensemble import EnsembleSimulation
+
+        temps = [temperature * (1 + 0.2 * b) for b in range(chains)]
+        sims = [
+            EnsembleSimulation(
+                16,
+                temps,
+                updater=updater,
+                backend=NumpyBackend(dtype),
+                seed=17,
+                block_shape=block,
+                field=field,
+                fused=fused,
+            )
+            for fused in (False, True)
+        ]
+        for sim in sims:
+            sim.run(8)
+        np.testing.assert_array_equal(sims[0].lattices, sims[1].lattices)
+        assert sims[0].stream.counters == sims[1].stream.counters
+        ex = sims[1]._executor
+        assert ex.sweeps_replayed == 6 and ex.fallbacks == 0
+        # Four more edge ops per axis split into several blocks.
+        rows, cols = 8 // block[0], 8 // block[1]
+        assert ex.program_ops == 25 + 4 * (rows > 1) + 4 * (cols > 1)
+
+    @pytest.mark.parametrize("field", [0.0, 0.3])
+    @pytest.mark.parametrize("dtype", ["float32", "bfloat16"])
+    def test_odd_word_count_under_a_solo_stream(self, dtype, field):
+        """15 words per sub-lattice: each phase draws into the two halves
+        of one buffer, in Algorithm 2's order."""
+        from repro.backend import NumpyBackend
+
+        plain = make_lattice((6, 10), seed=3)
+        lattices, counters = [], []
+        for fused in (True, False):
+            backend = NumpyBackend(dtype)
+            draws = count_draws(backend) if fused else []
+            updater = CompactUpdater(
+                0.44, backend, block_shape=None, field=field, fused=fused
+            )
+            lat = updater.to_state(plain)
+            stream = PhiloxStream(13, 2)
+            for _ in range(4):
+                lat = updater.sweep(lat, stream)
+            lattices.append(lat.to_plain())
+            counters.append(stream.counter)
+            if fused:
+                assert lat.grid_shape == (1, 1, 3, 5)
+                assert draws == [lat.grid_shape] * 16
+        assert np.array_equal(lattices[0], lattices[1])
+        assert counters[0] == counters[1]

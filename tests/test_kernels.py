@@ -238,6 +238,56 @@ class TestViewAddSums:
         assert np.array_equal(grid_to_plain(nn1), truth[2])
 
 
+class TestFlatAdds:
+    """The fused sums write every site: the flat adds read across rows,
+    and the edge writes must cover each site they get wrong.  The
+    workspace buffers are filled with NaN first, so a missed site
+    shows."""
+
+    @pytest.mark.parametrize(
+        "block",
+        [(1, 1), (1, 6), (6, 1), (2, 3), (6, 6), (3, 2), (1, 3), (3, 1)],
+        ids=lambda block: f"{block[0]}x{block[1]}",
+    )
+    @pytest.mark.parametrize("chains", [None, 3])
+    def test_compact_sums_overwrite_stale_buffers(self, block, chains):
+        backend = NumpyBackend()
+        plain = make_lattice((12, 12))
+        if chains:
+            plain = np.stack([make_lattice((12, 12), seed=s) for s in range(chains)])
+        lat = CompactLattice.from_plain(plain, block)
+        ws = SweepWorkspace()
+        for color in ("black", "white"):
+            ws.buffer("compact_nn", (2,) + lat.grid_shape)[...] = np.nan
+            nn = compact_neighbor_sums_into(lat, color, backend, ws)
+            assert nn.shape == (2,) + lat.grid_shape
+            expected = compact_neighbor_sums(lat, color, backend)
+            np.testing.assert_array_equal(nn[0], expected[0])
+            np.testing.assert_array_equal(nn[1], expected[1])
+
+    @pytest.mark.parametrize(
+        "plain_shape, block",
+        [((32, 32), (32, 32)), ((32, 32), (8, 8)), ((32, 32), (16, 4)),
+         ((12, 12), (12, 3)), ((12, 12), (4, 2)), ((12, 12), (3, 1))],
+    )
+    def test_grid_sum_overwrites_stale_buffer(self, plain_shape, block):
+        backend = NumpyBackend()
+        plain = make_lattice(plain_shape, seed=3)
+        grid = plain_to_grid(plain, block)
+        ws = SweepWorkspace()
+        ws.buffer("nn_grid", grid.shape)[...] = np.nan
+        nn = neighbor_sum_grid_into(grid, backend, ws)
+        np.testing.assert_array_equal(grid_to_plain(nn), neighbor_sum_roll(plain))
+
+    def test_strided_tensors_are_refused(self):
+        # A flat view of a strided tensor would be a copy, which a
+        # recorded sweep would keep reading.
+        backend = NumpyBackend()
+        grid = plain_to_grid(make_lattice((12, 12)), (6, 6))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            neighbor_sum_grid_into(grid[..., ::-1], backend, SweepWorkspace())
+
+
 class TestHalos:
     def test_halo_equal_to_wrap_changes_nothing(self, backend):
         """Explicit halos equal to the torus wrap reproduce halo-free sums."""

@@ -113,9 +113,10 @@ class TestResolve:
 class TestProgramOps:
     """The recorded sweep programs, pinned op for op.
 
-    Per colour phase, a compact sweep makes two neighbour sums of five
-    view adds each (the in-site partners, then two torus shifts of one
-    in-block add and one edge add on a one-block grid) and two flips of
+    Per colour phase, a compact sweep sums both active tensors in nine
+    view adds (per tensor, a flat column add and its edge write, then a
+    row shift of one in-block add and one edge add on a one-block grid;
+    then one add of both cross partners) and flips both in one step of
     three ops; one draw feeds the whole sweep.  A change that inflates
     a program fails here.
     """
@@ -123,12 +124,12 @@ class TestProgramOps:
     #: updater -> (ops per sweep, op counts), for a 32^2 solo chain and a
     #: 16-chain 32^2 batch alike (one block per axis on both).
     PROGRAMS = {
-        "compact": (33, {"uniform_into": 1, "add_exact_into": 20,
-                         "acceptance_index_into": 4, "take_into": 4,
-                         "flip_below_into": 4}),
-        "conv": (33, {"uniform_into": 1, "add_exact_into": 20,
-                      "acceptance_index_into": 4, "take_into": 4,
-                      "flip_below_into": 4}),
+        "compact": (25, {"uniform_into": 1, "add_exact_into": 18,
+                         "acceptance_index_into": 2, "take_into": 2,
+                         "flip_below_into": 2}),
+        "conv": (25, {"uniform_into": 1, "add_exact_into": 18,
+                      "acceptance_index_into": 2, "take_into": 2,
+                      "flip_below_into": 2}),
         "checkerboard": (22, {"uniform_into": 2, "add_exact_into": 14,
                               "acceptance_index_into": 2, "take_into": 2,
                               "flip_below_into": 2}),
@@ -152,12 +153,12 @@ class TestProgramOps:
         assert {name: names.count(name) for name in set(names)} == counts
 
     def test_multi_block_grids_add_one_edge_piece_per_shift(self):
-        # Two blocks along each axis: every edge add becomes two (the
-        # neighbouring block, then the torus wrap), one more per shift
-        # and eight more per sweep.
+        # Two blocks along each axis: every edge write or add becomes
+        # two (the neighbouring block, then the torus wrap), one more
+        # per shift and eight more per sweep.
         sim = IsingSimulation(32, 2.2, updater="compact", block_shape=(8, 8), seed=3)
         sim.run(3)
-        assert sim._executor.program_ops == 33 + 8
+        assert sim._executor.program_ops == 25 + 8
 
 
 class TestSoloBitIdentity:
