@@ -18,15 +18,19 @@ gated.
 
 Both sides are timed on one CPU: the process pins itself to one of its
 CPUs (``os.sched_setaffinity``) for the timing and restores its CPU set
-afterwards.  A fused 512^2 sweep's Philox draw would otherwise split
-across two host cores (``repro.rng.philox``) while the elementwise
-reference draws on one, tying the ratio to the host's core count.  CI
-also runs it on one BLAS thread, as the packed gate does.
+afterwards.  Both sides draw through the in-place generator, whose
+draws of at least ``2 * BLOCK_COUNTERS`` counters would otherwise split
+across two host cores (``repro.rng.philox``), and the sides split
+different shares of their draws (a fused compact sweep's one draw
+splits, the elementwise path's per-quarter draws do not), tying the
+ratio to the host's core count.  A timed draw that split anyway raises.
+CI also runs it on one BLAS thread, as the packed gate does.
 
-Run as a script for the CI check::
+Run as a module for the CI check (it imports ``one_cpu`` from
+``benchmarks/conftest.py``)::
 
-    PYTHONPATH=src python benchmarks/bench_fused_sweep.py            # 512, gated
-    PYTHONPATH=src python benchmarks/bench_fused_sweep.py 128        # quick look
+    PYTHONPATH=src python -m benchmarks.bench_fused_sweep            # 512, gated
+    PYTHONPATH=src python -m benchmarks.bench_fused_sweep 128        # quick look
 
 or emit the machine-readable snapshot::
 
@@ -35,11 +39,11 @@ or emit the machine-readable snapshot::
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
 
 from repro.core.simulation import IsingSimulation
+
+from .conftest import one_cpu
 
 #: Updaters measured; the first is the gated headline.
 UPDATERS = ("checkerboard", "compact", "conv", "masked_conv")
@@ -70,27 +74,11 @@ def _sweep_seconds(
     return best
 
 
-@contextlib.contextmanager
-def _one_cpu():
-    """Pin this process to one of its CPUs, then restore its CPU set.
-
-    A Philox draw splits only when the process may run on two CPUs, so
-    inside this block no draw splits.
-    """
-    pid = os.getpid()
-    cpus = os.sched_getaffinity(pid)
-    os.sched_setaffinity(pid, {min(cpus)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(pid, cpus)
-
-
 def measure(side: int = 512, n_sweeps: int = 4, reps: int = 3) -> dict:
     """``{updater: {"elementwise_s", "fused_s", "speedup"}}`` on side^2,
     both sides timed on one CPU."""
     results = {}
-    with _one_cpu():
+    with one_cpu():
         for updater in UPDATERS:
             elementwise = _sweep_seconds(updater, False, side, n_sweeps, reps)
             fused = _sweep_seconds(updater, True, side, n_sweeps, reps)
@@ -130,7 +118,10 @@ def main(argv: "list[str] | None" = None) -> None:
     try:
         side = int(raw[0]) if raw else 512
     except ValueError:
-        sys.exit(f"usage: bench_fused_sweep.py [side] — side must be an integer, got {raw}")
+        sys.exit(
+            "usage: python -m benchmarks.bench_fused_sweep [side] — side must "
+            f"be an integer, got {raw}"
+        )
     gated = not raw  # the default 512 run is the CI gate
     print(f"fused vs elementwise sweep, {side}^2 lattice (numpy float32, one CPU)")
     print(f"{'updater':>12} {'elementwise [ms]':>17} {'fused [ms]':>11} {'speedup':>9}")

@@ -10,7 +10,11 @@ GPU literature quotes — and **asserts** the headline factor.  Both
 chains are timed in the paired rounds of
 :func:`benchmarks.conftest.time_rounds`, so each round's ratio compares
 timings taken under the same host load, and the gate reads the median
-ratio over rounds.
+ratio over rounds.  Both are timed on one CPU
+(:func:`benchmarks.conftest.one_cpu`): the elementwise reference's
+512^2 phase draws (65,536 Philox counters) would otherwise split across
+two threads while the packed chain's 8,192-counter draws never do, and
+a timed draw that split anyway raises.
 
 Correctness is asserted before any timing: the packed engine fed the
 same per-site float32 uniforms must reproduce the unpacked
@@ -41,7 +45,7 @@ from repro.backend.numpy_backend import NumpyBackend
 from repro.core.simulation import IsingSimulation
 from repro.tpu.dtypes import PACKED
 
-from .conftest import OVERHEAD_BEST_OF, OVERHEAD_REPEATS, time_rounds
+from .conftest import OVERHEAD_BEST_OF, OVERHEAD_REPEATS, one_cpu, time_rounds
 
 #: The CI assertion: packed flips/sec at least this multiple of the
 #: elementwise checkerboard updater's on the same lattice, as the median
@@ -95,12 +99,13 @@ def check_stream16_identity(side: int = 128, n_sweeps: int = 8) -> None:
     The probs check never runs the lane compare the timed sweeps run.
     Here the twin is the unpacked multi-spin baseline fed ``lanes *
     2**-16``, with the lanes split arithmetically (``w & 0xFFFF``, then
-    ``w >> 16``) from its own Philox stream in Algorithm 2's draw order.
-    ``lanes * 2**-16 < t`` holds exactly when ``lanes < ceil(t * 2**16)``,
-    so the lattices must agree after every sweep.
+    ``w >> 16``) from the chain's Philox words, drawn through the
+    allocating oracle, in Algorithm 2's draw order.  ``lanes * 2**-16 <
+    t`` holds exactly when ``lanes < ceil(t * 2**16)``, so the lattices
+    must agree after every sweep.
     """
     from repro.baselines.multispin import MultispinUpdater
-    from repro.rng import PhiloxStream
+    from repro.rng import philox_uniform_bits, split_key
 
     rng = np.random.default_rng(11)
     plain = np.where(rng.random((side, side)) < 0.5, 1.0, -1.0).astype(
@@ -112,11 +117,13 @@ def check_stream16_identity(side: int = 128, n_sweeps: int = 8) -> None:
         initial=plain,
     )
     twin = MultispinUpdater(1.0 / TEMPERATURE)
-    state, stream = twin.to_state(plain), PhiloxStream(5, 0)
+    state, key, counter = twin.to_state(plain), split_key(5, 0), [0]
     quarter = (side // 2, side // 2)
 
     def lane_probs() -> np.ndarray:
-        words = stream.random_bits(quarter[0] * quarter[1] // 2)
+        n_words = quarter[0] * quarter[1] // 2
+        words = philox_uniform_bits(counter[0], n_words, key)
+        counter[0] += -(-n_words // 4)
         lanes = np.stack([words & 0xFFFF, words >> 16], axis=-1)
         return lanes.reshape(quarter).astype(np.float32) * np.float32(2.0**-16)
 
@@ -166,25 +173,28 @@ def measure(side: int = 512, n_sweeps: int = 8) -> dict:
     ``time_rounds`` times both chains in ``OVERHEAD_REPEATS`` rotated
     rounds, each keeping the best of ``OVERHEAD_BEST_OF`` interleaved
     timings, so host load that slows one side of a round slows the
-    other too.  ``speedup`` is the median of the per-round ratios and
+    other too.  Both sides run on one CPU, so no Philox draw splits.
+    ``speedup`` is the median of the per-round ratios and
     ``speedup_iqr`` their interquartile range; the seconds are each
     side's median over rounds.
     """
-    seconds = time_rounds({
-        "elementwise": _sweep_timer(
-            IsingSimulation(
-                (side, side), TEMPERATURE, updater="checkerboard", seed=1,
-                fused=False,
-            ),
-            max(2, n_sweeps // 2),
+    sims = {
+        "elementwise": IsingSimulation(
+            (side, side), TEMPERATURE, updater="checkerboard", seed=1,
+            fused=False,
         ),
-        "packed": _sweep_timer(
-            IsingSimulation(
-                (side, side), TEMPERATURE, backend=NumpyBackend(PACKED), seed=1
-            ),
-            n_sweeps,
+        "packed": IsingSimulation(
+            (side, side), TEMPERATURE, backend=NumpyBackend(PACKED), seed=1
         ),
-    })
+    }
+    sweeps = {"elementwise": max(2, n_sweeps // 2), "packed": n_sweeps}
+    with one_cpu():
+        seconds = time_rounds(
+            {name: _sweep_timer(sim, sweeps[name]) for name, sim in sims.items()}
+        )
+    for name, sim in sims.items():
+        if sim.stream.split_draws:
+            raise AssertionError(f"{name}: a timed Philox draw split across two cores")
     q1, speedup, q3 = np.percentile(
         seconds["elementwise"] / seconds["packed"], [25, 50, 75]
     )
@@ -222,6 +232,7 @@ def bench_payload() -> tuple[dict, dict]:
         "dtype": "packed",
         "rng_bits": 16,
         "baseline": "elementwise checkerboard (fused=False)",
+        "timed_cpus": 1,
         "gate_threshold_x": GATE_SPEEDUP,
         "timing": (
             f"median of {OVERHEAD_REPEATS} paired rounds, each the best of "
@@ -257,7 +268,7 @@ def main(argv: "list[str] | None" = None) -> None:
     check_physics()
     print("Onsager physics check OK")
     row = measure(side=side)
-    print(f"packed vs elementwise checkerboard, {side}^2 lattice (numpy)")
+    print(f"packed vs elementwise checkerboard, {side}^2 lattice (numpy, one CPU)")
     print(
         f"elementwise {row['elementwise_s'] * 1e3:8.2f} ms/sweep "
         f"({row['elementwise_flips_per_s'] / 1e6:7.1f} Mflips/s)"

@@ -16,15 +16,18 @@ cheap enough to leave on:
    ``n_replicas x n_temperatures`` chains advance as one rank-3
    batched state, so a ladder must beat the serial loop-of-chains
    baseline by **>= 3x** — the same replica-batching lever as
-   ``bench_ensemble.py``, now applied across ladder slots.
+   ``bench_ensemble.py``, now applied across ladder slots.  Both are
+   timed in the paired rounds of :func:`benchmarks.conftest.time_rounds`
+   and the gate reads the median per-round ratio.
 3. **Swap rounds keep the recorded sweep.**  A fixed-count gate: a
    16-beta 16^2 ladder swapping after every sweep runs 40 sweeps as 2
    eager ones (warm-up and recording) and 38 replays, with swaps
    accepted along the way.
 
-Run as a script for a quick table:
+Run as a module for a quick table and the gates (it imports
+``time_rounds`` from ``benchmarks/conftest.py``)::
 
-    PYTHONPATH=src python benchmarks/bench_tempering.py
+    PYTHONPATH=src python -m benchmarks.bench_tempering
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ import numpy as np
 
 from repro.core.simulation import IsingSimulation
 from repro.core.tempering import TemperingEnsemble
+
+from .conftest import OVERHEAD_BEST_OF, OVERHEAD_REPEATS, time_rounds
 
 N_TEMPS = 16
 N_SWEEPS = 80
@@ -120,15 +125,32 @@ def measure_overhead(
     return best
 
 
-def measure_batching(
-    side: int = BATCH_SIDE, n_sweeps: int = N_SWEEPS
-) -> tuple[float, float]:
-    """(serial seconds, batched-ladder seconds), after warm-up."""
+def measure_batching(side: int = BATCH_SIDE, n_sweeps: int = N_SWEEPS) -> dict:
+    """Serial loop vs batched ladder, in the paired rounds of ``time_rounds``.
+
+    Each round times both (best of ``OVERHEAD_BEST_OF`` interleaved
+    timings each), so host load that slows one side of a round slows
+    the other too.  ``speedup`` is the median of the per-round
+    serial / batched ratios and ``speedup_iqr`` their interquartile
+    range; the seconds are each side's median over rounds.
+    """
     run_serial_replicas(side, 2)
     run_ladder(side, 2, swaps_enabled=True)
-    t_serial = _time(lambda: run_serial_replicas(side, n_sweeps))
-    t_batched = _time(lambda: run_ladder(side, n_sweeps, swaps_enabled=True))
-    return t_serial, t_batched
+    seconds = time_rounds({
+        "serial": lambda: _time(lambda: run_serial_replicas(side, n_sweeps)),
+        "batched": lambda: _time(
+            lambda: run_ladder(side, n_sweeps, swaps_enabled=True)
+        ),
+    })
+    q1, speedup, q3 = np.percentile(
+        seconds["serial"] / seconds["batched"], [25, 50, 75]
+    )
+    return {
+        "serial_s": float(np.median(seconds["serial"])),
+        "batched_s": float(np.median(seconds["batched"])),
+        "speedup": float(speedup),
+        "speedup_iqr": float(q3 - q1),
+    }
 
 
 def test_swap_rounds_fire_and_accept():
@@ -151,13 +173,13 @@ def gate_swap_overhead(t_sweep: float, t_swap: float) -> None:
     )
 
 
-def gate_batched_beats_serial(t_serial: float, t_batched: float) -> None:
+def gate_batched_beats_serial(batching: dict) -> None:
     """Gate: the batched ladder >= 3x over the serial loop-of-chains at
-    host scale (measured ~6-13x dispatch-bound; 3x keeps the gate
-    robust to noisy CI machines)."""
-    assert t_batched < t_serial / 3.0, (
-        f"batched ladder ({t_batched:.3f}s) should beat the serial "
-        f"replica loop ({t_serial:.3f}s) by >= 3x"
+    host scale, as the median of paired rounds (:func:`measure_batching`)."""
+    assert batching["speedup"] >= 3.0, (
+        f"batched ladder {batching['speedup']:.2f}x over the serial replica "
+        f"loop (median of {OVERHEAD_REPEATS} paired rounds, IQR "
+        f"{batching['speedup_iqr']:.2f}x) should be >= 3x"
     )
 
 
@@ -184,21 +206,22 @@ def test_swap_overhead_under_5pct():
 
 
 def test_batched_ladder_beats_serial_replicas():
-    gate_batched_beats_serial(*measure_batching())
+    gate_batched_beats_serial(measure_batching())
 
 
 def bench_payload() -> tuple[dict, dict]:
     """Machine-readable summary for ``benchmarks.emit``."""
     t_sweep, t_swap = measure_overhead()
-    t_serial, t_batched = measure_batching()
+    batching = measure_batching()
     return (
         {
             "measured_sweep_seconds": t_sweep,
             "measured_swap_seconds": t_swap,
             "measured_swap_overhead_fraction": t_swap / t_sweep,
-            "measured_serial_seconds": t_serial,
-            "measured_batched_seconds": t_batched,
-            "measured_batching_speedup_x": t_serial / t_batched,
+            "measured_serial_seconds": batching["serial_s"],
+            "measured_batched_seconds": batching["batched_s"],
+            "measured_batching_speedup_x": batching["speedup"],
+            "measured_batching_speedup_iqr_x": batching["speedup_iqr"],
         },
         {
             "overhead_side": OVERHEAD_SIDE,
@@ -208,6 +231,10 @@ def bench_payload() -> tuple[dict, dict]:
             "swap_interval": SWAP_INTERVAL,
             "beta_range": [BETA_LO, BETA_HI],
             "backend": "numpy",
+            "batching_timing": (
+                f"median of {OVERHEAD_REPEATS} paired rounds, each the best "
+                f"of {OVERHEAD_BEST_OF} interleaved timings per side"
+            ),
         },
     )
 
@@ -220,41 +247,42 @@ def main(argv: list[str] | None = None) -> None:
         extra_sides = [int(s) for s in raw]
     except ValueError:
         sys.exit(
-            f"usage: bench_tempering.py [side ...] — sides must be integers, got {raw}"
+            "usage: python -m benchmarks.bench_tempering [side ...] — sides "
+            f"must be integers, got {raw}"
         )
     print(
         f"{N_TEMPS}-beta ladder [{BETA_LO}, {BETA_HI}], {N_SWEEPS} sweeps, "
-        f"swap every {SWAP_INTERVAL} (numpy backend)"
+        f"swap every {SWAP_INTERVAL} (numpy backend); serial and batched "
+        f"are medians of {OVERHEAD_REPEATS} paired rounds"
     )
     header = (
         f"{'side':>6} {'sweeps [s]':>11} {'swaps [s]':>10} {'overhead':>9} "
-        f"{'serial [s]':>11} {'batched [s]':>12} {'speedup':>8}"
+        f"{'serial [s]':>11} {'batched [s]':>12} {'speedup':>8} {'IQR':>6}"
     )
     print(header)
-    for side in extra_sides:
-        t_sweep, t_swap = measure_overhead(side)
-        t_serial, t_batched = measure_batching(side)
+
+    def row(label, t_sweep: float, t_swap: float, batching: dict) -> None:
         print(
-            f"{side:>6} {t_sweep:>11.3f} {t_swap:>10.3f} "
-            f"{t_swap / t_sweep:>8.1%} {t_serial:>11.3f} "
-            f"{t_batched:>12.3f} {t_serial / t_batched:>7.1f}x"
+            f"{label:>6} {t_sweep:>11.3f} {t_swap:>10.3f} "
+            f"{t_swap / t_sweep:>8.1%} {batching['serial_s']:>11.3f} "
+            f"{batching['batched_s']:>12.3f} {batching['speedup']:>7.2f}x "
+            f"{batching['speedup_iqr']:>5.2f}x"
         )
+
+    for side in extra_sides:
+        row(side, *measure_overhead(side), measure_batching(side))
     # One measurement at each gate's own geometry, shared by the table
     # row and the gate — a second independent measurement would only
     # add another chance for container noise to fire a false alarm.
     t_sweep, t_swap = measure_overhead()
-    t_serial, t_batched = measure_batching()
-    print(
-        f"{'gate':>6} {t_sweep:>11.3f} {t_swap:>10.3f} "
-        f"{t_swap / t_sweep:>8.1%} {t_serial:>11.3f} "
-        f"{t_batched:>12.3f} {t_serial / t_batched:>7.1f}x"
-    )
+    batching = measure_batching()
+    row("gate", t_sweep, t_swap, batching)
     failures = 0
     for gate, gate_args in (
         (test_swap_rounds_fire_and_accept, ()),
         (test_ladder_replays_across_swap_rounds, ()),
         (gate_swap_overhead, (t_sweep, t_swap)),
-        (gate_batched_beats_serial, (t_serial, t_batched)),
+        (gate_batched_beats_serial, (batching,)),
     ):
         try:
             gate(*gate_args)
@@ -264,7 +292,8 @@ def main(argv: list[str] | None = None) -> None:
     if failures:
         sys.exit(failures)
     print(
-        "gates: OK (swap overhead < 5%, batched >= 3x serial, "
+        "gates: OK (swap overhead < 5%, batched >= 3x serial as the median "
+        "of paired rounds, "
         f"{REPLAY_SWEEPS - 2}/{REPLAY_SWEEPS} ladder sweeps replayed)"
     )
 

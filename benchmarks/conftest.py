@@ -14,6 +14,7 @@ run in either mode.
 from __future__ import annotations
 
 import gc
+import os
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable
@@ -97,6 +98,22 @@ def overhead_stats(pct: np.ndarray, n_orders: int) -> tuple[float, float, float]
     by_order = [np.median(pct[k::n_orders]) for k in range(n_orders)]
     order = (max(by_order) - min(by_order)) / 2.0
     return float(median), float(q3 - q1), float(order)
+
+
+@contextmanager
+def one_cpu():
+    """Pin this process to one of its CPUs, then restore its CPU set.
+
+    A Philox draw splits across two threads only when the process may
+    run on two CPUs, so inside this block no draw splits.
+    """
+    pid = os.getpid()
+    cpus = os.sched_getaffinity(pid)
+    os.sched_setaffinity(pid, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(pid, cpus)
 
 
 @contextmanager

@@ -51,7 +51,7 @@ from .config import (
 from .conv import ConvUpdater, MaskedConvUpdater
 from .couplings import BondCouplings, bond_total_energy
 from .fused import record_fused_metrics
-from .lattice import initial_lattice, validate_spins
+from .lattice import initial_lattices, validate_spins
 from .packed import RNG_BITS, PackedState, PackedUpdater
 from .traced import TracedExecutor, record_traced_metrics
 
@@ -297,9 +297,10 @@ class EnsembleSimulation:
         self.block_shape = getattr(self._updater, "block_shape", None)
         self._executor = TracedExecutor(self._updater) if self.fused else None
 
-        # Per-chain initial states, drawn from each chain's own solo
-        # stream so hot starts match a lone chain draw-for-draw; the
-        # batched stream then inherits the counters.
+        # Per-chain initial states: every hot chain draws from its own
+        # stream, all in one batched draw, so hot starts match a lone
+        # chain draw-for-draw; the batched stream then inherits the
+        # counters.
         streams = [PhiloxStream(self.seed, sid) for sid in stream_ids]
         # One string or one 2-D lattice starts every chain.  Not
         # np.ndim: it raises on a mixed list of strings and arrays.
@@ -312,12 +313,7 @@ class EnsembleSimulation:
                 f"initial lattice stack of {len(initial)} states for "
                 f"{self.n_chains} chains"
             )
-        plains = np.stack(
-            [
-                initial_lattice(self.shape, start, stream)
-                for start, stream in zip(initial, streams)
-            ]
-        )
+        plains, streams = initial_lattices(self.shape, initial, streams)
         self.stream = BatchedPhiloxStream.from_streams(streams)
         self._state = self._updater.to_state(plains)
 

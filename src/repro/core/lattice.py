@@ -21,16 +21,19 @@ tests verify on random lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from ..rng.streams import PhiloxStream
+from ..rng.streams import BatchedPhiloxStream, PhiloxStream
 
 __all__ = [
     "random_lattice",
+    "random_lattices",
     "cold_lattice",
     "validate_spins",
     "initial_lattice",
+    "initial_lattices",
     "plain_to_grid",
     "grid_to_plain",
     "plain_to_quarters",
@@ -40,15 +43,42 @@ __all__ = [
 ]
 
 
-def random_lattice(
-    shape: tuple[int, int], stream: PhiloxStream, p_up: float = 0.5
-) -> np.ndarray:
-    """A hot (disordered) start: each spin +1 with probability ``p_up``."""
+def _hot_spins(u: np.ndarray, p_up: float) -> np.ndarray:
+    """Overwrite uniforms ``u`` with spins: +1 where ``u < p_up``, else -1."""
+    up = u < p_up
+    u.fill(-1.0)
+    np.copyto(u, 1.0, where=up)
+    return u
+
+
+def _lattice_shape(shape: tuple[int, int]) -> tuple[int, int]:
     rows, cols = shape
     if rows <= 0 or cols <= 0:
         raise ValueError(f"lattice shape must be positive, got {shape}")
-    u = stream.uniform((rows, cols))
-    return np.where(u < p_up, 1.0, -1.0).astype(np.float32)
+    return int(rows), int(cols)
+
+
+def random_lattices(
+    shape: tuple[int, int], stream: BatchedPhiloxStream, p_up: float = 0.5
+) -> np.ndarray:
+    """Hot starts for every chain of ``stream`` in one draw.
+
+    One in-place draw of ``(B, rows, cols)`` uniforms, each mapped to a
+    spin that is +1 with probability ``p_up``.  Chain ``b`` gets exactly
+    ``random_lattice(shape, stream.chain(b))``, with the same counter
+    advance.
+    """
+    return _hot_spins(stream.uniform((stream.n_chains, *_lattice_shape(shape))), p_up)
+
+
+def random_lattice(
+    shape: tuple[int, int], stream: PhiloxStream, p_up: float = 0.5
+) -> np.ndarray:
+    """A hot (disordered) start: each spin +1 with probability ``p_up``.
+
+    The one-chain case of :func:`random_lattices`.
+    """
+    return _hot_spins(stream.uniform(_lattice_shape(shape)), p_up)
 
 
 def cold_lattice(shape: tuple[int, int], value: int = 1) -> np.ndarray:
@@ -86,6 +116,42 @@ def initial_lattice(
         raise ValueError(f"initial lattice shape {plain.shape} != {tuple(shape)}")
     validate_spins(plain)
     return plain
+
+
+def initial_lattices(
+    shape: tuple[int, int],
+    initial: "Sequence[str | np.ndarray]",
+    streams: "Sequence[PhiloxStream]",
+) -> tuple[np.ndarray, list[PhiloxStream]]:
+    """Every chain's plain starting lattice, ``(B, rows, cols)``.
+
+    Chain ``b`` starts from ``initial[b]`` and ``streams[b]`` as
+    :func:`initial_lattice` would start it, but every ``"hot"`` chain
+    draws in one :func:`random_lattices` call.  Returns the lattices
+    and the chains' streams after the draw: a hot chain's stream is a
+    new one advanced past its hot start, the others are those given.
+    """
+    if len(initial) != len(streams):
+        raise ValueError(f"{len(initial)} initial states for {len(streams)} streams")
+    streams = list(streams)
+    hot = [
+        b for b, start in enumerate(initial)
+        if isinstance(start, str) and start == "hot"
+    ]
+    if hot:
+        batch = BatchedPhiloxStream.from_streams([streams[b] for b in hot])
+        drawn = random_lattices(shape, batch)
+        for i, b in enumerate(hot):
+            streams[b] = batch.chain(i)
+        if len(hot) == len(streams):
+            return drawn, streams
+    plains = np.empty((len(streams), *_lattice_shape(shape)), dtype=np.float32)
+    if hot:
+        plains[hot] = drawn
+    for b, (start, stream) in enumerate(zip(initial, streams)):
+        if b not in hot:
+            plains[b] = initial_lattice(shape, start, stream)
+    return plains, streams
 
 
 def plain_to_grid(plain: np.ndarray, block_shape: tuple[int, int]) -> np.ndarray:

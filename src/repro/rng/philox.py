@@ -15,10 +15,10 @@ streams are obtained by giving each core its own key and letting each core
 advance its own counter.
 
 :func:`philox4x32` and the ``philox_uniform_bits*`` functions allocate
-and serve as the oracle.  :func:`philox_bits_into` and
-:func:`philox_uniform_into` are the allocation-free generator the
-streams use: a pair-stacked uint64 round network, bit-identical to the
-oracle.
+and serve only as the tests' oracle: no production path calls them.
+:func:`philox_bits_into` and :func:`philox_uniform_into` are the
+allocation-free generator behind every stream draw: a pair-stacked
+uint64 round network, bit-identical to the oracle.
 
 A draw of fewer than ``2 * BLOCK_COUNTERS`` counters (summed over
 streams) runs on the calling thread in blocks of at most

@@ -15,14 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .philox import (
-    fit_philox_scratch,
-    philox_bits_into,
-    philox_uniform_bits,
-    philox_uniform_bits_batched,
-    philox_uniform_into,
-    uint32_to_uniform,
-)
+from .philox import fit_philox_scratch, philox_bits_into, philox_uniform_into
 
 __all__ = ["PhiloxStream", "BatchedPhiloxStream", "split_key"]
 
@@ -60,8 +53,7 @@ class PhiloxStream:
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self._key = split_key(self.seed, self.stream_id)
-        self._keys = np.array([self._key], dtype=np.uint32)
+        self._keys = np.array([split_key(self.seed, self.stream_id)], dtype=np.uint32)
         self._counter = 0
         # The one workspace every uniform_into/bits_into draw shares
         # (fit_philox_scratch); purely a performance cache, deliberately
@@ -95,23 +87,20 @@ class PhiloxStream:
         return PhiloxStream(self.seed, _splitmix64(self.stream_id ^ (child_id + 1)) & 0xFFFFFFFFFFFFFFFF)
 
     def random_bits(self, n_words: int) -> np.ndarray:
-        """Draw ``n_words`` uint32 words and advance the counter."""
+        """Draw ``n_words`` uint32 words and advance the counter.
+
+        Allocates only the result, which :meth:`bits_into` fills.
+        """
         if n_words < 0:
             raise ValueError(f"n_words must be >= 0, got {n_words}")
-        # Consecutive draws use disjoint counter ranges; each counter yields
-        # four words, so the counter advances by the number of counters used.
-        n_counters = -(-n_words // 4)
-        bits = philox_uniform_bits(self._counter, n_words, self._key)
-        self._counter += n_counters
-        return bits
+        return self.bits_into(np.empty(n_words, dtype=np.uint32))
 
     def uniform(self, shape: int | tuple[int, ...]) -> np.ndarray:
-        """Draw float32 uniforms in [0, 1) with the given shape."""
-        if isinstance(shape, (int, np.integer)):
-            shape = (int(shape),)
-        size = int(np.prod(shape)) if shape else 1
-        bits = self.random_bits(size)
-        return uint32_to_uniform(bits).reshape(shape)
+        """Draw float32 uniforms in [0, 1) with the given shape.
+
+        Allocates only the result, which :meth:`uniform_into` fills.
+        """
+        return self.uniform_into(np.empty(shape, dtype=np.float32))
 
     def uniform_into(self, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (C-contiguous float32) with uniforms, allocation-free.
@@ -241,13 +230,13 @@ class BatchedPhiloxStream:
         return stream
 
     def random_bits(self, n_words: int) -> np.ndarray:
-        """Draw ``n_words`` uint32 words per chain; returns ``(B, n_words)``."""
+        """Draw ``n_words`` uint32 words per chain; returns ``(B, n_words)``.
+
+        Allocates only the result, which :meth:`bits_into` fills.
+        """
         if n_words < 0:
             raise ValueError(f"n_words must be >= 0, got {n_words}")
-        bits = philox_uniform_bits_batched(self._counters, n_words, self._keys)
-        n_counters = -(-n_words // 4)
-        self._counters = [c + n_counters for c in self._counters]
-        return bits
+        return self.bits_into(np.empty((self.n_chains, n_words), dtype=np.uint32))
 
     def uniform(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Draw float32 uniforms of the given *batched* shape.
@@ -265,9 +254,7 @@ class BatchedPhiloxStream:
                 f"batched uniform shape {shape} must lead with the chain "
                 f"axis (n_chains={self.n_chains})"
             )
-        per_chain = int(np.prod(shape[1:])) if len(shape) > 1 else 1
-        bits = self.random_bits(per_chain)
-        return uint32_to_uniform(bits).reshape(shape)
+        return self.uniform_into(np.empty(shape, dtype=np.float32))
 
     def uniform_into(self, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with per-chain uniforms, allocation-free.

@@ -37,7 +37,7 @@ from ..backend.numpy_backend import NumpyBackend
 from ..backend.tpu_backend import TPUBackend
 from ..core.couplings import BondCouplings, bond_energy_per_spin
 from ..core.ensemble import EnsembleSimulation
-from ..core.lattice import initial_lattice
+from ..core.lattice import initial_lattices
 from ..observables.energy import energy_per_spin
 from ..observables.magnetization import magnetization
 from ..rng.streams import PhiloxStream
@@ -515,23 +515,28 @@ class Scheduler:
                 self._start(plan.key, plan.jobs)
         self._queue = [job for job in self._queue if job.state == JobState.QUEUED]
 
-    def _chain_of(self, job: Job):
-        """(temperature, stream, lattice) for (re)admitting one job.
+    def _chains_of(self, jobs: "list[Job]"):
+        """(temperature, stream, lattice) rows for (re)admitting ``jobs``.
 
         Fresh jobs derive their initial state exactly as a solo
         :class:`~repro.core.simulation.IsingSimulation` would — same
-        stream, same hot-start draw; preempted and adopted jobs resume
-        from their snapshot token.
+        stream, same hot-start draw, with every fresh hot job's start in
+        one batched draw; preempted and adopted jobs resume from their
+        snapshot token.  The jobs share one lattice shape.
         """
-        config = job.spec.config
-        shape = _normalized_shape(config.shape)
-        if job.resume is not None:
-            stream = PhiloxStream.from_state(job.resume["stream"])
-            lattice = np.asarray(job.resume["lattice"], dtype=np.float32)
-            return config.resolved_temperature, stream, lattice
-        stream = PhiloxStream(config.seed, 0)
-        lattice = initial_lattice(shape, config.initial, stream)
-        return config.resolved_temperature, stream, lattice
+        temperatures, streams, starts = [], [], []
+        for job in jobs:
+            config = job.spec.config
+            temperatures.append(config.resolved_temperature)
+            if job.resume is not None:
+                streams.append(PhiloxStream.from_state(job.resume["stream"]))
+                starts.append(np.asarray(job.resume["lattice"], dtype=np.float32))
+            else:
+                streams.append(PhiloxStream(config.seed, 0))
+                starts.append(config.initial)
+        shape = _normalized_shape(jobs[0].spec.config.shape)
+        plains, streams = initial_lattices(shape, starts, streams)
+        return list(zip(temperatures, streams, plains))
 
     def _backend_for(self, key: tuple, lease) -> "NumpyBackend | TPUBackend":
         _, _, dtype_name, backend_kind, _, _, _ = key
@@ -551,7 +556,7 @@ class Scheduler:
 
     def _join(self, batch: _Batch, job: Job) -> None:
         try:
-            temperature, stream, lattice = self._chain_of(job)
+            [(temperature, stream, lattice)] = self._chains_of([job])
             batch.ensemble.add_chain(temperature, stream, lattice)
         except Exception as exc:  # noqa: BLE001 — this job is unbuildable
             self._fail_jobs([job], exc)
@@ -569,7 +574,7 @@ class Scheduler:
         self._next_batch_id += 1
         shape, updater, _, _, _, block_shape, fused = key
         try:
-            chains = [self._chain_of(job) for job in jobs]
+            chains = self._chains_of(jobs)
             # Equal compat keys guarantee equal model tokens, so the
             # first job's resolved model speaks for the whole batch.
             model = jobs[0].spec.config.resolved_model

@@ -9,7 +9,7 @@ import pytest
 
 from repro.backend import NumpyBackend
 from repro.core.lattice import random_lattice
-from repro.rng import PhiloxStream
+from repro.rng import PhiloxStream, philox_uniform_bits, split_key, uint32_to_uniform
 
 
 @pytest.fixture
@@ -40,6 +40,28 @@ def bf16_backend() -> NumpyBackend:
 def make_lattice(shape: tuple[int, int], seed: int = 7) -> np.ndarray:
     """A reproducible random +/-1 lattice."""
     return random_lattice(shape, PhiloxStream(seed, 99))
+
+
+class OracleStream:
+    """A solo Philox stream that draws through the allocating oracle.
+
+    Same key, counter advance and word-to-float mapping as
+    :class:`~repro.rng.streams.PhiloxStream`, but every word comes from
+    ``philox_uniform_bits``, which no production path runs: the
+    independent twin an in-place draw is checked against.
+    """
+
+    def __init__(self, seed: int, stream_id: int = 0) -> None:
+        self.key = split_key(seed, stream_id)
+        self.counter = 0
+
+    def random_bits(self, n_words: int) -> np.ndarray:
+        words = philox_uniform_bits(self.counter, n_words, self.key)
+        self.counter += -(-n_words // 4)
+        return words
+
+    def uniform(self, shape) -> np.ndarray:
+        return uint32_to_uniform(self.random_bits(int(np.prod(shape)))).reshape(shape)
 
 
 def count_draws(backend) -> list:

@@ -9,7 +9,7 @@ from repro.backend import NumpyBackend
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.simulation import IsingSimulation, run_temperature_scan
 
-from .conftest import count_draws, eager_sweeps
+from .conftest import count_draws, eager_sweeps, make_lattice
 
 UPDATERS = ["compact", "conv", "checkerboard", "masked_conv"]
 DTYPES = ["float32", "bfloat16"]
@@ -192,6 +192,58 @@ class TestEnsembleLifecycle:
             EnsembleSimulation(8, TEMPS).run(-1)
         with pytest.raises(ValueError, match="n_samples"):
             EnsembleSimulation(8, TEMPS).sample(0)
+
+
+class TestBatchedHotStart:
+    """All hot chains of an ensemble start from one batched draw that
+    equals per-chain ``initial_lattice`` draws."""
+
+    EXPLICIT = make_lattice((8, 8), seed=4)
+    CASES = {
+        "solo-hot": ["hot"],
+        "solo-cold": ["cold"],
+        "solo-explicit": [EXPLICIT],
+        "5-chains": ["hot", "cold", EXPLICIT, "hot", "hot"],
+    }
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_mixed_initial_matches_per_chain_draws(self, dtype, case, monkeypatch):
+        import repro.core.lattice as lattice_module
+        from repro.core.lattice import initial_lattice
+        from repro.rng import PhiloxStream
+
+        starts = self.CASES[case]
+        stream_ids = [3, 8, 1, 0, 6][: len(starts)]
+        temps = [1.8 + 0.3 * b for b in range(len(starts))]
+        draws = []
+        batched = lattice_module.random_lattices
+
+        def counting(shape, stream, p_up=0.5):
+            draws.append(stream.n_chains)
+            return batched(shape, stream, p_up)
+
+        monkeypatch.setattr(lattice_module, "random_lattices", counting)
+        ensemble = EnsembleSimulation(
+            8, temps, backend=NumpyBackend(dtype), seed=12,
+            stream_ids=stream_ids, initial=starts,
+        )
+        n_hot = sum(isinstance(s, str) and s == "hot" for s in starts)
+        assert draws == ([n_hot] if n_hot else [])
+        solos = [PhiloxStream(12, sid) for sid in stream_ids]
+        for b, (start, solo) in enumerate(zip(starts, solos)):
+            expected = initial_lattice((8, 8), start, solo)
+            assert np.array_equal(ensemble.lattices[b], expected)
+        assert ensemble.stream.counters == [s.counter for s in solos]
+        ensemble.run(3)
+        for b, (start, sid) in enumerate(zip(starts, stream_ids)):
+            sim = IsingSimulation(
+                8, temps[b], backend=NumpyBackend(dtype), seed=12,
+                stream_id=sid, initial=start,
+            )
+            sim.run(3)
+            assert np.array_equal(ensemble.lattices[b], sim.lattice)
+            assert ensemble.stream.counters[b] == sim.stream.counters[0]
 
 
 class TestMergedDraw:

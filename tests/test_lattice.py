@@ -11,15 +11,18 @@ from repro.core.lattice import (
     checkerboard_mask,
     cold_lattice,
     grid_to_plain,
+    initial_lattice,
+    initial_lattices,
     plain_to_grid,
     plain_to_quarters,
     quarters_to_plain,
     random_lattice,
+    random_lattices,
     validate_spins,
 )
-from repro.rng import PhiloxStream
+from repro.rng import BatchedPhiloxStream, PhiloxStream
 
-from .conftest import make_lattice
+from .conftest import OracleStream, make_lattice
 
 
 class TestConstruction:
@@ -36,6 +39,61 @@ class TestConstruction:
     def test_random_lattice_bad_shape(self, stream):
         with pytest.raises(ValueError, match="positive"):
             random_lattice((0, 4), stream)
+
+    @pytest.mark.parametrize("p_up", [0.5, 0.9])
+    def test_random_lattice_matches_oracle(self, p_up):
+        oracle = OracleStream(5, 3)
+        u = oracle.uniform((10, 14))
+        stream = PhiloxStream(5, 3)
+        plain = random_lattice((10, 14), stream, p_up=p_up)
+        assert np.array_equal(plain, np.where(u < p_up, 1.0, -1.0))
+        assert stream.counter == oracle.counter
+
+    @pytest.mark.parametrize("shape", [(8, 8), (6, 10), (5, 7)])
+    def test_random_lattices_chain_identity(self, shape):
+        # Odd sizes leave a partial last counter per chain.
+        solos = [
+            PhiloxStream.from_state({"seed": s, "stream_id": i, "counter": c})
+            for s, i, c in ((1, 0, 0), (2, 7, 5), (1, 1, 3))
+        ]
+        batch = BatchedPhiloxStream.from_streams(solos)
+        plains = random_lattices(shape, batch)
+        assert plains.shape == (3, *shape) and plains.dtype == np.float32
+        for b, solo in enumerate(solos):
+            assert np.array_equal(plains[b], random_lattice(shape, solo))
+        assert batch.counters == [s.counter for s in solos]
+        with pytest.raises(ValueError, match="positive"):
+            random_lattices((4, 0), batch)
+
+    def test_initial_lattices_draw_hot_chains_at_once(self, monkeypatch):
+        import repro.core.lattice as lattice_module
+
+        explicit = make_lattice((6, 6), seed=3)
+        initial = ["hot", "cold", explicit, "hot", "hot"]
+        streams = [PhiloxStream(4, b) for b in range(5)]
+        draws = []
+        batched = lattice_module.random_lattices
+
+        def counting(shape, stream, p_up=0.5):
+            draws.append(stream.n_chains)
+            return batched(shape, stream, p_up)
+
+        monkeypatch.setattr(lattice_module, "random_lattices", counting)
+        plains, after = initial_lattices((6, 6), initial, streams)
+        assert draws == [3]
+        for b, (start, stream) in enumerate(zip(initial, streams)):
+            solo = PhiloxStream(4, b)
+            assert np.array_equal(plains[b], initial_lattice((6, 6), start, solo))
+            assert after[b].counter == solo.counter
+            assert after[b].stream_id == b
+        # Streams with nothing to draw are passed through; given ones
+        # are never advanced.
+        assert after[1] is streams[1] and after[2] is streams[2]
+        assert [s.counter for s in streams] == [0] * 5
+        with pytest.raises(ValueError, match="initial must be"):
+            initial_lattices((6, 6), ["hot", "warm"], streams[:2])
+        with pytest.raises(ValueError, match="2 initial states for 3"):
+            initial_lattices((6, 6), ["hot", "cold"], streams[:3])
 
     def test_cold_lattice(self):
         assert np.all(cold_lattice((4, 4)) == 1.0)

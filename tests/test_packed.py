@@ -40,7 +40,7 @@ from repro.telemetry import MetricsRegistry, RunTelemetry
 from repro.tpu.dtypes import PACKED, resolve_dtype
 from repro.tpu.tensorcore import TensorCore
 
-from .conftest import eager_sweeps, make_lattice
+from .conftest import OracleStream, eager_sweeps, make_lattice
 
 
 def packed_backend() -> NumpyBackend:
@@ -84,21 +84,26 @@ class TestKernels:
         assert np.array_equal(lanes.ravel(), [1, 2, 3, 0xFFFF])
 
     def test_bits_into_matches_random_bits(self):
-        a, b = PhiloxStream(9, 4), PhiloxStream(9, 4)
+        # Both draws against the allocating oracle, not each other: both
+        # run the in-place generator.
+        a, b, oracle = PhiloxStream(9, 4), PhiloxStream(9, 4), OracleStream(9, 4)
         out = np.empty(96, dtype=np.uint32)
         a.bits_into(out)
-        assert np.array_equal(out, b.random_bits(96))
-        assert a.counter == b.counter
+        expected = oracle.random_bits(96)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(b.random_bits(96), expected)
+        assert a.counter == b.counter == oracle.counter
 
     def test_batched_bits_into_per_chain_identity(self):
-        solos = [PhiloxStream(3, sid) for sid in (0, 5)]
+        oracles = [OracleStream(3, sid) for sid in (0, 5)]
         batched = BatchedPhiloxStream.from_streams(
             [PhiloxStream(3, sid) for sid in (0, 5)]
         )
         out = np.empty((2, 64), dtype=np.uint32)
         batched.bits_into(out)
-        for b, solo in enumerate(solos):
-            assert np.array_equal(out[b], solo.random_bits(64))
+        for b, oracle in enumerate(oracles):
+            assert np.array_equal(out[b], oracle.random_bits(64))
+        assert batched.counters == [o.counter for o in oracles]
 
 
 class TestComparePackOracle:
@@ -259,8 +264,9 @@ class TestStream16Oracle:
     """The 16-bit stream mode against an independent twin.
 
     The twin is the unpacked multi-spin baseline fed ``lanes * 2**-16``,
-    with the lanes split arithmetically from its own ``PhiloxStream`` in
-    Algorithm 2's draw order.  ``lanes * 2**-16 < t`` holds exactly when
+    with the lanes split arithmetically from its own oracle stream
+    (``OracleStream`` in ``tests/conftest.py``) in Algorithm 2's draw
+    order.  ``lanes * 2**-16 < t`` holds exactly when
     ``lanes < ceil(t * 2**16)``, so the chains must agree bit for bit,
     at the ends too: T = 3e5 puts the k == 1 threshold at 2**16, 1e6
     both, and 0.05 puts the k == 0 threshold at 0.
@@ -300,7 +306,7 @@ class TestStream16Oracle:
             128, T, backend=packed_backend(), seed=4, initial=plain
         )
         twin = MultispinUpdater(1.0 / T)
-        state, stream = twin.to_state(plain), PhiloxStream(4, 0)
+        state, stream = twin.to_state(plain), OracleStream(4, 0)
         for _ in range(8):
             sim.run(1)
             state = self._twin_sweep(twin, state, stream)
@@ -322,7 +328,7 @@ class TestStream16Oracle:
         held = [a for case in ens._updater._stream_cases for a in case]
         assert [a.dtype for a in held] == [np.uint16, np.uint64] * 2
         states = [MultispinUpdater.to_state(plain) for _ in range(3)]
-        streams = [PhiloxStream(9, b) for b in range(3)]
+        streams = [OracleStream(9, b) for b in range(3)]
         for step, temps in enumerate(schedule):
             if step:  # the first round records; the rest re-temper it
                 ens.set_temperatures(temps)

@@ -168,6 +168,58 @@ class TestBatchedPhiloxStream:
             BatchedPhiloxStream(0, [0]).random_bits(-1)
 
 
+class TestAllocatingDrawsMatchOracle:
+    """``uniform`` and ``random_bits`` fill a fresh array in place; the
+    words, shapes and counter advance are the oracle's."""
+
+    SIZES = (0, 1, 3, 4, 7, 64, 4097)
+
+    def test_solo(self):
+        stream = PhiloxStream(41, 2)
+        counter = 0
+        for i, size in enumerate(self.SIZES):
+            words = philox_uniform_bits(counter, size, split_key(41, 2))
+            if i % 2:
+                out = stream.random_bits(size)
+                assert out.dtype == np.uint32
+                np.testing.assert_array_equal(out, words)
+            else:
+                out = stream.uniform((size,))
+                assert out.dtype == np.float32
+                np.testing.assert_array_equal(out, uint32_to_uniform(words))
+            counter += -(-size // 4)
+            assert stream.counter == counter
+        shaped = stream.uniform((2, 3))
+        assert shaped.shape == (2, 3) and shaped.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(
+            shaped.ravel(),
+            uint32_to_uniform(philox_uniform_bits(counter, 6, split_key(41, 2))),
+        )
+        assert [k for k in vars(stream) if "scratch" in k] == ["_scratch"]
+
+    def test_batched(self):
+        stream = BatchedPhiloxStream.from_state(
+            {"seeds": [41, 42, 43], "stream_ids": [0, 5, 1], "counters": [0, 9, 2]}
+        )
+        counters = stream.counters
+        for i, size in enumerate(self.SIZES):
+            words = philox_uniform_bits_batched(counters, size, stream._keys)
+            if i % 2:
+                out = stream.random_bits(size)
+                assert out.shape == (3, size) and out.dtype == np.uint32
+                np.testing.assert_array_equal(out, words)
+            else:
+                out = stream.uniform((3, size))
+                assert out.dtype == np.float32
+                np.testing.assert_array_equal(out, uint32_to_uniform(words))
+            counters = [c + -(-size // 4) for c in counters]
+            assert stream.counters == counters
+        # A chain axis alone draws one word per chain.
+        words = philox_uniform_bits_batched(counters, 1, stream._keys)
+        np.testing.assert_array_equal(stream.uniform(3), uint32_to_uniform(words)[:, 0])
+        assert [k for k in vars(stream) if "scratch" in k] == ["_scratch"]
+
+
 class TestOneScratchPerStream:
     """Every in-place draw of a stream shares one block-bounded workspace."""
 
@@ -192,7 +244,7 @@ class TestOneScratchPerStream:
         counters = [0] * rows
         for i, size in enumerate(self.SIZES):
             if keys is None:
-                expected = philox_uniform_bits(counters[0], size, stream._key)[None]
+                expected = philox_uniform_bits(counters[0], size, stream._keys[0])[None]
             else:
                 expected = philox_uniform_bits_batched(counters, size, keys)
             if i % 2:
@@ -223,7 +275,7 @@ def _draw_and_check(stream, bits: bool = False) -> "str | None":
     solo = isinstance(stream, PhiloxStream)
     counters = [stream.counter] if solo else stream.counters
     if solo:
-        words = philox_uniform_bits(counters[0], SPLIT_WORDS, stream._key)[None]
+        words = philox_uniform_bits(counters[0], SPLIT_WORDS, stream._keys[0])[None]
     else:
         words = philox_uniform_bits_batched(counters, SPLIT_WORDS, stream._keys)
     expected = words if bits else uint32_to_uniform(words)

@@ -126,6 +126,53 @@ class TestBitIdentity:
             job.result.lattice, bonds
         )
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_batch_start_matches_solo(self, dtype, monkeypatch):
+        """A batch start draws every fresh hot job's start in one
+        batched draw; each chain it builds (lattice, stream position)
+        equals its job's solo simulate(), and so does each result."""
+        import repro.core.lattice as lattice_module
+
+        draws, built = [], []
+        batched = lattice_module.random_lattices
+        from_chains = EnsembleSimulation.from_chains.__func__
+
+        def counting(shape, stream, p_up=0.5):
+            draws.append(stream.n_chains)
+            return batched(shape, stream, p_up)
+
+        def spy(cls, shape, chains, **kwargs):
+            built.append(chains)
+            return from_chains(cls, shape, chains, **kwargs)
+
+        monkeypatch.setattr(lattice_module, "random_lattices", counting)
+        monkeypatch.setattr(EnsembleSimulation, "from_chains", classmethod(spy))
+        explicit = np.where(np.arange(256).reshape(16, 16) % 3, 1.0, -1.0)
+        configs = [
+            SimulationConfig(
+                shape=16, temperature=1.9 + 0.1 * i, dtype=dtype, seed=30 + i,
+                initial=("hot", "cold", explicit)[i % 3] if i < 3 else "hot",
+            )
+            for i in range(6)
+        ]
+        scheduler = Scheduler(n_devices=1, max_batch=8)
+        jobs = [scheduler.submit(config, 5) for config in configs]
+        scheduler.step()
+        assert scheduler.batches_started == 1
+        assert draws == [4]
+        [chains] = built
+        by_seed = {stream.seed: (lattice, stream) for _, stream, lattice in chains}
+        for config in configs:
+            lattice, stream = by_seed[config.seed]
+            solo = simulate(config)
+            np.testing.assert_array_equal(lattice, solo.lattice)
+            assert [stream.counter] == solo.stream.counters
+        scheduler.drain()
+        for config, job in zip(configs, jobs):
+            np.testing.assert_array_equal(
+                job.result.lattice, _solo_lattice(config, 5)
+            )
+
     def test_late_joiner_disturbs_nobody(self):
         """Continuous batching: a chain joining mid-flight leaves the
         running siblings' trajectories bit-identical."""
