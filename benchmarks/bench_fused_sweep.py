@@ -16,15 +16,16 @@ only half the sites per phase, which pushes them toward the Philox
 throughput floor; their speedups are recorded in the payload but not
 gated.
 
-Both sides are timed on one CPU: the process pins itself to one of its
-CPUs (``os.sched_setaffinity``) for the timing and restores its CPU set
-afterwards.  Both sides draw through the in-place generator, whose
-draws of at least ``2 * BLOCK_COUNTERS`` counters would otherwise split
-across two host cores (``repro.rng.philox``), and the sides split
-different shares of their draws (a fused compact sweep's one draw
-splits, the elementwise path's per-quarter draws do not), tying the
-ratio to the host's core count.  A timed draw that split anyway raises.
-CI also runs it on one BLAS thread, as the packed gate does.
+Both sides are built and timed on one CPU: the process pins itself to
+one of its CPUs (``os.sched_setaffinity``) for the measurement and
+restores its CPU set afterwards.  Both sides draw through the in-place
+generator, whose draws of at least ``2 * BLOCK_COUNTERS`` counters would
+otherwise split across two host cores (``repro.rng.philox``), and the
+sides split different shares of their draws (a fused compact sweep's
+one draw splits, the elementwise path's per-quarter draws do not),
+tying the ratio to the host's core count.  A draw that split anyway,
+hot starts included, raises.  CI also runs it on one BLAS thread, as
+the packed gate does.
 
 Run as a module for the CI check (it imports ``one_cpu`` from
 ``benchmarks/conftest.py``)::
@@ -70,7 +71,7 @@ def _sweep_seconds(
         sim.run(n_sweeps)
         best = min(best, (time.perf_counter() - t0) / n_sweeps)
     if sim.stream.split_draws:
-        raise AssertionError(f"{updater}: a timed Philox draw split across two cores")
+        raise AssertionError(f"{updater}: a Philox draw split across two cores")
     return best
 
 

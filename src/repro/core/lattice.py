@@ -58,17 +58,15 @@ def _lattice_shape(shape: tuple[int, int]) -> tuple[int, int]:
     return int(rows), int(cols)
 
 
-def random_lattices(
-    shape: tuple[int, int], stream: BatchedPhiloxStream, p_up: float = 0.5
-) -> np.ndarray:
+def random_lattices(shape: tuple[int, int], stream: BatchedPhiloxStream) -> np.ndarray:
     """Hot starts for every chain of ``stream`` in one draw.
 
     One in-place draw of ``(B, rows, cols)`` uniforms, each mapped to a
-    spin that is +1 with probability ``p_up``.  Chain ``b`` gets exactly
+    spin that is +1 with probability 1/2.  Chain ``b`` gets exactly
     ``random_lattice(shape, stream.chain(b))``, with the same counter
     advance.
     """
-    return _hot_spins(stream.uniform((stream.n_chains, *_lattice_shape(shape))), p_up)
+    return _hot_spins(stream.uniform((stream.n_chains, *_lattice_shape(shape))), 0.5)
 
 
 def random_lattice(
@@ -76,7 +74,7 @@ def random_lattice(
 ) -> np.ndarray:
     """A hot (disordered) start: each spin +1 with probability ``p_up``.
 
-    The one-chain case of :func:`random_lattices`.
+    At the default ``p_up``, the one-chain case of :func:`random_lattices`.
     """
     return _hot_spins(stream.uniform(_lattice_shape(shape)), p_up)
 
@@ -130,6 +128,8 @@ def initial_lattices(
     draws in one :func:`random_lattices` call.  Returns the lattices
     and the chains' streams after the draw: a hot chain's stream is a
     new one advanced past its hot start, the others are those given.
+    The first hot chain's stream counts the draw if it split, so a
+    batched stream built from the returned ones counts it once.
     """
     if len(initial) != len(streams):
         raise ValueError(f"{len(initial)} initial states for {len(streams)} streams")
@@ -143,6 +143,7 @@ def initial_lattices(
         drawn = random_lattices(shape, batch)
         for i, b in enumerate(hot):
             streams[b] = batch.chain(i)
+        streams[hot[0]].split_draws = batch.split_draws
         if len(hot) == len(streams):
             return drawn, streams
     plains = np.empty((len(streams), *_lattice_shape(shape)), dtype=np.float32)

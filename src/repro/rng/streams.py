@@ -201,11 +201,13 @@ class BatchedPhiloxStream:
 
     @classmethod
     def from_streams(cls, streams: "Sequence[PhiloxStream]") -> "BatchedPhiloxStream":
-        """Bundle existing solo streams, carrying their counters over."""
+        """Bundle existing solo streams, carrying their counters and the
+        sum of their split-draw counts over."""
         if not streams:
             raise ValueError("need at least one stream")
         batched = cls([s.seed for s in streams], [s.stream_id for s in streams])
         batched._counters = [s.counter for s in streams]
+        batched.split_draws = sum(s.split_draws for s in streams)
         return batched
 
     def __repr__(self) -> str:

@@ -219,9 +219,9 @@ class TestBatchedHotStart:
         draws = []
         batched = lattice_module.random_lattices
 
-        def counting(shape, stream, p_up=0.5):
+        def counting(shape, stream):
             draws.append(stream.n_chains)
-            return batched(shape, stream, p_up)
+            return batched(shape, stream)
 
         monkeypatch.setattr(lattice_module, "random_lattices", counting)
         ensemble = EnsembleSimulation(

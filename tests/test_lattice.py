@@ -74,9 +74,9 @@ class TestConstruction:
         draws = []
         batched = lattice_module.random_lattices
 
-        def counting(shape, stream, p_up=0.5):
+        def counting(shape, stream):
             draws.append(stream.n_chains)
-            return batched(shape, stream, p_up)
+            return batched(shape, stream)
 
         monkeypatch.setattr(lattice_module, "random_lattices", counting)
         plains, after = initial_lattices((6, 6), initial, streams)
@@ -94,6 +94,15 @@ class TestConstruction:
             initial_lattices((6, 6), ["hot", "warm"], streams[:2])
         with pytest.raises(ValueError, match="2 initial states for 3"):
             initial_lattices((6, 6), ["hot", "cold"], streams[:3])
+
+    def test_initial_lattices_count_a_split_hot_start(self, two_cpus):
+        # Two 256^2 hot starts are one draw of 2 * BLOCK_COUNTERS
+        # counters, which splits; a batched stream of the returned
+        # streams counts it once.
+        streams = [PhiloxStream(4, b) for b in range(3)]
+        _, after = initial_lattices((256, 256), ["cold", "hot", "hot"], streams)
+        assert [s.split_draws for s in after] == [0, 1, 0]
+        assert BatchedPhiloxStream.from_streams(after).split_draws == 1
 
     def test_cold_lattice(self):
         assert np.all(cold_lattice((4, 4)) == 1.0)

@@ -134,8 +134,10 @@ class TestBatchedPhiloxStream:
     def test_from_streams_carries_counters(self):
         solos = [PhiloxStream(9, 0), PhiloxStream(9, 1)]
         solos[0].uniform(10)  # desync the counters
+        solos[0].split_draws, solos[1].split_draws = 2, 1
         batched = BatchedPhiloxStream.from_streams(solos)
         assert batched.counters == [solos[0].counter, solos[1].counter]
+        assert batched.split_draws == 3
         u = batched.uniform((2, 6))
         assert np.array_equal(u[0], solos[0].uniform(6))
         assert np.array_equal(u[1], solos[1].uniform(6))

@@ -137,9 +137,9 @@ class TestBitIdentity:
         batched = lattice_module.random_lattices
         from_chains = EnsembleSimulation.from_chains.__func__
 
-        def counting(shape, stream, p_up=0.5):
+        def counting(shape, stream):
             draws.append(stream.n_chains)
-            return batched(shape, stream, p_up)
+            return batched(shape, stream)
 
         def spy(cls, shape, chains, **kwargs):
             built.append(chains)

@@ -364,12 +364,12 @@ class TestTelemetryAndApi:
 
     @pytest.mark.parametrize(
         "side, n_chains, warm, added",
-        [(512, 1, 3, 5), (32, 1, 0, 0), (32, 16, 0, 0)],
+        [(512, 1, 4, 5), (32, 1, 0, 0), (32, 16, 0, 0)],
         ids=["solo-512", "solo-32", "16x32"],
     )
     def test_split_draws_gauge(self, two_cpus, side, n_chains, warm, added):
-        # One split draw per 512^2 sweep; 32^2 draws never split, drawn
-        # ahead or batched.
+        # One split draw for a 512^2 hot start and one per 512^2 sweep;
+        # 32^2 draws never split, drawn ahead or batched.
         telemetry = RunTelemetry(physics_interval=0)
         if n_chains == 1:
             sim = IsingSimulation(side, 2.2, seed=1, telemetry=telemetry)
